@@ -10,8 +10,7 @@ membership oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Literal, Optional
+from typing import Callable, Hashable, Iterable, Literal, Optional
 
 from .gaussint import ZERO, BaseIsUnitOrZero, GaussInt, is_power_of
 from .numeration import (
@@ -19,8 +18,13 @@ from .numeration import (
     DigitSet,
     ForeignDigit,
     Word,
+    _json_field,
+    _json_int,
+    _json_ints,
+    _json_list,
     canonical_digit_set,
     decode,
+    digit_set_from_json,
 )
 
 ENUMERATION_BUDGET = 10**8
@@ -40,11 +44,6 @@ class BudgetExceeded(RuntimeError):
 
 class EmptyWord(ValueError):
     """Pumping needs a nonempty word."""
-
-
-@lru_cache(maxsize=None)
-def _digit_index(D: DigitSet) -> dict[GaussInt, int]:
-    return {d: i for i, d in enumerate(D.digits)}
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ class Dfa:
 
 def run(dfa: Dfa, w: Word) -> bool:
     """True iff the unique run over w ends in an accepting state."""
-    index = _digit_index(dfa.alphabet)
+    index = dfa.alphabet.index
     state = dfa.initial
     for d in w:
         i = index.get(d)
@@ -97,42 +96,56 @@ def run(dfa: Dfa, w: Word) -> bool:
     return state in dfa.accepting
 
 
-ProductMode = Literal["and", "or", "diff"]
+def _bfs(
+    start: Hashable, successors: Callable[[Hashable], Iterable[Hashable]]
+) -> tuple[list, list[tuple[int, ...]]]:
+    """Breadth-first numbering of everything reachable from start.
 
-
-def product(d1: Dfa, d2: Dfa, mode: ProductMode) -> Dfa:
-    """Product DFA for the boolean combination of two languages."""
-    if d1.alphabet != d2.alphabet:
-        raise AlphabetMismatch("product needs a shared alphabet")
-    if mode not in ("and", "or", "diff"):
-        raise ValueError(f"unknown product mode {mode!r}")
-    width = len(d1.alphabet.digits)
-    start = (d1.initial, d2.initial)
+    successors(s) lists the targets of s in digit order.  Returns the
+    reached items in BFS order (item i gets number i) and, for each, the
+    row of its targets' numbers.
+    """
     number = {start: 0}
     order = [start]
     rows: list[tuple[int, ...]] = []
-    qi = 0
-    while qi < len(order):
-        s1, s2 = order[qi]
-        qi += 1
+    for s in order:  # order grows while it is walked
         row = []
-        for i in range(width):
-            t = (d1.transitions[s1][i], d2.transitions[s2][i])
+        for t in successors(s):
             if t not in number:
                 number[t] = len(order)
                 order.append(t)
             row.append(number[t])
         rows.append(tuple(row))
-    if mode == "and":
-        keep = lambda a1, a2: a1 and a2
-    elif mode == "or":
-        keep = lambda a1, a2: a1 or a2
-    else:
-        keep = lambda a1, a2: a1 and not a2
+    return order, rows
+
+
+def _pairs(d1: Dfa, d2: Dfa) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """_bfs over the state pairs of d1 x d2 reachable from the initial pair."""
+    if d1.alphabet != d2.alphabet:
+        raise AlphabetMismatch("product needs a shared alphabet")
+    t1, t2 = d1.transitions, d2.transitions
+    return _bfs((d1.initial, d2.initial), lambda pair: zip(t1[pair[0]], t2[pair[1]]))
+
+
+ProductMode = Literal["and", "or", "diff"]
+
+_KEEP: dict[str, Callable[[bool, bool], bool]] = {
+    "and": lambda a1, a2: a1 and a2,
+    "or": lambda a1, a2: a1 or a2,
+    "diff": lambda a1, a2: a1 and not a2,
+}
+
+
+def product(d1: Dfa, d2: Dfa, mode: ProductMode) -> Dfa:
+    """Product DFA for the boolean combination of two languages."""
+    if mode not in _KEEP:
+        raise ValueError(f"unknown product mode {mode!r}")
+    keep = _KEEP[mode]
+    order, rows = _pairs(d1, d2)
     accepting = frozenset(
-        number[pair]
-        for pair in order
-        if keep(pair[0] in d1.accepting, pair[1] in d2.accepting)
+        i
+        for i, (s1, s2) in enumerate(order)
+        if keep(s1 in d1.accepting, s2 in d2.accepting)
     )
     return Dfa(d1.alphabet, 0, tuple(rows), accepting)
 
@@ -148,22 +161,14 @@ def complement(d: Dfa) -> Dfa:
 
 def is_empty(d: Dfa) -> bool:
     """True iff no accepting state is reachable."""
-    seen = {d.initial}
-    stack = [d.initial]
-    while stack:
-        s = stack.pop()
-        if s in d.accepting:
-            return False
-        for t in d.transitions[s]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return True
+    reached, _ = _bfs(d.initial, d.transitions.__getitem__)
+    return d.accepting.isdisjoint(reached)
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Language equality, via emptiness of both difference products."""
-    return is_empty(product(d1, d2, "diff")) and is_empty(product(d2, d1, "diff"))
+    """Language equality: every reachable state pair agrees on acceptance."""
+    order, _ = _pairs(d1, d2)
+    return all((s1 in d1.accepting) == (s2 in d2.accepting) for s1, s2 in order)
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -175,18 +180,8 @@ def minimize(d: Dfa) -> Dfa:
     alphabets yield structurally equal automata.
     """
     # reachable part, BFS order
-    order = [d.initial]
-    pos = {d.initial: 0}
-    qi = 0
-    while qi < len(order):
-        s = order[qi]
-        qi += 1
-        for t in d.transitions[s]:
-            if t not in pos:
-                pos[t] = len(order)
-                order.append(t)
-    rows = [tuple(pos[t] for t in d.transitions[s]) for s in order]
-    acc = {pos[s] for s in order if s in d.accepting}
+    order, rows = _bfs(d.initial, d.transitions.__getitem__)
+    acc = {i for i, s in enumerate(order) if s in d.accepting}
     n = len(order)
 
     # Moore refinement to the coarsest fixpoint
@@ -207,28 +202,15 @@ def minimize(d: Dfa) -> Dfa:
     rep: dict[int, int] = {}
     for s in range(n):
         rep.setdefault(block[s], s)
-    bfs = [block[0]]
-    bnum = {block[0]: 0}
-    qi = 0
-    while qi < len(bfs):
-        blk = bfs[qi]
-        qi += 1
-        for t in rows[rep[blk]]:
-            tb = block[t]
-            if tb not in bnum:
-                bnum[tb] = len(bfs)
-                bfs.append(tb)
-    out_rows = tuple(
-        tuple(bnum[block[t]] for t in rows[rep[blk]]) for blk in bfs
-    )
-    out_acc = frozenset(bnum[blk] for blk in bfs if rep[blk] in acc)
-    return Dfa(d.alphabet, 0, out_rows, out_acc)
+    blocks, out_rows = _bfs(block[0], lambda blk: [block[t] for t in rows[rep[blk]]])
+    out_acc = frozenset(i for i, blk in enumerate(blocks) if rep[blk] in acc)
+    return Dfa(d.alphabet, 0, tuple(out_rows), out_acc)
 
 
 def powers_dfa(b: GaussInt) -> Dfa:
     """Accepts exactly the words `1` followed by zeros, i.e. the powers of b."""
     D = canonical_digit_set(b)
-    index = _digit_index(D)
+    index = D.index
     width = len(D.digits)
     row_start = [2] * width
     row_start[index[GaussInt(1, 0)]] = 1
@@ -307,6 +289,23 @@ class ResidualReport:
     representatives: tuple[Word, ...] = field(repr=False)
 
 
+# A level lists the words of one length in lexicographic order, each as
+# (value.re, value.im, leading digit index or None for the empty word).
+_Level = list[tuple[int, int, Optional[int]]]
+
+
+def _extend(level: _Level, digits: tuple[GaussInt, ...], b: GaussInt) -> _Level:
+    """The next level: every word of level followed by every digit, in order."""
+    bre, bim = b.re, b.im
+    out = []
+    for vre, vim, lead in level:
+        wre = vre * bre - vim * bim
+        wim = vre * bim + vim * bre
+        for i, d in enumerate(digits):
+            out.append((wre + d.re, wim + d.im, i if lead is None else lead))
+    return out
+
+
 def _word_from_index(digits: tuple[GaussInt, ...], length: int, index: int) -> Word:
     out = []
     m = len(digits)
@@ -327,20 +326,13 @@ def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
         raise BudgetExceeded(f"{m}^({k}+{e}) words exceed the enumeration budget")
     b = L.alphabet.base
     bre, bim = b.re, b.im
-    z0 = _digit_index(L.alphabet)[ZERO]
+    z0 = L.alphabet.index[ZERO]
     vt = L.value_test
     empty_member = vt(ZERO)
 
-    # suffixes by length: (value_re, value_im, leading digit index or None)
-    suffix_levels: list[list[tuple[int, int, Optional[int]]]] = [[(0, 0, None)]]
+    suffix_levels: list[_Level] = [[(0, 0, None)]]
     for _ in range(e):
-        nxt = []
-        for vre, vim, first in suffix_levels[-1]:
-            wre = vre * bre - vim * bim
-            wim = vre * bim + vim * bre
-            for i, d in enumerate(digits):
-                nxt.append((wre + d.re, wim + d.im, first if first is not None else i))
-        suffix_levels.append(nxt)
+        suffix_levels.append(_extend(suffix_levels[-1], digits, b))
     pow_re, pow_im = [1], [0]
     for _ in range(e):
         pr, pi = pow_re[-1], pow_im[-1]
@@ -348,7 +340,7 @@ def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
         pow_im.append(pr * bim + pi * bre)
 
     first_seen: dict[tuple[bool, ...], tuple[int, int]] = {}
-    level: list[tuple[int, int, Optional[int]]] = [(0, 0, None)]
+    level: _Level = [(0, 0, None)]
     for length in range(k + 1):
         for idx, (ure, uim, ufirst) in enumerate(level):
             sig: list[bool] = []
@@ -367,15 +359,7 @@ def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
             if key not in first_seen:
                 first_seen[key] = (length, idx)
         if length < k:
-            nxt = []
-            for ure, uim, ufirst in level:
-                wre = ure * bre - uim * bim
-                wim = ure * bim + uim * bre
-                for i, d in enumerate(digits):
-                    nxt.append(
-                        (wre + d.re, wim + d.im, ufirst if ufirst is not None else i)
-                    )
-            level = nxt
+            level = _extend(level, digits, b)
 
     reps = tuple(
         _word_from_index(digits, length, idx) for length, idx in first_seen.values()
@@ -420,40 +404,19 @@ def dfa_oracle_disagreement(d: Dfa, L: LanguageOracle, max_len: int) -> Optional
     if vt(ZERO) != (d.initial in d.accepting):
         return EMPTY_WORD
     b = d.alphabet.base
-    bre, bim = b.re, b.im
-    z0 = _digit_index(d.alphabet)[ZERO]
+    z0 = d.alphabet.index[ZERO]
     trans = d.transitions
     acc = d.accepting
 
     states = [d.initial]
-    vals_re = [0]
-    vals_im = [0]
-    firsts: list[Optional[int]] = [None]
+    level: _Level = [(0, 0, None)]
     for length in range(1, max_len + 1):
-        n_states: list[int] = []
-        n_re: list[int] = []
-        n_im: list[int] = []
-        n_firsts: list[Optional[int]] = []
-        idx = 0
-        for j in range(len(states)):
-            st = states[j]
-            vre, vim, first = vals_re[j], vals_im[j], firsts[j]
-            wre = vre * bre - vim * bim
-            wim = vre * bim + vim * bre
-            row = trans[st]
-            for i, dg in enumerate(digits):
-                lead = first if first is not None else i
-                nst = row[i]
-                nre, nim = wre + dg.re, wim + dg.im
-                member = lead != z0 and vt(GaussInt(nre, nim))
-                if member != (nst in acc):
-                    return _word_from_index(digits, length, idx)
-                n_states.append(nst)
-                n_re.append(nre)
-                n_im.append(nim)
-                n_firsts.append(lead)
-                idx += 1
-        states, vals_re, vals_im, firsts = n_states, n_re, n_im, n_firsts
+        level = _extend(level, digits, b)
+        states = [t for s in states for t in trans[s]]
+        for idx, ((vre, vim, lead), st) in enumerate(zip(level, states)):
+            member = lead != z0 and vt(GaussInt(vre, vim))
+            if member != (st in acc):
+                return _word_from_index(digits, length, idx)
     return None
 
 
@@ -469,16 +432,15 @@ def dfa_to_json(d: Dfa) -> dict:
 
 
 def dfa_from_json(obj: dict) -> Dfa:
-    alphabet = DigitSet(
-        base=GaussInt.parse(obj["base"]),
-        digits=tuple(GaussInt.parse(t) for t in obj["digits"]),
-    )
+    """Inverse of dfa_to_json; a missing or mistyped field raises ValueError naming it."""
     d = Dfa(
-        alphabet=alphabet,
-        initial=int(obj["initial"]),
-        transitions=tuple(tuple(int(t) for t in row) for row in obj["transitions"]),
-        accepting=frozenset(int(s) for s in obj["accepting"]),
+        alphabet=digit_set_from_json(obj),
+        initial=_json_field(obj, "initial", _json_int),
+        transitions=_json_field(
+            obj, "transitions", lambda rows: tuple(map(_json_ints, _json_list(rows)))
+        ),
+        accepting=_json_field(obj, "accepting", lambda states: frozenset(_json_ints(states))),
     )
-    if d.state_count != int(obj["states"]):
+    if d.state_count != _json_field(obj, "states", _json_int):
         raise ValueError("state count field disagrees with the transition table")
     return d

@@ -41,6 +41,7 @@ from .numeration import (
     encode,
     lattice_disc,
     length_bound,
+    real_power_exponent,
     word_from_text,
     word_length,
     word_to_text,
@@ -60,12 +61,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+def _count(text: str) -> int:
+    """argparse type for budgets, depths and lengths: a non-negative int."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _bound(text: str) -> tuple[int, int]:
     try:
         num, den = text.split("/", 1)
         return int(num), int(den)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bound must be NUM/DEN, got {text!r}") from exc
+
+
+def _echo(args, *names: str) -> dict:
+    """The named arguments as a report's inputs, Gaussian integers as literals."""
+    values = {name: getattr(args, name) for name in names}
+    return {name: str(v) if isinstance(v, GaussInt) else v for name, v in values.items()}
 
 
 def _oracle_for(selector: str, base: GaussInt):
@@ -80,31 +98,24 @@ def _oracle_for(selector: str, base: GaussInt):
 
 def cmd_digits(args) -> tuple[dict, dict, str]:
     D = canonical_digit_set(args.base)
-    return {"base": str(args.base)}, {"digit_set": digit_set_to_json(D)}, "ok"
+    return _echo(args, "base"), {"digit_set": digit_set_to_json(D)}, "ok"
 
 
 def cmd_encode(args) -> tuple[dict, dict, str]:
     D = canonical_digit_set(args.base)
     w = encode(args.value, D)
-    inputs = {"base": str(args.base), "value": str(args.value)}
-    return inputs, {"word": word_to_text(w), "length": len(w)}, "ok"
+    return _echo(args, "base", "value"), {"word": word_to_text(w), "length": len(w)}, "ok"
 
 
 def cmd_decode(args) -> tuple[dict, dict, str]:
     D = canonical_digit_set(args.base)
     w = word_from_text(args.word)
     value = decode(w, D)
-    inputs = {"base": str(args.base), "word": args.word}
-    return inputs, {"value": str(value), "norm": value.norm()}, "ok"
+    return _echo(args, "base", "word"), {"value": str(value), "norm": value.norm()}, "ok"
 
 
 def cmd_scan_bases(args) -> tuple[dict, dict, str]:
-    inputs = {
-        "norm_min": args.norm_min,
-        "norm_max": args.norm_max,
-        "disc": args.disc,
-        "k_max": args.k_max,
-    }
+    inputs = _echo(args, "norm_min", "norm_max", "disc", "k_max")
     rows = []
     all_pass = True
     for b in lattice_disc(args.norm_max):
@@ -127,6 +138,8 @@ def cmd_scan_bases(args) -> tuple[dict, dict, str]:
             {
                 "base": str(b),
                 "norm": n,
+                "m3": lb.m3,
+                "real_power_exponent": real_power_exponent(b),
                 "digit_count_ok": digit_count_ok,
                 "roundtrip_ok": roundtrip_ok,
                 "length_bound_ok": length_ok,
@@ -138,20 +151,13 @@ def cmd_scan_bases(args) -> tuple[dict, dict, str]:
 
 def cmd_deptest(args) -> tuple[dict, dict, str]:
     verdict = mult_dependent(args.a, args.b)
-    inputs = {"a": str(args.a), "b": str(args.b)}
     results = {"dependent": verdict.dependent, "r": verdict.r, "s": verdict.s}
-    return inputs, results, "ok"
+    return _echo(args, "a", "b"), results, "ok"
 
 
 def cmd_witness(args) -> tuple[dict, dict, str]:
     num, den = args.bound
-    inputs = {
-        "a": str(args.a),
-        "b": str(args.b),
-        "u": str(args.u),
-        "bound": f"{num}/{den}",
-        "m_max": args.m_max,
-    }
+    inputs = {**_echo(args, "a", "b", "u", "m_max"), "bound": f"{num}/{den}"}
     w = group_witness(args.a, args.b, args.u, num, den, args.m_max)
     if w is None:
         return inputs, {"searched_m_max": args.m_max}, "not_found"
@@ -179,14 +185,7 @@ def _prefix_witness_json(w) -> dict:
 
 
 def cmd_prefix(args) -> tuple[dict, dict, str]:
-    inputs = {
-        "a": str(args.a),
-        "b": str(args.b),
-        "u": str(args.u),
-        "n_min": args.n_min,
-        "budget": args.budget,
-        "depth": args.depth,
-    }
+    inputs = _echo(args, "a", "b", "u", "n_min", "budget", "depth")
     chain = []
     u = args.u
     status = "ok"
@@ -206,7 +205,6 @@ def cmd_prefix(args) -> tuple[dict, dict, str]:
 
 def cmd_residuals(args) -> tuple[dict, dict, str]:
     D = canonical_digit_set(args.b)
-    inputs = {"a": str(args.a), "b": str(args.b), "k": args.k, "e": args.e}
 
     def side(generator: GaussInt) -> dict:
         report = residual_signatures(powers_oracle(generator, D), args.k, args.e)
@@ -217,22 +215,21 @@ def cmd_residuals(args) -> tuple[dict, dict, str]:
         }
 
     results = {"target": side(args.a), "control": side(args.b)}
-    return inputs, results, "ok"
+    return _echo(args, "a", "b", "k", "e"), results, "ok"
 
 
 def cmd_pump(args) -> tuple[dict, dict, str]:
     oracle = _oracle_for(args.set, args.base)
     w = word_from_text(args.word)
     probe = zero_pump_probe(oracle, w, args.k, args.reps)
-    inputs = {
-        "base": str(args.base),
-        "set": args.set,
-        "word": args.word,
-        "k": args.k,
-        "reps": args.reps,
-    }
     results = {"memberships": list(probe), "all_members": all(probe)}
-    return inputs, results, "ok"
+    return _echo(args, "base", "set", "word", "k", "reps"), results, "ok"
+
+
+def _save_dfa(d, path: Optional[str]) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(dfa_to_json(d), fh, indent=2, sort_keys=True)
 
 
 def _load_dfa(path: str):
@@ -246,33 +243,25 @@ def cmd_dfa(args) -> tuple[dict, dict, str]:
             d = integers_dfa(args.base)
         else:
             d = powers_dfa(args.base)
-        if args.dfa_out:
-            with open(args.dfa_out, "w", encoding="utf-8") as fh:
-                json.dump(dfa_to_json(d), fh, indent=2, sort_keys=True)
-        inputs = {"kind": args.kind, "base": str(args.base)}
-        return inputs, {"dfa": dfa_to_json(d)}, "ok"
+        _save_dfa(d, args.dfa_out)
+        return _echo(args, "kind", "base"), {"dfa": dfa_to_json(d)}, "ok"
     if args.dfa_command == "run":
         d = _load_dfa(args.file)
         w = word_from_text(args.word)
-        inputs = {"file": args.file, "word": args.word}
-        return inputs, {"accepts": dfa_run(d, w)}, "ok"
+        return _echo(args, "file", "word"), {"accepts": dfa_run(d, w)}, "ok"
     if args.dfa_command == "min":
         d = _load_dfa(args.file)
         m = minimize(d)
-        if args.dfa_out:
-            with open(args.dfa_out, "w", encoding="utf-8") as fh:
-                json.dump(dfa_to_json(m), fh, indent=2, sort_keys=True)
-        inputs = {"file": args.file}
-        return inputs, {"states_before": d.state_count, "dfa": dfa_to_json(m)}, "ok"
+        _save_dfa(m, args.dfa_out)
+        return _echo(args, "file"), {"states_before": d.state_count, "dfa": dfa_to_json(m)}, "ok"
     if args.dfa_command == "equiv":
         d1, d2 = _load_dfa(args.file), _load_dfa(args.file2)
-        inputs = {"file": args.file, "file2": args.file2}
-        return inputs, {"equivalent": equivalent(d1, d2)}, "ok"
+        return _echo(args, "file", "file2"), {"equivalent": equivalent(d1, d2)}, "ok"
     if args.dfa_command == "falsify":
         d = _load_dfa(args.file)
         oracle = _oracle_for(args.set, d.alphabet.base)
         word = dfa_oracle_disagreement(d, oracle, args.max_len)
-        inputs = {"file": args.file, "set": args.set, "max_len": args.max_len}
+        inputs = _echo(args, "file", "set", "max_len")
         results = {
             "disagreement": None if word is None else word_to_text(word),
             "agrees_up_to": args.max_len if word is None else None,
@@ -353,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-bases", parents=[common], help="digit/roundtrip/length checks over a norm range")
     p.add_argument("--norm-min", type=int, default=5)
     p.add_argument("--norm-max", type=int, default=30)
-    p.add_argument("--disc", type=int, default=100, help="squared radius of the probe disc")
-    p.add_argument("--k-max", type=int, default=8)
+    p.add_argument("--disc", type=_count, default=100, help="squared radius of the probe disc")
+    p.add_argument("--k-max", type=_count, default=8)
     p.set_defaults(handler=cmd_scan_bases)
 
     p = sub.add_parser("deptest", parents=[common], help="multiplicative dependence verdict")
@@ -367,31 +356,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=gauss)
     p.add_argument("u", type=gauss)
     p.add_argument("--bound", type=_bound, default=(1, 25), metavar="NUM/DEN")
-    p.add_argument("--m-max", type=int, default=256)
+    p.add_argument("--m-max", type=_count, default=256)
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("prefix", parents=[common], help="prefix-extension witness (optionally chained)")
     p.add_argument("a", type=gauss)
     p.add_argument("b", type=gauss)
     p.add_argument("u", type=gauss)
-    p.add_argument("--n-min", type=int, default=0)
-    p.add_argument("--budget", type=int, default=256, help="largest exponent m searched")
-    p.add_argument("--depth", type=int, default=0, help="extra chain levels beyond the first witness")
+    p.add_argument("--n-min", type=_count, default=0)
+    p.add_argument("--budget", type=_count, default=256, help="largest exponent m searched")
+    p.add_argument("--depth", type=_count, default=0, help="extra chain levels beyond the first witness")
     p.set_defaults(handler=cmd_prefix)
 
     p = sub.add_parser("residuals", parents=[common], help="residual classes of powers of a over base b")
     p.add_argument("a", type=gauss)
     p.add_argument("b", type=gauss)
-    p.add_argument("-k", type=int, default=4, help="prefix depth")
-    p.add_argument("-e", type=int, default=3, help="extension depth")
+    p.add_argument("-k", type=_count, default=4, help="prefix depth")
+    p.add_argument("-e", type=_count, default=3, help="extension depth")
     p.set_defaults(handler=cmd_residuals)
 
     p = sub.add_parser("pump", parents=[common], help="insert zero blocks behind the leading digit")
     p.add_argument("-b", "--base", type=gauss, required=True)
     p.add_argument("--set", required=True, help="powers:GAUSS or integers")
     p.add_argument("--word", required=True)
-    p.add_argument("-k", type=int, default=1, help="zeros per pump block")
-    p.add_argument("--reps", type=int, default=8)
+    p.add_argument("-k", type=_count, default=1, help="zeros per pump block")
+    p.add_argument("--reps", type=_count, default=8)
     p.set_defaults(handler=cmd_pump)
 
     p = sub.add_parser("dfa", parents=[common], help="DFA engine over JSON automata")
@@ -412,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = dfa_sub.add_parser("falsify", parents=[common])
     q.add_argument("file")
     q.add_argument("--set", required=True, help="powers:GAUSS or integers")
-    q.add_argument("--max-len", type=int, default=6)
+    q.add_argument("--max-len", type=_count, default=6)
     p.set_defaults(handler=cmd_dfa)
 
     p = sub.add_parser("verify", parents=[common], help="run the full verification suite")

@@ -15,15 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .gaussint import ONE, GaussInt, factorize
-from .numeration import (
-    BaseTooSmall,
-    canonical_digit_set,
-    encode,
-    length_bound,
-)
+from .numeration import BaseTooSmall, canonical_digit_set, encode, length_bound
 
 
 class UnitOrZeroInput(ValueError):
@@ -90,12 +85,29 @@ class GroupWitness:
         return z.norm() * self.err_den <= self.err_num * self.b.norm() ** self.n
 
 
-def _candidate_exponents(
-    m: int, log_a: float, log_b: float, log_u: float, n_min: int
-) -> list[int]:
-    """n near (m*log|a| - log|u|) / log|b|, clamped to n >= n_min."""
-    n_star = round((m * log_a - log_u) / log_b)
-    return sorted({n for n in (n_star - 1, n_star, n_star + 1) if n >= n_min})
+def _approximations(
+    a: GaussInt, b: GaussInt, u: GaussInt, n_min: int, m_max: int
+) -> Iterator[tuple[int, int, GaussInt, int]]:
+    """(m, n, a^m - u*b^n, norm(b)^n) for m = 1..m_max and the few n >= n_min near
+    (m*log|a| - log|u|) / log|b|, where |a^m / b^n| comes closest to |u|.
+
+    The float estimate only nominates n; the caller decides exactly.
+    """
+    log_a = math.log(a.norm()) / 2
+    log_b = math.log(b.norm()) / 2
+    log_u = math.log(u.norm()) / 2
+    nb = b.norm()
+    b_pows = [ONE]
+    nb_pows = [1]
+    a_pow = ONE
+    for m in range(1, m_max + 1):
+        a_pow = a_pow * a
+        n_star = round((m * log_a - log_u) / log_b)
+        for n in range(max(n_star - 1, n_min), n_star + 2):
+            while n >= len(b_pows):
+                b_pows.append(b_pows[-1] * b)
+                nb_pows.append(nb_pows[-1] * nb)
+            yield m, n, a_pow - u * b_pows[n], nb_pows[n]
 
 
 def group_witness(
@@ -117,22 +129,9 @@ def group_witness(
         raise UnitOrZeroInput("witness search needs norms > 1 and a nonzero target")
     if err_num < 0 or err_den <= 0:
         raise ValueError("error bound must be a nonnegative rational")
-    log_a = math.log(a.norm()) / 2
-    log_b = math.log(b.norm()) / 2
-    log_u = math.log(u.norm()) / 2
-    nb = b.norm()
-    b_pows = [ONE]
-    nb_pows = [1]
-    a_pow = ONE
-    for m in range(1, m_max + 1):
-        a_pow = a_pow * a
-        for n in _candidate_exponents(m, log_a, log_b, log_u, 0):
-            while n >= len(b_pows):
-                b_pows.append(b_pows[-1] * b)
-                nb_pows.append(nb_pows[-1] * nb)
-            z = a_pow - u * b_pows[n]
-            if z.norm() * err_den <= err_num * nb_pows[n]:
-                return GroupWitness(a=a, b=b, u=u, m=m, n=n, err_num=err_num, err_den=err_den)
+    for m, n, z, nb_n in _approximations(a, b, u, 0, m_max):
+        if z.norm() * err_den <= err_num * nb_n:
+            return GroupWitness(a=a, b=b, u=u, m=m, n=n, err_num=err_num, err_den=err_den)
     return None
 
 
@@ -182,25 +181,10 @@ def prefix_extension(
         raise BaseTooSmall("prefix extension needs norms >= 5")
     if mult_dependent(a, b).dependent:
         raise NotIndependent(f"{a} and {b} are multiplicatively dependent")
-    D = canonical_digit_set(b)
-    m3 = length_bound(b).m3
-    nb = b.norm()
-    log_a = math.log(a.norm()) / 2
-    log_b = math.log(nb) / 2
-    log_u = math.log(u.norm()) / 2
-    tail = nb**m3
-    b_pows = [ONE]
-    nb_pows = [1]
-    a_pow = ONE
-    for m in range(1, budget + 1):
-        a_pow = a_pow * a
-        for n in _candidate_exponents(m, log_a, log_b, log_u, n_min):
-            while n >= len(b_pows):
-                b_pows.append(b_pows[-1] * b)
-                nb_pows.append(nb_pows[-1] * nb)
-            z = a_pow - u * b_pows[n]
-            if z.norm() * tail <= nb_pows[n]:
-                witness = PrefixWitness(a=a, b=b, u=u, m=m, n=n, z=z)
-                if witness.verify():
-                    return witness
+    tail = b.norm() ** length_bound(b).m3
+    for m, n, z, nb_n in _approximations(a, b, u, n_min, budget):
+        if z.norm() * tail <= nb_n:
+            witness = PrefixWitness(a=a, b=b, u=u, m=m, n=n, z=z)
+            if witness.verify():
+                return witness
     return None

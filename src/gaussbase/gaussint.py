@@ -176,11 +176,19 @@ def exact_div(z: GaussInt, w: GaussInt) -> GaussInt:
     return GaussInt(q_re, q_im)
 
 
+def _nearest(t: int, n: int) -> int:
+    """The integer nearest to t/n for n > 0, halves rounding up.
+
+    It is 0 exactly when -n <= 2t < n, the half-open box of canonical digits.
+    """
+    return (2 * t + n) // (2 * n)
+
+
 def _divmod_rounded(z: GaussInt, w: GaussInt) -> tuple[GaussInt, GaussInt]:
     """Nearest-quotient division: returns (q, r) with z = q*w + r, norm(r) <= norm(w)/2."""
     n = w.norm()
     t = z * w.conj()
-    q = GaussInt((2 * t.re + n) // (2 * n), (2 * t.im + n) // (2 * n))
+    q = GaussInt(_nearest(t.re, n), _nearest(t.im, n))
     return q, z - q * w
 
 
@@ -244,11 +252,10 @@ def _sqrt_minus_one(p: int) -> int:
 def _divide_out(z: GaussInt, p: GaussInt) -> tuple[GaussInt, int]:
     """Divide p out of z as often as possible; returns (cofactor, multiplicity)."""
     e = 0
-    while True:
-        if not divides(p, z):
-            return z, e
+    while divides(p, z):
         z = exact_div(z, p)
         e += 1
+    return z, e
 
 
 def factorize(z: GaussInt) -> GaussFactorization:
@@ -264,22 +271,16 @@ def factorize(z: GaussInt) -> GaussFactorization:
     rest = z
     for p in sorted(_factor_int(z.norm())):
         if p == 2:
-            g = GaussInt(1, 1)
-            rest, e = _divide_out(rest, g)
-            if e:
-                factors.append((g, e))
+            primes: tuple[GaussInt, ...] = (GaussInt(1, 1),)
         elif p % 4 == 3:
-            g = GaussInt(p, 0)
-            rest, e = _divide_out(rest, g)
-            if e:
-                factors.append((g, e))
+            primes = (GaussInt(p, 0),)
         else:
-            x = _sqrt_minus_one(p)
-            g = gauss_gcd(GaussInt(p, 0), GaussInt(x, 1))
-            for prime in (g, canonical_associate(g.conj())):
-                rest, e = _divide_out(rest, prime)
-                if e:
-                    factors.append((prime, e))
+            g = gauss_gcd(GaussInt(p, 0), GaussInt(_sqrt_minus_one(p), 1))
+            primes = (g, canonical_associate(g.conj()))
+        for prime in primes:
+            rest, e = _divide_out(rest, prime)
+            if e:
+                factors.append((prime, e))
     if rest.norm() != 1:
         raise ArithmeticError(f"factorization of {z} left non-unit cofactor {rest}")
     factors.sort(key=lambda pe: (pe[0].norm(), pe[0].re, pe[0].im))
@@ -302,13 +303,9 @@ def is_power_of(z: GaussInt, a: GaussInt) -> Optional[int]:
             return None
         n += 1
     # descend by exact division; n steps reach 1 exactly when z = a^n
-    ac = a.conj()
-    w = z
-    for _ in range(n):
-        t = w * ac
-        q_re, r_re = divmod(t.re, na)
-        q_im, r_im = divmod(t.im, na)
-        if r_re or r_im:
-            return None
-        w = GaussInt(q_re, q_im)
-    return n if w == ONE else None
+    try:
+        for _ in range(n):
+            z = exact_div(z, a)
+    except NotDivisible:
+        return None
+    return n if z == ONE else None

@@ -12,12 +12,12 @@ against +-norm(b), and radii enter squared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import isqrt
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .gaussint import ZERO, GaussInt, exact_div
+from .gaussint import ZERO, GaussInt, _nearest, exact_div
 
 Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
@@ -48,11 +48,20 @@ class DigitSet:
     """A base together with a complete residue system containing 0.
 
     Digits are normalized to (re, im) lexicographic order; construction
-    validates the residue-system invariants.
+    validates the residue-system invariants and builds the lookup tables
+    the digit map needs, so that no caller re-derives (or re-hashes) them:
+    index maps each digit to its position (and doubles as the member
+    test), and _by_residue maps the residue (t.re % N, t.im % N) of
+    t = d*conj(b), N = norm(b), to (d, t.re, t.im).  Two values are
+    congruent mod b exactly when their residues agree.
     """
 
     base: GaussInt
     digits: tuple[GaussInt, ...]
+    index: dict[GaussInt, int] = field(init=False, repr=False, compare=False)
+    _by_residue: dict[tuple[int, int], tuple[GaussInt, int, int]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = self.base.norm()
@@ -60,21 +69,33 @@ class DigitSet:
             raise BaseTooSmall(f"norm({self.base}) = {n} < 5")
         digits = tuple(sorted(self.digits, key=lambda d: (d.re, d.im)))
         object.__setattr__(self, "digits", digits)
-        if ZERO not in digits:
+        index = {d: i for i, d in enumerate(digits)}
+        if ZERO not in index:
             raise InvalidDigitSet("digit set must contain 0")
-        if len(set(digits)) != len(digits):
+        if len(index) != len(digits):
             raise InvalidDigitSet("duplicate digits")
         if len(digits) != n:
             raise InvalidDigitSet(
                 f"{len(digits)} digits for base {self.base} of norm {n}"
             )
         bc = self.base.conj()
-        residues = set()
+        by_residue = {}
         for d in digits:
             t = d * bc
-            residues.add((t.re % n, t.im % n))
-        if len(residues) != n:
+            by_residue[t.re % n, t.im % n] = (d, t.re, t.im)
+        if len(by_residue) != n:
             raise InvalidDigitSet("digits are not pairwise incongruent mod base")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_by_residue", by_residue)
+
+    @cached_property
+    def m3(self) -> int:
+        """Max word length over the disc norm(z) <= 9, bootstrapped with a fixed cap.
+
+        Lazy, so that a collection that is not a digit set still
+        constructs and can be probed by terminates_on_disc.
+        """
+        return max(len(_encode_capped(z, self, _BOOTSTRAP_CAP)) for z in lattice_disc(9))
 
     def __iter__(self) -> Iterator[GaussInt]:
         return iter(self.digits)
@@ -109,35 +130,17 @@ def canonical_digit_set(b: GaussInt) -> DigitSet:
     r = isqrt(n)
     for x in range(-r, r + 1):
         for y in range(-r, r + 1):
-            t_re = 2 * (x * bre - y * bim)
-            t_im = 2 * (x * bim + y * bre)
-            if -n <= t_re < n and -n <= t_im < n:
+            # d/b rounds to 0 exactly when d is in the box
+            if _nearest(x * bre - y * bim, n) == 0 and _nearest(x * bim + y * bre, n) == 0:
                 digits.append(GaussInt(x, y))
     return DigitSet(b, tuple(digits))
 
 
-def _canonical_digit(z: GaussInt, b: GaussInt, n: int) -> GaussInt:
-    """The canonical-box representative of z mod b."""
-    t = z * b.conj()
-    q = GaussInt((2 * t.re + n) // (2 * n), (2 * t.im + n) // (2 * n))
-    return z - b * q
-
-
-@lru_cache(maxsize=None)
-def _residue_table(D: DigitSet) -> dict[GaussInt, GaussInt]:
-    """canonical residue representative -> digit of D in that class."""
-    n = D.base.norm()
-    return {_canonical_digit(d, D.base, n): d for d in D.digits}
-
-
-@lru_cache(maxsize=None)
-def _digit_members(D: DigitSet) -> frozenset[GaussInt]:
-    return frozenset(D.digits)
-
-
 def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
     """The unique d in D with b | (z - d)."""
-    return _residue_table(D)[_canonical_digit(z, D.base, D.base.norm())]
+    n = len(D.digits)
+    t = z * D.base.conj()
+    return D._by_residue[t.re % n, t.im % n][0]
 
 
 def _ceil_log(value: int, base: int) -> int:
@@ -156,28 +159,25 @@ _BOOTSTRAP_CAP = 64
 
 
 def _encode_capped(z: GaussInt, D: DigitSet, cap: int) -> Word:
-    b, n = D.base, D.base.norm()
-    table = _residue_table(D)
-    bc = b.conj()
+    # on plain ints: with t = w*conj(b), the next value (w - d)/b is
+    # (t - d*conj(b))/N, an exact division
+    n = len(D.digits)
+    bre, bim = D.base.re, -D.base.im  # components of conj(b)
+    table = D._by_residue
     out: list[GaussInt] = []
-    w = z
-    while w:
+    x, y = z.re, z.im
+    while x or y:
         if len(out) >= cap:
             raise NonTermination(
-                f"digit loop for {z} over base {b} exceeded {cap} iterations"
+                f"digit loop for {z} over base {D.base} exceeded {cap} iterations"
             )
-        d = table[_canonical_digit(w, b, n)]
+        t_re = x * bre - y * bim
+        t_im = x * bim + y * bre
+        d, d_re, d_im = table[t_re % n, t_im % n]
         out.append(d)
-        t = (w - d) * bc
-        w = GaussInt(t.re // n, t.im // n)
+        x, y = (t_re - d_re) // n, (t_im - d_im) // n
     out.reverse()
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _m3(D: DigitSet) -> int:
-    """max word length over the disc norm(z) <= 9, bootstrapped with a fixed cap."""
-    return max(len(_encode_capped(z, D, _BOOTSTRAP_CAP)) for z in lattice_disc(9))
 
 
 def encode(z: GaussInt, D: DigitSet) -> Word:
@@ -187,13 +187,13 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
     that is not actually a digit set the loop can cycle, so it is capped;
     exceeding the cap raises NonTermination.
     """
-    cap = 4 * _m3(D) + 2 * _ceil_log(z.norm() + 1, D.base.norm()) + 16
+    cap = 4 * D.m3 + 2 * _ceil_log(z.norm() + 1, len(D.digits)) + 16
     return _encode_capped(z, D, cap)
 
 
 def decode(w: Word, D: DigitSet) -> GaussInt:
     """Horner evaluation of an msd-first word; decode of the empty word is 0."""
-    members = _digit_members(D)
+    members = D.index
     b = D.base
     acc = ZERO
     for d in w:
@@ -232,9 +232,7 @@ class LengthBound:
 
 def length_bound(b: GaussInt) -> LengthBound:
     """The certified LengthBound for the canonical digit set of b."""
-    if b.norm() < 5:
-        raise BaseTooSmall(f"norm({b}) = {b.norm()} < 5")
-    return LengthBound(base=b, m3=max_length_in_disc(9, canonical_digit_set(b)))
+    return LengthBound(base=b, m3=canonical_digit_set(b).m3)
 
 
 def power_digit_set(D: DigitSet, j: int) -> DigitSet:
@@ -258,19 +256,8 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     """
     if j < 1:
         raise ValueError("power exponent must be >= 1")
-    members = _digit_members(D)
-    for d in w:
-        if d not in members:
-            raise ForeignDigit(f"{d} is not a digit of base {D.base}")
-    b = D.base
-    pad = (-len(w)) % j
-    padded = (ZERO,) * pad + tuple(w)
-    out: list[GaussInt] = []
-    for i in range(0, len(padded), j):
-        acc = ZERO
-        for d in padded[i : i + j]:
-            acc = acc * b + d
-        out.append(acc)
+    padded = (ZERO,) * ((-len(w)) % j) + tuple(w)
+    out = [decode(padded[i : i + j], D) for i in range(0, len(padded), j)]
     head = 0
     while head < len(out) and out[head] == ZERO:
         head += 1
@@ -381,8 +368,39 @@ def digit_set_to_json(D: DigitSet) -> dict:
     return {"base": str(D.base), "digits": [str(d) for d in D.digits]}
 
 
+def _json_field(obj: dict, key: str, convert: Callable):
+    """convert(obj[key]); a non-object, a missing field or a mistyped one raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed field {key!r}: {exc}") from exc
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):  # a string would otherwise iterate as characters
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:  # int() would truncate floats and accept strings and bools
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _json_ints(value) -> tuple[int, ...]:
+    return tuple(map(_json_int, _json_list(value)))
+
+
 def digit_set_from_json(obj: dict) -> DigitSet:
+    """Inverse of digit_set_to_json; a missing or mistyped field raises ValueError naming it."""
     return DigitSet(
-        base=GaussInt.parse(obj["base"]),
-        digits=tuple(GaussInt.parse(d) for d in obj["digits"]),
+        base=_json_field(obj, "base", GaussInt.parse),
+        digits=_json_field(
+            obj, "digits", lambda ds: tuple(GaussInt.parse(d) for d in _json_list(ds))
+        ),
     )

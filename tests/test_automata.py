@@ -263,3 +263,14 @@ def test_json_state_count_validated():
     obj["states"] = 5
     with pytest.raises(ValueError):
         dfa_from_json(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dfas(max_states=6), dfas(max_states=6), st.booleans())
+def test_equivalent_matches_both_difference_products(d1, d2, same_language):
+    if same_language:
+        d2 = minimize(d1)
+    expected = is_empty(product(d1, d2, "diff")) and is_empty(product(d2, d1, "diff"))
+    assert equivalent(d1, d2) == expected
+    if same_language:
+        assert expected

@@ -8,7 +8,13 @@ from gaussbase.automata import dfa_to_json, minimize, powers_dfa
 from gaussbase.cli import EXIT_ERROR, EXIT_NOT_FOUND, EXIT_OK, main
 from gaussbase.dependence import group_witness, prefix_extension
 from gaussbase.gaussint import ONE, GaussInt
-from gaussbase.numeration import canonical_digit_set, encode, word_to_text
+from gaussbase.numeration import (
+    canonical_digit_set,
+    encode,
+    length_bound,
+    real_power_exponent,
+    word_to_text,
+)
 
 g = GaussInt
 
@@ -192,3 +198,62 @@ def test_pretty_rendering_is_not_json(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.startswith("command:")
+
+
+def test_scan_bases_rows_carry_m3_and_real_power_exponent(capsys):
+    code, report = run_cli(
+        capsys, "scan-bases", "--norm-min", "9", "--norm-max", "10", "--disc", "9"
+    )
+    assert code == EXIT_OK
+    for row in report["results"]["bases"]:
+        b = GaussInt.parse(row["base"])
+        assert row["m3"] == length_bound(b).m3
+        assert row["real_power_exponent"] == real_power_exponent(b)
+
+
+MALFORMED_DFAS = {
+    "no_transitions": ({"base": "2+1i", "digits": ["-1", "0-1i", "0", "0+1i", "1"],
+                        "states": 1, "initial": 0, "accepting": []}, "transitions"),
+    "digits_not_a_list": ({"base": "2+1i", "digits": 5, "states": 1, "initial": 0,
+                           "accepting": [], "transitions": [[0, 0, 0, 0, 0]]}, "digits"),
+    "top_level_list": ([1, 2, 3], "JSON object"),
+    "accepting_a_string": ({"base": "2+1i", "digits": ["-1", "0-1i", "0", "0+1i", "1"],
+                            "states": 1, "initial": 0, "accepting": "0",
+                            "transitions": [[0, 0, 0, 0, 0]]}, "accepting"),
+    "initial_a_float": ({"base": "2+1i", "digits": ["-1", "0-1i", "0", "0+1i", "1"],
+                         "states": 1, "initial": 0.5, "accepting": [],
+                         "transitions": [[0, 0, 0, 0, 0]]}, "initial"),
+}
+
+
+@pytest.mark.parametrize("subcommand", ["run", "min", "equiv", "falsify"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_DFAS))
+def test_malformed_dfa_file_is_a_structured_error(tmp_path, capsys, case, subcommand):
+    obj, named = MALFORMED_DFAS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    extra = {
+        "run": ["--word", "1"],
+        "min": [],
+        "equiv": [str(path)],
+        "falsify": ["--set", "integers"],
+    }[subcommand]
+    code, report = run_cli(capsys, "dfa", subcommand, str(path), *extra)
+    assert code == EXIT_ERROR
+    assert report["status"] == "error"
+    assert named in report["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prefix", "1+2i", "2+1i", "1", "--depth", "-1"],
+        ["dfa", "falsify", "powers.json", "--set", "integers", "--max-len", "-2"],
+        ["pump", "-b", "2+1i", "--set", "integers", "--word", "1", "--reps", "-1"],
+    ],
+)
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    assert "non-negative" in capsys.readouterr().err

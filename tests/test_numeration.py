@@ -1,11 +1,13 @@
 """Digit sets, words, length bounds, linking, and base-power recoding."""
 
 import itertools
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussbase import automata
 from gaussbase.gaussint import ONE, ZERO, GaussInt, divides
 from gaussbase.numeration import (
     BaseMismatch,
@@ -333,3 +335,49 @@ def test_digit_set_json_roundtrip(D):
     assert obj["base"] == "2+1i"
     assert obj["digits"] == ["-1", "0-1i", "0", "0+1i", "1"]
     assert digit_set_from_json(obj) == D
+
+
+# ---- the tables a DigitSet owns ----
+
+BASES_5_TO_100 = [b for b in lattice_disc(100) if b.norm() >= 5]
+
+
+def test_canonical_digits_are_the_box_for_every_base_up_to_norm_100():
+    for b in BASES_5_TO_100:
+        n = b.norm()
+        r = isqrt(n)
+        box = []
+        for x, y in itertools.product(range(-r, r + 1), repeat=2):
+            t = g(x, y) * b.conj()
+            if -n <= 2 * t.re < n and -n <= 2 * t.im < n:
+                box.append(g(x, y))
+        assert canonical_digit_set(b).digits == tuple(sorted(box, key=lambda d: (d.re, d.im)))
+
+
+def test_length_bound_m3_is_max_length_in_disc_9_for_every_base_up_to_norm_100():
+    for b in BASES_5_TO_100:
+        assert length_bound(b).m3 == max_length_in_disc(9, canonical_digit_set(b))
+
+
+def test_digit_map_never_hashes_the_digit_set(monkeypatch):
+    D = canonical_digit_set(g(3, 2))
+    b3 = canonical_digit_set(g(3))
+    length_bound(g(3, 2))  # warm the canonical_digit_set memo, keyed on the base
+    oracle = automata.powers_oracle(g(3, 2), D)
+    dfa = automata.powers_dfa(g(3, 2))
+
+    def no_hash(self):
+        raise AssertionError("DigitSet hashed on a per-call path")
+
+    monkeypatch.setattr(DigitSet, "__hash__", no_hash)
+    z = g(17, -5)
+    w = encode(z, D)
+    assert decode(w, D) == z
+    assert decode(recode(w, D, 2), power_digit_set(D, 2)) == z
+    assert word_length(z, D) == len(w)
+    assert digit_of(z, D) == w[-1]
+    assert length_bound(g(3, 2)).m3 == D.m3
+    assert automata.run(dfa, encode(g(3, 2) ** 3, D))
+    assert automata.residual_signatures(oracle, 2, 1).class_count >= 1
+    assert automata.dfa_oracle_disagreement(dfa, oracle, 2) is None
+    assert encode(g(4), b3) == (g(1), g(1))
