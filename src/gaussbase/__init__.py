@@ -34,13 +34,9 @@ from .dependence import (
     prefix_extension,
 )
 from .gaussint import (
-    GaussFactorization,
     GaussInt,
-    canonical_associate,
     divides,
     exact_div,
-    factorize,
-    gauss_gcd,
     is_power_of,
 )
 from .numeration import (

@@ -146,6 +146,10 @@ def cmd_scan_bases(args) -> tuple[dict, dict, str]:
                 "pass": ok,
             }
         )
+    if not rows:
+        raise ValueError(
+            f"no base of norm >= 5 in the norm range [{args.norm_min}, {args.norm_max}]"
+        )
     return inputs, {"bases": rows, "all_pass": all_pass}, "ok"
 
 

@@ -1,10 +1,12 @@
 """Multiplicative dependence of Gaussian integers and witness searches.
 
 a and b are multiplicatively dependent when a^r = b^s for positive r, s;
-the decision compares prime exponent vectors and resolves units.  The two
-searches certify approximation facts about the group {a^m * b^n}: a group
-witness pins |a^m / b^n - u| below a rational bound, and a prefix witness
-additionally forces the word of a^m to extend the word of u in base b.
+the decision takes the least relation between the two norms, found by
+Euclid on their exponents rather than by factoring, and settles the unit
+left over by exact powering.  The two searches certify approximation
+facts about the group {a^m * b^n}: a group witness pins |a^m / b^n - u|
+below a rational bound, and a prefix witness additionally forces the
+word of a^m to extend the word of u in base b.
 
 Searches use floating-point log estimates only to nominate candidate
 exponents; every returned witness is verified in exact integer arithmetic
@@ -17,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .gaussint import ONE, GaussInt, factorize
-from .numeration import BaseTooSmall, canonical_digit_set, encode, length_bound
+from .gaussint import ONE, GaussInt
+from .numeration import BaseTooSmall, _ceil_log, canonical_digit_set, encode, length_bound
 
 
 class UnitOrZeroInput(ValueError):
@@ -38,26 +40,41 @@ class DependenceVerdict:
     s: Optional[int] = None
 
 
+def _common_root(x: int, y: int) -> Optional[int]:
+    """The c with x = c^p and y = c^q for coprime p, q >= 1, given x, y >= 2.
+
+    Euclid on the exponents: if x = c^p and y = c^q with p > q, then
+    x / y = c^(p - q), so dividing the larger by the smaller until the two
+    agree ends at c.  None when a division leaves a remainder: then no
+    positive r, s give x^r = y^s.
+    """
+    while x != y:
+        if x < y:
+            x, y = y, x
+        x, rem = divmod(x, y)
+        if rem:
+            return None
+    return x
+
+
 def mult_dependent(a: GaussInt, b: GaussInt) -> DependenceVerdict:
     """Decide whether a^r = b^s has a solution in positive integers.
 
-    The prime exponent vectors of a and b must be positively proportional;
-    the residual unit i^t is absorbed by the least multiplier t <= 4, since
-    the unit group of Z[i] has order 4.  A dependent verdict is re-verified
-    by direct exact powering before it is returned.
+    a^r = b^s forces N(a)^r = N(b)^s, so (r, s) is a multiple of the
+    least norm relation (r0, s0), read off the common root of the two
+    norms without factoring them.  Then a^r0 / b^s0 has norm 1, so it is
+    a root of unity, a power of i, exactly when a^(t*r0) = b^(t*s0) for
+    some t <= 4, the order of the unit group of Z[i]; the least such t
+    gives the minimal pair.  A dependent verdict is thus verified by
+    exact powering before it is returned.
     """
-    if a.norm() <= 1 or b.norm() <= 1:
+    na, nb = a.norm(), b.norm()
+    if na <= 1 or nb <= 1:
         raise UnitOrZeroInput("dependence needs norms > 1")
-    pa = dict(factorize(a).factors)
-    pb = dict(factorize(b).factors)
-    if set(pa) != set(pb):
+    c = _common_root(na, nb)
+    if c is None:
         return DependenceVerdict(False)
-    prime = min(pa, key=lambda p: (p.norm(), p.re, p.im))
-    alpha, beta = pa[prime], pb[prime]
-    g = math.gcd(alpha, beta)
-    r0, s0 = beta // g, alpha // g
-    if any(pa[p] * r0 != pb[p] * s0 for p in pa):
-        return DependenceVerdict(False)
+    r0, s0 = _ceil_log(nb, c), _ceil_log(na, c)
     for t in (1, 2, 3, 4):
         if a ** (t * r0) == b ** (t * s0):
             return DependenceVerdict(True, t * r0, t * s0)

@@ -2,14 +2,13 @@
 
 Everything here stays inside Z[i]: components are arbitrary-precision
 Python ints, absolute values are never materialized (use norm(z) = |z|^2),
-and division is either exact or an error.  Includes gcd, canonical
-associates, and factorization into Gaussian primes.
+and division is either exact or an error.  Beyond ring arithmetic it
+offers divisibility, exact division and power membership.
 """
 
 from __future__ import annotations
 
 import re as _regex
-from dataclasses import dataclass
 from typing import Optional, Union
 
 
@@ -19,14 +18,6 @@ class NotDivisible(ArithmeticError):
 
 class DivisionByZero(ZeroDivisionError):
     """Division by the zero Gaussian integer."""
-
-
-class BothZero(ValueError):
-    """gcd(0, 0) is undefined."""
-
-
-class ZeroInput(ValueError):
-    """Zero has no factorization."""
 
 
 class BaseIsUnitOrZero(ValueError):
@@ -141,19 +132,6 @@ I = GaussInt(0, 1)
 UNITS = (ONE, I, GaussInt(-1, 0), GaussInt(0, -1))
 
 
-def canonical_associate(z: GaussInt) -> GaussInt:
-    """The unique associate of z (among z, iz, -z, -iz) with re > 0 and im >= 0.
-
-    canonical_associate(0) = 0.
-    """
-    if not z:
-        return ZERO
-    w = z
-    while not (w.re > 0 and w.im >= 0):
-        w = GaussInt(-w.im, w.re)  # multiply by i
-    return w
-
-
 def divides(w: GaussInt, z: GaussInt) -> bool:
     """True iff w | z in Z[i]; divides(0, z) only for z = 0."""
     if not w:
@@ -174,117 +152,6 @@ def exact_div(z: GaussInt, w: GaussInt) -> GaussInt:
     if r_re or r_im:
         raise NotDivisible(f"{w} does not divide {z}")
     return GaussInt(q_re, q_im)
-
-
-def _nearest(t: int, n: int) -> int:
-    """The integer nearest to t/n for n > 0, halves rounding up.
-
-    It is 0 exactly when -n <= 2t < n, the half-open box of canonical digits.
-    """
-    return (2 * t + n) // (2 * n)
-
-
-def _divmod_rounded(z: GaussInt, w: GaussInt) -> tuple[GaussInt, GaussInt]:
-    """Nearest-quotient division: returns (q, r) with z = q*w + r, norm(r) <= norm(w)/2."""
-    n = w.norm()
-    t = z * w.conj()
-    q = GaussInt(_nearest(t.re, n), _nearest(t.im, n))
-    return q, z - q * w
-
-
-def gauss_gcd(z: GaussInt, w: GaussInt) -> GaussInt:
-    """Greatest common divisor in canonical-associate form (re > 0, im >= 0)."""
-    if not z and not w:
-        raise BothZero("gcd(0, 0) is undefined")
-    while w:
-        _, r = _divmod_rounded(z, w)
-        z, w = w, r
-    return canonical_associate(z)
-
-
-@dataclass(frozen=True)
-class GaussFactorization:
-    """unit * prod(prime^exp) with canonical, pairwise non-associate primes.
-
-    Primes satisfy re > 0, im >= 0 and are sorted by (norm, re, im); the
-    unit is one of 1, i, -1, -i.
-    """
-
-    unit: GaussInt
-    factors: tuple[tuple[GaussInt, int], ...]
-
-    def value(self) -> GaussInt:
-        """Recompose the factored value exactly."""
-        out = self.unit
-        for prime, exp in self.factors:
-            out = out * prime**exp
-        return out
-
-
-def _factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _sqrt_minus_one(p: int) -> int:
-    """A square root of -1 mod p, for prime p = 1 (mod 4).
-
-    Scans candidates c = 2, 3, ...; c^((p-1)/4) is a square root of -1
-    exactly when c is a quadratic non-residue, so a few candidates suffice.
-    """
-    exp = (p - 1) // 4
-    for c in range(2, p):
-        x = pow(c, exp, p)
-        if x * x % p == p - 1:
-            return x
-    raise ArithmeticError(f"no square root of -1 mod {p}; {p} is not a 1 mod 4 prime")
-
-
-def _divide_out(z: GaussInt, p: GaussInt) -> tuple[GaussInt, int]:
-    """Divide p out of z as often as possible; returns (cofactor, multiplicity)."""
-    e = 0
-    while divides(p, z):
-        z = exact_div(z, p)
-        e += 1
-    return z, e
-
-
-def factorize(z: GaussInt) -> GaussFactorization:
-    """Factor z != 0 into canonical Gaussian primes.
-
-    Rational primes p = 3 (mod 4) stay inert, p = 1 (mod 4) split into a
-    conjugate pair found via gcd(p, x + i) with x^2 = -1 (mod p), and 2
-    ramifies through 1 + i.
-    """
-    if not z:
-        raise ZeroInput("zero has no factorization")
-    factors: list[tuple[GaussInt, int]] = []
-    rest = z
-    for p in sorted(_factor_int(z.norm())):
-        if p == 2:
-            primes: tuple[GaussInt, ...] = (GaussInt(1, 1),)
-        elif p % 4 == 3:
-            primes = (GaussInt(p, 0),)
-        else:
-            g = gauss_gcd(GaussInt(p, 0), GaussInt(_sqrt_minus_one(p), 1))
-            primes = (g, canonical_associate(g.conj()))
-        for prime in primes:
-            rest, e = _divide_out(rest, prime)
-            if e:
-                factors.append((prime, e))
-    if rest.norm() != 1:
-        raise ArithmeticError(f"factorization of {z} left non-unit cofactor {rest}")
-    factors.sort(key=lambda pe: (pe[0].norm(), pe[0].re, pe[0].im))
-    return GaussFactorization(unit=rest, factors=tuple(factors))
 
 
 def is_power_of(z: GaussInt, a: GaussInt) -> Optional[int]:

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Callable, Iterator, Optional
 
-from .gaussint import ZERO, GaussInt, _nearest, exact_div
+from .gaussint import ZERO, GaussInt, exact_div
 
 Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
@@ -97,12 +97,6 @@ class DigitSet:
         """
         return max(len(_encode_capped(z, self, _BOOTSTRAP_CAP)) for z in lattice_disc(9))
 
-    def __iter__(self) -> Iterator[GaussInt]:
-        return iter(self.digits)
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
 
 def lattice_disc(r2: int) -> Iterator[GaussInt]:
     """All z in Z[i] with norm(z) <= r2, r2 given as a squared radius."""
@@ -112,6 +106,14 @@ def lattice_disc(r2: int) -> Iterator[GaussInt]:
         for y in range(-r, r + 1):
             if xx + y * y <= r2:
                 yield GaussInt(x, y)
+
+
+def _nearest(t: int, n: int) -> int:
+    """The integer nearest to t/n for n > 0, halves rounding up.
+
+    It is 0 exactly when -n <= 2t < n, the half-open box of canonical digits.
+    """
+    return (2 * t + n) // (2 * n)
 
 
 @lru_cache(maxsize=None)

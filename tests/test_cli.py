@@ -127,6 +127,18 @@ def test_scan_bases(capsys):
     assert norms == {5, 8, 9, 10}
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [["--norm-max", "3"], ["--norm-min", "40", "--norm-max", "30"], ["--norm-max", "-5"]],
+    ids=["max_below_5", "min_above_max", "negative_max"],
+)
+def test_scan_bases_empty_range_is_an_error(capsys, bounds):
+    code, report = run_cli(capsys, "scan-bases", *bounds)
+    assert code == EXIT_ERROR
+    assert report["status"] == "error"
+    assert "norm range" in report["message"]
+
+
 def test_dfa_make_matches_library(tmp_path, capsys):
     path = tmp_path / "made.json"
     code, report = run_cli(

@@ -1,11 +1,13 @@
 """Dependence decision and the two certified witness searches."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussbase.cli import EXIT_OK, main
 from gaussbase.dependence import (
     NotIndependent,
     UnitOrZeroInput,
@@ -13,7 +15,7 @@ from gaussbase.dependence import (
     mult_dependent,
     prefix_extension,
 )
-from gaussbase.gaussint import ONE, ZERO, GaussInt
+from gaussbase.gaussint import ONE, UNITS, ZERO, GaussInt
 from gaussbase.numeration import (
     BaseTooSmall,
     canonical_digit_set,
@@ -81,6 +83,67 @@ def test_unit_absorption_needs_multiplier():
     v = mult_dependent(g(-4), g(0, -8))
     assert v.dependent
     assert g(-4) ** v.r == g(0, -8) ** v.s
+
+
+def _reference_verdict(a, b, bound=24):
+    """The least r <= bound with a^r = b^s for some s <= bound, by plain powering."""
+    b_powers = {}
+    b_pow = ONE
+    for s in range(1, bound + 1):
+        b_pow = b_pow * b
+        b_powers.setdefault(b_pow, s)
+    a_pow = ONE
+    for r in range(1, bound + 1):
+        a_pow = a_pow * a
+        if a_pow in b_powers:
+            return (True, r, b_powers[a_pow])
+    return (False, None, None)
+
+
+# the minimal pair is (t*r0, t*s0) with t <= 4, where r0, s0 < 6 for norms
+# <= 50 and r0, s0 <= 4 for the constructed pairs, so r, s <= 24 covers both
+@given(small_nonunits, small_nonunits)
+def test_matches_powering_reference_on_small_pairs(a, b):
+    v = mult_dependent(a, b)
+    assert (v.dependent, v.r, v.s) == _reference_verdict(a, b)
+
+
+@given(
+    small_nonunits,
+    st.sampled_from(UNITS),
+    st.sampled_from(UNITS),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+def test_matches_powering_reference_on_constructed_pairs(gamma, u1, u2, p, q):
+    a, b = u1 * gamma**p, u2 * gamma**q
+    v = mult_dependent(a, b)
+    assert (v.dependent, v.r, v.s) == _reference_verdict(a, b)
+
+
+# norm 10^40 + 121 is a probable prime, so trial division would need 10^20 steps
+HUGE = g(10**20, 11)
+
+
+@pytest.mark.parametrize(
+    "a,b,expected",
+    [
+        (HUGE, B, (False, None, None)),
+        (HUGE, HUGE.conj(), (False, None, None)),
+        (g(0, 1) * HUGE**3, HUGE**5, (True, 20, 12)),
+        (HUGE**2, -(HUGE**2), (True, 2, 2)),
+    ],
+    ids=["vs_2+1i", "vs_conjugate", "unit_cube_vs_fifth", "square_vs_negated"],
+)
+def test_norms_near_ten_to_the_forty(a, b, expected):
+    v = mult_dependent(a, b)
+    assert (v.dependent, v.r, v.s) == expected
+
+
+def test_deptest_cli_on_huge_norm(capsys):
+    assert main(["deptest", str(HUGE), str(HUGE.conj())]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"] == {"dependent": False, "r": None, "s": None}
 
 
 # ---- group witnesses ----

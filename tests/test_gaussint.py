@@ -1,23 +1,17 @@
-"""Exact Z[i] arithmetic: parsing, division, gcd, factorization, powers."""
+"""Exact Z[i] arithmetic: parsing, ring operations, exact division, powers."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gaussbase.gaussint import (
     ONE,
     ZERO,
     BaseIsUnitOrZero,
-    BothZero,
     DivisionByZero,
     GaussInt,
     NotDivisible,
-    ZeroInput,
-    canonical_associate,
-    divides,
     exact_div,
-    factorize,
-    gauss_gcd,
     is_power_of,
 )
 
@@ -91,19 +85,6 @@ def test_conj_involution(z):
     assert (z * z.conj()) == g(z.norm(), 0)
 
 
-# ---- canonical associates ----
-
-@given(nonzero_gauss)
-def test_canonical_associate_quadrant(z):
-    w = canonical_associate(z)
-    assert w.re > 0 and w.im >= 0
-    assert w in (z, z * g(0, 1), -z, z * g(0, -1))
-
-
-def test_canonical_associate_zero():
-    assert canonical_associate(ZERO) == ZERO
-
-
 # ---- exact division ----
 
 def test_exact_div_examples():
@@ -124,106 +105,6 @@ def test_exact_div_errors():
 @given(gauss_ints, nonzero_gauss)
 def test_exact_div_inverts_product(z, w):
     assert exact_div(z * w, w) == z
-
-
-# ---- gcd ----
-
-def _brute_gcd(z, w):
-    """Largest-norm common divisor by exhaustive scan (independent oracle)."""
-    bound = min(n for n in (z.norm(), w.norm()) if n > 0)
-    best = ONE
-    r = int(bound**0.5) + 1
-    for x in range(-r, r + 1):
-        for y in range(-r, r + 1):
-            d = g(x, y)
-            if d and d.norm() <= bound and divides(d, z) and divides(d, w):
-                if d.norm() > best.norm():
-                    best = d
-    return canonical_associate(best)
-
-
-def test_gcd_examples():
-    assert gauss_gcd(g(5), g(2, 1)) == g(2, 1)
-    assert gauss_gcd(g(5), g(2, 1)) == _brute_gcd(g(5), g(2, 1))
-    assert gauss_gcd(g(7, -3), ZERO) == canonical_associate(g(7, -3))
-    assert gauss_gcd(g(2), g(1, 1)) == g(1, 1)
-    assert g(0, -1) * g(1, 1) ** 2 == g(2)  # 2 = -i (1+i)^2
-    with pytest.raises(BothZero):
-        gauss_gcd(ZERO, ZERO)
-
-
-@given(gauss_ints, gauss_ints)
-def test_gcd_symmetric(z, w):
-    if not z and not w:
-        return
-    assert gauss_gcd(z, w) == gauss_gcd(w, z)
-
-
-@given(nonzero_gauss, nonzero_gauss)
-def test_gcd_divides_both(z, w):
-    d = gauss_gcd(z, w)
-    assert divides(d, z) and divides(d, w)
-    assert d.re > 0 and d.im >= 0
-
-
-@settings(max_examples=30)
-@given(
-    st.builds(GaussInt, st.integers(-6, 6), st.integers(-6, 6)).filter(bool),
-    st.builds(GaussInt, st.integers(-6, 6), st.integers(-6, 6)).filter(bool),
-)
-def test_gcd_matches_brute_force(z, w):
-    assert gauss_gcd(z, w) == _brute_gcd(z, w)
-
-
-# ---- factorization ----
-
-def test_factorize_examples():
-    f = factorize(g(3, 4))
-    assert f.unit == ONE
-    assert f.factors == ((g(2, 1), 2),)
-
-    f = factorize(g(0, 1))
-    assert f.unit == g(0, 1)
-    assert f.factors == ()
-
-    f = factorize(g(5))
-    assert f.factors == ((g(1, 2), 1), (g(2, 1), 1))
-    assert f.unit == g(0, -1)
-    assert f.unit * g(1, 2) * g(2, 1) == g(5)
-
-    with pytest.raises(ZeroInput):
-        factorize(ZERO)
-
-
-def _is_rational_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.builds(GaussInt, st.integers(-1000, 1000), st.integers(-1000, 1000)).filter(bool))
-def test_factorize_roundtrip_and_primes(z):
-    f = factorize(z)
-    assert f.value() == z
-    assert f.unit.norm() == 1
-    seen = set()
-    for prime, exp in f.factors:
-        assert exp >= 1
-        assert prime.re > 0 and prime.im >= 0
-        assert prime not in seen
-        seen.add(prime)
-        n = prime.norm()
-        # split/ramified primes have prime norm; inert ones are p with p = 3 mod 4
-        if not _is_rational_prime(n):
-            assert prime.im == 0 and _is_rational_prime(prime.re) and prime.re % 4 == 3
-    norms = [(p.norm(), p.re, p.im) for p, _ in f.factors]
-    assert norms == sorted(norms)
 
 
 # ---- power membership ----
