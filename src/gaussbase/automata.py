@@ -10,11 +10,11 @@ membership oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Literal, Optional
+from itertools import islice
+from typing import Callable, Hashable, Iterable, Iterator, Literal, Optional
 
 from .gaussint import ZERO, BaseIsUnitOrZero, GaussInt, is_power_of
 from .numeration import (
-    EMPTY_WORD,
     DigitSet,
     ForeignDigit,
     Word,
@@ -25,6 +25,7 @@ from .numeration import (
     canonical_digit_set,
     decode,
     digit_set_from_json,
+    word_values,
 )
 
 ENUMERATION_BUDGET = 10**8
@@ -39,7 +40,7 @@ class BaseNotRealOdd(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Requested enumeration is larger than the word-step budget."""
+    """Requested enumeration has more words than ENUMERATION_BUDGET."""
 
 
 class EmptyWord(ValueError):
@@ -259,6 +260,34 @@ class LanguageOracle:
             return False
         return self.value_test(decode(w, self.alphabet))
 
+    def levels(self, max_len: int) -> Iterator[bytes]:
+        """Membership of every word of length n = 0..max_len, one level per n.
+
+        Byte i of level n is 1 iff the i-th length-n word in lexicographic
+        order is a member.  The words of length n >= 1 that lead with 0
+        fill the index block [z0*m^(n-1), (z0+1)*m^(n-1)) and are never
+        tested.  Raises BudgetExceeded, before the first level, when the
+        levels would hold more than ENUMERATION_BUDGET words.
+        """
+        D = self.alphabet
+        m = len(D.digits)
+        words = 0
+        for n in range(max_len + 1):  # stops early, so an absurd max_len costs nothing
+            words += m**n
+            if words > ENUMERATION_BUDGET:
+                raise BudgetExceeded(
+                    f"{m}^0 + ... + {m}^{max_len} words exceed the enumeration budget"
+                )
+        z0 = D.index[ZERO]
+        vt = self.value_test
+        for n in range(max_len + 1):
+            values = word_values(D, n)
+            block = m ** (n - 1) if n else 0
+            head = bytes([vt(GaussInt(re, im)) for re, im in islice(values, z0 * block)])
+            next(islice(values, block, block), None)  # skip the zero-led block
+            tail = bytes([vt(GaussInt(re, im)) for re, im in values])
+            yield head + bytes(block) + tail
+
 
 def powers_oracle(a: GaussInt, D: DigitSet) -> LanguageOracle:
     """Oracle for {a^n : n >= 0} written over D."""
@@ -289,23 +318,6 @@ class ResidualReport:
     representatives: tuple[Word, ...] = field(repr=False)
 
 
-# A level lists the words of one length in lexicographic order, each as
-# (value.re, value.im, leading digit index or None for the empty word).
-_Level = list[tuple[int, int, Optional[int]]]
-
-
-def _extend(level: _Level, digits: tuple[GaussInt, ...], b: GaussInt) -> _Level:
-    """The next level: every word of level followed by every digit, in order."""
-    bre, bim = b.re, b.im
-    out = []
-    for vre, vim, lead in level:
-        wre = vre * bre - vim * bim
-        wim = vre * bim + vim * bre
-        for i, d in enumerate(digits):
-            out.append((wre + d.re, wim + d.im, i if lead is None else lead))
-    return out
-
-
 def _word_from_index(digits: tuple[GaussInt, ...], length: int, index: int) -> Word:
     out = []
     m = len(digits)
@@ -317,53 +329,26 @@ def _word_from_index(digits: tuple[GaussInt, ...], length: int, index: int) -> W
 
 
 def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
-    """Group all words of length <= k by their behavior under extensions of length <= e."""
+    """Group all words of length <= k by their behavior under extensions of length <= e.
+
+    The length-lv extensions of the word at index i of level n are the
+    slice [i*m^lv, (i+1)*m^lv) of level n+lv, so a signature is e+1 slices.
+    """
     if k < 0 or e < 0:
         raise ValueError("depths must be nonnegative")
+    levels = list(L.levels(k + e))
     digits = L.alphabet.digits
     m = len(digits)
-    if m ** (k + e) > ENUMERATION_BUDGET:
-        raise BudgetExceeded(f"{m}^({k}+{e}) words exceed the enumeration budget")
-    b = L.alphabet.base
-    bre, bim = b.re, b.im
-    z0 = L.alphabet.index[ZERO]
-    vt = L.value_test
-    empty_member = vt(ZERO)
-
-    suffix_levels: list[_Level] = [[(0, 0, None)]]
-    for _ in range(e):
-        suffix_levels.append(_extend(suffix_levels[-1], digits, b))
-    pow_re, pow_im = [1], [0]
-    for _ in range(e):
-        pr, pi = pow_re[-1], pow_im[-1]
-        pow_re.append(pr * bre - pi * bim)
-        pow_im.append(pr * bim + pi * bre)
-
-    first_seen: dict[tuple[bool, ...], tuple[int, int]] = {}
-    level: _Level = [(0, 0, None)]
-    for length in range(k + 1):
-        for idx, (ure, uim, ufirst) in enumerate(level):
-            sig: list[bool] = []
-            for lv in range(e + 1):
-                sre = ure * pow_re[lv] - uim * pow_im[lv]
-                sim = ure * pow_im[lv] + uim * pow_re[lv]
-                for vre, vim, vfirst in suffix_levels[lv]:
-                    lead = ufirst if ufirst is not None else vfirst
-                    if lead is None:
-                        sig.append(empty_member)
-                    elif lead == z0:
-                        sig.append(False)
-                    else:
-                        sig.append(vt(GaussInt(sre + vre, sim + vim)))
-            key = tuple(sig)
-            if key not in first_seen:
-                first_seen[key] = (length, idx)
-        if length < k:
-            level = _extend(level, digits, b)
-
-    reps = tuple(
-        _word_from_index(digits, length, idx) for length, idx in first_seen.values()
-    )
+    widths = [m**lv for lv in range(e + 1)]
+    first_seen: dict[tuple[bytes, ...], tuple[int, int]] = {}
+    for n in range(k + 1):
+        slices = [
+            [level[j : j + w] for j in range(0, m**n * w, w)]
+            for level, w in zip(levels[n:], widths)
+        ]
+        for i, key in enumerate(zip(*slices)):
+            first_seen.setdefault(key, (n, i))
+    reps = tuple(_word_from_index(digits, n, i) for n, i in first_seen.values())
     return ResidualReport(
         prefix_depth=k,
         extension_depth=e,
@@ -396,27 +381,15 @@ def dfa_oracle_disagreement(d: Dfa, L: LanguageOracle, max_len: int) -> Optional
     """
     if d.alphabet != L.alphabet:
         raise AlphabetMismatch("DFA and oracle alphabets differ")
-    digits = d.alphabet.digits
-    m = len(digits)
-    if m**max_len > ENUMERATION_BUDGET:
-        raise BudgetExceeded(f"{m}^{max_len} words exceed the enumeration budget")
-    vt = L.value_test
-    if vt(ZERO) != (d.initial in d.accepting):
-        return EMPTY_WORD
-    b = d.alphabet.base
-    z0 = d.alphabet.index[ZERO]
-    trans = d.transitions
-    acc = d.accepting
-
+    trans, acc = d.transitions, d.accepting
     states = [d.initial]
-    level: _Level = [(0, 0, None)]
-    for length in range(1, max_len + 1):
-        level = _extend(level, digits, b)
-        states = [t for s in states for t in trans[s]]
-        for idx, ((vre, vim, lead), st) in enumerate(zip(level, states)):
-            member = lead != z0 and vt(GaussInt(vre, vim))
-            if member != (st in acc):
-                return _word_from_index(digits, length, idx)
+    for n, members in enumerate(L.levels(max_len)):
+        if n:
+            states = [t for s in states for t in trans[s]]
+        accepted = bytes([s in acc for s in states])
+        if accepted != members:
+            i = next(i for i, (x, y) in enumerate(zip(accepted, members)) if x != y)
+            return _word_from_index(d.alphabet.digits, n, i)
     return None
 
 

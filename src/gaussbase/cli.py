@@ -13,6 +13,7 @@ follow a `--` separator, as usual for argparse.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -315,6 +316,7 @@ def _render_pretty(obj, indent: int = 0) -> list[str]:
     return lines
 
 
+@functools.cache  # built on first use, not at import, and reused by every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gaussbase",
@@ -415,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = args.command if args.command != "dfa" else f"dfa {args.dfa_command}"
     try:
         inputs, results, status = args.handler(args)

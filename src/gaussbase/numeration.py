@@ -138,8 +138,17 @@ def canonical_digit_set(b: GaussInt) -> DigitSet:
     return DigitSet(b, tuple(digits))
 
 
+def _require_integral(z: GaussInt) -> None:
+    """Refuse a value whose components are not ints (GaussInt does not check)."""
+    if isinstance(z.re, int) and isinstance(z.im, int):
+        return
+    name, part = ("imaginary", z.im) if isinstance(z.re, int) else ("real", z.re)
+    raise ValueError(f"{name} component {part!r} of {z!r} is not an integer")
+
+
 def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
     """The unique d in D with b | (z - d)."""
+    _require_integral(z)
     n = len(D.digits)
     t = z * D.base.conj()
     return D._by_residue[t.re % n, t.im % n][0]
@@ -189,6 +198,7 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
     that is not actually a digit set the loop can cycle, so it is capped;
     exceeding the cap raises NonTermination.
     """
+    _require_integral(z)
     cap = 4 * D.m3 + 2 * _ceil_log(z.norm() + 1, len(D.digits)) + 16
     return _encode_capped(z, D, cap)
 
@@ -237,16 +247,28 @@ def length_bound(b: GaussInt) -> LengthBound:
     return LengthBound(base=b, m3=canonical_digit_set(b).m3)
 
 
+def word_values(D: DigitSet, n: int) -> Iterator[tuple[int, int]]:
+    """The values of all length-n words over D as (re, im) pairs, in lexicographic order.
+
+    Words are ordered by digit index, msd first; the stream is depth-first,
+    so it holds O(n) values rather than all m^n of them (m = norm(b)).
+    """
+    if n == 0:
+        yield 0, 0
+        return
+    bre, bim = D.base.re, D.base.im
+    digits = [(d.re, d.im) for d in D.digits]
+    for vre, vim in word_values(D, n - 1):
+        wre, wim = vre * bre - vim * bim, vre * bim + vim * bre
+        for dre, dim in digits:
+            yield wre + dre, wim + dim
+
+
 def power_digit_set(D: DigitSet, j: int) -> DigitSet:
-    """The digit set {d0 + b*d1 + ... + b^(j-1)*d_(j-1)} for base b^j."""
+    """The digit set {d0 + b*d1 + ... + b^(j-1)*d_(j-1)} for base b^j: the length-j word values."""
     if j < 1:
         raise ValueError("power exponent must be >= 1")
-    b = D.base
-    values = [ZERO]
-    for p in range(j):
-        bp = b**p
-        values = [v + d * bp for v in values for d in D.digits]
-    return DigitSet(b**j, tuple(values))
+    return DigitSet(D.base**j, tuple(GaussInt(re, im) for re, im in word_values(D, j)))
 
 
 def recode(w: Word, D: DigitSet, j: int) -> Word:
@@ -284,25 +306,15 @@ class LinkCertificate:
     envelope: tuple[GaussInt, ...]
 
 
-def _within_sum_radius(n2: int, a2: int, b2: int) -> bool:
-    """n2 <= (sqrt(a2) + sqrt(b2))^2, decided in exact integer arithmetic."""
-    t = n2 - a2 - b2
-    return t <= 0 or t * t <= 4 * a2 * b2
-
-
 def _envelope(D: DigitSet, D2: DigitSet) -> tuple[GaussInt, ...]:
-    """All e with norm(e) <= (Delta + Delta')^2, Delta = max digit modulus."""
+    """All e with norm(e) <= (Delta + Delta')^2, Delta = max digit modulus.
+
+    (Delta + Delta')^2 = a2 + b2 + 2*sqrt(a2*b2), and an integer norm is at
+    most that exactly when it is at most a2 + b2 + isqrt(4*a2*b2).
+    """
     a2 = max(d.norm() for d in D.digits)
     b2 = max(d.norm() for d in D2.digits)
-    r = isqrt(a2) + isqrt(b2) + 2
-    out = [
-        GaussInt(x, y)
-        for x in range(-r, r + 1)
-        for y in range(-r, r + 1)
-        if _within_sum_radius(x * x + y * y, a2, b2)
-    ]
-    out.sort(key=lambda e: (e.re, e.im))
-    return tuple(out)
+    return tuple(lattice_disc(a2 + b2 + isqrt(4 * a2 * b2)))
 
 
 def _linking_failure(

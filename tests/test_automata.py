@@ -1,5 +1,8 @@
 """DFA engine, oracle languages, and the finite-evidence harnesses."""
 
+from functools import cache
+from itertools import product as words_of
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +30,7 @@ from gaussbase.automata import (
     zero_pump_probe,
 )
 from gaussbase.gaussint import ONE, ZERO, GaussInt
-from gaussbase.numeration import ForeignDigit, canonical_digit_set, encode
+from gaussbase.numeration import ForeignDigit, canonical_digit_set, encode, lattice_disc
 
 g = GaussInt
 B = g(2, 1)
@@ -189,6 +192,18 @@ def test_residuals_lower_bound_dfa_size():
 def test_residuals_budget():
     with pytest.raises(BudgetExceeded):
         residual_signatures(powers_oracle(B, D5), 20, 10)
+    with pytest.raises(BudgetExceeded, match=r"5\^0 \+ \.\.\. \+ 5\^12 words"):
+        residual_signatures(powers_oracle(B, D5), 7, 5)
+
+
+def test_budget_counts_every_enumerated_word():
+    # 10^8 words of length 8 alone fit the budget; with the shorter ones they do not
+    levels = integers_oracle(canonical_digit_set(g(3, 1))).levels
+    assert next(levels(7)) == b"\x01"
+    with pytest.raises(BudgetExceeded):
+        next(levels(8))
+    with pytest.raises(BudgetExceeded):
+        next(levels(10**12))
 
 
 # ---- zero pumping ----
@@ -236,8 +251,12 @@ def test_disagreement_finds_lex_least_witness():
 def test_disagreement_budget_and_alphabets():
     with pytest.raises(BudgetExceeded):
         dfa_oracle_disagreement(powers_dfa(B), powers_oracle(B, D5), 15)
+    with pytest.raises(BudgetExceeded, match=r"5\^12 words"):
+        dfa_oracle_disagreement(powers_dfa(B), powers_oracle(B, D5), 12)
     with pytest.raises(AlphabetMismatch):
         dfa_oracle_disagreement(powers_dfa(g(3)), powers_oracle(B, D5), 3)
+    with pytest.raises(AlphabetMismatch):  # checked before the budget
+        dfa_oracle_disagreement(powers_dfa(g(3)), powers_oracle(B, D5), 12)
 
 
 # ---- serialization ----
@@ -274,3 +293,55 @@ def test_equivalent_matches_both_difference_products(d1, d2, same_language):
     assert equivalent(d1, d2) == expected
     if same_language:
         assert expected
+
+
+# ---- differential: level enumeration vs brute force over itertools.product ----
+
+ALPHABETS = [canonical_digit_set(b) for b in lattice_disc(10) if 5 <= b.norm() <= 10]
+
+
+@st.composite
+def oracles(draw):
+    D = draw(st.sampled_from(ALPHABETS))
+    if draw(st.booleans()):
+        return integers_oracle(D)
+    a = draw(
+        st.sampled_from([D.base, D.base * D.base, g(2), g(0, -2), g(1, 1), g(1, 2), g(3)])
+    )
+    return powers_oracle(a, D)
+
+
+def brute_residuals(L, k, e):
+    member = cache(L.membership)
+    digits = L.alphabet.digits
+    first_seen = {}
+    for n in range(k + 1):
+        for u in words_of(digits, repeat=n):
+            key = tuple(member(u + v) for lv in range(e + 1) for v in words_of(digits, repeat=lv))
+            first_seen.setdefault(key, u)
+    return len(first_seen), tuple(first_seen.values())
+
+
+def brute_disagreement(d, L, max_len):
+    for n in range(max_len + 1):
+        for w in words_of(d.alphabet.digits, repeat=n):
+            if run(d, w) != L.membership(w):
+                return w
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracles(), st.integers(0, 4), st.data())
+def test_residuals_match_brute_force(L, depth, data):
+    k = data.draw(st.integers(0, depth))
+    e = depth - k
+    report = residual_signatures(L, k, e)
+    assert (report.class_count, report.representatives) == brute_residuals(L, k, e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracles(), st.integers(0, 4), st.data())
+def test_disagreement_matches_brute_force(L, max_len, data):
+    D = L.alphabet
+    d = data.draw(st.one_of(dfas(D), st.just(powers_dfa(D.base))))
+    assert dfa_oracle_disagreement(d, L, max_len) == brute_disagreement(d, L, max_len)

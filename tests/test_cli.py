@@ -192,6 +192,22 @@ def test_domain_error_reports_status_error(capsys):
     assert "message" in report
 
 
+def test_successive_calls_share_no_state(capsys):
+    # the parser is built once per process; each call still starts from the defaults
+    argv = ["prefix", "1+2i", "2+1i", "1", "--n-min", "3", "--budget", "64"]
+    code, report = run_cli(capsys, *argv, "--depth", "1")
+    assert report["inputs"]["depth"] == 1
+    code, report = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert report["inputs"]["depth"] == 0
+    with pytest.raises(SystemExit):
+        main(["deptest", "3+4i"])
+    capsys.readouterr()
+    code, report = run_cli(capsys, "deptest", "3+4i", "2+1i")
+    assert code == EXIT_OK
+    assert report["status"] == "ok"
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["digits", "-b", "not-a-literal"])

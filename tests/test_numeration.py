@@ -101,6 +101,14 @@ def test_digit_of_is_the_residue(z):
     assert divides(B, z - d)
 
 
+@pytest.mark.parametrize("z", [g(2.5, 0), g(1, 0.5), g(3.0, 1)])
+def test_non_integer_components_are_value_errors(z, D):
+    part = "real" if not isinstance(z.re, int) else "imaginary"
+    for fn in (encode, digit_of):
+        with pytest.raises(ValueError, match=f"{part} component"):
+            fn(z, D)
+
+
 def test_digit_of_non_canonical_set():
     base = g(-2, 1)
     alt = DigitSet(base, tuple(g(k) for k in range(5)))
