@@ -54,7 +54,17 @@ EXIT_NOT_FOUND = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits usage errors with code 2; keep 2 reserved for not_found."""
+    """argparse exits usage errors with code 2; keep 2 reserved for not_found.
+
+    Help and usage are laid out 100 columns wide whatever the terminal, so
+    they do not depend on COLUMNS and building the parser never asks for
+    the terminal size.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(
+            *args, formatter_class=functools.partial(argparse.HelpFormatter, width=100), **kwargs
+        )
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -178,13 +188,12 @@ def cmd_witness(args) -> tuple[dict, dict, str]:
 
 
 def _prefix_witness_json(w) -> dict:
-    D = canonical_digit_set(w.b)
     return {
         "m": w.m,
         "n": w.n,
         "z": str(w.z),
-        "word_am": word_to_text(encode(w.a**w.m, D)),
-        "word_u": word_to_text(encode(w.u, D)),
+        "word_am": word_to_text(w.word_am),
+        "word_u": word_to_text(w.word_u),
         "certified": w.verify(),
     }
 
@@ -322,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gaussbase",
         description="Numeration systems for the Gaussian integers in a complex base.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     mode = common.add_mutually_exclusive_group()
     mode.add_argument("--json", action="store_true", help="JSON report (default)")
     mode.add_argument("--pretty", action="store_true", help="human-readable rendering")

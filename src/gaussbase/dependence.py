@@ -8,19 +8,28 @@ facts about the group {a^m * b^n}: a group witness pins |a^m / b^n - u|
 below a rational bound, and a prefix witness additionally forces the
 word of a^m to extend the word of u in base b.
 
-Searches use floating-point log estimates only to nominate candidate
-exponents; every returned witness is verified in exact integer arithmetic
-and re-checks from its stored fields alone.
+In both searches floats nominate the exponents (m, n) and prune them by
+the modulus and the angle of a^m / (u*b^n); exact integer arithmetic
+decides every candidate the floats cannot rule out, and every returned
+witness re-checks from its stored fields alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .gaussint import ONE, GaussInt
-from .numeration import BaseTooSmall, _ceil_log, canonical_digit_set, encode, length_bound
+from .numeration import (
+    BaseTooSmall,
+    Word,
+    _ceil_log,
+    canonical_digit_set,
+    encode,
+    length_bound,
+)
 
 
 class UnitOrZeroInput(ValueError):
@@ -102,29 +111,77 @@ class GroupWitness:
         return z.norm() * self.err_den <= self.err_num * self.b.norm() ** self.n
 
 
-def _approximations(
-    a: GaussInt, b: GaussInt, u: GaussInt, n_min: int, m_max: int
-) -> Iterator[tuple[int, int, GaussInt, int]]:
-    """(m, n, a^m - u*b^n, norm(b)^n) for m = 1..m_max and the few n >= n_min near
-    (m*log|a| - log|u|) / log|b|, where |a^m / b^n| comes closest to |u|.
+def _log_polar(z: GaussInt) -> tuple[float, float]:
+    """(log|z|, arg z) as floats, for components of any size.
 
-    The float estimate only nominates n; the caller decides exactly.
+    float() overflows past 1e308, so atan2 gets both components shifted
+    right by the same amount, down to 64 significant bits.
     """
-    log_a = math.log(a.norm()) / 2
-    log_b = math.log(b.norm()) / 2
-    log_u = math.log(u.norm()) / 2
+    shift = max(0, max(abs(z.re), abs(z.im)).bit_length() - 64)
+    return math.log(z.norm()) / 2, math.atan2(z.im >> shift, z.re >> shift)
+
+
+def _approximations(
+    a: GaussInt, b: GaussInt, u: GaussInt, n_min: int, m_max: int, num: int, den: int
+) -> Iterator[tuple[int, int, GaussInt]]:
+    """(m, n, a^m - u*b^n) with norm(a^m - u*b^n) * den <= num * norm(b)^n, over
+    m = 1..m_max and the few n >= n_min near (m*log|a| - log|u|) / log|b|,
+    where |a^m / b^n| comes closest to |u|.
+
+    The test reads |r - 1| <= s for r = a^m / (u*b^n) and
+    s^2 = num / (den * norm(u)).  It forces ln|r| into [log1p(-s), log1p(s)]
+    and, for s < 1, |arg r| <= asin(s): the ray at angle t meets the disc
+    |r - 1| <= s only when sin|t| <= s.  Floats nominate n and skip every
+    candidate whose ln|r| or arg r falls outside these bounds widened by a
+    tolerance; exact arithmetic decides the rest, advancing a^m from one
+    surviving candidate to the next.
+
+    Float error budget, with unit roundoff 2^-53 ~ 1.1e-16: the log of an
+    int (of any size), atan2 of components cut to 64 bits, each product
+    and sum, and the reduction mod the float 2*pi (2.4e-16 off) each err by
+    a few ulps of the magnitudes involved.  Summed, the error of the float
+    ln|r| and arg r is below 1e-15 * (m*(|log a| + 4) + n*(|log b| + 4) +
+    |log u| + 4), the 4 covering the angles (at most pi), and the error of
+    log s below 1e-15 * (|ln num| + |ln den| + 2|log u| + 4).  Every
+    tolerance is 1e-9 plus 1000 times its bound.
+    """
+    log_a, arg_a = _log_polar(a)
+    log_b, arg_b = _log_polar(b)
+    log_u, arg_u = _log_polar(u)
+    tol_fixed = 1e-9 + 1e-12 * (abs(log_u) + 4)
+    tol_per_m, tol_per_n = 1e-12 * (abs(log_a) + 4), 1e-12 * (abs(log_b) + 4)
+    lo, hi, angle = 0.0, 0.0, 0.0  # num = 0: only exact hits, r = 1
+    if num:
+        ln_num, ln_den = math.log(num), math.log(den)
+        # s widened by its own tolerance, so the bounds below are safe
+        log_s = (ln_num - ln_den) / 2 - log_u
+        log_s += 1e-9 + 1e-12 * (abs(ln_num) + abs(ln_den) + 2 * abs(log_u) + 4)
+        if log_s < 0:
+            s = math.exp(log_s)
+            lo, hi, angle = math.log1p(-s), math.log1p(s), math.asin(s)
+        else:
+            lo, hi, angle = -math.inf, log_s + math.log1p(math.exp(-log_s)), math.inf
     nb = b.norm()
-    b_pows = [ONE]
-    nb_pows = [1]
-    a_pow = ONE
+    a_pow, m_at = ONE, 0
     for m in range(1, m_max + 1):
-        a_pow = a_pow * a
-        n_star = round((m * log_a - log_u) / log_b)
-        for n in range(max(n_star - 1, n_min), n_star + 2):
-            while n >= len(b_pows):
-                b_pows.append(b_pows[-1] * b)
-                nb_pows.append(nb_pows[-1] * nb)
-            yield m, n, a_pow - u * b_pows[n], nb_pows[n]
+        x0 = m * log_a - log_u
+        n_star = round(x0 / log_b)
+        n_lo, n_hi = max(n_star - 1, n_min), n_star + 1
+        if n_lo > n_hi:
+            continue
+        tol = tol_fixed + m * tol_per_m + n_hi * tol_per_n
+        t0 = m * arg_a - arg_u
+        for n in range(n_lo, n_hi + 1):
+            x = x0 - n * log_b
+            if x < lo - tol or x > hi + tol:
+                continue
+            if abs(math.remainder(t0 - n * arg_b, math.tau)) > angle + tol:
+                continue
+            if m != m_at:
+                a_pow, m_at = a_pow * a ** (m - m_at), m
+            z = a_pow - u * b**n
+            if z.norm() * den <= num * nb**n:
+                yield m, n, z
 
 
 def group_witness(
@@ -138,7 +195,7 @@ def group_witness(
     """Search m = 1..m_max for a certified witness; None when the budget runs out.
 
     For each m only the few n with norm(b)^n near norm(a^m)/norm(u) can
-    qualify, so those are nominated by a float prefilter and checked
+    qualify; floats nominate and prune those, and the survivors are checked
     exactly.  None is a normal outcome: existence is guaranteed only in
     the limit, with no effective bound.
     """
@@ -146,9 +203,8 @@ def group_witness(
         raise UnitOrZeroInput("witness search needs norms > 1 and a nonzero target")
     if err_num < 0 or err_den <= 0:
         raise ValueError("error bound must be a nonnegative rational")
-    for m, n, z, nb_n in _approximations(a, b, u, 0, m_max):
-        if z.norm() * err_den <= err_num * nb_n:
-            return GroupWitness(a=a, b=b, u=u, m=m, n=n, err_num=err_num, err_den=err_den)
+    for m, n, _ in _approximations(a, b, u, 0, m_max, err_num, err_den):
+        return GroupWitness(a=a, b=b, u=u, m=m, n=n, err_num=err_num, err_den=err_den)
     return None
 
 
@@ -158,6 +214,8 @@ class PrefixWitness:
 
     Since word_length(z) <= n, the base-b word of a^m is the word of u
     followed by n more digits; in particular it has u's word as a prefix.
+    The two words are encoded once and kept; verify() re-checks the
+    identity, the length of z and the prefix from the stored fields.
     """
 
     a: GaussInt
@@ -167,14 +225,22 @@ class PrefixWitness:
     n: int
     z: GaussInt
 
+    @cached_property
+    def word_am(self) -> Word:
+        """The base-b word of a^m, encoded once per witness."""
+        return encode(self.a**self.m, canonical_digit_set(self.b))
+
+    @cached_property
+    def word_u(self) -> Word:
+        """The base-b word of u, encoded once per witness."""
+        return encode(self.u, canonical_digit_set(self.b))
+
     def verify(self) -> bool:
         if self.a**self.m != self.u * self.b**self.n + self.z:
             return False
-        D = canonical_digit_set(self.b)
-        if len(encode(self.z, D)) > self.n:
+        if len(encode(self.z, canonical_digit_set(self.b))) > self.n:
             return False
-        word_u = encode(self.u, D)
-        return encode(self.a**self.m, D)[: len(word_u)] == word_u
+        return self.word_am[: len(self.word_u)] == self.word_u
 
 
 def prefix_extension(
@@ -199,9 +265,8 @@ def prefix_extension(
     if mult_dependent(a, b).dependent:
         raise NotIndependent(f"{a} and {b} are multiplicatively dependent")
     tail = b.norm() ** length_bound(b).m3
-    for m, n, z, nb_n in _approximations(a, b, u, n_min, budget):
-        if z.norm() * tail <= nb_n:
-            witness = PrefixWitness(a=a, b=b, u=u, m=m, n=n, z=z)
-            if witness.verify():
-                return witness
+    for m, n, z in _approximations(a, b, u, n_min, budget, 1, tail):
+        witness = PrefixWitness(a=a, b=b, u=u, m=m, n=n, z=z)
+        if witness.verify():
+            return witness
     return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import isqrt, log2
 from typing import Callable, Iterator, Optional
 
 from .gaussint import ZERO, GaussInt, exact_div
@@ -155,8 +155,18 @@ def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
 
 
 def _ceil_log(value: int, base: int) -> int:
-    """Smallest k with base^k >= value, for value >= 1."""
+    """Smallest k with base^k >= value, for value >= 1 and base >= 2.
+
+    Up to 64 bits the exact steps start from k = 0: at most 64 of them, on
+    small ints.  Past that value >= 2^(bits - 1) makes (bits - 1) / log2(base)
+    a lower bound on k; the factor 1 - 1e-9 keeps it one after the float
+    rounding, and at most three exact steps up remain.
+    """
     k, p = 0, 1
+    bits = value.bit_length()
+    if bits > 64:
+        k = int((bits - 1) / log2(base) * (1 - 1e-9))
+        p = base**k
     while p < value:
         p *= base
         k += 1

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gaussbase import cli, dependence
 from gaussbase.automata import dfa_to_json, minimize, powers_dfa
 from gaussbase.cli import EXIT_ERROR, EXIT_NOT_FOUND, EXIT_OK, main
 from gaussbase.dependence import group_witness, prefix_extension
@@ -88,6 +89,26 @@ def test_prefix_witness_json_fields(capsys):
     D = canonical_digit_set(g(2, 1))
     assert wit["word_am"] == word_to_text(encode(g(1, 2) ** lib.m, D))
     assert wit["word_u"] == word_to_text(encode(ONE, D))
+
+
+def test_prefix_report_encodes_each_word_once(capsys, monkeypatch):
+    encoded = []
+
+    def counting_encode(z, D):
+        encoded.append(z)
+        return encode(z, D)
+
+    monkeypatch.setattr(dependence, "encode", counting_encode)
+    monkeypatch.setattr(cli, "encode", counting_encode)
+    code, report = run_cli(
+        capsys, "prefix", "1+2i", "2+1i", "1", "--n-min", "3", "--budget", "64", "--depth", "1"
+    )
+    for wit in report["results"]["chain"]:
+        a_m = g(1, 2) ** wit["m"]
+        assert wit["certified"] is True
+        assert encoded.count(a_m) == 1
+        assert wit["word_am"] == word_to_text(encode(a_m, canonical_digit_set(g(2, 1))))
+    assert encoded.count(ONE) == 1
 
 
 def test_residuals(capsys):
@@ -285,3 +306,16 @@ def test_negative_counts_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == EXIT_ERROR
     assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["prefix", "--help"], ["dfa", "make", "--help"]])
+def test_help_does_not_depend_on_columns(capsys, monkeypatch, argv):
+    texts = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert "usage: gaussbase" in texts[0]

@@ -2,15 +2,19 @@
 
 import json
 import math
+from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussbase.cli import EXIT_OK, main
 from gaussbase.dependence import (
     NotIndependent,
+    PrefixWitness,
     UnitOrZeroInput,
+    _log_polar,
     group_witness,
     mult_dependent,
     prefix_extension,
@@ -20,6 +24,7 @@ from gaussbase.numeration import (
     BaseTooSmall,
     canonical_digit_set,
     encode,
+    length_bound,
     word_length,
 )
 
@@ -247,5 +252,189 @@ def test_prefix_extension_validation():
         prefix_extension(g(1, 1), B, ONE, 0, 16)
 
 
+def test_prefix_witness_verify_rechecks_every_field():
+    w = prefix_extension(A, B, ONE, n_min=3, budget=256)
+    assert w.verify() and w.word_am[:1] == (ONE,) and w.word_u == (ONE,)
+    assert not replace(w, z=w.z + 1).verify()  # identity
+    # a^m = (u*b^k) * b^(n-k) + z still holds, but z has more than n - k digits
+    k = w.n - word_length(w.z, canonical_digit_set(B)) + 1
+    assert not replace(w, u=w.u * B**k, n=w.n - k).verify()
+
+
 def test_prefix_extension_budget_exhaustion():
     assert prefix_extension(A, B, ONE, n_min=3, budget=10) is None
+
+
+# ---- float pruning against the unpruned search ----
+
+def _reference_hits(a, b, u, n_min, m_max, num, den):
+    """The unpruned candidate loop: floats only nominate the n near
+    (m*log|a| - log|u|) / log|b|, and every nominated (m, n) is checked exactly."""
+    log_a = math.log(a.norm()) / 2
+    log_b = math.log(b.norm()) / 2
+    log_u = math.log(u.norm()) / 2
+    for m in range(1, m_max + 1):
+        n_star = round((m * log_a - log_u) / log_b)
+        for n in range(max(n_star - 1, n_min), n_star + 2):
+            z = a**m - u * b**n
+            if z.norm() * den <= num * b.norm() ** n:
+                yield m, n, z
+
+
+def reference_group_witness(a, b, u, num, den, m_max):
+    return next(((m, n) for m, n, _ in _reference_hits(a, b, u, 0, m_max, num, den)), None)
+
+
+def reference_prefix_extension(a, b, u, n_min, budget):
+    tail = b.norm() ** length_bound(b).m3
+    for m, n, z in _reference_hits(a, b, u, n_min, budget, 1, tail):
+        if PrefixWitness(a=a, b=b, u=u, m=m, n=n, z=z).verify():
+            return m, n, z
+    return None
+
+
+def _found(w):
+    return None if w is None else (w.m, w.n)
+
+
+components = st.integers(-9, 9)
+nonunits_9 = st.builds(GaussInt, components, components).filter(lambda z: z.norm() > 1)
+bases_9 = st.builds(GaussInt, components, components).filter(lambda z: z.norm() >= 5)
+targets_9 = st.builds(GaussInt, components, components).filter(bool)
+
+
+@st.composite
+def error_bounds(draw):
+    """num/den from 0/1 up to 4/1, with small numerators over large denominators."""
+    den = draw(st.sampled_from([1, 3, 100, 10**6, 10**12]))
+    num = draw(st.one_of(st.integers(0, 4), st.integers(0, 4 * den)))
+    return num, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonunits_9, nonunits_9, targets_9, error_bounds(), st.integers(1, 64))
+def test_group_witness_matches_unpruned_search(a, b, u, bound, m_max):
+    num, den = bound
+    w = group_witness(a, b, u, num, den, m_max)
+    assert _found(w) == reference_group_witness(a, b, u, num, den, m_max)
+    assert w is None or w.verify()
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonunits_9, nonunits_9, targets_9, st.integers(1, 64), st.integers(-1, 1))
+def test_group_witness_matches_unpruned_search_at_exact_bounds(a, b, u, m0, dn):
+    """The bound is met with equality by a nominated candidate (m0, n0), so a
+    witness sits on the edge of the disc |r - 1| <= s that the pruning bounds."""
+    log_a, log_b, log_u = (math.log(z.norm()) / 2 for z in (a, b, u))
+    n0 = round((m0 * log_a - log_u) / log_b) + dn
+    assume(n0 >= 0)
+    num, den = (a**m0 - u * b**n0).norm(), b.norm() ** n0
+    w = group_witness(a, b, u, num, den, m0)
+    assert _found(w) == reference_group_witness(a, b, u, num, den, m0)
+    assert w is not None and w.m <= m0
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases_9, bases_9, targets_9, st.integers(0, 8), st.integers(1, 64))
+def test_prefix_extension_matches_unpruned_search(a, b, u, n_min, budget):
+    assume(not mult_dependent(a, b).dependent)
+    w = prefix_extension(a, b, u, n_min, budget)
+    expected = reference_prefix_extension(a, b, u, n_min, budget)
+    assert (None if w is None else (w.m, w.n, w.z)) == expected
+
+
+A9 = g(9, 9)  # |A9^300| > 1e308: the float of any component overflows
+
+
+@pytest.mark.parametrize(
+    "a,b,u,num,den,m_max,expected",
+    [
+        # num = 0 admits exact hits only: 2 = -i * (1+i)^2
+        (g(2), g(1, 1), g(0, -1), 0, 1, 4, (1, 2)),
+        (A9, B, A9**300, 0, 1, 320, (300, 0)),
+        (A9, B, g(0, 1) * A9**300, 1, 25, 320, None),
+        (A9, B, g(0, 1) * A9**300, (A9**300).norm(), 4, 400, (307, 22)),
+        (g(2, -9), g(-5, 4), g(2), 1, 100, 64, (63, 75)),
+        (g(-7, 8), g(-3, 6), g(1, -1), 1, 100, 64, (5, 6)),
+    ],
+    ids=["num_zero", "huge_u_exact", "huge_u_rotated", "huge_u_loose", "mixed_signs", "mixed_signs_2"],
+)
+def test_group_witness_pinned_cases(a, b, u, num, den, m_max, expected):
+    assert _found(group_witness(a, b, u, num, den, m_max)) == expected
+    assert reference_group_witness(a, b, u, num, den, m_max) == expected
+
+
+@pytest.mark.parametrize(
+    "a,b,u,n_min,budget,expected",
+    [
+        # a chain level: u = a^m from the level before, far past 1e308
+        (A9, B, A9**300, 0, 320, (300, 0)),
+        (A9, B, A9**300, 1, 320, None),
+        (g(7, -6), g(6, -9), ONE, 3, 64, (30, 28)),
+        (g(-8, 2), g(-7, 3), g(-4, 1), 3, 64, (18, 18)),
+    ],
+    ids=["huge_u_trivial", "huge_u_exhausts", "mixed_signs", "mixed_signs_2"],
+)
+def test_prefix_extension_pinned_cases(a, b, u, n_min, budget, expected):
+    w = prefix_extension(a, b, u, n_min, budget)
+    ref = reference_prefix_extension(a, b, u, n_min, budget)
+    assert _found(w) == expected == (None if ref is None else ref[:2])
+    assert w is None or w.z == ref[2]
+
+
+# ---- the float error of the pruning ----
+
+def _decimal_atan(x):
+    """atan(x) for a Decimal x, by halving the argument and the Taylor series."""
+    halvings = 0
+    while abs(x) > Decimal("0.01"):
+        x = x / (1 + (1 + x * x).sqrt())
+        halvings += 1
+    total, term, k = x, x, 1
+    while True:
+        term *= -x * x
+        step = term / (2 * k + 1)
+        if abs(step) < Decimal(10) ** -70:
+            break
+        total += step
+        k += 1
+    return total * 2**halvings
+
+
+def _decimal_arg(z, pi):
+    """arg z in (-pi, pi] for a nonzero Gaussian integer, in Decimal."""
+    x, y = Decimal(z.re), Decimal(z.im)
+    if abs(y) <= abs(x):
+        t = _decimal_atan(y / x)
+        if x > 0:
+            return t
+        return t + pi if y >= 0 else t - pi
+    t = pi / 2 - _decimal_atan(x / y)
+    return t if y > 0 else t - pi
+
+
+@pytest.mark.parametrize(
+    "a,b,u",
+    [(A, B, ONE), (g(-7, 8), g(-3, 6), g(1, -1)), (g(2, -9), g(-5, 4), A9**300)],
+    ids=["norm5_pair", "mixed_signs", "huge_u"],
+)
+@pytest.mark.parametrize("m", [1, 37, 1000, 10**5, 10**6])
+def test_float_error_far_below_tolerance(a, b, u, m):
+    """The float ln|r| and arg r of r = a^m / (u*b^n), evaluated as the search
+    evaluates them, against 60-digit Decimal values: the error stays 1000x
+    below the tolerance the search allows."""
+    (log_a, arg_a), (log_b, arg_b), (log_u, arg_u) = map(_log_polar, (a, b, u))
+    x0 = m * log_a - log_u
+    n = max(round(x0 / log_b), 0)
+    ln_r = x0 - n * log_b
+    arg_r = math.remainder(m * arg_a - arg_u - n * arg_b, math.tau)
+    tol = 1e-9 + 1e-12 * (m * (abs(log_a) + 4) + n * (abs(log_b) + 4) + abs(log_u) + 4)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = 4 * _decimal_atan(Decimal(1))
+        exact_ln = (m * Decimal(a.norm()).ln() - n * Decimal(b.norm()).ln() - Decimal(u.norm()).ln()) / 2
+        exact_arg = m * _decimal_arg(a, pi) - n * _decimal_arg(b, pi) - _decimal_arg(u, pi)
+        arg_error = Decimal(arg_r) - exact_arg  # up to a multiple of 2*pi
+        arg_error -= 2 * pi * (arg_error / (2 * pi)).to_integral_value()
+        assert abs(Decimal(ln_r) - exact_ln) * 1000 <= Decimal(tol)
+        assert abs(arg_error) * 1000 <= Decimal(tol)

@@ -4,7 +4,7 @@ import itertools
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussbase import automata
@@ -16,6 +16,7 @@ from gaussbase.numeration import (
     ForeignDigit,
     InvalidDigitSet,
     NonTermination,
+    _ceil_log,
     canonical_digit_set,
     check_linked,
     decode,
@@ -389,3 +390,27 @@ def test_digit_map_never_hashes_the_digit_set(monkeypatch):
     assert automata.residual_signatures(oracle, 2, 1).class_count >= 1
     assert automata.dfa_oracle_disagreement(dfa, oracle, 2) is None
     assert encode(g(4), b3) == (g(1), g(1))
+
+
+@st.composite
+def ceil_log_cases(draw):
+    """(value, base): any value up to 2^5000, or one next to a power of base."""
+    base = draw(st.integers(2, 10**6))
+    if draw(st.booleans()):
+        return draw(st.integers(1, 2**5000)), base
+    k = draw(st.integers(0, 5000 // base.bit_length()))
+    return max(1, base**k + draw(st.integers(-1, 1))), base
+
+
+@settings(max_examples=300, deadline=None)
+@given(ceil_log_cases())
+@example((2**64, 2))
+@example((2**64 + 1, 2))
+@example((10**6 * (10**6) ** 800, 10**6))
+def test_ceil_log_matches_plain_loop(case):
+    value, base = case
+    k, p = 0, 1
+    while p < value:
+        p *= base
+        k += 1
+    assert _ceil_log(value, base) == k
