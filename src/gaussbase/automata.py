@@ -4,16 +4,25 @@ The harnesses replace infinite arguments with exhaustive finite checks:
 residual (Myhill-Nerode) signatures lower-bound the states any recognizer
 needs, zero-pumping probes test closure under inserting zero blocks, and
 the disagreement search falsifies a claimed DFA against a ground-truth
-membership oracle.
+membership oracle.  The oracle languages are sparse, so the two exhaustive
+harnesses walk member words, not all m^0 + ... + m^L words: the set's
+elements in the disc that holds every word of length <= L are the
+candidates, and the forced digit loop, capped at L steps, gives each one
+its word or shows that it has none that short.  ENUMERATION_BUDGET and
+MEMBER_BUDGET cap that work before it starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from bisect import bisect_left
+from functools import cache, reduce
+from itertools import accumulate, islice, repeat, takewhile
+from math import isqrt
+from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Optional
 
-from .gaussint import ZERO, BaseIsUnitOrZero, GaussInt, is_power_of
+from .gaussint import ONE, ZERO, BaseIsUnitOrZero, GaussInt, is_power_of
 from .numeration import (
     DigitSet,
     ForeignDigit,
@@ -25,10 +34,11 @@ from .numeration import (
     canonical_digit_set,
     decode,
     digit_set_from_json,
-    word_values,
+    encode_within,
 )
 
 ENUMERATION_BUDGET = 10**8
+MEMBER_BUDGET = 10**6  # candidate values in one walk; each member stays in memory
 
 
 class AlphabetMismatch(ValueError):
@@ -40,7 +50,7 @@ class BaseNotRealOdd(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Requested enumeration has more words than ENUMERATION_BUDGET."""
+    """Requested work exceeds a fixed budget such as ENUMERATION_BUDGET."""
 
 
 class EmptyWord(ValueError):
@@ -248,57 +258,83 @@ class LanguageOracle:
     """Ground-truth membership for a set of Gaussian integers, as a word language.
 
     Words with a zero leading digit are invalid and never members; the
-    empty word is a member exactly when the set contains 0.  Other words
-    are decided by value_test on their decoded value.
+    empty word is a member exactly when the set contains 0.  membership
+    tests one word's decoded value with value_test.  The harnesses walk
+    the members instead: candidates(within, limit) lists the elements v
+    of the set with within(norm(v)), a disc around 0, or gives None when
+    there are more than limit of them.
     """
 
     alphabet: DigitSet
     value_test: Callable[[GaussInt], bool]
+    candidates: Callable[[Callable[[int], bool], int], Optional[Iterable[GaussInt]]]
 
     def membership(self, w: Word) -> bool:
         if w and w[0] == ZERO:
             return False
         return self.value_test(decode(w, self.alphabet))
 
-    def levels(self, max_len: int) -> Iterator[bytes]:
-        """Membership of every word of length n = 0..max_len, one level per n.
-
-        Byte i of level n is 1 iff the i-th length-n word in lexicographic
-        order is a member.  The words of length n >= 1 that lead with 0
-        fill the index block [z0*m^(n-1), (z0+1)*m^(n-1)) and are never
-        tested.  Raises BudgetExceeded, before the first level, when the
-        levels would hold more than ENUMERATION_BUDGET words.
-        """
-        D = self.alphabet
-        m = len(D.digits)
-        words = 0
-        for n in range(max_len + 1):  # stops early, so an absurd max_len costs nothing
-            words += m**n
-            if words > ENUMERATION_BUDGET:
-                raise BudgetExceeded(
-                    f"{m}^0 + ... + {m}^{max_len} words exceed the enumeration budget"
-                )
-        z0 = D.index[ZERO]
-        vt = self.value_test
-        for n in range(max_len + 1):
-            values = word_values(D, n)
-            block = m ** (n - 1) if n else 0
-            head = bytes([vt(GaussInt(re, im)) for re, im in islice(values, z0 * block)])
-            next(islice(values, block, block), None)  # skip the zero-led block
-            tail = bytes([vt(GaussInt(re, im)) for re, im in values])
-            yield head + bytes(block) + tail
-
 
 def powers_oracle(a: GaussInt, D: DigitSet) -> LanguageOracle:
     """Oracle for {a^n : n >= 0} written over D."""
     if a.norm() <= 1:
         raise BaseIsUnitOrZero(f"norm({a}) <= 1 cannot generate powers")
-    return LanguageOracle(D, lambda v: is_power_of(v, a) is not None)
+
+    def candidates(within: Callable[[int], bool], limit: int) -> Optional[list[GaussInt]]:
+        powers = accumulate(repeat(a), mul, initial=ONE)  # of increasing norm
+        out = list(islice(takewhile(lambda v: within(v.norm()), powers), limit + 1))
+        return out if len(out) <= limit else None
+
+    return LanguageOracle(D, lambda v: is_power_of(v, a) is not None, candidates)
 
 
 def integers_oracle(D: DigitSet) -> LanguageOracle:
     """Oracle for Z inside Z[i], written over D."""
-    return LanguageOracle(D, lambda v: v.im == 0)
+
+    def candidates(within: Callable[[int], bool], limit: int) -> Optional[Iterable[GaussInt]]:
+        top = (limit + 1) // 2  # the 2x + 1 integers of modulus <= x exceed limit iff x >= top
+        if within(top * top):
+            return None
+        x = bisect_left(range(top), True, key=lambda x: not within(x * x)) - 1
+        return map(GaussInt, range(-x, x + 1))
+
+    return LanguageOracle(D, lambda v: v.im == 0, candidates)
+
+
+def _members(
+    L: LanguageOracle, max_len: int, per_candidate: int, reserved: int = 0
+) -> Iterator[tuple[int, int]]:
+    """(length, index) of every member of length <= max_len, as a stream.
+
+    The index of a word is its lexicographic rank among the words of its
+    length.  A word of length <= max_len over base b of norm N has a value
+    of modulus below Delta*|b|^max_len/(|b| - 1), with Delta^2 the largest
+    digit norm and |b| >= isqrt(N); the candidates are the set's values
+    of norm x in that disc.  Bit lengths decide x*(isqrt(N) - 1)^2 <=
+    Delta^2*N^max_len while x is far from the bound, so N^max_len is
+    formed only when it is about the size of x.  Each candidate's word
+    comes from the forced digit loop, run for at most max_len steps.
+    Before the first step, raises BudgetExceeded when reserved units plus
+    per_candidate units per candidate exceed ENUMERATION_BUDGET, or the
+    candidates MEMBER_BUDGET.
+    """
+    D = L.alphabet
+    m = len(D.digits)  # the norm N of the base
+    scale, delta2 = (isqrt(m) - 1) ** 2, max(d.norm() for d in D.digits)
+    below = max_len * (m.bit_length() - 1)  # 2^below <= Delta^2*N^max_len < 2^above
+    above = delta2.bit_length() + max_len * m.bit_length()
+    bound = cache(lambda: delta2 * m**max_len)
+
+    def within(x: int) -> bool:
+        bits = (x * scale).bit_length()
+        return bits <= below or (bits <= above and x * scale <= bound())
+
+    limit = min(MEMBER_BUDGET, (ENUMERATION_BUDGET - reserved) // max(per_candidate, 1))
+    values = L.candidates(within, limit) if limit >= 0 else None
+    if values is None:
+        raise BudgetExceeded(f"words of length <= {max_len} exceed the enumeration budget")
+    words = (encode_within(v, D, max_len) for v in values)
+    return ((len(w), reduce(lambda i, d: i * m + D.index[d], w, 0)) for w in words if w is not None)
 
 
 @dataclass(frozen=True)
@@ -306,10 +342,11 @@ class ResidualReport:
     """Distinct extension-behaviors among bounded prefixes.
 
     class_count distinct signatures were observed over prefixes of length
-    <= prefix_depth, where the signature of u is the membership vector of
-    u.v over all extensions v of length <= extension_depth.  class_count
-    lower-bounds the state count of any DFA that agrees with the language
-    on all words of length <= prefix_depth + extension_depth.
+    <= prefix_depth, where the signature of u is the set of extensions v
+    of length <= extension_depth with u.v a member; only the prefixes of
+    members have nonempty ones.  class_count lower-bounds the state count
+    of any DFA that agrees with the language on all words of length <=
+    prefix_depth + extension_depth.
     """
 
     prefix_depth: int
@@ -331,24 +368,34 @@ def _word_from_index(digits: tuple[GaussInt, ...], length: int, index: int) -> W
 def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
     """Group all words of length <= k by their behavior under extensions of length <= e.
 
-    The length-lv extensions of the word at index i of level n are the
-    slice [i*m^lv, (i+1)*m^lv) of level n+lv, so a signature is e+1 slices.
+    Words are named by (length, index).  Splitting each member of length
+    <= k + e into u.v with |u| <= k and |v| <= e adds (|v|, index(v)) to
+    the signature of u; every other prefix has the empty signature.  A
+    class is represented by its first (length, index), and classes are
+    listed in that order.  The budget counts k + e digit-steps per
+    candidate value.
     """
     if k < 0 or e < 0:
         raise ValueError("depths must be nonnegative")
-    levels = list(L.levels(k + e))
+    m = len(L.alphabet.digits)
+    signatures: dict[tuple[int, int], list[int]] = {}
+    for n, i in _members(L, k + e, k + e):
+        for s in range(max(0, n - k), min(e, n) + 1):
+            width = m**s
+            u, v = divmod(i, width)
+            # v of length s as one int: the words shorter than s come first
+            signatures.setdefault((n - s, u), []).append((width - 1) // (m - 1) + v)
+    first_seen: dict[frozenset, tuple[int, int]] = {}
+    gap = (0, 0)  # the first prefix of no member, which starts the empty class
+    for prefix, signature in sorted(signatures.items()):
+        first_seen.setdefault(frozenset(signature), prefix)
+        if prefix == gap:
+            n, i = gap
+            gap = (n, i + 1) if i + 1 < m**n else (n + 1, 0)
+    if gap[0] <= k:
+        first_seen[frozenset()] = gap
     digits = L.alphabet.digits
-    m = len(digits)
-    widths = [m**lv for lv in range(e + 1)]
-    first_seen: dict[tuple[bytes, ...], tuple[int, int]] = {}
-    for n in range(k + 1):
-        slices = [
-            [level[j : j + w] for j in range(0, m**n * w, w)]
-            for level, w in zip(levels[n:], widths)
-        ]
-        for i, key in enumerate(zip(*slices)):
-            first_seen.setdefault(key, (n, i))
-    reps = tuple(_word_from_index(digits, n, i) for n, i in first_seen.values())
+    reps = tuple(_word_from_index(digits, n, i) for n, i in sorted(first_seen.values()))
     return ResidualReport(
         prefix_depth=k,
         extension_depth=e,
@@ -360,36 +407,74 @@ def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
 def zero_pump_probe(
     L: LanguageOracle, w: Word, k: int, reps: int
 ) -> tuple[bool, ...]:
-    """Membership after inserting j*k zeros behind the leading digit, j = 0..reps."""
+    """Membership after inserting j*k zeros behind the leading digit, j = 0..reps.
+
+    Raises BudgetExceeded, before decoding anything, when the pumped words
+    hold more than ENUMERATION_BUDGET digits in total.
+    """
     if not w:
         raise EmptyWord("pumping needs a nonempty word")
     if w[0] == ZERO:
         raise ValueError("pumping needs a nonzero leading digit")
     if k < 1:
         raise ValueError("pump block size must be >= 1")
+    digits = (reps + 1) * len(w) + k * reps * (reps + 1) // 2
+    if digits > ENUMERATION_BUDGET:
+        raise BudgetExceeded(
+            f"{reps + 1} pumped words of {digits} digits exceed the enumeration budget"
+        )
     head, tail = w[:1], w[1:]
     return tuple(
         L.membership(head + (ZERO,) * (j * k) + tail) for j in range(reps + 1)
     )
 
 
+def _accepted(d: Dfa, reach: list[frozenset[int]], n: int) -> Iterator[int]:
+    """Indices of the length-n words d accepts, in increasing order.
+
+    A lexicographic depth-first walk that enters a state only if it
+    accepts some word of exactly the letters left, so every branch ends in
+    an accepted word.
+    """
+    m = len(d.alphabet.digits)
+    stack = [(d.initial, 0, n)] if d.initial in reach[n] else []
+    while stack:
+        s, i, left = stack.pop()
+        if not left:
+            yield i
+            continue
+        live, row = reach[left - 1], d.transitions[s]
+        # pushed last, popped first: the least digit
+        stack.extend((row[x], i * m + x, left - 1) for x in reversed(range(m)) if row[x] in live)
+
+
 def dfa_oracle_disagreement(d: Dfa, L: LanguageOracle, max_len: int) -> Optional[Word]:
     """Shortest (then lexicographically least) word where DFA and oracle differ.
 
-    Exhausts all words up to max_len; None means perfect agreement on
-    that range.
+    None means perfect agreement on all words up to max_len.  Per length,
+    the accepted words, walked in order, are merged with the members; the
+    first mismatch is the answer.  The walk is pruned by the table of the
+    states that accept some word of exactly r letters.  The budget counts
+    max_len digit-steps and one walked word per candidate value, the
+    states x (max_len + 1) table cells and one more word per length.
     """
     if d.alphabet != L.alphabet:
         raise AlphabetMismatch("DFA and oracle alphabets differ")
-    trans, acc = d.transitions, d.accepting
-    states = [d.initial]
-    for n, members in enumerate(L.levels(max_len)):
-        if n:
-            states = [t for s in states for t in trans[s]]
-        accepted = bytes([s in acc for s in states])
-        if accepted != members:
-            i = next(i for i, (x, y) in enumerate(zip(accepted, members)) if x != y)
-            return _word_from_index(d.alphabet.digits, n, i)
+    cells = d.state_count * (max_len + 1)
+    levels: dict[int, list[int]] = {}
+    for n, i in sorted(_members(L, max_len, max_len + 1, cells + max_len + 1)):
+        levels.setdefault(n, []).append(i)
+    reach = [d.accepting]
+    for _ in range(max_len):
+        live = reach[-1]
+        reach.append(frozenset(s for s, row in enumerate(d.transitions) if not live.isdisjoint(row)))
+    for n in range(max_len + 1):
+        accepted = _accepted(d, reach, n)
+        for member in levels.get(n, []) + [None]:
+            word = next(accepted, None)
+            if word != member:
+                i = min(x for x in (word, member) if x is not None)
+                return _word_from_index(d.alphabet.digits, n, i)
     return None
 
 

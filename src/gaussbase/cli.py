@@ -16,10 +16,12 @@ import argparse
 import functools
 import json
 import sys
+from math import isqrt
 from typing import Optional
 
 from . import verification
 from .automata import (
+    BudgetExceeded,
     dfa_from_json,
     dfa_oracle_disagreement,
     dfa_to_json,
@@ -51,6 +53,8 @@ from .numeration import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_FOUND = 2
+
+SCAN_BUDGET = 10**4  # lattice points scan-bases may walk
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,6 +131,13 @@ def cmd_decode(args) -> tuple[dict, dict, str]:
 
 def cmd_scan_bases(args) -> tuple[dict, dict, str]:
     inputs = _echo(args, "norm_min", "norm_max", "disc", "k_max")
+    # the walk visits the whole disc norm <= norm_max; its inscribed square
+    # bounds the point count from below without walking it
+    half = isqrt(max(args.norm_max, 0) // 2)
+    if (2 * half + 1) ** 2 > SCAN_BUDGET or sum(1 for _ in lattice_disc(args.norm_max)) > SCAN_BUDGET:
+        raise BudgetExceeded(
+            f"the disc norm <= {args.norm_max} holds more candidate bases than the scan budget of {SCAN_BUDGET}"
+        )
     rows = []
     all_pass = True
     for b in lattice_disc(args.norm_max):
@@ -201,15 +212,15 @@ def _prefix_witness_json(w) -> dict:
 def cmd_prefix(args) -> tuple[dict, dict, str]:
     inputs = _echo(args, "a", "b", "u", "n_min", "budget", "depth")
     chain = []
-    u = args.u
+    u, word_u = args.u, None
     status = "ok"
     for _ in range(args.depth + 1):
-        w = prefix_extension(args.a, args.b, u, args.n_min, args.budget)
+        w = prefix_extension(args.a, args.b, u, args.n_min, args.budget, word_u)
         if w is None:
             status = "not_found"
             break
         chain.append(_prefix_witness_json(w))
-        u = args.a**w.m
+        u, word_u = args.a**w.m, w.word_am  # the next level extends this level's word
     results: dict = {"witness": chain[0] if chain else None}
     if args.depth > 0 or status == "not_found":
         results["chain"] = chain

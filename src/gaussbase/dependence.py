@@ -249,6 +249,7 @@ def prefix_extension(
     u: GaussInt,
     n_min: int = 0,
     budget: int = 256,
+    word_u: Optional[Word] = None,
 ) -> Optional[PrefixWitness]:
     """Find m, n >= n_min with a^m = u*b^n + z and word_length(z) <= n.
 
@@ -256,7 +257,9 @@ def prefix_extension(
     norm(a^m - u*b^n) * norm(b)^m3 <= norm(b)^n.  All three postconditions
     (exact identity, word length, explicit word-prefix comparison) are
     re-verified before a witness is returned.  None means the search
-    budget (max m) was exhausted.
+    budget (max m) was exhausted.  word_u, when given, must be the word of
+    u (a chain passes its previous level's word_am); it is then not
+    encoded again.
     """
     if not u:
         raise UnitOrZeroInput("prefix extension needs a nonzero target")
@@ -267,6 +270,8 @@ def prefix_extension(
     tail = b.norm() ** length_bound(b).m3
     for m, n, z in _approximations(a, b, u, n_min, budget, 1, tail):
         witness = PrefixWitness(a=a, b=b, u=u, m=m, n=n, z=z)
+        if word_u is not None:
+            vars(witness)["word_u"] = word_u  # fills the cached_property
         if witness.verify():
             return witness
     return None

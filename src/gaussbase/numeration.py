@@ -179,7 +179,13 @@ def _ceil_log(value: int, base: int) -> int:
 _BOOTSTRAP_CAP = 64
 
 
-def _encode_capped(z: GaussInt, D: DigitSet, cap: int) -> Word:
+def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Optional[Word]:
+    """The word of z if it has at most max_len digits, else None.
+
+    Runs the forced digit loop for at most max_len steps, so the answer is
+    exact for any complete residue system, whether or not its loop
+    terminates everywhere.
+    """
     # on plain ints: with t = w*conj(b), the next value (w - d)/b is
     # (t - d*conj(b))/N, an exact division
     n = len(D.digits)
@@ -188,10 +194,8 @@ def _encode_capped(z: GaussInt, D: DigitSet, cap: int) -> Word:
     out: list[GaussInt] = []
     x, y = z.re, z.im
     while x or y:
-        if len(out) >= cap:
-            raise NonTermination(
-                f"digit loop for {z} over base {D.base} exceeded {cap} iterations"
-            )
+        if len(out) >= max_len:
+            return None
         t_re = x * bre - y * bim
         t_im = x * bim + y * bre
         d, d_re, d_im = table[t_re % n, t_im % n]
@@ -199,6 +203,13 @@ def _encode_capped(z: GaussInt, D: DigitSet, cap: int) -> Word:
         x, y = (t_re - d_re) // n, (t_im - d_im) // n
     out.reverse()
     return tuple(out)
+
+
+def _encode_capped(z: GaussInt, D: DigitSet, cap: int) -> Word:
+    w = encode_within(z, D, cap)
+    if w is None:
+        raise NonTermination(f"digit loop for {z} over base {D.base} exceeded {cap} iterations")
+    return w
 
 
 def encode(z: GaussInt, D: DigitSet) -> Word:

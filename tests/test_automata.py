@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussbase import automata
 from gaussbase.automata import (
     AlphabetMismatch,
     BaseNotRealOdd,
@@ -30,7 +31,13 @@ from gaussbase.automata import (
     zero_pump_probe,
 )
 from gaussbase.gaussint import ONE, ZERO, GaussInt
-from gaussbase.numeration import ForeignDigit, canonical_digit_set, encode, lattice_disc
+from gaussbase.numeration import (
+    ForeignDigit,
+    canonical_digit_set,
+    digit_set_from_json,
+    encode,
+    lattice_disc,
+)
 
 g = GaussInt
 B = g(2, 1)
@@ -190,20 +197,47 @@ def test_residuals_lower_bound_dfa_size():
 
 
 def test_residuals_budget():
+    # the real points of the disc times k + e pass the budget: refused before any digit step
     with pytest.raises(BudgetExceeded):
-        residual_signatures(powers_oracle(B, D5), 20, 10)
-    with pytest.raises(BudgetExceeded, match=r"5\^0 \+ \.\.\. \+ 5\^12 words"):
-        residual_signatures(powers_oracle(B, D5), 7, 5)
+        residual_signatures(integers_oracle(D5), 20, 4)
+    # 3.1e6 real points x 18 steps fit the budget, but not the members held in memory
+    with pytest.raises(BudgetExceeded):
+        residual_signatures(integers_oracle(D5), 16, 2)
+    # an absurd depth is refused without forming norm(b)^(k + e)
+    with pytest.raises(BudgetExceeded):
+        residual_signatures(powers_oracle(B, D5), 10**12, 3)
+    with pytest.raises(BudgetExceeded):
+        residual_signatures(integers_oracle(D5), 3, 10**12)
 
 
-def test_budget_counts_every_enumerated_word():
-    # 10^8 words of length 8 alone fit the budget; with the shorter ones they do not
-    levels = integers_oracle(canonical_digit_set(g(3, 1))).levels
-    assert next(levels(7)) == b"\x01"
+def test_budget_counts_candidate_digit_steps(monkeypatch):
+    # over 2+1i the largest digit norm is 1 and isqrt(5) - 1 = 1, so the
+    # candidates of length <= L are the values of norm <= 5^L: the 2*isqrt(5^L) + 1
+    # real points and the L + 1 powers b^0..b^L
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 23 * 3)  # 23 real points x 3 steps
+    assert residual_signatures(integers_oracle(D5), 3, 0).class_count >= 1
+    assert residual_signatures(integers_oracle(D5), 1, 2).class_count >= 1
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 23 * 3 - 1)
     with pytest.raises(BudgetExceeded):
-        next(levels(8))
+        residual_signatures(integers_oracle(D5), 3, 0)
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 7 * 6)  # 7 powers x 6 steps
+    assert residual_signatures(powers_oracle(B, D5), 4, 2).class_count >= 1
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 7 * 6 - 1)
     with pytest.raises(BudgetExceeded):
-        next(levels(10**12))
+        residual_signatures(powers_oracle(B, D5), 4, 2)
+    # the disagreement search adds a walked word per candidate, 3 states x 4 table
+    # cells and one non-member word per length
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 23 * 4 + 3 * 4 + 4)
+    assert dfa_oracle_disagreement(powers_dfa(B), integers_oracle(D5), 3) == ()
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 23 * 4 + 3 * 4 + 3)
+    with pytest.raises(BudgetExceeded):
+        dfa_oracle_disagreement(powers_dfa(B), integers_oracle(D5), 3)
+    # and no walk holds more than MEMBER_BUDGET candidates
+    monkeypatch.setattr(automata, "MEMBER_BUDGET", 23)
+    assert residual_signatures(integers_oracle(D5), 1, 2).class_count >= 1
+    monkeypatch.setattr(automata, "MEMBER_BUDGET", 22)
+    with pytest.raises(BudgetExceeded):
+        residual_signatures(integers_oracle(D5), 1, 2)
 
 
 # ---- zero pumping ----
@@ -250,13 +284,26 @@ def test_disagreement_finds_lex_least_witness():
 
 def test_disagreement_budget_and_alphabets():
     with pytest.raises(BudgetExceeded):
-        dfa_oracle_disagreement(powers_dfa(B), powers_oracle(B, D5), 15)
-    with pytest.raises(BudgetExceeded, match=r"5\^12 words"):
-        dfa_oracle_disagreement(powers_dfa(B), powers_oracle(B, D5), 12)
+        dfa_oracle_disagreement(powers_dfa(B), integers_oracle(D5), 24)
+    with pytest.raises(BudgetExceeded):
+        dfa_oracle_disagreement(powers_dfa(B), powers_oracle(B, D5), 10**12)
+    big = Dfa(D5, 0, tuple(((s + 1) % 10**4,) * 5 for s in range(10**4)), frozenset())
+    with pytest.raises(BudgetExceeded):  # 10^4 states x 10^4 + 1 table cells
+        dfa_oracle_disagreement(big, powers_oracle(B, D5), 10**4)
     with pytest.raises(AlphabetMismatch):
         dfa_oracle_disagreement(powers_dfa(g(3)), powers_oracle(B, D5), 3)
     with pytest.raises(AlphabetMismatch):  # checked before the budget
-        dfa_oracle_disagreement(powers_dfa(g(3)), powers_oracle(B, D5), 12)
+        dfa_oracle_disagreement(powers_dfa(g(3)), powers_oracle(B, D5), 10**12)
+
+
+def test_deep_residuals_and_falsification():
+    L = powers_oracle(g(1, 2), D5)
+    counts = [residual_signatures(L, k, 3).class_count for k in (2, 4, 6, 10, 20, 40)]
+    assert counts == [8, 15, 19, 27, 48, 68]  # dense enumeration agrees up to k = 6
+    assert residual_signatures(powers_oracle(B, D5), 40, 3).class_count == 3
+    assert dfa_oracle_disagreement(powers_dfa(B), powers_oracle(B, D5), 200) is None
+    # the base 2+1i itself is no power of its conjugate
+    assert dfa_oracle_disagreement(powers_dfa(B), powers_oracle(g(2, -1), D5), 40) == (g(1), g(0))
 
 
 # ---- serialization ----
@@ -301,8 +348,8 @@ ALPHABETS = [canonical_digit_set(b) for b in lattice_disc(10) if 5 <= b.norm() <
 
 
 @st.composite
-def oracles(draw):
-    D = draw(st.sampled_from(ALPHABETS))
+def oracles(draw, alphabets=st.sampled_from(ALPHABETS)):
+    D = draw(alphabets)
     if draw(st.booleans()):
         return integers_oracle(D)
     a = draw(
@@ -345,3 +392,22 @@ def test_disagreement_matches_brute_force(L, max_len, data):
     D = L.alphabet
     d = data.draw(st.one_of(dfas(D), st.just(powers_dfa(D.base))))
     assert dfa_oracle_disagreement(d, L, max_len) == brute_disagreement(d, L, max_len)
+
+
+@st.composite
+def shifted_alphabets(draw):
+    """A non-canonical complete residue system: canonical nonzero digits moved by multiples of b."""
+    D = draw(st.sampled_from(ALPHABETS))
+    shifts = st.sampled_from([g(0), g(1), g(-1), g(0, 1), g(0, -1), g(1, 1)])
+    digits = [d if d == ZERO else d + D.base * draw(shifts) for d in D.digits]
+    return digit_set_from_json({"base": str(D.base), "digits": [str(d) for d in digits]})
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracles(shifted_alphabets()), st.integers(0, 3), st.data())
+def test_non_canonical_digits_match_brute_force(L, depth, data):
+    k = data.draw(st.integers(0, depth))
+    report = residual_signatures(L, k, depth - k)
+    assert (report.class_count, report.representatives) == brute_residuals(L, k, depth - k)
+    d = data.draw(dfas(L.alphabet))
+    assert dfa_oracle_disagreement(d, L, depth) == brute_disagreement(d, L, depth)

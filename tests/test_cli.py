@@ -1,6 +1,7 @@
 """CLI commands are thin adapters: reports must match the library results."""
 
 import json
+import time
 
 import pytest
 
@@ -101,13 +102,18 @@ def test_prefix_report_encodes_each_word_once(capsys, monkeypatch):
     monkeypatch.setattr(dependence, "encode", counting_encode)
     monkeypatch.setattr(cli, "encode", counting_encode)
     code, report = run_cli(
-        capsys, "prefix", "1+2i", "2+1i", "1", "--n-min", "3", "--budget", "64", "--depth", "1"
+        capsys, "prefix", "1+2i", "2+1i", "1", "--n-min", "0", "--budget", "64", "--depth", "1"
     )
-    for wit in report["results"]["chain"]:
+    chain = report["results"]["chain"]
+    assert report["results"]["chain_depth_reached"] == 1
+    # each level encodes its own a^m; the next level takes it as the word of its u
+    # (with n_min = 0 the second level is the trivial n = 0 one, so both levels have m = 39)
+    for wit in chain:
         a_m = g(1, 2) ** wit["m"]
         assert wit["certified"] is True
-        assert encoded.count(a_m) == 1
+        assert encoded.count(a_m) == sum(w["m"] == wit["m"] for w in chain)
         assert wit["word_am"] == word_to_text(encode(a_m, canonical_digit_set(g(2, 1))))
+    assert chain[1]["word_u"] == chain[0]["word_am"]
     assert encoded.count(ONE) == 1
 
 
@@ -116,6 +122,34 @@ def test_residuals(capsys):
     assert code == EXIT_OK
     assert report["results"]["target"]["class_count"] == 15
     assert report["results"]["control"]["class_count"] == 3
+
+
+def test_residuals_deep_prefixes_answer_fast(capsys):
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "residuals", "1+2i", "2+1i", "-k", "40", "-e", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert report["results"]["target"]["class_count"] == 68
+    assert report["results"]["target"]["representatives"][:5] == ["", "-1", "0+1i", "1", "-1,0+1i"]
+    assert report["results"]["control"]["class_count"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pump", "-b", "2+1i", "--set", "integers", "--word", "1", "-k", "100000", "--reps", "100"],
+        ["scan-bases", "--norm-min", "5", "--norm-max", "100000000000"],
+        ["scan-bases", "--norm-max", "3200"],
+    ],
+    ids=["pump_digits", "scan_disc", "scan_disc_just_over"],
+)
+def test_work_past_the_budget_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, report = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_ERROR
+    assert report["status"] == "error"
+    assert "budget" in report["message"]
 
 
 def test_pump(capsys):

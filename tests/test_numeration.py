@@ -24,6 +24,7 @@ from gaussbase.numeration import (
     digit_set_from_json,
     digit_set_to_json,
     encode,
+    encode_within,
     lattice_disc,
     length_bound,
     max_length_in_disc,
@@ -192,6 +193,17 @@ def test_encode_non_terminating_set_raises():
     with pytest.raises(NonTermination):
         encode(g(-1), trap)
     assert not terminates_on_disc(trap)
+    assert encode_within(g(-1), trap, 50) is None  # the loop cycles, so no word at all
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-300, 300), st.integers(-300, 300))
+def test_encode_within_cuts_at_the_word_length(D, x, y):
+    word = encode(g(x, y), D)
+    assert encode_within(g(x, y), D, len(word)) == word
+    assert encode_within(g(x, y), D, len(word) + 3) == word
+    if word:
+        assert encode_within(g(x, y), D, len(word) - 1) is None
 
 
 # ---- lengths ----
