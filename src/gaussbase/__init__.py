@@ -34,7 +34,11 @@ from .dependence import (
     prefix_extension,
 )
 from .gaussint import (
+    BudgetExceeded,
+    DivisionByZero,
     GaussInt,
+    InvalidInput,
+    NotDivisible,
     divides,
     exact_div,
     is_power_of,
@@ -43,6 +47,7 @@ from .numeration import (
     DigitSet,
     LengthBound,
     LinkCertificate,
+    NonTermination,
     Word,
     canonical_digit_set,
     check_linked,

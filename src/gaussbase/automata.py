@@ -22,10 +22,9 @@ from math import isqrt
 from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Optional
 
-from .gaussint import ONE, ZERO, BaseIsUnitOrZero, GaussInt, is_power_of
+from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, is_power_of
 from .numeration import (
     DigitSet,
-    ForeignDigit,
     Word,
     _json_field,
     _json_int,
@@ -39,22 +38,6 @@ from .numeration import (
 
 ENUMERATION_BUDGET = 10**8
 MEMBER_BUDGET = 10**6  # candidate values in one walk; each member stays in memory
-
-
-class AlphabetMismatch(ValueError):
-    """Binary DFA operations need a shared alphabet."""
-
-
-class BaseNotRealOdd(ValueError):
-    """The integer DFA exists only for real odd bases >= 3."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Requested work exceeds a fixed budget such as ENUMERATION_BUDGET."""
-
-
-class EmptyWord(ValueError):
-    """Pumping needs a nonempty word."""
 
 
 @dataclass(frozen=True)
@@ -77,18 +60,18 @@ class Dfa:
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         n = len(self.transitions)
         if n == 0:
-            raise ValueError("a DFA needs at least one state")
+            raise InvalidInput("a DFA needs at least one state")
         if not 0 <= self.initial < n:
-            raise ValueError(f"initial state {self.initial} out of range")
+            raise InvalidInput(f"initial state {self.initial} out of range")
         width = len(self.alphabet.digits)
         for row in self.transitions:
             if len(row) != width:
-                raise ValueError("transition row width differs from alphabet size")
+                raise InvalidInput("transition row width differs from alphabet size")
             for t in row:
                 if not 0 <= t < n:
-                    raise ValueError(f"transition target {t} out of range")
+                    raise InvalidInput(f"transition target {t} out of range")
         if not self.accepting <= set(range(n)):
-            raise ValueError("accepting states out of range")
+            raise InvalidInput("accepting states out of range")
 
     @property
     def state_count(self) -> int:
@@ -102,7 +85,7 @@ def run(dfa: Dfa, w: Word) -> bool:
     for d in w:
         i = index.get(d)
         if i is None:
-            raise ForeignDigit(f"{d} is not in the DFA alphabet")
+            raise InvalidInput(f"{d} is not in the DFA alphabet")
         state = dfa.transitions[state][i]
     return state in dfa.accepting
 
@@ -133,7 +116,7 @@ def _bfs(
 def _pairs(d1: Dfa, d2: Dfa) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
     """_bfs over the state pairs of d1 x d2 reachable from the initial pair."""
     if d1.alphabet != d2.alphabet:
-        raise AlphabetMismatch("product needs a shared alphabet")
+        raise InvalidInput("product needs a shared alphabet")
     t1, t2 = d1.transitions, d2.transitions
     return _bfs((d1.initial, d2.initial), lambda pair: zip(t1[pair[0]], t2[pair[1]]))
 
@@ -150,7 +133,7 @@ _KEEP: dict[str, Callable[[bool, bool], bool]] = {
 def product(d1: Dfa, d2: Dfa, mode: ProductMode) -> Dfa:
     """Product DFA for the boolean combination of two languages."""
     if mode not in _KEEP:
-        raise ValueError(f"unknown product mode {mode!r}")
+        raise InvalidInput(f"unknown product mode {mode!r}")
     keep = _KEEP[mode]
     order, rows = _pairs(d1, d2)
     accepting = frozenset(
@@ -240,7 +223,7 @@ def integers_dfa(b: GaussInt | int) -> Dfa:
     if isinstance(b, int):
         b = GaussInt(b, 0)
     if b.im != 0 or b.re < 3 or b.re % 2 == 0:
-        raise BaseNotRealOdd(f"{b} is not a real odd integer >= 3")
+        raise InvalidInput(f"{b} is not a real odd integer >= 3")
     D = canonical_digit_set(b)
     width = len(D.digits)
     row_start, row_live = [2] * width, [2] * width
@@ -278,7 +261,7 @@ class LanguageOracle:
 def powers_oracle(a: GaussInt, D: DigitSet) -> LanguageOracle:
     """Oracle for {a^n : n >= 0} written over D."""
     if a.norm() <= 1:
-        raise BaseIsUnitOrZero(f"norm({a}) <= 1 cannot generate powers")
+        raise InvalidInput(f"norm({a}) <= 1 cannot generate powers")
 
     def candidates(within: Callable[[int], bool], limit: int) -> Optional[list[GaussInt]]:
         powers = accumulate(repeat(a), mul, initial=ONE)  # of increasing norm
@@ -376,7 +359,7 @@ def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
     candidate value.
     """
     if k < 0 or e < 0:
-        raise ValueError("depths must be nonnegative")
+        raise InvalidInput("depths must be nonnegative")
     m = len(L.alphabet.digits)
     signatures: dict[tuple[int, int], list[int]] = {}
     for n, i in _members(L, k + e, k + e):
@@ -409,19 +392,22 @@ def zero_pump_probe(
 ) -> tuple[bool, ...]:
     """Membership after inserting j*k zeros behind the leading digit, j = 0..reps.
 
-    Raises BudgetExceeded, before decoding anything, when the pumped words
-    hold more than ENUMERATION_BUDGET digits in total.
+    Horner evaluation of an n-digit word costs about n^2 digit-steps, as
+    its value grows by one digit per step; so raises BudgetExceeded, before
+    decoding anything, when the squared lengths of the pumped words sum to
+    more than ENUMERATION_BUDGET.
     """
     if not w:
-        raise EmptyWord("pumping needs a nonempty word")
+        raise InvalidInput("pumping needs a nonempty word")
     if w[0] == ZERO:
-        raise ValueError("pumping needs a nonzero leading digit")
+        raise InvalidInput("pumping needs a nonzero leading digit")
     if k < 1:
-        raise ValueError("pump block size must be >= 1")
-    digits = (reps + 1) * len(w) + k * reps * (reps + 1) // 2
-    if digits > ENUMERATION_BUDGET:
+        raise InvalidInput("pump block size must be >= 1")
+    n, s1, s2 = len(w), reps * (reps + 1) // 2, reps * (reps + 1) * (2 * reps + 1) // 6
+    steps = (reps + 1) * n * n + 2 * n * k * s1 + k * k * s2  # sum of (n + j*k)^2, j = 0..reps
+    if steps > ENUMERATION_BUDGET:
         raise BudgetExceeded(
-            f"{reps + 1} pumped words of {digits} digits exceed the enumeration budget"
+            f"decoding {reps + 1} pumped words takes {steps} digit-steps, past the enumeration budget"
         )
     head, tail = w[:1], w[1:]
     return tuple(
@@ -459,7 +445,7 @@ def dfa_oracle_disagreement(d: Dfa, L: LanguageOracle, max_len: int) -> Optional
     states x (max_len + 1) table cells and one more word per length.
     """
     if d.alphabet != L.alphabet:
-        raise AlphabetMismatch("DFA and oracle alphabets differ")
+        raise InvalidInput("DFA and oracle alphabets differ")
     cells = d.state_count * (max_len + 1)
     levels: dict[int, list[int]] = {}
     for n, i in sorted(_members(L, max_len, max_len + 1, cells + max_len + 1)):
@@ -490,7 +476,7 @@ def dfa_to_json(d: Dfa) -> dict:
 
 
 def dfa_from_json(obj: dict) -> Dfa:
-    """Inverse of dfa_to_json; a missing or mistyped field raises ValueError naming it."""
+    """Inverse of dfa_to_json; a missing or mistyped field raises InvalidInput naming it."""
     d = Dfa(
         alphabet=digit_set_from_json(obj),
         initial=_json_field(obj, "initial", _json_int),
@@ -500,5 +486,5 @@ def dfa_from_json(obj: dict) -> Dfa:
         accepting=_json_field(obj, "accepting", lambda states: frozenset(_json_ints(states))),
     )
     if d.state_count != _json_field(obj, "states", _json_int):
-        raise ValueError("state count field disagrees with the transition table")
+        raise InvalidInput("state count field disagrees with the transition table")
     return d

@@ -21,7 +21,6 @@ from typing import Optional
 
 from . import verification
 from .automata import (
-    BudgetExceeded,
     dfa_from_json,
     dfa_oracle_disagreement,
     dfa_to_json,
@@ -36,7 +35,7 @@ from .automata import (
     zero_pump_probe,
 )
 from .dependence import group_witness, mult_dependent, prefix_extension
-from .gaussint import GaussInt
+from .gaussint import BudgetExceeded, GaussInt, InvalidInput
 from .numeration import (
     canonical_digit_set,
     decode,
@@ -46,7 +45,6 @@ from .numeration import (
     length_bound,
     real_power_exponent,
     word_from_text,
-    word_length,
     word_to_text,
 )
 
@@ -54,7 +52,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_FOUND = 2
 
-SCAN_BUDGET = 10**4  # lattice points scan-bases may walk
+SCAN_BUDGET = 10**6  # candidate bases x (probe points + digit-set candidates) in scan-bases
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,7 +106,7 @@ def _oracle_for(selector: str, base: GaussInt):
         return integers_oracle(D)
     if selector.startswith("powers:"):
         return powers_oracle(GaussInt.parse(selector.removeprefix("powers:")), D)
-    raise ValueError(f"unknown set selector {selector!r}; use powers:GAUSS or integers")
+    raise InvalidInput(f"unknown set selector {selector!r}; use powers:GAUSS or integers")
 
 
 def cmd_digits(args) -> tuple[dict, dict, str]:
@@ -129,15 +127,31 @@ def cmd_decode(args) -> tuple[dict, dict, str]:
     return _echo(args, "base", "word"), {"value": str(value), "norm": value.norm()}, "ok"
 
 
+def _disc_size(r2: int) -> int:
+    """The lattice points of norm <= r2, or SCAN_BUDGET + 1 when there are more.
+
+    The inscribed square bounds the count from below; under the budget the
+    disc is counted a column at a time, without walking its points.
+    """
+    if r2 < 0:
+        return 0
+    if (2 * isqrt(r2 // 2) + 1) ** 2 > SCAN_BUDGET:
+        return SCAN_BUDGET + 1
+    r = isqrt(r2)
+    return sum(2 * isqrt(r2 - x * x) + 1 for x in range(-r, r + 1))
+
+
 def cmd_scan_bases(args) -> tuple[dict, dict, str]:
     inputs = _echo(args, "norm_min", "norm_max", "disc", "k_max")
-    # the walk visits the whole disc norm <= norm_max; its inscribed square
-    # bounds the point count from below without walking it
-    half = isqrt(max(args.norm_max, 0) // 2)
-    if (2 * half + 1) ** 2 > SCAN_BUDGET or sum(1 for _ in lattice_disc(args.norm_max)) > SCAN_BUDGET:
+    # every point of the disc norm <= norm_max is a candidate base; a base
+    # encodes the probe disc and builds its digit set from about 4*norm candidates
+    work = _disc_size(args.norm_max) * (_disc_size(args.disc) + 4 * max(args.norm_max, 0))
+    if work > SCAN_BUDGET:
         raise BudgetExceeded(
-            f"the disc norm <= {args.norm_max} holds more candidate bases than the scan budget of {SCAN_BUDGET}"
+            f"scanning the bases of norm <= {args.norm_max} over the probe disc norm <= {args.disc}"
+            f" takes more than the scan budget of {SCAN_BUDGET} steps"
         )
+    probes = list(lattice_disc(args.disc))
     rows = []
     all_pass = True
     for b in lattice_disc(args.norm_max):
@@ -146,14 +160,12 @@ def cmd_scan_bases(args) -> tuple[dict, dict, str]:
             continue
         D = canonical_digit_set(b)
         digit_count_ok = len(D.digits) == n
-        roundtrip_ok = all(decode(encode(z, D), D) == z for z in lattice_disc(args.disc))
+        words = [(z, encode(z, D)) for z in probes]
+        roundtrip_ok = all(decode(w, D) == z for z, w in words)
         lb = length_bound(b)
-        length_ok = all(
-            word_length(z, D) <= k
-            for z in lattice_disc(args.disc)
-            for k in range(args.k_max + 1)
-            if lb.within_bound(z, k)
-        )
+        # within_bound is monotone in k, so some k <= k_max admits z with a
+        # word longer than k exactly when k = min(len(w) - 1, k_max) does
+        length_ok = not any(w and lb.within_bound(z, min(len(w) - 1, args.k_max)) for z, w in words)
         ok = digit_count_ok and roundtrip_ok and length_ok
         all_pass = all_pass and ok
         rows.append(
@@ -169,7 +181,7 @@ def cmd_scan_bases(args) -> tuple[dict, dict, str]:
             }
         )
     if not rows:
-        raise ValueError(
+        raise InvalidInput(
             f"no base of norm >= 5 in the norm range [{args.norm_min}, {args.norm_max}]"
         )
     return inputs, {"bases": rows, "all_pass": all_pass}, "ok"
@@ -214,8 +226,10 @@ def cmd_prefix(args) -> tuple[dict, dict, str]:
     chain = []
     u, word_u = args.u, None
     status = "ok"
-    for _ in range(args.depth + 1):
-        w = prefix_extension(args.a, args.b, u, args.n_min, args.budget, word_u)
+    for level in range(args.depth + 1):
+        # each level after the first adds at least one digit
+        n_min = args.n_min if level == 0 else max(args.n_min, 1)
+        w = prefix_extension(args.a, args.b, u, n_min, args.budget, word_u)
         if w is None:
             status = "not_found"
             break
@@ -292,11 +306,11 @@ def cmd_dfa(args) -> tuple[dict, dict, str]:
             "agrees_up_to": args.max_len if word is None else None,
         }
         return inputs, results, "ok"
-    raise ValueError(f"unknown dfa subcommand {args.dfa_command!r}")
+    raise InvalidInput(f"unknown dfa subcommand {args.dfa_command!r}")
 
 
 def cmd_verify(args) -> tuple[dict, dict, str]:
-    results = verification.run_all(verbose=False)
+    results = verification.run_all()
     criteria = [
         {
             "name": r.name,

@@ -21,23 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .gaussint import ONE, GaussInt
-from .numeration import (
-    BaseTooSmall,
-    Word,
-    _ceil_log,
-    canonical_digit_set,
-    encode,
-    length_bound,
-)
-
-
-class UnitOrZeroInput(ValueError):
-    """Dependence questions need inputs of norm > 1 (and nonzero targets)."""
-
-
-class NotIndependent(ValueError):
-    """Prefix extension is defined for multiplicatively independent pairs."""
+from .gaussint import ONE, GaussInt, InvalidInput
+from .numeration import Word, _ceil_log, canonical_digit_set, encode, length_bound
 
 
 @dataclass(frozen=True)
@@ -79,7 +64,7 @@ def mult_dependent(a: GaussInt, b: GaussInt) -> DependenceVerdict:
     """
     na, nb = a.norm(), b.norm()
     if na <= 1 or nb <= 1:
-        raise UnitOrZeroInput("dependence needs norms > 1")
+        raise InvalidInput("dependence needs norms > 1")
     c = _common_root(na, nb)
     if c is None:
         return DependenceVerdict(False)
@@ -200,9 +185,9 @@ def group_witness(
     the limit, with no effective bound.
     """
     if a.norm() <= 1 or b.norm() <= 1 or not u:
-        raise UnitOrZeroInput("witness search needs norms > 1 and a nonzero target")
+        raise InvalidInput("witness search needs norms > 1 and a nonzero target")
     if err_num < 0 or err_den <= 0:
-        raise ValueError("error bound must be a nonnegative rational")
+        raise InvalidInput("error bound must be a nonnegative rational")
     for m, n, _ in _approximations(a, b, u, 0, m_max, err_num, err_den):
         return GroupWitness(a=a, b=b, u=u, m=m, n=n, err_num=err_num, err_den=err_den)
     return None
@@ -262,11 +247,11 @@ def prefix_extension(
     encoded again.
     """
     if not u:
-        raise UnitOrZeroInput("prefix extension needs a nonzero target")
+        raise InvalidInput("prefix extension needs a nonzero target")
     if a.norm() < 5 or b.norm() < 5:
-        raise BaseTooSmall("prefix extension needs norms >= 5")
+        raise InvalidInput("prefix extension needs norms >= 5")
     if mult_dependent(a, b).dependent:
-        raise NotIndependent(f"{a} and {b} are multiplicatively dependent")
+        raise InvalidInput(f"{a} and {b} are multiplicatively dependent")
     tail = b.norm() ** length_bound(b).m3
     for m, n, z in _approximations(a, b, u, n_min, budget, 1, tail):
         witness = PrefixWitness(a=a, b=b, u=u, m=m, n=n, z=z)

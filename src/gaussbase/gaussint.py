@@ -3,7 +3,8 @@
 Everything here stays inside Z[i]: components are arbitrary-precision
 Python ints, absolute values are never materialized (use norm(z) = |z|^2),
 and division is either exact or an error.  Beyond ring arithmetic it
-offers divisibility, exact division and power membership.
+offers divisibility, exact division and power membership, and it defines
+the errors every layer raises for bad input and refused work.
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ class DivisionByZero(ZeroDivisionError):
     """Division by the zero Gaussian integer."""
 
 
-class BaseIsUnitOrZero(ValueError):
-    """Power queries need a base of norm > 1."""
+class InvalidInput(ValueError):
+    """An argument is malformed or outside the domain of the operation given it."""
+
+
+class BudgetExceeded(RuntimeError):
+    """Requested work exceeds a fixed budget such as ENUMERATION_BUDGET."""
 
 
 _LITERAL = _regex.compile(r"^([+-]?\d+)(?:([+-]\d+)i)?$")
@@ -48,7 +53,7 @@ class GaussInt:
         """Parse the literal grammar `a`, `a+bi`, `a-bi` (e.g. `5`, `-1+2i`, `0-1i`)."""
         m = _LITERAL.match(text)
         if m is None:
-            raise ValueError(f"not a Gaussian integer literal: {text!r}")
+            raise InvalidInput(f"not a Gaussian integer literal: {text!r}")
         re_txt, im_txt = m.group(1), m.group(2)
         return cls(int(re_txt), int(im_txt) if im_txt is not None else 0)
 
@@ -89,7 +94,7 @@ class GaussInt:
 
     def __pow__(self, exp: int) -> "GaussInt":
         if exp < 0:
-            raise ValueError("negative exponents leave Z[i]")
+            raise InvalidInput("negative exponents leave Z[i]")
         base = self
         out = ONE
         while exp:
@@ -158,7 +163,7 @@ def is_power_of(z: GaussInt, a: GaussInt) -> Optional[int]:
     """The n with a^n = z, if any (n = 0 for z = 1); None otherwise."""
     na = a.norm()
     if na <= 1:
-        raise BaseIsUnitOrZero(f"norm({a}) <= 1 cannot generate powers")
+        raise InvalidInput(f"norm({a}) <= 1 cannot generate powers")
     if not z:
         return None
     # norm(a)^n = norm(z) is necessary, so most non-powers are rejected here

@@ -14,33 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import product
 from math import isqrt, log2
 from typing import Callable, Iterator, Optional
 
-from .gaussint import ZERO, GaussInt, exact_div
+from .gaussint import ZERO, BudgetExceeded, GaussInt, InvalidInput, exact_div
 
 Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
 
-
-class BaseTooSmall(ValueError):
-    """Bases must have norm >= 5."""
-
-
-class InvalidDigitSet(ValueError):
-    """Digit collection is not a complete residue system containing 0."""
+DIGIT_BUDGET = 10**5  # digits of one canonical digit set, all held in memory
 
 
 class NonTermination(RuntimeError):
     """The greedy digit loop exceeded its iteration budget (invalid digit set)."""
-
-
-class ForeignDigit(ValueError):
-    """A word digit does not belong to the digit set."""
-
-
-class BaseMismatch(ValueError):
-    """Two digit sets over different bases cannot be linked."""
 
 
 @dataclass(frozen=True)
@@ -66,16 +53,16 @@ class DigitSet:
     def __post_init__(self) -> None:
         n = self.base.norm()
         if n < 5:
-            raise BaseTooSmall(f"norm({self.base}) = {n} < 5")
+            raise InvalidInput(f"norm({self.base}) = {n} < 5")
         digits = tuple(sorted(self.digits, key=lambda d: (d.re, d.im)))
         object.__setattr__(self, "digits", digits)
         index = {d: i for i, d in enumerate(digits)}
         if ZERO not in index:
-            raise InvalidDigitSet("digit set must contain 0")
+            raise InvalidInput("digit set must contain 0")
         if len(index) != len(digits):
-            raise InvalidDigitSet("duplicate digits")
+            raise InvalidInput("duplicate digits")
         if len(digits) != n:
-            raise InvalidDigitSet(
+            raise InvalidInput(
                 f"{len(digits)} digits for base {self.base} of norm {n}"
             )
         bc = self.base.conj()
@@ -84,7 +71,7 @@ class DigitSet:
             t = d * bc
             by_residue[t.re % n, t.im % n] = (d, t.re, t.im)
         if len(by_residue) != n:
-            raise InvalidDigitSet("digits are not pairwise incongruent mod base")
+            raise InvalidInput("digits are not pairwise incongruent mod base")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "_by_residue", by_residue)
 
@@ -122,11 +109,16 @@ def canonical_digit_set(b: GaussInt) -> DigitSet:
 
     Membership is decided by -N <= 2*Re(d*conj(b)) < N (and the same for
     the imaginary part) with N = norm(b); candidates are enumerated over
-    the lattice disc norm(d) <= norm(b).
+    the lattice disc norm(d) <= norm(b); a base of norm above DIGIT_BUDGET
+    raises BudgetExceeded.
     """
     n = b.norm()
     if n < 5:
-        raise BaseTooSmall(f"norm({b}) = {n} < 5")
+        raise InvalidInput(f"norm({b}) = {n} < 5")
+    if n > DIGIT_BUDGET:
+        raise BudgetExceeded(
+            f"base {b} of norm {n} has more digits than the digit budget of {DIGIT_BUDGET}"
+        )
     bre, bim = b.re, -b.im  # components of conj(b)
     digits = []
     r = isqrt(n)
@@ -143,7 +135,7 @@ def _require_integral(z: GaussInt) -> None:
     if isinstance(z.re, int) and isinstance(z.im, int):
         return
     name, part = ("imaginary", z.im) if isinstance(z.re, int) else ("real", z.re)
-    raise ValueError(f"{name} component {part!r} of {z!r} is not an integer")
+    raise InvalidInput(f"{name} component {part!r} of {z!r} is not an integer")
 
 
 def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
@@ -231,7 +223,7 @@ def decode(w: Word, D: DigitSet) -> GaussInt:
     acc = ZERO
     for d in w:
         if d not in members:
-            raise ForeignDigit(f"{d} is not a digit of base {b}")
+            raise InvalidInput(f"{d} is not a digit of base {b}")
         acc = acc * b + d
     return acc
 
@@ -268,28 +260,11 @@ def length_bound(b: GaussInt) -> LengthBound:
     return LengthBound(base=b, m3=canonical_digit_set(b).m3)
 
 
-def word_values(D: DigitSet, n: int) -> Iterator[tuple[int, int]]:
-    """The values of all length-n words over D as (re, im) pairs, in lexicographic order.
-
-    Words are ordered by digit index, msd first; the stream is depth-first,
-    so it holds O(n) values rather than all m^n of them (m = norm(b)).
-    """
-    if n == 0:
-        yield 0, 0
-        return
-    bre, bim = D.base.re, D.base.im
-    digits = [(d.re, d.im) for d in D.digits]
-    for vre, vim in word_values(D, n - 1):
-        wre, wim = vre * bre - vim * bim, vre * bim + vim * bre
-        for dre, dim in digits:
-            yield wre + dre, wim + dim
-
-
 def power_digit_set(D: DigitSet, j: int) -> DigitSet:
     """The digit set {d0 + b*d1 + ... + b^(j-1)*d_(j-1)} for base b^j: the length-j word values."""
     if j < 1:
-        raise ValueError("power exponent must be >= 1")
-    return DigitSet(D.base**j, tuple(GaussInt(re, im) for re, im in word_values(D, j)))
+        raise InvalidInput("power exponent must be >= 1")
+    return DigitSet(D.base**j, tuple(decode(w, D) for w in product(D.digits, repeat=j)))
 
 
 def recode(w: Word, D: DigitSet, j: int) -> Word:
@@ -300,7 +275,7 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     digits; the decoded value is unchanged.
     """
     if j < 1:
-        raise ValueError("power exponent must be >= 1")
+        raise InvalidInput("power exponent must be >= 1")
     padded = (ZERO,) * ((-len(w)) % j) + tuple(w)
     out = [decode(padded[i : i + j], D) for i in range(0, len(padded), j)]
     head = 0
@@ -310,10 +285,10 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
 
 
 @lru_cache(maxsize=None)
-def terminates_on_disc(D: DigitSet, r2: int = 400) -> bool:
-    """Probe digit-set validity: does encode terminate for all norm(z) <= r2?"""
+def terminates_on_disc(D: DigitSet) -> bool:
+    """Probe digit-set validity: does encode terminate for all norm(z) <= 400?"""
     try:
-        for z in lattice_disc(r2):
+        for z in lattice_disc(400):
             encode(z, D)
     except NonTermination:
         return False
@@ -362,7 +337,7 @@ def check_linked(D: DigitSet, D2: DigitSet) -> Optional[LinkCertificate]:
     pair, by explicit membership rather than the triangle inequality.
     """
     if D.base != D2.base:
-        raise BaseMismatch(f"bases differ: {D.base} vs {D2.base}")
+        raise InvalidInput(f"bases differ: {D.base} vs {D2.base}")
     for S in (D, D2):
         if not terminates_on_disc(S):
             raise NonTermination(f"digit set over {S.base} fails the termination probe")
@@ -379,7 +354,7 @@ def real_power_exponent(b: GaussInt) -> Optional[int]:
     argument a multiple of pi/4, so eight powers decide the question.
     """
     if b.norm() < 5:
-        raise BaseTooSmall(f"norm({b}) = {b.norm()} < 5")
+        raise InvalidInput(f"norm({b}) = {b.norm()} < 5")
     w = b
     for j in range(1, 9):
         if w.im == 0 and w.re > 0:
@@ -404,15 +379,15 @@ def digit_set_to_json(D: DigitSet) -> dict:
 
 
 def _json_field(obj: dict, key: str, convert: Callable):
-    """convert(obj[key]); a non-object, a missing field or a mistyped one raises ValueError."""
+    """convert(obj[key]); a non-object, a missing field or a mistyped one raises InvalidInput."""
     if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        raise InvalidInput(f"expected a JSON object, got {type(obj).__name__}")
     if key not in obj:
-        raise ValueError(f"missing field {key!r}")
+        raise InvalidInput(f"missing field {key!r}")
     try:
         return convert(obj[key])
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed field {key!r}: {exc}") from exc
+        raise InvalidInput(f"malformed field {key!r}: {exc}") from exc
 
 
 def _json_list(value) -> list:
@@ -432,7 +407,7 @@ def _json_ints(value) -> tuple[int, ...]:
 
 
 def digit_set_from_json(obj: dict) -> DigitSet:
-    """Inverse of digit_set_to_json; a missing or mistyped field raises ValueError naming it."""
+    """Inverse of digit_set_to_json; a missing or mistyped field raises InvalidInput naming it."""
     return DigitSet(
         base=_json_field(obj, "base", GaussInt.parse),
         digits=_json_field(

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 
 from gaussbase import automata
 from gaussbase.automata import (
-    AlphabetMismatch,
-    BaseNotRealOdd,
     BudgetExceeded,
     Dfa,
-    EmptyWord,
     complement,
     dfa_from_json,
     dfa_oracle_disagreement,
@@ -30,9 +27,8 @@ from gaussbase.automata import (
     run,
     zero_pump_probe,
 )
-from gaussbase.gaussint import ONE, ZERO, GaussInt
+from gaussbase.gaussint import ONE, ZERO, GaussInt, InvalidInput
 from gaussbase.numeration import (
-    ForeignDigit,
     canonical_digit_set,
     digit_set_from_json,
     encode,
@@ -58,13 +54,13 @@ def dfas(draw, alphabet=D5, max_states=5):
 # ---- construction and runs ----
 
 def test_dfa_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="initial state 3 out of range"):
         Dfa(D5, 3, ((0,) * 5,), frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="transition row width differs from alphabet size"):
         Dfa(D5, 0, ((0, 0),), frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="transition target 7 out of range"):
         Dfa(D5, 0, ((0, 0, 0, 0, 7),), frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="accepting states out of range"):
         Dfa(D5, 0, ((0,) * 5,), frozenset({4}))
 
 
@@ -76,7 +72,7 @@ def test_powers_dfa_runs():
     assert not run(d, ())
     assert not run(d, (g(0, 1), g(0)))
     assert not run(d, (g(1), g(0, -1)))
-    with pytest.raises(ForeignDigit):
+    with pytest.raises(InvalidInput, match="7 is not in the DFA alphabet"):
         run(d, (g(7),))
 
 
@@ -95,7 +91,7 @@ def test_integers_dfa_base3():
 
 @pytest.mark.parametrize("base", [4, 2, g(2, 1), g(-3, 0)])
 def test_integers_dfa_rejects_bad_bases(base):
-    with pytest.raises(BaseNotRealOdd):
+    with pytest.raises(InvalidInput, match="is not a real odd integer >= 3"):
         integers_dfa(base)
 
 
@@ -126,7 +122,7 @@ def test_minimize_preserves_language_and_is_idempotent(d):
 
 
 def test_alphabet_mismatch():
-    with pytest.raises(AlphabetMismatch):
+    with pytest.raises(InvalidInput, match="product needs a shared alphabet"):
         product(powers_dfa(B), powers_dfa(g(3)), "and")
 
 
@@ -261,11 +257,22 @@ def test_pump_escapes_integers_over_complex_base():
     assert False in probe
 
 
+@pytest.mark.parametrize("k,reps", [(1, 8), (3, 5), (2, 0)])
+def test_pump_budget_counts_squared_word_lengths(monkeypatch, k, reps):
+    L, w = integers_oracle(D5), encode(g(5), D5)  # 4 digits
+    steps = sum((len(w) + j * k) ** 2 for j in range(reps + 1))
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", steps)
+    assert len(zero_pump_probe(L, w, k, reps)) == reps + 1
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", steps - 1)
+    with pytest.raises(BudgetExceeded, match=f"takes {steps} digit-steps"):
+        zero_pump_probe(L, w, k, reps)
+
+
 def test_pump_argument_validation():
     L = integers_oracle(D5)
-    with pytest.raises(EmptyWord):
+    with pytest.raises(InvalidInput, match="pumping needs a nonempty word"):
         zero_pump_probe(L, (), 1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="pumping needs a nonzero leading digit"):
         zero_pump_probe(L, (ZERO, g(1)), 1, 3)
 
 
@@ -290,9 +297,9 @@ def test_disagreement_budget_and_alphabets():
     big = Dfa(D5, 0, tuple(((s + 1) % 10**4,) * 5 for s in range(10**4)), frozenset())
     with pytest.raises(BudgetExceeded):  # 10^4 states x 10^4 + 1 table cells
         dfa_oracle_disagreement(big, powers_oracle(B, D5), 10**4)
-    with pytest.raises(AlphabetMismatch):
+    with pytest.raises(InvalidInput, match="DFA and oracle alphabets differ"):
         dfa_oracle_disagreement(powers_dfa(g(3)), powers_oracle(B, D5), 3)
-    with pytest.raises(AlphabetMismatch):  # checked before the budget
+    with pytest.raises(InvalidInput, match="DFA and oracle alphabets differ"):  # checked before the budget
         dfa_oracle_disagreement(powers_dfa(g(3)), powers_oracle(B, D5), 10**12)
 
 
@@ -327,7 +334,7 @@ def test_json_roundtrip(d):
 def test_json_state_count_validated():
     obj = dfa_to_json(powers_dfa(B))
     obj["states"] = 5
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="state count field disagrees with the transition table"):
         dfa_from_json(obj)
 
 

@@ -11,8 +11,10 @@ from gaussbase.cli import EXIT_ERROR, EXIT_NOT_FOUND, EXIT_OK, main
 from gaussbase.dependence import group_witness, prefix_extension
 from gaussbase.gaussint import ONE, GaussInt
 from gaussbase.numeration import (
+    LengthBound,
     canonical_digit_set,
     encode,
+    lattice_disc,
     length_bound,
     real_power_exponent,
     word_to_text,
@@ -101,20 +103,30 @@ def test_prefix_report_encodes_each_word_once(capsys, monkeypatch):
 
     monkeypatch.setattr(dependence, "encode", counting_encode)
     monkeypatch.setattr(cli, "encode", counting_encode)
+    a, b, u = g(-3, -3), g(-3), g(1, 1)
     code, report = run_cli(
-        capsys, "prefix", "1+2i", "2+1i", "1", "--n-min", "0", "--budget", "64", "--depth", "1"
+        capsys, "prefix", "--n-min", "0", "--budget", "128", "--depth", "1", "--", str(a), str(b), str(u)
     )
     chain = report["results"]["chain"]
+    assert code == EXIT_OK
     assert report["results"]["chain_depth_reached"] == 1
+    # the second level adds digits even with n_min = 0
+    assert [(w["m"], w["n"]) for w in chain] == [(1, 1), (93, 121)]
     # each level encodes its own a^m; the next level takes it as the word of its u
-    # (with n_min = 0 the second level is the trivial n = 0 one, so both levels have m = 39)
     for wit in chain:
-        a_m = g(1, 2) ** wit["m"]
+        a_m = a ** wit["m"]
         assert wit["certified"] is True
-        assert encoded.count(a_m) == sum(w["m"] == wit["m"] for w in chain)
-        assert wit["word_am"] == word_to_text(encode(a_m, canonical_digit_set(g(2, 1))))
+        assert encoded.count(a_m) == 1
+        assert wit["word_am"] == word_to_text(encode(a_m, canonical_digit_set(b)))
     assert chain[1]["word_u"] == chain[0]["word_am"]
-    assert encoded.count(ONE) == 1
+    assert encoded.count(u) == 1
+
+
+def test_prefix_chain_levels_after_the_first_add_digits(capsys):
+    code, report = run_cli(capsys, "prefix", "1+2i", "2+1i", "1", "--n-min", "0", "--depth", "3")
+    assert code == EXIT_NOT_FOUND
+    assert [(w["m"], w["n"]) for w in report["results"]["chain"]] == [(39, 39)]
+    assert report["results"]["chain_depth_reached"] == 0
 
 
 def test_residuals(capsys):
@@ -138,10 +150,24 @@ def test_residuals_deep_prefixes_answer_fast(capsys):
     "argv",
     [
         ["pump", "-b", "2+1i", "--set", "integers", "--word", "1", "-k", "100000", "--reps", "100"],
+        ["pump", "-b", "2+1i", "--set", "integers", "--word", "1", "-k", "10000", "--reps", "20"],
+        ["pump", "-b", "2+1i", "--set", "integers", "--word", "1", "-k", "10000", "--reps", "140"],
         ["scan-bases", "--norm-min", "5", "--norm-max", "100000000000"],
         ["scan-bases", "--norm-max", "3200"],
+        ["scan-bases", "--norm-max", "5", "--disc", "1000000000000"],
+        ["scan-bases", "--norm-max", "1000", "--disc", "0"],
+        ["digits", "-b", "100000"],
     ],
-    ids=["pump_digits", "scan_disc", "scan_disc_just_over"],
+    ids=[
+        "pump_digits",
+        "pump_quadratic_decode",
+        "pump_under_1e8_digits",
+        "scan_disc",
+        "scan_disc_just_over",
+        "scan_probe_disc",
+        "scan_digit_sets",
+        "digits_huge_base",
+    ],
 )
 def test_work_past_the_budget_is_refused_at_once(capsys, argv):
     start = time.perf_counter()
@@ -150,6 +176,47 @@ def test_work_past_the_budget_is_refused_at_once(capsys, argv):
     assert code == EXIT_ERROR
     assert report["status"] == "error"
     assert "budget" in report["message"]
+
+
+def test_scan_disc_size_counts_without_walking():
+    for r2 in [*range(-2, 400), 10**5]:
+        assert cli._disc_size(r2) == sum(1 for _ in lattice_disc(r2))
+    assert cli._disc_size(10**12) == cli.SCAN_BUDGET + 1
+
+
+def test_scan_k_max_costs_nothing(capsys):
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "scan-bases", "--norm-max", "5", "--disc", "0", "--k-max", "100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert report["results"]["all_pass"] is True
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2, 3, 8])
+@pytest.mark.parametrize("slack", [0, 1, 2])
+def test_scan_length_check_matches_every_k(capsys, monkeypatch, k_max, slack):
+    # with m3 lowered by slack the bound can break; one check per word must agree with every k
+    def loose(b):
+        return LengthBound(b, max(length_bound(b).m3 - slack, 0))
+
+    monkeypatch.setattr(cli, "length_bound", loose)
+    code, report = run_cli(capsys, "scan-bases", "--norm-max", "13", "--disc", "50", "--k-max", str(k_max))
+    oks = []
+    for row in report["results"]["bases"]:
+        b = GaussInt.parse(row["base"])
+        D, lb = canonical_digit_set(b), loose(b)
+        every_k = all(
+            len(encode(z, D)) <= k
+            for z in lattice_disc(50)
+            for k in range(k_max + 1)
+            if lb.within_bound(z, k)
+        )
+        assert row["length_bound_ok"] is every_k
+        oks.append(every_k)
+    if slack == 0:
+        assert all(oks)
+    if slack == 2 and k_max:
+        assert not all(oks)  # the lowered bound breaks, so the comparison is not vacuous
 
 
 def test_pump(capsys):

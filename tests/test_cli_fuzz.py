@@ -1,0 +1,204 @@
+"""Fuzzed command lines and JSON files: every call ends in a report or a usage error.
+
+A call that parses prints one JSON report whose status matches the exit
+code (0 ok, 1 error, 2 not_found); one that does not parse is a usage
+error with exit 1 and nothing on stdout.  Any other exception fails the
+test.  The JSON loaders raise InvalidInput and nothing else.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaussbase import InvalidInput
+from gaussbase.automata import Dfa, dfa_to_json
+from gaussbase.cli import EXIT_ERROR, main
+from gaussbase.gaussint import GaussInt
+from gaussbase.numeration import DigitSet, canonical_digit_set, digit_set_from_json
+
+STATUS_OF_EXIT = {0: "ok", 1: "error", 2: "not_found"}
+
+# zero, units, norms below 5, bases, huge components and garbage
+literals = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0+1i", "0-1i", "1+1i", "-1-1i", "2", "0+2i"]),
+    st.sampled_from(["2+1i", "1+2i", "-2+1i", "2-1i", "3", "-3", "1+3i", "3+1i", "0+3i", "2+3i"]),
+    st.builds(lambda x, y: str(GaussInt(x, y)), st.integers(-12, 12), st.integers(-12, 12)),
+    st.builds(lambda x, y: str(GaussInt(x, y)), st.integers(-(10**9), 10**9), st.integers(-3, 3)),
+    st.text(alphabet="0123456789+-i., /e٣", max_size=8),
+)
+# small counts, and negative, non-integer and garbage ones
+counts = st.one_of(
+    st.integers(0, 4).map(str),
+    st.sampled_from(["0", "1", "2", "3"]),
+    st.sampled_from(["-1", "-3", "1.5", "-0", "x", "", "1e3", "1/2", " 2"]),
+)
+words = st.one_of(
+    st.lists(st.sampled_from(["1", "0", "-1", "0+1i", "0-1i"]), min_size=1, max_size=6).map(",".join),
+    st.lists(literals, max_size=4).map(",".join),
+    st.text(alphabet="01-+i,", max_size=10),
+)
+sets = st.one_of(st.just("integers"), literals.map("powers:{}".format), st.text(max_size=6))
+bounds = st.one_of(
+    st.builds("{}/{}".format, st.integers(-2, 10**6), st.integers(-2, 10**6)),
+    st.text(alphabet="0123456789/-x", max_size=6),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+DFA_FIELDS = ("base", "digits", "states", "initial", "accepting", "transitions")
+
+
+def _option(name, values):
+    """--name=VALUE or -kVALUE, so that a value starting with '-' is not read as a flag."""
+    flag = f"-{name}" if len(name) == 1 else f"--{name}="
+    return values.map(lambda v: [flag + v])
+
+
+def _positionals(*strategies):
+    return st.tuples(*strategies).map(lambda vs: ["--", *vs])
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(lambda ps: [*name.split(), *(arg for part in ps for arg in part)])
+
+
+def _maybe(strategy):
+    return st.one_of(st.just([]), strategy)
+
+
+@st.composite
+def dfa_objects(draw):
+    """A valid DFA's JSON with one field dropped, mistyped or out of range, or arbitrary JSON."""
+    base = draw(st.sampled_from([GaussInt(2, 1), GaussInt(3), GaussInt(1, 2), GaussInt(-2, 1)]))
+    D = canonical_digit_set(base)
+    if draw(st.booleans()):  # another residue system: nonzero digits shifted by multiples of b
+        D = DigitSet(base, tuple(d + base * draw(st.integers(-2, 2)) if d else d for d in D.digits))
+    n = draw(st.integers(1, 4))
+    rows = [[draw(st.integers(0, n - 1)) for _ in D.digits] for _ in range(n)]
+    accepting = draw(st.frozensets(st.integers(0, n - 1)))
+    obj = dfa_to_json(Dfa(D, draw(st.integers(0, n - 1)), rows, accepting))
+    field = draw(st.sampled_from(DFA_FIELDS))
+    how = draw(st.sampled_from(["keep", "drop", "mistype", "out_of_range", "arbitrary"]))
+    if how == "drop":
+        del obj[field]
+    elif how == "mistype":
+        obj[field] = draw(json_values)
+    elif how == "out_of_range":
+        bad = draw(st.sampled_from([-1, n, 10**30]))
+        if field in ("states", "initial"):
+            obj[field] = bad
+        elif field == "accepting":
+            obj[field] = [*obj[field], bad]
+        elif field == "transitions":
+            obj[field][draw(st.integers(0, n - 1))][0] = bad
+        elif field == "digits":
+            obj[field] = obj[field][:-1] + [str(GaussInt(bad))]
+        else:
+            obj[field] = str(GaussInt(bad, 1))
+    elif how == "arbitrary":
+        obj = draw(json_values)
+    return obj
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """One scratch path for a fuzzed DFA file and one holding a valid powers DFA."""
+    root = tmp_path_factory.mktemp("fuzz")
+    good = root / "powers.json"
+    main(["dfa", "make", "powers", "-b", "2+1i", "--dfa-out", str(good)])
+    return root / "fuzzed.json", good
+
+
+def _argvs(fuzzed: str, good: str):
+    dfa_file = st.sampled_from([fuzzed, good, fuzzed + ".missing"])
+    return st.one_of(
+        _command("digits", _option("base", literals)),
+        _command("encode", _option("base", literals), _positionals(literals)),
+        _command("decode", _option("base", literals), _positionals(words)),
+        _command(
+            "scan-bases",
+            _maybe(_option("norm-min", st.integers(-5, 12).map(str))),
+            _maybe(_option("norm-max", st.one_of(st.integers(-5, 16), st.integers(10**4, 10**30)).map(str))),
+            _option("disc", st.one_of(counts, st.integers(0, 16).map(str), st.just(str(10**12)))),
+            _maybe(_option("k-max", st.one_of(counts, st.just("100000000")))),
+        ),
+        _command("deptest", _positionals(literals, literals)),
+        _command(
+            "witness",
+            _maybe(_option("bound", bounds)),
+            _option("m-max", counts),
+            _positionals(literals, literals, literals),
+        ),
+        _command(
+            "prefix",
+            _maybe(_option("n-min", counts)),
+            _option("budget", counts),
+            _maybe(_option("depth", counts)),
+            _positionals(literals, literals, literals),
+        ),
+        _command("residuals", _option("k", counts), _option("e", counts), _positionals(literals, literals)),
+        _command(
+            "pump",
+            _option("base", literals),
+            _option("set", sets),
+            _option("word", words),
+            _maybe(_option("k", counts)),
+            _option("reps", counts),
+        ),
+        _command("dfa make", _option("base", literals), _positionals(st.sampled_from(["powers", "integers", "other"]))),
+        _command("dfa run", _option("word", words), _positionals(dfa_file)),
+        _command("dfa min", _positionals(dfa_file)),
+        _command("dfa equiv", _positionals(dfa_file, dfa_file)),
+        _command("dfa falsify", _option("set", sets), _option("max-len", counts), _positionals(dfa_file)),
+    )
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _check_call(argv: list[str]) -> None:
+    code, stdout = _run(argv)
+    assert code in STATUS_OF_EXIT, (argv, code)
+    if not stdout:  # argparse refused the command line
+        assert code == EXIT_ERROR, argv
+        return
+    report = json.loads(stdout)
+    assert set(report) >= {"command", "inputs", "results", "status"}, argv
+    assert report["status"] == STATUS_OF_EXIT[code], (argv, report)
+    assert ("message" in report) == (report["status"] == "error"), (argv, report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dfa_obj=dfa_objects())
+def test_every_command_line_ends_in_a_report(files, data, dfa_obj):
+    fuzzed, good = files
+    fuzzed.write_text(json.dumps(dfa_obj))
+    _check_call(data.draw(_argvs(str(fuzzed), str(good)), label="argv"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(dfa_objects(), st.fixed_dictionaries({}, optional={"base": json_values, "digits": json_values})))
+def test_digit_set_loader_raises_only_invalid_input(obj):
+    try:
+        D = digit_set_from_json(obj)
+    except InvalidInput:
+        return
+    assert len(D.digits) == D.base.norm()
+
+
+def test_a_5000_digit_literal_is_a_usage_error():
+    code, stdout = _run(["digits", "-b", "1" * 5000])
+    assert (code, stdout) == (EXIT_ERROR, "")

@@ -11,17 +11,14 @@ from hypothesis import strategies as st
 
 from gaussbase.cli import EXIT_OK, main
 from gaussbase.dependence import (
-    NotIndependent,
     PrefixWitness,
-    UnitOrZeroInput,
     _log_polar,
     group_witness,
     mult_dependent,
     prefix_extension,
 )
-from gaussbase.gaussint import ONE, UNITS, ZERO, GaussInt
+from gaussbase.gaussint import ONE, UNITS, ZERO, GaussInt, InvalidInput
 from gaussbase.numeration import (
-    BaseTooSmall,
     canonical_digit_set,
     encode,
     length_bound,
@@ -52,9 +49,9 @@ def test_dependent_examples():
 
 
 def test_unit_inputs_rejected():
-    with pytest.raises(UnitOrZeroInput):
+    with pytest.raises(InvalidInput, match="dependence needs norms > 1"):
         mult_dependent(ONE, B)
-    with pytest.raises(UnitOrZeroInput):
+    with pytest.raises(InvalidInput, match="dependence needs norms > 1"):
         mult_dependent(B, g(0, 1))
 
 
@@ -192,11 +189,11 @@ def test_group_witness_not_found_is_none():
 
 
 def test_group_witness_input_validation():
-    with pytest.raises(UnitOrZeroInput):
+    with pytest.raises(InvalidInput, match="witness search needs norms > 1 and a nonzero target"):
         group_witness(ONE, B, ONE, 1, 4, 8)
-    with pytest.raises(UnitOrZeroInput):
+    with pytest.raises(InvalidInput, match="witness search needs norms > 1 and a nonzero target"):
         group_witness(A, B, ZERO, 1, 4, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="error bound must be a nonnegative rational"):
         group_witness(A, B, ONE, 1, 0, 8)
 
 
@@ -244,11 +241,11 @@ def test_prefix_witness_respects_n_min():
 
 
 def test_prefix_extension_validation():
-    with pytest.raises(NotIndependent):
+    with pytest.raises(InvalidInput, match=r"3\+4i and 2\+1i are multiplicatively dependent"):
         prefix_extension(g(3, 4), B, ONE, 0, 16)
-    with pytest.raises(UnitOrZeroInput):
+    with pytest.raises(InvalidInput, match="prefix extension needs a nonzero target"):
         prefix_extension(A, B, ZERO, 0, 16)
-    with pytest.raises(BaseTooSmall):
+    with pytest.raises(InvalidInput, match="prefix extension needs norms >= 5"):
         prefix_extension(g(1, 1), B, ONE, 0, 16)
 
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from gaussbase.gaussint import (
     ONE,
     ZERO,
-    BaseIsUnitOrZero,
     DivisionByZero,
     GaussInt,
+    InvalidInput,
     NotDivisible,
     exact_div,
     is_power_of,
@@ -40,7 +40,7 @@ def test_parse(text, value):
 
 @pytest.mark.parametrize("text", ["", "i", "2+i", "2 + 1i", "1.5", "2+1j", "2i"])
 def test_parse_rejects(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="not a Gaussian integer literal"):
         GaussInt.parse(text)
 
 
@@ -114,9 +114,9 @@ def test_is_power_of_examples():
     assert is_power_of(g(3, 4), g(2, 1)) == 2
     assert is_power_of(g(2, 2), g(2, 1)) is None
     assert is_power_of(ZERO, g(2, 1)) is None
-    with pytest.raises(BaseIsUnitOrZero):
+    with pytest.raises(InvalidInput, match="cannot generate powers"):
         is_power_of(g(5), g(0, 1))
-    with pytest.raises(BaseIsUnitOrZero):
+    with pytest.raises(InvalidInput, match="cannot generate powers"):
         is_power_of(g(5), ZERO)
 
 
