@@ -127,36 +127,34 @@ def cmd_decode(args) -> tuple[dict, dict, str]:
     return _echo(args, "base", "word"), {"value": str(value), "norm": value.norm()}, "ok"
 
 
-def _disc_size(r2: int) -> int:
-    """The lattice points of norm <= r2, or SCAN_BUDGET + 1 when there are more.
-
-    The inscribed square bounds the count from below; under the budget the
-    disc is counted a column at a time, without walking its points.
-    """
-    if r2 < 0:
-        return 0
-    if (2 * isqrt(r2 // 2) + 1) ** 2 > SCAN_BUDGET:
-        return SCAN_BUDGET + 1
-    r = isqrt(r2)
-    return sum(2 * isqrt(r2 - x * x) + 1 for x in range(-r, r + 1))
-
-
 def cmd_scan_bases(args) -> tuple[dict, dict, str]:
     inputs = _echo(args, "norm_min", "norm_max", "disc", "k_max")
-    # every point of the disc norm <= norm_max is a candidate base; a base
-    # encodes the probe disc and builds its digit set from about 4*norm candidates
-    work = _disc_size(args.norm_max) * (_disc_size(args.disc) + 4 * max(args.norm_max, 0))
-    if work > SCAN_BUDGET:
-        raise BudgetExceeded(
-            f"scanning the bases of norm <= {args.norm_max} over the probe disc norm <= {args.disc}"
-            f" takes more than the scan budget of {SCAN_BUDGET} steps"
-        )
+    lo = max(5, args.norm_min)
+    refused = BudgetExceeded(
+        f"scanning the bases of norm <= {args.norm_max} over the probe disc norm <= {args.disc}"
+        f" takes more than the scan budget of {SCAN_BUDGET} steps"
+    )
+
+    def square(r2: int) -> int:
+        # the disc's inscribed square bounds its point count from below without walking it
+        return (2 * isqrt(r2 // 2) + 1) ** 2 if r2 >= 0 else 0
+
+    if square(args.norm_max) > SCAN_BUDGET:
+        raise refused
+    bases = sum(1 for b in lattice_disc(args.norm_max) if b.norm() >= lo)
+    if not bases:
+        raise InvalidInput(f"no base of norm >= 5 in the norm range [{args.norm_min}, {args.norm_max}]")
+    # a base encodes the probe disc and builds its digit set from about 4*norm candidates
+    if bases * (square(args.disc) + 4 * args.norm_max) > SCAN_BUDGET:
+        raise refused
     probes = list(lattice_disc(args.disc))
+    if bases * (len(probes) + 4 * args.norm_max) > SCAN_BUDGET:
+        raise refused
     rows = []
     all_pass = True
     for b in lattice_disc(args.norm_max):
         n = b.norm()
-        if n < max(5, args.norm_min):
+        if n < lo:
             continue
         D = canonical_digit_set(b)
         digit_count_ok = len(D.digits) == n
@@ -179,10 +177,6 @@ def cmd_scan_bases(args) -> tuple[dict, dict, str]:
                 "length_bound_ok": length_ok,
                 "pass": ok,
             }
-        )
-    if not rows:
-        raise InvalidInput(
-            f"no base of norm >= 5 in the norm range [{args.norm_min}, {args.norm_max}]"
         )
     return inputs, {"bases": rows, "all_pass": all_pass}, "ok"
 

@@ -23,7 +23,7 @@ from .gaussint import ZERO, BudgetExceeded, GaussInt, InvalidInput, exact_div
 Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
 
-DIGIT_BUDGET = 10**5  # digits of one canonical digit set, all held in memory
+DIGIT_BUDGET = 10**5  # digits of the largest canonical digit set held in memory
 
 
 class NonTermination(RuntimeError):
@@ -95,39 +95,73 @@ def lattice_disc(r2: int) -> Iterator[GaussInt]:
                 yield GaussInt(x, y)
 
 
-def _nearest(t: int, n: int) -> int:
-    """The integer nearest to t/n for n > 0, halves rounding up.
+def _in_box(x: int, y: int, b: GaussInt, n: int) -> bool:
+    """Whether d = x + y*i is a canonical digit of b, n = norm(b).
 
-    It is 0 exactly when -n <= 2t < n, the half-open box of canonical digits.
+    d/b rounds to 0 exactly when -n <= 2*t < n for both parts of t = d*conj(b).
     """
-    return (2 * t + n) // (2 * n)
+    return -n <= 2 * (x * b.re + y * b.im) < n and -n <= 2 * (y * b.re - x * b.im) < n
+
+
+class _Box:
+    """Both lookup tables of the canonical digits of b, one entry computed per lookup.
+
+    `d in box` is the member test.  box[residue] is the residue-table
+    entry: the residue (t.re % N, t.im % N) of t = w*conj(b) lifts to the
+    t_d in [-N/2, N/2)^2 congruent to t, and the digit is d = t_d*b/N, an
+    exact division because t_d = d*conj(b).
+    """
+
+    def __init__(self, b: GaussInt) -> None:
+        self.b = b
+
+    def __contains__(self, d: object) -> bool:
+        return isinstance(d, GaussInt) and _in_box(d.re, d.im, self.b, self.b.norm())
+
+    def __getitem__(self, residue: tuple[int, int]) -> tuple[GaussInt, int, int]:
+        bre, bim, n = self.b.re, self.b.im, self.b.norm()
+        t_re, t_im = (r if 2 * r < n else r - n for r in residue)
+        return GaussInt((t_re * bre - t_im * bim) // n, (t_re * bim + t_im * bre) // n), t_re, t_im
+
+
+class LargeCanonicalDigitSet(DigitSet):
+    """The canonical digit set of a base of norm above DIGIT_BUDGET, never listed.
+
+    Its member test and residue table are box arithmetic on one value, so
+    encode, decode, digit_of and m3 work as for any digit set; asking for
+    the digits themselves raises BudgetExceeded.
+    """
+
+    def __init__(self, base: GaussInt) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "index", _Box(base))
+        object.__setattr__(self, "_by_residue", self.index)
+
+    def __repr__(self) -> str:
+        return f"LargeCanonicalDigitSet({self.base!r})"
+
+    @property
+    def digits(self) -> tuple[GaussInt, ...]:
+        b = self.base
+        raise BudgetExceeded(
+            f"base {b} of norm {b.norm()} has more digits than the digit budget of {DIGIT_BUDGET}"
+        )
 
 
 @lru_cache(maxsize=None)
 def canonical_digit_set(b: GaussInt) -> DigitSet:
-    """The digits d with Re(d/b) and Im(d/b) in [-1/2, 1/2).
+    """The digits d with Re(d/b) and Im(d/b) in [-1/2, 1/2), all within |re|, |im| <= isqrt(norm(b)).
 
-    Membership is decided by -N <= 2*Re(d*conj(b)) < N (and the same for
-    the imaginary part) with N = norm(b); candidates are enumerated over
-    the lattice disc norm(d) <= norm(b); a base of norm above DIGIT_BUDGET
-    raises BudgetExceeded.
+    A base of norm above DIGIT_BUDGET gets a LargeCanonicalDigitSet, which does not list them.
     """
     n = b.norm()
     if n < 5:
         raise InvalidInput(f"norm({b}) = {n} < 5")
     if n > DIGIT_BUDGET:
-        raise BudgetExceeded(
-            f"base {b} of norm {n} has more digits than the digit budget of {DIGIT_BUDGET}"
-        )
-    bre, bim = b.re, -b.im  # components of conj(b)
-    digits = []
+        return LargeCanonicalDigitSet(b)
     r = isqrt(n)
-    for x in range(-r, r + 1):
-        for y in range(-r, r + 1):
-            # d/b rounds to 0 exactly when d is in the box
-            if _nearest(x * bre - y * bim, n) == 0 and _nearest(x * bim + y * bre, n) == 0:
-                digits.append(GaussInt(x, y))
-    return DigitSet(b, tuple(digits))
+    square = product(range(-r, r + 1), repeat=2)
+    return DigitSet(b, tuple(GaussInt(x, y) for x, y in square if _in_box(x, y, b, n)))
 
 
 def _require_integral(z: GaussInt) -> None:
@@ -141,7 +175,7 @@ def _require_integral(z: GaussInt) -> None:
 def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
     """The unique d in D with b | (z - d)."""
     _require_integral(z)
-    n = len(D.digits)
+    n = D.base.norm()
     t = z * D.base.conj()
     return D._by_residue[t.re % n, t.im % n][0]
 
@@ -180,7 +214,7 @@ def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Optional[Word]:
     """
     # on plain ints: with t = w*conj(b), the next value (w - d)/b is
     # (t - d*conj(b))/N, an exact division
-    n = len(D.digits)
+    n = D.base.norm()
     bre, bim = D.base.re, -D.base.im  # components of conj(b)
     table = D._by_residue
     out: list[GaussInt] = []
@@ -212,7 +246,7 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
     exceeding the cap raises NonTermination.
     """
     _require_integral(z)
-    cap = 4 * D.m3 + 2 * _ceil_log(z.norm() + 1, len(D.digits)) + 16
+    cap = 4 * D.m3 + 2 * _ceil_log(z.norm() + 1, D.base.norm()) + 16
     return _encode_capped(z, D, cap)
 
 

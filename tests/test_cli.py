@@ -178,10 +178,20 @@ def test_work_past_the_budget_is_refused_at_once(capsys, argv):
     assert "budget" in report["message"]
 
 
-def test_scan_disc_size_counts_without_walking():
-    for r2 in [*range(-2, 400), 10**5]:
-        assert cli._disc_size(r2) == sum(1 for _ in lattice_disc(r2))
-    assert cli._disc_size(10**12) == cli.SCAN_BUDGET + 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "-b", "100000", "--", "123456789012345678901234567890"],
+        ["decode", "--base=-727-1i", "--", "5,-3+2i,0"],
+        ["prefix", "1+2i", "100000", "1", "--budget", "64"],
+    ],
+    ids=["encode", "decode", "prefix"],
+)
+def test_bases_past_the_digit_budget_are_answered_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, report = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert report["status"] in ("ok", "not_found")
 
 
 def test_scan_k_max_costs_nothing(capsys):
@@ -251,11 +261,18 @@ def test_scan_bases(capsys):
 
 @pytest.mark.parametrize(
     "bounds",
-    [["--norm-max", "3"], ["--norm-min", "40", "--norm-max", "30"], ["--norm-max", "-5"]],
-    ids=["max_below_5", "min_above_max", "negative_max"],
+    [
+        ["--norm-max", "3"],
+        ["--norm-min", "40", "--norm-max", "30"],
+        ["--norm-max", "-5"],
+        ["--norm-max", "-1", "--disc", "1000000000000"],
+    ],
+    ids=["max_below_5", "min_above_max", "negative_max", "negative_max_huge_disc"],
 )
 def test_scan_bases_empty_range_is_an_error(capsys, bounds):
+    start = time.perf_counter()
     code, report = run_cli(capsys, "scan-bases", *bounds)
+    assert time.perf_counter() - start < 1.0
     assert code == EXIT_ERROR
     assert report["status"] == "error"
     assert "norm range" in report["message"]

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussbase import automata
-from gaussbase.gaussint import ONE, ZERO, GaussInt, InvalidInput, divides
+from gaussbase.gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, divides
 from gaussbase.numeration import (
+    DIGIT_BUDGET,
     DigitSet,
+    LargeCanonicalDigitSet,
     NonTermination,
     _ceil_log,
     canonical_digit_set,
@@ -374,6 +376,33 @@ def test_canonical_digits_are_the_box_for_every_base_up_to_norm_100():
 def test_length_bound_m3_is_max_length_in_disc_9_for_every_base_up_to_norm_100():
     for b in BASES_5_TO_100:
         assert length_bound(b).m3 == max_length_in_disc(9, canonical_digit_set(b))
+
+
+def test_unlisted_canonical_digits_match_the_listed_ones_for_every_base_up_to_norm_100():
+    for b in BASES_5_TO_100:
+        listed, unlisted = canonical_digit_set(b), LargeCanonicalDigitSet(b)
+        assert unlisted.m3 == listed.m3
+        for z in lattice_disc(b.norm()):
+            assert (z in unlisted.index) == (z in listed.index)
+            assert digit_of(z, unlisted) == digit_of(z, listed)
+            assert encode(z, unlisted) == encode(z, listed)
+        with pytest.raises(BudgetExceeded, match="digit budget"):
+            unlisted.digits
+
+
+def test_a_base_past_the_digit_budget_still_encodes_and_decodes():
+    b = g(1000, 1)
+    assert b.norm() > DIGIT_BUDGET
+    D = canonical_digit_set(b)
+    for z in (g(10**40 + 7, -(3**80)), g(-500, 499), g(1000, 1)):
+        w = encode(z, D)
+        assert decode(w, D) == z
+        assert all(abs(2 * (d * b.conj()).re) <= b.norm() for d in w)
+    assert encode(b, D) == (ONE, ZERO)
+    with pytest.raises(InvalidInput, match=r"501 is not a digit of base 1000\+1i"):
+        decode((g(501), g(0)), D)
+    with pytest.raises(BudgetExceeded, match="digit budget"):
+        D.digits
 
 
 def test_digit_map_never_hashes_the_digit_set(monkeypatch):
