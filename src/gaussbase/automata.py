@@ -168,50 +168,46 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
 def minimize(d: Dfa) -> Dfa:
     """The minimal DFA, with states renumbered canonically by BFS.
 
-    Unreachable states are dropped, equivalent states merged by iterated
-    partition refinement, and the quotient renumbered breadth-first from
-    the initial state in digit order, so equal languages over equal
-    alphabets yield structurally equal automata.
+    Unreachable states are dropped and equivalent states merged by
+    iterated partition refinement, so equal languages over equal
+    alphabets yield structurally equal automata.  _bfs numbers states in
+    shortlex order of their least access words, and a block's least
+    access word is its first state's; so numbering blocks by their first
+    state, as each round does, is the quotient's own BFS numbering.
     """
-    # reachable part, BFS order
     order, rows = _bfs(d.initial, d.transitions.__getitem__)
     acc = {i for i, s in enumerate(order) if s in d.accepting}
-    n = len(order)
 
-    # Moore refinement to the coarsest fixpoint
-    block = [1 if s in acc else 0 for s in range(n)]
+    # Moore refinement: a round only splits blocks, so an unchanged count is the fixpoint
+    block = [s in acc for s in range(len(order))]
+    count = len(set(block))
     while True:
         keys: dict[tuple, int] = {}
+        firsts: list[int] = []  # the first state of each new block
         new = []
-        for s in range(n):
-            key = (block[s], tuple(block[t] for t in rows[s]))
+        for s, row in enumerate(rows):
+            key = (block[s], tuple([block[t] for t in row]))
             if key not in keys:
-                keys[key] = len(keys)
+                keys[key] = len(firsts)
+                firsts.append(s)
             new.append(keys[key])
-        if new == block:
-            break
         block = new
+        if len(firsts) == count:
+            break
+        count = len(firsts)
+    out_rows = tuple(tuple([block[t] for t in rows[s]]) for s in firsts)
+    return Dfa(d.alphabet, 0, out_rows, frozenset(i for i, s in enumerate(firsts) if s in acc))
 
-    # quotient, renumbered by BFS from the initial block
-    rep: dict[int, int] = {}
-    for s in range(n):
-        rep.setdefault(block[s], s)
-    blocks, out_rows = _bfs(block[0], lambda blk: [block[t] for t in rows[rep[blk]]])
-    out_acc = frozenset(i for i, blk in enumerate(blocks) if rep[blk] in acc)
-    return Dfa(d.alphabet, 0, tuple(out_rows), out_acc)
+
+def _three_state(D: DigitSet, first: set, rest: set, accepting: frozenset[int]) -> Dfa:
+    """Start state 0, live 1, dead 2: digits in first lead 0 to 1, rest keep 1, all else go to 2."""
+    rows = tuple(tuple(1 if d in to_live else 2 for d in D.digits) for to_live in (first, rest, ()))
+    return Dfa(D, 0, rows, accepting)
 
 
 def powers_dfa(b: GaussInt) -> Dfa:
     """Accepts exactly the words `1` followed by zeros, i.e. the powers of b."""
-    D = canonical_digit_set(b)
-    index = D.index
-    width = len(D.digits)
-    row_start = [2] * width
-    row_start[index[GaussInt(1, 0)]] = 1
-    row_live = [2] * width
-    row_live[index[ZERO]] = 1
-    dead = (2,) * width
-    return Dfa(D, 0, (tuple(row_start), tuple(row_live), dead), frozenset({1}))
+    return _three_state(canonical_digit_set(b), {ONE}, {ZERO}, frozenset({1}))
 
 
 def integers_dfa(b: GaussInt | int) -> Dfa:
@@ -225,15 +221,8 @@ def integers_dfa(b: GaussInt | int) -> Dfa:
     if b.im != 0 or b.re < 3 or b.re % 2 == 0:
         raise InvalidInput(f"{b} is not a real odd integer >= 3")
     D = canonical_digit_set(b)
-    width = len(D.digits)
-    row_start, row_live = [2] * width, [2] * width
-    for i, d in enumerate(D.digits):
-        if d.im == 0:
-            if d != ZERO:
-                row_start[i] = 1
-            row_live[i] = 1
-    dead = (2,) * width
-    return Dfa(D, 0, (tuple(row_start), tuple(row_live), dead), frozenset({0, 1}))
+    real = {d for d in D.digits if d.im == 0}
+    return _three_state(D, real - {ZERO}, real, frozenset({0, 1}))
 
 
 @dataclass(frozen=True)

@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_count, default=8)
     p.set_defaults(handler=cmd_pump)
 
-    p = sub.add_parser("dfa", parents=[common], help="DFA engine over JSON automata")
+    p = sub.add_parser("dfa", help="DFA engine over JSON automata")  # flags follow the subcommand
     dfa_sub = p.add_subparsers(dest="dfa_command", required=True)
     q = dfa_sub.add_parser("make", parents=[common])
     q.add_argument("kind", choices=("powers", "integers"))
@@ -450,9 +450,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         inputs, results, status = args.handler(args)
         message = None
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         inputs, results, status = {}, {}, "error"
-        message = str(exc)
+        message = str(exc) or type(exc).__name__
     report = {"command": command, "inputs": inputs, "results": results, "status": status}
     if message is not None:
         report["message"] = message

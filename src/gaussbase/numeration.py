@@ -24,6 +24,7 @@ Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
 
 DIGIT_BUDGET = 10**5  # digits of the largest canonical digit set held in memory
+MEMO_SIZE = 64  # digit sets (and termination verdicts) kept by the per-base memos
 
 
 class NonTermination(RuntimeError):
@@ -148,7 +149,7 @@ class LargeCanonicalDigitSet(DigitSet):
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def canonical_digit_set(b: GaussInt) -> DigitSet:
     """The digits d with Re(d/b) and Im(d/b) in [-1/2, 1/2), all within |re|, |im| <= isqrt(norm(b)).
 
@@ -295,9 +296,15 @@ def length_bound(b: GaussInt) -> LengthBound:
 
 
 def power_digit_set(D: DigitSet, j: int) -> DigitSet:
-    """The digit set {d0 + b*d1 + ... + b^(j-1)*d_(j-1)} for base b^j: the length-j word values."""
+    """The digit set {d0 + b*d1 + ... + b^(j-1)*d_(j-1)} for base b^j: the length-j word values.
+
+    Raises BudgetExceeded when its norm(b)^j digits are more than DIGIT_BUDGET;
+    as norm(b) >= 5, every j past the budget's bit length is.
+    """
     if j < 1:
         raise InvalidInput("power exponent must be >= 1")
+    if j > DIGIT_BUDGET.bit_length() or D.base.norm() ** j > DIGIT_BUDGET:
+        raise BudgetExceeded(f"base ({D.base})^{j} has more digits than the digit budget")
     return DigitSet(D.base**j, tuple(decode(w, D) for w in product(D.digits, repeat=j)))
 
 
@@ -318,7 +325,7 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     return tuple(out[head:])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def terminates_on_disc(D: DigitSet) -> bool:
     """Probe digit-set validity: does encode terminate for all norm(z) <= 400?"""
     try:

@@ -1,5 +1,6 @@
 """DFA engine, oracle languages, and the finite-evidence harnesses."""
 
+import random
 from functools import cache
 from itertools import product as words_of
 
@@ -11,6 +12,7 @@ from gaussbase import automata
 from gaussbase.automata import (
     BudgetExceeded,
     Dfa,
+    _bfs,
     complement,
     dfa_from_json,
     dfa_oracle_disagreement,
@@ -119,6 +121,78 @@ def test_minimize_preserves_language_and_is_idempotent(d):
     assert equivalent(d, m)
     assert minimize(m) == m
     assert m.state_count <= d.state_count
+
+
+def reference_minimize(d: Dfa) -> Dfa:
+    """The earlier minimize: Moore refinement, then a second BFS over the quotient."""
+    # reachable part, BFS order
+    order, rows = _bfs(d.initial, d.transitions.__getitem__)
+    acc = {i for i, s in enumerate(order) if s in d.accepting}
+    n = len(order)
+
+    # Moore refinement to the coarsest fixpoint
+    block = [1 if s in acc else 0 for s in range(n)]
+    while True:
+        keys: dict[tuple, int] = {}
+        new = []
+        for s in range(n):
+            key = (block[s], tuple(block[t] for t in rows[s]))
+            if key not in keys:
+                keys[key] = len(keys)
+            new.append(keys[key])
+        if new == block:
+            break
+        block = new
+
+    # quotient, renumbered by BFS from the initial block
+    rep: dict[int, int] = {}
+    for s in range(n):
+        rep.setdefault(block[s], s)
+    blocks, out_rows = _bfs(block[0], lambda blk: [block[t] for t in rows[rep[blk]]])
+    out_acc = frozenset(i for i, blk in enumerate(blocks) if rep[blk] in acc)
+    return Dfa(d.alphabet, 0, tuple(out_rows), out_acc)
+
+
+def _random_dfa(draw_int, alphabet, n, accepting):
+    width = len(alphabet.digits)
+    rows = tuple(tuple(draw_int(0, n - 1) for _ in range(width)) for _ in range(n))
+    return Dfa(alphabet, draw_int(0, n - 1), rows, accepting)
+
+
+@st.composite
+def any_dfas(draw, max_states=9):
+    """DFAs with any initial state, so often with unreachable states; all, none or some accept."""
+    alphabet = draw(st.sampled_from([D5, canonical_digit_set(g(2, 2)), canonical_digit_set(g(3))]))
+    n = draw(st.integers(1, max_states))
+    accepting = draw(
+        st.sampled_from([frozenset(), frozenset(range(n))]) | st.frozensets(st.integers(0, n - 1))
+    )
+    return _random_dfa(lambda lo, hi: draw(st.integers(lo, hi)), alphabet, n, accepting)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_dfas())
+def test_minimize_equals_the_reference(d):
+    assert minimize(d) == reference_minimize(d)
+
+
+def test_minimize_equals_the_reference_on_random_dfas():
+    rng = random.Random(8)
+    alphabets = [canonical_digit_set(b) for b in lattice_disc(10) if 5 <= b.norm() <= 10]
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        share = rng.choice([0, 0.3, 0.5, 1])
+        accepting = frozenset(s for s in range(n) if rng.random() < share)
+        d = _random_dfa(rng.randint, rng.choice(alphabets), n, accepting)
+        assert minimize(d) == reference_minimize(d)
+
+
+def test_minimize_calls_bfs_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(automata, "_bfs", lambda *a: calls.append(a) or _bfs(*a))
+    unreachable = Dfa(D5, 1, ((0,) * 5, (2,) * 5, (1,) * 5), frozenset({1}))
+    assert minimize(unreachable).transitions == ((1,) * 5, (0,) * 5)
+    assert len(calls) == 1
 
 
 def test_alphabet_mismatch():

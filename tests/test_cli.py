@@ -288,6 +288,63 @@ def test_dfa_make_matches_library(tmp_path, capsys):
     assert json.loads(path.read_text()) == dfa_to_json(powers_dfa(g(2, 1)))
 
 
+POWERS_2_1I = {
+    "accepting": [1],
+    "base": "2+1i",
+    "digits": ["-1", "0-1i", "0", "0+1i", "1"],
+    "initial": 0,
+    "states": 3,
+    "transitions": [[2, 2, 2, 2, 1], [2, 2, 1, 2, 2], [2, 2, 2, 2, 2]],
+}
+DIGITS_3 = ["-1-1i", "-1", "-1+1i", "0-1i", "0", "0+1i", "1-1i", "1", "1+1i"]
+
+
+@pytest.mark.parametrize(
+    "kind, base, dfa",
+    [
+        ("powers", "2+1i", POWERS_2_1I),
+        ("powers", "1+2i", {**POWERS_2_1I, "base": "1+2i"}),
+        (
+            "powers",
+            "3",
+            {
+                "accepting": [1],
+                "base": "3",
+                "digits": DIGITS_3,
+                "initial": 0,
+                "states": 3,
+                "transitions": [[2] * 7 + [1, 2], [2] * 4 + [1] + [2] * 4, [2] * 9],
+            },
+        ),
+        (
+            "integers",
+            "3",
+            {
+                "accepting": [0, 1],
+                "base": "3",
+                "digits": DIGITS_3,
+                "initial": 0,
+                "states": 3,
+                "transitions": [
+                    [2, 1, 2, 2, 2, 2, 2, 1, 2],
+                    [2, 1, 2, 2, 1, 2, 2, 1, 2],
+                    [2, 2, 2, 2, 2, 2, 2, 2, 2],
+                ],
+            },
+        ),
+    ],
+)
+def test_dfa_make_reports_are_pinned(capsys, kind, base, dfa):
+    code, report = run_cli(capsys, "dfa", "make", kind, "-b", base)
+    assert code == EXIT_OK
+    assert report == {
+        "command": "dfa make",
+        "inputs": {"base": base, "kind": kind},
+        "results": {"dfa": dfa},
+        "status": "ok",
+    }
+
+
 def test_dfa_commands(tmp_path, capsys):
     d = powers_dfa(g(2, 1))
     path = tmp_path / "powers.json"
@@ -365,6 +422,30 @@ def test_pretty_rendering_is_not_json(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.startswith("command:")
+
+
+def test_dfa_flags_follow_the_subcommand(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for argv in (["--pretty"], ["-o", str(out)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["dfa", *argv, "make", "powers", "-b", "2+1i"])
+        assert exc.value.code == EXIT_ERROR
+        assert capsys.readouterr().out == ""
+    assert not out.exists()
+    assert main(["dfa", "make", "powers", "-b", "2+1i", "--pretty", "-o", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("command:")
+    assert json.loads(out.read_text())["results"]["dfa"] == POWERS_2_1I
+
+
+def test_memory_error_ends_in_an_error_report(capsys, monkeypatch):
+    def exhausted(base):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "canonical_digit_set", exhausted)
+    code, report = run_cli(capsys, "digits", "-b", "2+1i")
+    assert code == EXIT_ERROR
+    assert report["status"] == "error"
+    assert report["message"] == "MemoryError"
 
 
 def test_scan_bases_rows_carry_m3_and_real_power_exponent(capsys):

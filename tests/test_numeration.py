@@ -1,6 +1,7 @@
 """Digit sets, words, length bounds, linking, and base-power recoding."""
 
 import itertools
+import time
 from math import isqrt
 
 import pytest
@@ -13,6 +14,7 @@ from gaussbase.numeration import (
     DIGIT_BUDGET,
     DigitSet,
     LargeCanonicalDigitSet,
+    MEMO_SIZE,
     NonTermination,
     _ceil_log,
     canonical_digit_set,
@@ -194,6 +196,13 @@ def test_encode_non_terminating_set_raises():
     assert encode_within(g(-1), trap, 50) is None  # the loop cycles, so no word at all
 
 
+def test_per_base_memos_are_bounded():
+    for b in [b for b in lattice_disc(100) if b.norm() >= 5][:200]:
+        terminates_on_disc(canonical_digit_set(b))
+    for memo in (canonical_digit_set, terminates_on_disc):
+        assert memo.cache_info().currsize <= MEMO_SIZE
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-300, 300), st.integers(-300, 300))
 def test_encode_within_cuts_at_the_word_length(D, x, y):
@@ -257,6 +266,14 @@ def test_length_bound_predicate(D):
 def test_power_digit_set_sizes(D):
     assert power_digit_set(D, 1) == D
     assert len(power_digit_set(D, 2).digits) == 25
+
+
+@pytest.mark.parametrize("j", [8, 10**12])
+def test_power_digit_set_past_the_digit_budget_is_refused_at_once(D, j):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="digit budget"):
+        power_digit_set(D, j)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_recode_examples(D):
