@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from math import isqrt
 from typing import Optional
@@ -457,18 +458,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     if message is not None:
         report["message"] = message
     text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "pretty", False):
-        print("\n".join(_render_pretty(report)))
-    else:
-        print(text)
+    code = {"ok": EXIT_OK, "not_found": EXIT_NOT_FOUND}.get(status, EXIT_ERROR)
+    try:
+        print("\n".join(_render_pretty(report)) if getattr(args, "pretty", False) else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; send the unflushed rest to devnull so that
+        # the interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ERROR
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    if status == "ok":
-        return EXIT_OK
-    if status == "not_found":
-        return EXIT_NOT_FOUND
-    return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

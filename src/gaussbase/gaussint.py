@@ -1,8 +1,9 @@
 """Exact arithmetic on Gaussian integers.
 
 Everything here stays inside Z[i]: components are arbitrary-precision
-Python ints, absolute values are never materialized (use norm(z) = |z|^2),
-and division is either exact or an error.  Beyond ring arithmetic it
+Python ints, checked when a value is built; absolute values are never
+materialized (use norm(z) = |z|^2), and division is either exact or an
+error.  Beyond ring arithmetic it
 offers divisibility, exact division and power membership, and it defines
 the errors every layer raises for bad input and refused work.
 """
@@ -10,7 +11,7 @@ the errors every layer raises for bad input and refused work.
 from __future__ import annotations
 
 import re as _regex
-from typing import Optional, Union
+from typing import Optional
 
 
 class NotDivisible(ArithmeticError):
@@ -35,8 +36,10 @@ _LITERAL = _regex.compile(r"^([+-]?\d+)(?:([+-]\d+)i)?$")
 class GaussInt:
     """A Gaussian integer re + im*i.
 
-    Values are immutable by convention and hashable; all operations are
-    exact.  Plain ints are accepted on either side of arithmetic operators.
+    Both components are ints, checked at construction, so every operation
+    stays exact.  Values are immutable by convention and hashable.  The
+    operators take only GaussInt operands, and a GaussInt equals only a
+    GaussInt: GaussInt(3) != 3.
     """
 
     __slots__ = ("re", "im")
@@ -45,6 +48,11 @@ class GaussInt:
     im: int
 
     def __init__(self, re: int = 0, im: int = 0) -> None:
+        if not (isinstance(re, int) and isinstance(im, int)):
+            name, part = ("imaginary", im) if isinstance(re, int) else ("real", re)
+            raise InvalidInput(
+                f"{name} component {part!r} of GaussInt({re!r}, {im!r}) is not an integer"
+            )
         self.re = re
         self.im = im
 
@@ -64,30 +72,27 @@ class GaussInt:
     def conj(self) -> "GaussInt":
         return GaussInt(self.re, -self.im)
 
-    def __add__(self, other: Union["GaussInt", int]) -> "GaussInt":
-        if isinstance(other, int):
-            return GaussInt(self.re + other, self.im)
-        return GaussInt(self.re + other.re, self.im + other.im)
+    # A non-GaussInt operand has no .re: returning NotImplemented makes Python raise TypeError.
+    def __add__(self, other: "GaussInt") -> "GaussInt":
+        try:
+            return GaussInt(self.re + other.re, self.im + other.im)
+        except AttributeError:
+            return NotImplemented
 
-    __radd__ = __add__
+    def __sub__(self, other: "GaussInt") -> "GaussInt":
+        try:
+            return GaussInt(self.re - other.re, self.im - other.im)
+        except AttributeError:
+            return NotImplemented
 
-    def __sub__(self, other: Union["GaussInt", int]) -> "GaussInt":
-        if isinstance(other, int):
-            return GaussInt(self.re - other, self.im)
-        return GaussInt(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other: int) -> "GaussInt":
-        return GaussInt(other - self.re, -self.im)
-
-    def __mul__(self, other: Union["GaussInt", int]) -> "GaussInt":
-        if isinstance(other, int):
-            return GaussInt(self.re * other, self.im * other)
-        return GaussInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "GaussInt") -> "GaussInt":
+        try:
+            return GaussInt(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        except AttributeError:
+            return NotImplemented
 
     def __neg__(self) -> "GaussInt":
         return GaussInt(-self.re, -self.im)
@@ -111,14 +116,9 @@ class GaussInt:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GaussInt):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, int):
-            return self.re == other and self.im == 0
         return NotImplemented
 
     def __hash__(self) -> int:
-        # real values must hash like the equal int (eq admits int operands)
-        if self.im == 0:
-            return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self) -> str:

@@ -165,17 +165,8 @@ def canonical_digit_set(b: GaussInt) -> DigitSet:
     return DigitSet(b, tuple(GaussInt(x, y) for x, y in square if _in_box(x, y, b, n)))
 
 
-def _require_integral(z: GaussInt) -> None:
-    """Refuse a value whose components are not ints (GaussInt does not check)."""
-    if isinstance(z.re, int) and isinstance(z.im, int):
-        return
-    name, part = ("imaginary", z.im) if isinstance(z.re, int) else ("real", z.re)
-    raise InvalidInput(f"{name} component {part!r} of {z!r} is not an integer")
-
-
 def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
     """The unique d in D with b | (z - d)."""
-    _require_integral(z)
     n = D.base.norm()
     t = z * D.base.conj()
     return D._by_residue[t.re % n, t.im % n][0]
@@ -246,7 +237,6 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
     that is not actually a digit set the loop can cycle, so it is capped;
     exceeding the cap raises NonTermination.
     """
-    _require_integral(z)
     cap = 4 * D.m3 + 2 * _ceil_log(z.norm() + 1, D.base.norm()) + 16
     return _encode_capped(z, D, cap)
 

@@ -67,52 +67,40 @@ _SMALL_DIGITS = (
 
 @dataclass
 class CheckResult:
+    """One named check: collects failures and details while it runs, then finish() times it."""
+
     name: str
-    passed: bool
-    seconds: float
     budget_seconds: float | None
+    seconds: float = 0.0
     details: dict = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
+    started: float = field(default_factory=time.perf_counter, repr=False)
 
-    def summary_line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        line = f"{verdict}  {self.name}  ({self.seconds:.2f}s)"
-        if not self.passed and self.failures:
-            line += f"  [{self.failures[0]}]"
-        return line
-
-
-class _Check:
-    """Collects failures and details for one named check."""
-
-    def __init__(self, name: str, budget_seconds: float | None) -> None:
-        self.name = name
-        self.budget = budget_seconds
-        self.failures: list[str] = []
-        self.details: dict = {}
-        self.started = time.perf_counter()
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def expect(self, ok: bool, message: str) -> None:
         if not ok:
             self.failures.append(message)
 
     def finish(self) -> CheckResult:
-        elapsed = time.perf_counter() - self.started
-        if self.budget is not None and elapsed >= self.budget:
-            self.failures.append(f"runtime {elapsed:.2f}s exceeded {self.budget:.0f}s")
-        return CheckResult(
-            name=self.name,
-            passed=not self.failures,
-            seconds=elapsed,
-            budget_seconds=self.budget,
-            details=self.details,
-            failures=self.failures,
-        )
+        self.seconds = time.perf_counter() - self.started
+        if self.budget_seconds is not None and self.seconds >= self.budget_seconds:
+            self.failures.append(f"runtime {self.seconds:.2f}s exceeded {self.budget_seconds:.0f}s")
+        return self
+
+    def summary_line(self) -> str:
+        verdict = "PASS" if self.passed else "FAIL"
+        line = f"{verdict}  {self.name}  ({self.seconds:.2f}s)"
+        if self.failures:
+            line += f"  [{self.failures[0]}]"
+        return line
 
 
 def check_digit_sets() -> CheckResult:
     """Canonical digit sets: the three norm-5 bases, and every base of norm 5..100."""
-    c = _Check("1 digit sets", budget_seconds=5.0)
+    c = CheckResult("1 digit sets", budget_seconds=5.0)
     for b in (GaussInt(2, 1), GaussInt(-1, 2), GaussInt(-2, 1)):
         got = canonical_digit_set(b).digits
         c.expect(got == _SMALL_DIGITS, f"canonical digits of {b}: {got}")
@@ -135,7 +123,7 @@ def check_digit_sets() -> CheckResult:
 
 def check_uniqueness() -> CheckResult:
     """decode(encode(z)) = z on a disc per base; encode(decode(w)) = w for short words."""
-    c = _Check("2 representation uniqueness", budget_seconds=None)
+    c = CheckResult("2 representation uniqueness", budget_seconds=None)
     per_base = {}
     for b in SCAN_BASES:
         D = canonical_digit_set(b)
@@ -162,7 +150,7 @@ def check_uniqueness() -> CheckResult:
 
 def check_length_bound() -> CheckResult:
     """Certified word-length bound, plus the disc-shrinking recursion on maxima."""
-    c = _Check("3 length bound", budget_seconds=None)
+    c = CheckResult("3 length bound", budget_seconds=None)
     detail = {}
     for b in SCAN_BASES:
         D = canonical_digit_set(b)
@@ -201,7 +189,7 @@ def check_length_bound() -> CheckResult:
 
 def check_linking() -> CheckResult:
     """Reflexive linking for the scan bases; the {0..4} digit set links to canonical."""
-    c = _Check("4 digit-set linking", budget_seconds=30.0)
+    c = CheckResult("4 digit-set linking", budget_seconds=30.0)
     for b in SCAN_BASES:
         D = canonical_digit_set(b)
         c.expect(check_linked(D, D) is not None, f"self-link failed for {b}")
@@ -217,7 +205,7 @@ def check_linking() -> CheckResult:
 
 def check_power_recoding() -> CheckResult:
     """Base b vs b^j: recoded words decode unchanged; power digit set size."""
-    c = _Check("5 base-power recoding", budget_seconds=None)
+    c = CheckResult("5 base-power recoding", budget_seconds=None)
     D = canonical_digit_set(GaussInt(2, 1))
     c.expect(len(power_digit_set(D, 2).digits) == 25, "|power digit set|^2 != 25")
     for j in (2, 3):
@@ -231,7 +219,7 @@ def check_power_recoding() -> CheckResult:
 
 def check_dependence() -> CheckResult:
     """Dependence verdicts on fixed pairs and 50 constructed dependent pairs."""
-    c = _Check("6 multiplicative dependence", budget_seconds=5.0)
+    c = CheckResult("6 multiplicative dependence", budget_seconds=5.0)
     v = mult_dependent(GaussInt(3, 4), GaussInt(2, 1))
     c.expect((v.dependent, v.r, v.s) == (True, 1, 2), f"(3+4i, 2+i) gave {v}")
     v = mult_dependent(GaussInt(2, 0), GaussInt(4, 0))
@@ -260,7 +248,7 @@ def check_dependence() -> CheckResult:
 
 def check_prefix_witnesses() -> CheckResult:
     """Prefix-extension witnesses for u = 1 and u = b, re-verified from scratch."""
-    c = _Check("7 prefix extension", budget_seconds=60.0)
+    c = CheckResult("7 prefix extension", budget_seconds=60.0)
     a, b = GaussInt(1, 2), GaussInt(2, 1)
     D = canonical_digit_set(b)
     for u, want_prefix in ((ONE, (ONE,)), (b, (ONE, ZERO))):
@@ -283,7 +271,7 @@ def check_prefix_witnesses() -> CheckResult:
 
 def check_residual_evidence() -> CheckResult:
     """Residual-class growth separates independent pairs from dependent controls."""
-    c = _Check("8 residual evidence", budget_seconds=120.0)
+    c = CheckResult("8 residual evidence", budget_seconds=120.0)
     b = GaussInt(2, 1)
     D = canonical_digit_set(b)
     target = powers_oracle(GaussInt(1, 2), D)
@@ -309,7 +297,7 @@ def check_residual_evidence() -> CheckResult:
 
 def check_real_base() -> CheckResult:
     """Integer words over base 3 are regular; over base 2+i zero-pumping escapes Z."""
-    c = _Check("9 real-base words", budget_seconds=30.0)
+    c = CheckResult("9 real-base words", budget_seconds=30.0)
     c.expect(
         dfa_oracle_disagreement(integers_dfa(3), integers_oracle(canonical_digit_set(GaussInt(3, 0))), 5)
         is None,
@@ -336,7 +324,7 @@ def random_dfa(alphabet: DigitSet, rng: random.Random) -> Dfa:
 
 def check_dfa_engine() -> CheckResult:
     """Minimization, De Morgan duality, and JSON round-trips on random DFAs."""
-    c = _Check("10 DFA engine", budget_seconds=10.0)
+    c = CheckResult("10 DFA engine", budget_seconds=10.0)
     D = canonical_digit_set(GaussInt(2, 1))
     rng = random.Random(1905)
     dfas = [random_dfa(D, rng) for _ in range(100)]

@@ -1,7 +1,11 @@
 """CLI commands are thin adapters: reports must match the library results."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -422,6 +426,26 @@ def test_pretty_rendering_is_not_json(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.startswith("command:")
+
+
+def test_closed_pipe_ends_without_a_traceback(tmp_path):
+    # the report (about 390 kB) outgrows the pipe, so the child is still writing when it closes
+    out = tmp_path / "report.json"
+    argv = ["digits", "-b", "150", "--pretty", "-o", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with subprocess.Popen(
+        [sys.executable, "-m", "gaussbase.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as child:
+        assert child.stdout.readline() == b'command: "digits"\n'
+        child.stdout.close()
+        stderr = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert stderr == b""
+    assert code == EXIT_ERROR
+    assert json.loads(out.read_text())["status"] == "ok"
 
 
 def test_dfa_flags_follow_the_subcommand(tmp_path, capsys):

@@ -78,7 +78,7 @@ def dfa_objects(draw):
     base = draw(st.sampled_from([GaussInt(2, 1), GaussInt(3), GaussInt(1, 2), GaussInt(-2, 1)]))
     D = canonical_digit_set(base)
     if draw(st.booleans()):  # another residue system: nonzero digits shifted by multiples of b
-        D = DigitSet(base, tuple(d + base * draw(st.integers(-2, 2)) if d else d for d in D.digits))
+        D = DigitSet(base, tuple(d + base * GaussInt(draw(st.integers(-2, 2))) if d else d for d in D.digits))
     n = draw(st.integers(1, 4))
     rows = [[draw(st.integers(0, n - 1)) for _ in D.digits] for _ in range(n)]
     accepting = draw(st.frozensets(st.integers(0, n - 1)))

@@ -252,7 +252,7 @@ def test_prefix_extension_validation():
 def test_prefix_witness_verify_rechecks_every_field():
     w = prefix_extension(A, B, ONE, n_min=3, budget=256)
     assert w.verify() and w.word_am[:1] == (ONE,) and w.word_u == (ONE,)
-    assert not replace(w, z=w.z + 1).verify()  # identity
+    assert not replace(w, z=w.z + ONE).verify()  # identity
     # a^m = (u*b^k) * b^(n-k) + z still holds, but z has more than n - k digits
     k = w.n - word_length(w.z, canonical_digit_set(B)) + 1
     assert not replace(w, u=w.u * B**k, n=w.n - k).verify()

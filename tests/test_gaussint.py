@@ -1,5 +1,8 @@
 """Exact Z[i] arithmetic: parsing, ring operations, exact division, powers."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -56,8 +59,46 @@ def test_basic_products():
     assert g(2, 1) ** 2 == g(3, 4)
     assert g(0, 1) ** 4 == ONE
     assert -g(1, -2) == g(-1, 2)
-    assert g(3, 4) - 3 == g(0, 4)
-    assert 1 + g(0, 1) == g(1, 1)
+    with pytest.raises(TypeError):
+        g(3, 4) - 3
+    with pytest.raises(TypeError):
+        1 + g(0, 1)
+
+
+# ---- components are ints, checked at construction ----
+
+@pytest.mark.parametrize(
+    "bad", [2.5, 3.0, "1", None, Fraction(1, 2), Fraction(4, 1), Decimal(2)], ids=repr
+)
+def test_construction_rejects_non_int_components(bad):
+    with pytest.raises(InvalidInput, match="real component"):
+        g(bad, 0)
+    with pytest.raises(InvalidInput, match="imaginary component"):
+        g(0, bad)
+
+
+def test_equal_only_to_gauss_ints():
+    assert g(3) != 3
+    assert 3 != g(3)
+    assert g(3) == g(3, 0)
+
+
+def test_float_components_are_refused_not_computed_with():
+    # in floats (2+i)^60 is no longer a power of 2+i, and 3.0 has no bit_length
+    z = g(2, 1) ** 60
+    with pytest.raises(InvalidInput, match="real component"):
+        g(float(z.re), float(z.im))
+    with pytest.raises(InvalidInput, match="real component"):
+        g(3.0, 4.0)
+
+
+@given(gauss_ints, nonzero_gauss, st.integers(0, 6))
+def test_operations_keep_int_components(z, w, n):
+    values = [z + w, z - w, z * w, z**n, z.conj(), -z, exact_div(z * w, w)]
+    for v in values:
+        assert type(v.re) is int and type(v.im) is int
+    twin = g(z.re, z.im)
+    assert twin == z and hash(twin) == hash(z)
 
 
 @given(gauss_ints, gauss_ints)
