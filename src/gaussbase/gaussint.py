@@ -3,9 +3,9 @@
 Everything here stays inside Z[i]: components are arbitrary-precision
 Python ints, checked when a value is built; absolute values are never
 materialized (use norm(z) = |z|^2), and division is either exact or an
-error.  Beyond ring arithmetic it
-offers divisibility, exact division and power membership, and it defines
-the errors every layer raises for bad input and refused work.
+error.  Beyond ring arithmetic it offers divisibility, exact division and
+power membership, and it defines the errors every layer raises for bad
+input and refused work.
 """
 
 from __future__ import annotations
