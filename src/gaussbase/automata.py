@@ -19,7 +19,7 @@ from bisect import bisect_left
 from functools import cache, reduce
 from itertools import accumulate, islice, repeat, takewhile
 from math import isqrt
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Optional
 
 from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, is_power_of
@@ -178,25 +178,22 @@ def minimize(d: Dfa) -> Dfa:
     order, rows = _bfs(d.initial, d.transitions.__getitem__)
     acc = {i for i, s in enumerate(order) if s in d.accepting}
 
-    # Moore refinement: a round only splits blocks, so an unchanged count is the fixpoint
+    # Moore refinement: a round only splits blocks, so an unchanged count is the fixpoint,
+    # and so is a partition into singletons
     block = [s in acc for s in range(len(order))]
     count = len(set(block))
+    signature = [itemgetter(s, *row) for s, row in enumerate(rows)]  # (block of s, blocks of its targets)
     while True:
-        keys: dict[tuple, int] = {}
-        firsts: list[int] = []  # the first state of each new block
-        new = []
-        for s, row in enumerate(rows):
-            key = (block[s], tuple([block[t] for t in row]))
-            if key not in keys:
-                keys[key] = len(firsts)
-                firsts.append(s)
-            new.append(keys[key])
-        block = new
-        if len(firsts) == count:
+        number: dict[tuple, int] = {}  # a new signature gets the next block number
+        block = [number.setdefault(key_of(block), len(number)) for key_of in signature]
+        if len(number) in (count, len(rows)):
             break
-        count = len(firsts)
-    out_rows = tuple(tuple([block[t] for t in rows[s]]) for s in firsts)
-    return Dfa(d.alphabet, 0, out_rows, frozenset(i for i, s in enumerate(firsts) if s in acc))
+        count = len(number)
+    firsts: dict[int, int] = {}  # the first state of each block, in block order
+    for s, b in enumerate(block):
+        firsts.setdefault(b, s)
+    out_rows = tuple(tuple([block[t] for t in rows[s]]) for s in firsts.values())
+    return Dfa(d.alphabet, 0, out_rows, frozenset(block[s] for s in acc))
 
 
 def _three_state(D: DigitSet, first: set, rest: set, accepting: frozenset[int]) -> Dfa:

@@ -8,6 +8,12 @@ Gaussian integers use the literal grammar `a`, `a+bi`, `a-bi` (e.g. 5,
 2+1i, -1+2i); words are comma-separated digit literals, msd-first, with
 the empty string for the empty word.  Literals starting with `-` must
 follow a `--` separator, as usual for argparse.
+
+The commands are one table, COMMANDS.  A call builds the parser of its
+own command only, as one process runs one command; top-level help, an
+unknown command or none gets the parser of all of them.  The report is
+written to -o FILE before it is printed, and a FILE that cannot be
+written turns it into an error report (exit 1).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import os
 import sys
 from math import isqrt
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import verification
 from .automata import (
@@ -345,108 +351,142 @@ def _render_pretty(obj, indent: int = 0) -> list[str]:
     return lines
 
 
+class _Command(NamedTuple):
+    """One subcommand: its name, its help line (None lists no line), its handler and arguments.
+
+    args holds (flags, add_argument options) pairs.  A group such as dfa has
+    subcommands instead, each with the output flags and its own args, so
+    those flags follow the subcommand.
+    """
+
+    name: str
+    help: Optional[str]
+    handler: Optional[Callable] = None
+    args: tuple = ()
+    subcommands: tuple = ()
+
+
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+_BASE = _arg("-b", "--base", type=GaussInt.parse, required=True)
+_A, _B, _U = (_arg(name, type=GaussInt.parse) for name in "abu")
+_FILE = _arg("file")
+_SET = _arg("--set", required=True, help="powers:GAUSS or integers")
+
+# every command of the CLI, in the order its help lists them; build_parser and main read this table
+COMMANDS = {
+    command.name: command
+    for command in (
+        _Command("digits", "canonical digit set of a base", cmd_digits, (_BASE,)),
+        _Command("encode", "word of a Gaussian integer", cmd_encode, (_BASE, _arg("value", type=GaussInt.parse))),
+        _Command("decode", "value of an msd-first word", cmd_decode, (
+            _BASE, _arg("word", help="comma-separated digits, empty string for the empty word"),
+        )),
+        _Command("scan-bases", "digit/roundtrip/length checks over a norm range", cmd_scan_bases, (
+            _arg("--norm-min", type=int, default=5),
+            _arg("--norm-max", type=int, default=30),
+            _arg("--disc", type=_count, default=100, help="squared radius of the probe disc"),
+            _arg("--k-max", type=_count, default=8),
+        )),
+        _Command("deptest", "multiplicative dependence verdict", cmd_deptest, (_A, _B)),
+        _Command("witness", "certified |a^m/b^n - u| bound search", cmd_witness, (
+            _A, _B, _U,
+            _arg("--bound", type=_bound, default=(1, 25), metavar="NUM/DEN"),
+            _arg("--m-max", type=_count, default=256),
+        )),
+        _Command("prefix", "prefix-extension witness (optionally chained)", cmd_prefix, (
+            _A, _B, _U,
+            _arg("--n-min", type=_count, default=0),
+            _arg("--budget", type=_count, default=256, help="largest exponent m searched"),
+            _arg("--depth", type=_count, default=0, help="extra chain levels beyond the first witness"),
+        )),
+        _Command("residuals", "residual classes of powers of a over base b", cmd_residuals, (
+            _A, _B,
+            _arg("-k", type=_count, default=4, help="prefix depth"),
+            _arg("-e", type=_count, default=3, help="extension depth"),
+        )),
+        _Command("pump", "insert zero blocks behind the leading digit", cmd_pump, (
+            _BASE, _SET,
+            _arg("--word", required=True),
+            _arg("-k", type=_count, default=1, help="zeros per pump block"),
+            _arg("--reps", type=_count, default=8),
+        )),
+        _Command("dfa", "DFA engine over JSON automata", cmd_dfa, subcommands=(
+            _Command("make", None, args=(
+                _arg("kind", choices=("powers", "integers")),
+                _BASE,
+                _arg("--dfa-out", metavar="FILE", help="write the DFA JSON to FILE"),
+            )),
+            _Command("run", None, args=(_FILE, _arg("--word", required=True))),
+            _Command("min", None, args=(
+                _FILE, _arg("--dfa-out", metavar="FILE", help="write the minimized DFA JSON to FILE"),
+            )),
+            _Command("equiv", None, args=(_FILE, _arg("file2"))),
+            _Command("falsify", None, args=(_FILE, _SET, _arg("--max-len", type=_count, default=6))),
+        )),
+        _Command("verify", "run the full verification suite", cmd_verify),
+    )
+}
+
+
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--json", action="store_true", help="JSON report (default)")
+    mode.add_argument("--pretty", action="store_true", help="human-readable rendering")
+    p.add_argument("-o", "--out", metavar="FILE", help="also write the JSON report to FILE")
+
+
+def _add_command(group, command: _Command) -> None:
+    """Register one table entry, a group with all its subcommands, in a subparsers group."""
+    p = group.add_parser(command.name, **({} if command.help is None else {"help": command.help}))
+    if command.subcommands:
+        sub = p.add_subparsers(dest=f"{command.name}_command", required=True)
+        for subcommand in command.subcommands:
+            _add_command(sub, subcommand)
+    else:
+        _add_output_flags(p)
+    for flags, options in command.args:
+        p.add_argument(*flags, **options)
+    if command.handler is not None:
+        p.set_defaults(handler=command.handler)
+
+
 @functools.cache  # built on first use, not at import, and reused by every main call
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given a command name, one that registers only that command.
+
+    argparse picks a subcommand by its exact name, so for an argv that
+    starts with the name both parsers give the same namespace, help pages
+    and errors; the top-level usage lists every command in both.
+    """
     parser = _Parser(
         prog="gaussbase",
         description="Numeration systems for the Gaussian integers in a complex base.",
     )
-    common = _Parser(add_help=False)
-    mode = common.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", help="JSON report (default)")
-    mode.add_argument("--pretty", action="store_true", help="human-readable rendering")
-    common.add_argument("-o", "--out", metavar="FILE", help="also write the JSON report to FILE")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    gauss = GaussInt.parse
-
-    p = sub.add_parser("digits", parents=[common], help="canonical digit set of a base")
-    p.add_argument("-b", "--base", type=gauss, required=True)
-    p.set_defaults(handler=cmd_digits)
-
-    p = sub.add_parser("encode", parents=[common], help="word of a Gaussian integer")
-    p.add_argument("-b", "--base", type=gauss, required=True)
-    p.add_argument("value", type=gauss)
-    p.set_defaults(handler=cmd_encode)
-
-    p = sub.add_parser("decode", parents=[common], help="value of an msd-first word")
-    p.add_argument("-b", "--base", type=gauss, required=True)
-    p.add_argument("word", help="comma-separated digits, empty string for the empty word")
-    p.set_defaults(handler=cmd_decode)
-
-    p = sub.add_parser("scan-bases", parents=[common], help="digit/roundtrip/length checks over a norm range")
-    p.add_argument("--norm-min", type=int, default=5)
-    p.add_argument("--norm-max", type=int, default=30)
-    p.add_argument("--disc", type=_count, default=100, help="squared radius of the probe disc")
-    p.add_argument("--k-max", type=_count, default=8)
-    p.set_defaults(handler=cmd_scan_bases)
-
-    p = sub.add_parser("deptest", parents=[common], help="multiplicative dependence verdict")
-    p.add_argument("a", type=gauss)
-    p.add_argument("b", type=gauss)
-    p.set_defaults(handler=cmd_deptest)
-
-    p = sub.add_parser("witness", parents=[common], help="certified |a^m/b^n - u| bound search")
-    p.add_argument("a", type=gauss)
-    p.add_argument("b", type=gauss)
-    p.add_argument("u", type=gauss)
-    p.add_argument("--bound", type=_bound, default=(1, 25), metavar="NUM/DEN")
-    p.add_argument("--m-max", type=_count, default=256)
-    p.set_defaults(handler=cmd_witness)
-
-    p = sub.add_parser("prefix", parents=[common], help="prefix-extension witness (optionally chained)")
-    p.add_argument("a", type=gauss)
-    p.add_argument("b", type=gauss)
-    p.add_argument("u", type=gauss)
-    p.add_argument("--n-min", type=_count, default=0)
-    p.add_argument("--budget", type=_count, default=256, help="largest exponent m searched")
-    p.add_argument("--depth", type=_count, default=0, help="extra chain levels beyond the first witness")
-    p.set_defaults(handler=cmd_prefix)
-
-    p = sub.add_parser("residuals", parents=[common], help="residual classes of powers of a over base b")
-    p.add_argument("a", type=gauss)
-    p.add_argument("b", type=gauss)
-    p.add_argument("-k", type=_count, default=4, help="prefix depth")
-    p.add_argument("-e", type=_count, default=3, help="extension depth")
-    p.set_defaults(handler=cmd_residuals)
-
-    p = sub.add_parser("pump", parents=[common], help="insert zero blocks behind the leading digit")
-    p.add_argument("-b", "--base", type=gauss, required=True)
-    p.add_argument("--set", required=True, help="powers:GAUSS or integers")
-    p.add_argument("--word", required=True)
-    p.add_argument("-k", type=_count, default=1, help="zeros per pump block")
-    p.add_argument("--reps", type=_count, default=8)
-    p.set_defaults(handler=cmd_pump)
-
-    p = sub.add_parser("dfa", help="DFA engine over JSON automata")  # flags follow the subcommand
-    dfa_sub = p.add_subparsers(dest="dfa_command", required=True)
-    q = dfa_sub.add_parser("make", parents=[common])
-    q.add_argument("kind", choices=("powers", "integers"))
-    q.add_argument("-b", "--base", type=gauss, required=True)
-    q.add_argument("--dfa-out", metavar="FILE", help="write the DFA JSON to FILE")
-    q = dfa_sub.add_parser("run", parents=[common])
-    q.add_argument("file")
-    q.add_argument("--word", required=True)
-    q = dfa_sub.add_parser("min", parents=[common])
-    q.add_argument("file")
-    q.add_argument("--dfa-out", metavar="FILE", help="write the minimized DFA JSON to FILE")
-    q = dfa_sub.add_parser("equiv", parents=[common])
-    q.add_argument("file")
-    q.add_argument("file2")
-    q = dfa_sub.add_parser("falsify", parents=[common])
-    q.add_argument("file")
-    q.add_argument("--set", required=True, help="powers:GAUSS or integers")
-    q.add_argument("--max-len", type=_count, default=6)
-    p.set_defaults(handler=cmd_dfa)
-
-    p = sub.add_parser("verify", parents=[common], help="run the full verification suite")
-    p.set_defaults(handler=cmd_verify)
-
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        registered = COMMANDS.values()
+    else:
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
+        registered = (COMMANDS[command],)
+    for entry in registered:
+        _add_command(sub, entry)
     return parser
 
 
+def _report(command: str, inputs: dict, results: dict, status: str, message: Optional[str]) -> dict:
+    report = {"command": command, "inputs": inputs, "results": results, "status": status}
+    if message is not None:
+        report["message"] = message
+    return report
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a call builds only its own command's parser; -h, an unknown name or none gets the full one
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     command = args.command if args.command != "dfa" else f"dfa {args.dfa_command}"
     try:
         inputs, results, status = args.handler(args)
@@ -454,22 +494,24 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         inputs, results, status = {}, {}, "error"
         message = str(exc) or type(exc).__name__
-    report = {"command": command, "inputs": inputs, "results": results, "status": status}
-    if message is not None:
-        report["message"] = message
+    report = _report(command, inputs, results, status, message)
     text = json.dumps(report, indent=2, sort_keys=True)
-    code = {"ok": EXIT_OK, "not_found": EXIT_NOT_FOUND}.get(status, EXIT_ERROR)
+    if args.out:  # written before stdout, so that a closed pipe cannot lose it
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            report = _report(command, {}, {}, "error", f"cannot write the report to {args.out}: {exc.strerror or exc}")
+            text = json.dumps(report, indent=2, sort_keys=True)
+    code = {"ok": EXIT_OK, "not_found": EXIT_NOT_FOUND}.get(report["status"], EXIT_ERROR)
     try:
-        print("\n".join(_render_pretty(report)) if getattr(args, "pretty", False) else text)
+        print("\n".join(_render_pretty(report)) if args.pretty else text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early; send the unflushed rest to devnull so that
         # the interpreter's flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_ERROR
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return code
 
 

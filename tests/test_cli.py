@@ -416,9 +416,20 @@ def test_usage_error_exits_1(capsys):
 
 def test_report_written_to_file(tmp_path, capsys):
     out = tmp_path / "report.json"
-    code, report = run_cli(capsys, "digits", "-b", "2+1i", "-o", str(out))
-    assert code == EXIT_OK
-    assert json.loads(out.read_text()) == report
+    assert main(["digits", "-b", "2+1i", "-o", str(out)]) == EXIT_OK
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
+def test_unwritable_report_file_is_an_error_report(tmp_path, capsys, where):
+    out = tmp_path / where
+    code = main(["deptest", "3+4i", "2+1i", "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    report = json.loads(captured.out)
+    assert report["status"] == "error"
+    assert str(out) in report["message"]
+    assert captured.err == ""
 
 
 def test_pretty_rendering_is_not_json(capsys):

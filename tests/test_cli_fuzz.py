@@ -6,6 +6,7 @@ error with exit 1 and nothing on stdout.  Any other exception fails the
 test.  The JSON loaders raise InvalidInput and nothing else.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from gaussbase import InvalidInput
 from gaussbase.automata import Dfa, dfa_to_json
-from gaussbase.cli import EXIT_ERROR, main
+from gaussbase.cli import COMMANDS, EXIT_ERROR, build_parser, main
 from gaussbase.gaussint import GaussInt
 from gaussbase.numeration import DigitSet, canonical_digit_set, digit_set_from_json
 
@@ -202,3 +203,70 @@ def test_digit_set_loader_raises_only_invalid_input(obj):
 def test_a_5000_digit_literal_is_a_usage_error():
     code, stdout = _run(["digits", "-b", "1" * 5000])
     assert (code, stdout) == (EXIT_ERROR, "")
+
+
+def _parse(parse, argv: list[str]):
+    """What parse(argv) gives: the namespace's fields or the SystemExit code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _parses_alike(argv: list[str]) -> None:
+    """The parser of argv[0] alone reads argv as the full parser does."""
+    assert _parse(build_parser(None).parse_args, argv) == _parse(build_parser(argv[0]).parse_args, argv), argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_command_parser_reads_argvs_as_the_full_one(data):
+    _parses_alike(data.draw(_argvs("fuzzed.json", "powers.json"), label="argv"))
+
+
+HELP_ARGVS = [
+    *([name, "-h"] for name in COMMANDS),
+    *(["dfa", sub.name, "--help"] for sub in COMMANDS["dfa"].subcommands),
+]
+USAGE_ERRORS = [
+    ["dfa", "--pretty", "make", "powers", "-b", "2+1i"],
+    ["dfa", "-o", "report.json", "make", "powers", "-b", "2+1i"],
+    ["dfa"],
+    ["dfa", "make"],
+    ["dfa", "mak", "powers", "-b", "2+1i"],
+    ["digits"],
+    ["digits", "--json", "--pretty", "-b", "2+1i"],
+    ["deptest"],
+    ["deptest", "3+4i"],
+    ["deptest", "3+4i", "2+1i", "extra"],
+    ["deptest", "3+4i", "2+1i", "--bogus"],
+    ["witness", "1+2i", "2+1i"],
+    ["prefix", "1+2i", "2+1i", "1", "--dept", "1"],
+    ["verify", "now"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS + USAGE_ERRORS, ids=" ".join)
+def test_one_command_parser_gives_the_same_help_and_errors(argv):
+    _parses_alike(argv)
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["-h"], ["--help"], ["bogus"], ["Deptest", "3+4i", "2+1i"], ["--pretty", "deptest", "3+4i", "2+1i"]]
+)
+def test_an_argv_without_a_leading_command_gets_the_full_parser(argv):
+    assert _parse(main, argv) == _parse(build_parser(None).parse_args, argv)
+
+
+def test_a_call_builds_only_its_commands_parser(capsys):
+    build_parser.cache_clear()
+    assert main(["deptest", "3+4i", "2+1i"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    built = build_parser.cache_info()
+    parser = build_parser("deptest")
+    assert (built.currsize, build_parser.cache_info().hits) == (1, built.hits + 1)
+    [commands] = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands) == ["deptest"]
