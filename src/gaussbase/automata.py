@@ -78,6 +78,21 @@ class Dfa:
         return len(self.transitions)
 
 
+def _derived(
+    alphabet: DigitSet, initial: int, transitions: tuple[tuple[int, ...], ...], accepting: frozenset[int]
+) -> Dfa:
+    """A Dfa built without __post_init__, for tables derived from DFAs that were validated.
+
+    product, complement and minimize only renumber the states of checked
+    DFAs, so their tables are in range by construction; the public
+    constructor and dfa_from_json still validate.  transitions must be a
+    tuple of tuples and accepting a frozenset, as __post_init__ makes them.
+    """
+    dfa = object.__new__(Dfa)
+    vars(dfa).update(alphabet=alphabet, initial=initial, transitions=transitions, accepting=accepting)
+    return dfa
+
+
 def run(dfa: Dfa, w: Word) -> bool:
     """True iff the unique run over w ends in an accepting state."""
     index = dfa.alphabet.index
@@ -141,16 +156,11 @@ def product(d1: Dfa, d2: Dfa, mode: ProductMode) -> Dfa:
         for i, (s1, s2) in enumerate(order)
         if keep(s1 in d1.accepting, s2 in d2.accepting)
     )
-    return Dfa(d1.alphabet, 0, tuple(rows), accepting)
+    return _derived(d1.alphabet, 0, tuple(rows), accepting)
 
 
 def complement(d: Dfa) -> Dfa:
-    return Dfa(
-        d.alphabet,
-        d.initial,
-        d.transitions,
-        frozenset(range(d.state_count)) - d.accepting,
-    )
+    return _derived(d.alphabet, d.initial, d.transitions, frozenset(range(d.state_count)) - d.accepting)
 
 
 def is_empty(d: Dfa) -> bool:
@@ -193,7 +203,7 @@ def minimize(d: Dfa) -> Dfa:
     for s, b in enumerate(block):
         firsts.setdefault(b, s)
     out_rows = tuple(tuple([block[t] for t in rows[s]]) for s in firsts.values())
-    return Dfa(d.alphabet, 0, out_rows, frozenset(block[s] for s in acc))
+    return _derived(d.alphabet, 0, out_rows, frozenset(block[s] for s in acc))
 
 
 def _three_state(D: DigitSet, first: set, rest: set, accepting: frozenset[int]) -> Dfa:

@@ -26,7 +26,6 @@ import sys
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
-from . import verification
 from .automata import (
     dfa_from_json,
     dfa_oracle_disagreement,
@@ -311,6 +310,8 @@ def cmd_dfa(args) -> tuple[dict, dict, str]:
 
 
 def cmd_verify(args) -> tuple[dict, dict, str]:
+    from . import verification  # only this command needs it, and it imports random
+
     results = verification.run_all()
     criteria = [
         {
@@ -489,13 +490,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     command = args.command if args.command != "dfa" else f"dfa {args.dfa_command}"
     try:
-        inputs, results, status = args.handler(args)
-        message = None
+        report = _report(command, *args.handler(args), None)
+        # serialised inside the try: an int past Python's int-to-str digit limit raises ValueError
+        text = json.dumps(report, indent=2, sort_keys=True)
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
-        inputs, results, status = {}, {}, "error"
-        message = str(exc) or type(exc).__name__
-    report = _report(command, inputs, results, status, message)
-    text = json.dumps(report, indent=2, sort_keys=True)
+        report = _report(command, {}, {}, "error", str(exc) or type(exc).__name__)
+        text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:  # written before stdout, so that a closed pipe cannot lose it
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

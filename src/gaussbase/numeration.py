@@ -7,7 +7,11 @@ certifies word-length bounds, links digit sets over a shared base, and
 recodes words between base b and base b^j.
 
 All geometry is integer-exact: half-open box tests use 2*Re(d*conj(b))
-against +-norm(b), and radii enter squared.
+against +-norm(b), and radii enter squared; canonical_digit_set solves
+the two box tests for each row of the square instead of testing every
+point.  The per-digit loops (the digit map, encode, decode, recode and
+the residue table) run on plain int pairs and build a GaussInt only for
+a value they return.
 """
 
 from __future__ import annotations
@@ -66,11 +70,11 @@ class DigitSet:
             raise InvalidInput(
                 f"{len(digits)} digits for base {self.base} of norm {n}"
             )
-        bc = self.base.conj()
+        p, q = self.base.re, self.base.im
         by_residue = {}
-        for d in digits:
-            t = d * bc
-            by_residue[t.re % n, t.im % n] = (d, t.re, t.im)
+        for d in digits:  # t = d*conj(b) on ints
+            t_re, t_im = d.re * p + d.im * q, d.im * p - d.re * q
+            by_residue[t_re % n, t_im % n] = (d, t_re, t_im)
         if len(by_residue) != n:
             raise InvalidInput("digits are not pairwise incongruent mod base")
         object.__setattr__(self, "index", index)
@@ -149,11 +153,27 @@ class LargeCanonicalDigitSet(DigitSet):
         )
 
 
+def _narrow(c: int, low: int, high: int, first: int, last: int) -> tuple[int, int]:
+    """Narrow the ints first..last to the y with low <= c*y < high, by floor division.
+
+    A zero c leaves all of them when low <= 0 < high and none otherwise.
+    """
+    if c > 0:
+        return max(first, -(-low // c)), min(last, (high - 1) // c)
+    if c < 0:
+        return max(first, high // c + 1), min(last, low // c)
+    return (first, last) if low <= 0 < high else (1, 0)
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def canonical_digit_set(b: GaussInt) -> DigitSet:
     """The digits d with Re(d/b) and Im(d/b) in [-1/2, 1/2), all within |re|, |im| <= isqrt(norm(b)).
 
-    A base of norm above DIGIT_BUDGET gets a LargeCanonicalDigitSet, which does not list them.
+    The square is walked row by row: for d = x + y*i, the two tests of
+    _in_box are linear in y, so each row's digits are one interval of y,
+    solved exactly, and the digits come out in (re, im) order.  A base of
+    norm above DIGIT_BUDGET gets a LargeCanonicalDigitSet, which does not
+    list them.
     """
     n = b.norm()
     if n < 5:
@@ -161,15 +181,22 @@ def canonical_digit_set(b: GaussInt) -> DigitSet:
     if n > DIGIT_BUDGET:
         return LargeCanonicalDigitSet(b)
     r = isqrt(n)
-    square = product(range(-r, r + 1), repeat=2)
-    return DigitSet(b, tuple(GaussInt(x, y) for x, y in square if _in_box(x, y, b, n)))
+    p2, q2 = 2 * b.re, 2 * b.im
+    digits: list[GaussInt] = []
+    for x in range(-r, r + 1):
+        # -n <= 2*Re(d*conj(b)) < n and -n <= 2*Im(d*conj(b)) < n, each solved for y
+        first, last = _narrow(q2, -n - x * p2, n - x * p2, -r, r)
+        first, last = _narrow(p2, x * q2 - n, x * q2 + n, first, last)
+        digits.extend(GaussInt(x, y) for y in range(first, last + 1))
+    return DigitSet(b, tuple(digits))
 
 
 def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
     """The unique d in D with b | (z - d)."""
-    n = D.base.norm()
-    t = z * D.base.conj()
-    return D._by_residue[t.re % n, t.im % n][0]
+    b = D.base
+    n = b.norm()
+    t_re, t_im = z.re * b.re + z.im * b.im, z.im * b.re - z.re * b.im  # t = z*conj(b)
+    return D._by_residue[t_re % n, t_im % n][0]
 
 
 def _ceil_log(value: int, base: int) -> int:
@@ -244,13 +271,13 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
 def decode(w: Word, D: DigitSet) -> GaussInt:
     """Horner evaluation of an msd-first word; decode of the empty word is 0."""
     members = D.index
-    b = D.base
-    acc = ZERO
+    p, q = D.base.re, D.base.im
+    x = y = 0
     for d in w:
         if d not in members:
-            raise InvalidInput(f"{d} is not a digit of base {b}")
-        acc = acc * b + d
-    return acc
+            raise InvalidInput(f"{d} is not a digit of base {D.base}")
+        x, y = x * p - y * q + d.re, x * q + y * p + d.im
+    return GaussInt(x, y)
 
 
 def word_length(z: GaussInt, D: DigitSet) -> int:
@@ -301,18 +328,29 @@ def power_digit_set(D: DigitSet, j: int) -> DigitSet:
 def recode(w: Word, D: DigitSet, j: int) -> Word:
     """Regroup an msd-first base-b word into a base-b^j word, j digits at a time.
 
-    Pads with leading zeros to a multiple of j, Horner-folds each block
-    into one digit of power_digit_set(D, j), and strips leading zero
-    digits; the decoded value is unchanged.
+    Horner-folds each block of j digits, counted from the least significant
+    end, into one digit of power_digit_set(D, j), and skips leading zero
+    digits; the decoded value is unchanged.  One pass on ints: the first
+    block starts its count at the number of leading zeros a pad to a
+    multiple of j would add, and a digit is checked as decode checks it.
     """
     if j < 1:
         raise InvalidInput("power exponent must be >= 1")
-    padded = (ZERO,) * ((-len(w)) % j) + tuple(w)
-    out = [decode(padded[i : i + j], D) for i in range(0, len(padded), j)]
-    head = 0
-    while head < len(out) and out[head] == ZERO:
-        head += 1
-    return tuple(out[head:])
+    members = D.index
+    p, q = D.base.re, D.base.im
+    out: list[GaussInt] = []
+    x = y = 0
+    filled = (-len(w)) % j
+    for d in w:
+        if d not in members:
+            raise InvalidInput(f"{d} is not a digit of base {D.base}")
+        x, y = x * p - y * q + d.re, x * q + y * p + d.im
+        filled += 1
+        if filled == j:
+            if x or y or out:
+                out.append(GaussInt(x, y))
+            x = y = filled = 0
+    return tuple(out)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -195,6 +195,31 @@ def test_minimize_calls_bfs_once(monkeypatch):
     assert len(calls) == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(any_dfas(), any_dfas())
+def test_derived_dfas_pass_validation_they_skip(d1, d2):
+    derived = [minimize(d1), complement(d1)]
+    if d1.alphabet == d2.alphabet:
+        derived += [product(d1, d2, mode) for mode in ("and", "or", "diff")]
+    for d in derived:
+        assert Dfa(d.alphabet, d.initial, d.transitions, d.accepting) == d
+
+
+def test_derived_dfas_are_not_revalidated(monkeypatch):
+    d = powers_dfa(B)
+    derived = (minimize(d), complement(d), product(d, d, "or"))
+
+    def no_check(self):
+        raise AssertionError("a DFA derived from a checked one was validated again")
+
+    monkeypatch.setattr(Dfa, "__post_init__", no_check)
+    assert (minimize(d), complement(d), product(d, d, "or")) == derived
+    with pytest.raises(AssertionError, match="validated again"):
+        Dfa(D5, 0, ((0,) * 5,), frozenset())
+    with pytest.raises(AssertionError, match="validated again"):
+        dfa_from_json(dfa_to_json(d))
+
+
 def test_alphabet_mismatch():
     with pytest.raises(InvalidInput, match="product needs a shared alphabet"):
         product(powers_dfa(B), powers_dfa(g(3)), "and")

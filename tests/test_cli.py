@@ -459,6 +459,37 @@ def test_closed_pipe_ends_without_a_traceback(tmp_path):
     assert json.loads(out.read_text())["status"] == "ok"
 
 
+def test_an_unprintable_result_is_an_error_report():
+    # (2+i)^9000 has a norm of 6291 digits, past Python's int-to-str limit of 4300
+    word = "1" + ",0" * 9000
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-m", "gaussbase.cli", "decode", "-b", "2+1i", word],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert child.stderr == b""
+    assert child.returncode == EXIT_ERROR
+    report = json.loads(child.stdout)
+    assert report["status"] == "error"
+    assert report["command"] == "decode"
+    assert "integer string conversion" in report["message"]
+
+
+def test_importing_the_cli_leaves_verification_and_random_unloaded():
+    # -S: site hooks may import random themselves
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import gaussbase.cli; print(*sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "gaussbase.cli" in loaded
+    assert not loaded & {"gaussbase.verification", "random"}
+
+
 def test_dfa_flags_follow_the_subcommand(tmp_path, capsys):
     out = tmp_path / "report.json"
     for argv in (["--pretty"], ["-o", str(out)]):

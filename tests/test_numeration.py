@@ -380,14 +380,7 @@ BASES_5_TO_100 = [b for b in lattice_disc(100) if b.norm() >= 5]
 
 def test_canonical_digits_are_the_box_for_every_base_up_to_norm_100():
     for b in BASES_5_TO_100:
-        n = b.norm()
-        r = isqrt(n)
-        box = []
-        for x, y in itertools.product(range(-r, r + 1), repeat=2):
-            t = g(x, y) * b.conj()
-            if -n <= 2 * t.re < n and -n <= 2 * t.im < n:
-                box.append(g(x, y))
-        assert canonical_digit_set(b).digits == tuple(sorted(box, key=lambda d: (d.re, d.im)))
+        assert canonical_digit_set(b).digits == reference_canonical_digits(b)
 
 
 def test_length_bound_m3_is_max_length_in_disc_9_for_every_base_up_to_norm_100():
@@ -468,3 +461,111 @@ def test_ceil_log_matches_plain_loop(case):
         p *= base
         k += 1
     assert _ceil_log(value, base) == k
+
+
+# ---- the plain-int loops against the GaussInt references they replaced ----
+
+def reference_canonical_digits(b):
+    """The earlier canonical_digit_set: box-test every point of the square |re|, |im| <= isqrt(norm(b)).
+
+    The points come in (re, im) order, the order of DigitSet.digits.
+    """
+    n = b.norm()
+    r = isqrt(n)
+    box = []
+    for x, y in itertools.product(range(-r, r + 1), repeat=2):
+        t = g(x, y) * b.conj()
+        if -n <= 2 * t.re < n and -n <= 2 * t.im < n:
+            box.append(g(x, y))
+    return tuple(box)
+
+
+def reference_decode(w, D):
+    """The earlier decode: Horner on GaussInt values."""
+    acc = ZERO
+    for d in w:
+        if d not in D.index:
+            raise InvalidInput(f"{d} is not a digit of base {D.base}")
+        acc = acc * D.base + d
+    return acc
+
+
+def reference_recode(w, D, j):
+    """The earlier recode: pad to a multiple of j, decode each block, strip leading zero digits."""
+    padded = (ZERO,) * ((-len(w)) % j) + tuple(w)
+    out = [reference_decode(padded[i : i + j], D) for i in range(0, len(padded), j)]
+    head = 0
+    while head < len(out) and out[head] == ZERO:
+        head += 1
+    return tuple(out[head:])
+
+
+def bases(max_norm=2000):
+    """Bases of norm 5..max_norm, of any signs, often with a zero component."""
+    r = isqrt(max_norm)
+    part = st.integers(-r, r)
+    return st.one_of(
+        st.builds(g, part, part), st.builds(g, part, st.just(0)), st.builds(g, st.just(0), part)
+    ).filter(lambda b: 5 <= b.norm() <= max_norm)
+
+
+LARGE_BASES = [g(400, -7), g(-317, 0)]  # norms 160049 and 100489, past DIGIT_BUDGET
+
+
+@st.composite
+def digit_words(draw):
+    """(b, w): a base, with or without a listed digit set, and a word over its canonical digits.
+
+    The word often has leading zeros.  The base stands for its digit set,
+    as printing a LargeCanonicalDigitSet's fields would ask for its digits.
+    """
+    b = draw(bases() | st.sampled_from(LARGE_BASES))
+    D = canonical_digit_set(b)
+    values = st.builds(g, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+    digits = st.lists(st.just(ZERO) | values.map(lambda z: digit_of(z, D)), max_size=14)
+    return b, (ZERO,) * draw(st.integers(0, 4)) + tuple(draw(digits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases())
+@example(g(3, 0))
+@example(g(0, -3))
+@example(g(-44, 0))
+@example(g(0, 44))
+@example(g(-31, -31))
+@example(g(2, -1))
+def test_canonical_digit_set_is_the_box_filter(b):
+    D = canonical_digit_set(b)
+    assert D.digits == reference_canonical_digits(b)
+    for d in D.digits:
+        t = d * b.conj()
+        assert D._by_residue[t.re % b.norm(), t.im % b.norm()] == (d, t.re, t.im)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_words(), st.sampled_from([1, 2, 3, 5]))
+@example((B, ()), 3)
+@example((B, (ZERO, ZERO)), 3)
+@example((LARGE_BASES[0], ()), 2)
+def test_decode_and_recode_equal_the_references(case, j):
+    b, w = case
+    D = canonical_digit_set(b)
+    assert decode(w, D) == reference_decode(w, D)
+    assert recode(w, D, j) == reference_recode(w, D, j)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("base", [g(3, -2), g(0, 7), *LARGE_BASES])
+def test_a_non_digit_anywhere_in_a_block_is_refused_as_decode_refuses_it(base, j):
+    D = canonical_digit_set(base)
+    word = tuple(digit_of(g(7919 * k, -104729 * k), D) for k in range(1, 2 * j + 2))
+    for bad in (word[0] + base, (word[0].re, word[0].im)):  # d + b is never a canonical digit
+        for pos in range(len(word)):
+            w = word[:pos] + (bad,) + word[pos + 1 :]
+            with pytest.raises(InvalidInput) as want:
+                reference_decode(w, D)
+            assert str(want.value) == f"{bad} is not a digit of base {base}"
+            for call in (decode, lambda w, D: recode(w, D, j)):
+                with pytest.raises(InvalidInput) as got:
+                    call(w, D)
+                assert str(got.value) == str(want.value)
