@@ -13,12 +13,16 @@ The commands are one table, COMMANDS.  A call builds the parser of its
 own command only, as one process runs one command; top-level help, an
 unknown command or none gets the parser of all of them.  The report is
 written to -o FILE before it is printed, and a FILE that cannot be
-written turns it into an error report (exit 1).
+written turns it into an error report (exit 1).  A report prints
+integers of up to OUTPUT_DIGITS decimal digits, or more when the
+interpreter's own limit is higher; past that it is an error report
+carrying Python's message, which names the limit.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -59,6 +63,13 @@ EXIT_ERROR = 1
 EXIT_NOT_FOUND = 2
 
 SCAN_BUDGET = 10**6  # candidate bases x (probe points + digit-set candidates) in scan-bases
+
+# Python refuses to convert an int of more than 4300 digits to or from text by default
+# (sys.set_int_max_str_digits, the CVE-2020-10735 guard).  main raises that limit to at
+# least OUTPUT_DIGITS while a command runs and its report is serialised and printed: str() of
+# a 50,000-digit int takes 40-55 ms (2 vCPUs, Python 3.11.7), and the cost grows
+# quadratically with the digit count.
+OUTPUT_DIGITS = 50_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,17 +235,17 @@ def _prefix_witness_json(w) -> dict:
 def cmd_prefix(args) -> tuple[dict, dict, str]:
     inputs = _echo(args, "a", "b", "u", "n_min", "budget", "depth")
     chain = []
-    u, word_u = args.u, None
+    u = args.u
     status = "ok"
     for level in range(args.depth + 1):
         # each level after the first adds at least one digit
         n_min = args.n_min if level == 0 else max(args.n_min, 1)
-        w = prefix_extension(args.a, args.b, u, n_min, args.budget, word_u)
+        w = prefix_extension(args.a, args.b, u, n_min, args.budget)
         if w is None:
             status = "not_found"
             break
         chain.append(_prefix_witness_json(w))
-        u, word_u = args.a**w.m, w.word_am  # the next level extends this level's word
+        u = args.a**w.m  # the next level extends this level's word
     results: dict = {"witness": chain[0] if chain else None}
     if args.depth > 0 or status == "not_found":
         results["chain"] = chain
@@ -484,14 +495,12 @@ def _report(command: str, inputs: dict, results: dict, status: str, message: Opt
     return report
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # a call builds only its own command's parser; -h, an unknown name or none gets the full one
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+def _respond(args) -> int:
+    """Run the parsed command, write and print its report, and return the exit code."""
     command = args.command if args.command != "dfa" else f"dfa {args.dfa_command}"
     try:
         report = _report(command, *args.handler(args), None)
-        # serialised inside the try: an int past Python's int-to-str digit limit raises ValueError
+        # serialised inside the try: an int past the int-to-str digit limit raises ValueError
         text = json.dumps(report, indent=2, sort_keys=True)
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         report = _report(command, {}, {}, "error", str(exc) or type(exc).__name__)
@@ -513,6 +522,31 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_ERROR
     return code
+
+
+@contextlib.contextmanager
+def _output_digits():
+    """Raise the int-to-str digit limit to at least OUTPUT_DIGITS, then restore it.
+
+    A limit of 0 (none) or above OUTPUT_DIGITS is kept.  Pythons before
+    3.10.7 have no limit: it reads as 0 and nothing is set.
+    """
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(saved and max(saved, OUTPUT_DIGITS))
+    try:
+        yield
+    finally:
+        set_limit(saved)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a call builds only its own command's parser; -h, an unknown name or none gets the full one
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    # the command's literals are parsed under the interpreter's limit; its report gets OUTPUT_DIGITS
+    with _output_digits():
+        return _respond(args)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 a and b are multiplicatively dependent when a^r = b^s for positive r, s;
 the decision takes the least relation between the two norms, found by
 Euclid on their exponents rather than by factoring, and settles the unit
-left over by exact powering.  The two searches certify approximation
+left over by exact comparison.  The two searches certify approximation
 facts about the group {a^m * b^n}: a group witness pins |a^m / b^n - u|
 below a rational bound, and a prefix witness additionally forces the
 word of a^m to extend the word of u in base b.
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .gaussint import ONE, GaussInt, InvalidInput
-from .numeration import Word, _ceil_log, canonical_digit_set, encode, length_bound
+from .gaussint import ONE, UNITS, ZERO, GaussInt, InvalidInput
+from .numeration import Word, _ceil_log, canonical_digit_set, decode, encode, length_bound
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,12 @@ def _common_root(x: int, y: int) -> Optional[int]:
 def mult_dependent(a: GaussInt, b: GaussInt) -> DependenceVerdict:
     """Decide whether a^r = b^s has a solution in positive integers.
 
-    a^r = b^s forces N(a)^r = N(b)^s, so (r, s) is a multiple of the
-    least norm relation (r0, s0), read off the common root of the two
-    norms without factoring them.  Then a^r0 / b^s0 has norm 1, so it is
-    a root of unity, a power of i, exactly when a^(t*r0) = b^(t*s0) for
-    some t <= 4, the order of the unit group of Z[i]; the least such t
-    gives the minimal pair.  A dependent verdict is thus verified by
-    exact powering before it is returned.
+    a^r = b^s forces N(a)^r = N(b)^s, so (r, s) = k*(r0, s0) for the least
+    norm relation, read off the common root of the norms without factoring
+    them.  Then (a^r0 / b^s0)^k = 1, and the roots of unity of Q(i) are the
+    units of Z[i]: the pair is dependent exactly when a^r0 = unit * b^s0,
+    and that unit's order t (1, 2 or 4) gives the minimal pair (t*r0, t*s0).
+    The four comparisons divide nothing, so no error message formats a power.
     """
     na, nb = a.norm(), b.norm()
     if na <= 1 or nb <= 1:
@@ -69,8 +68,9 @@ def mult_dependent(a: GaussInt, b: GaussInt) -> DependenceVerdict:
     if c is None:
         return DependenceVerdict(False)
     r0, s0 = _ceil_log(nb, c), _ceil_log(na, c)
-    for t in (1, 2, 3, 4):
-        if a ** (t * r0) == b ** (t * s0):
+    ar, bs = a**r0, b**s0
+    for unit, t in zip(UNITS, (1, 4, 2, 4)):  # 1, i, -1, -i and their orders
+        if ar == unit * bs:
             return DependenceVerdict(True, t * r0, t * s0)
     return DependenceVerdict(False)
 
@@ -197,10 +197,13 @@ def group_witness(
 class PrefixWitness:
     """a^m = u*b^n + z with the word of z short enough not to disturb u's digits.
 
-    Since word_length(z) <= n, the base-b word of a^m is the word of u
-    followed by n more digits; in particular it has u's word as a prefix.
-    The two words are encoded once and kept; verify() re-checks the
-    identity, the length of z and the prefix from the stored fields.
+    With u != 0 and word_length(z) <= n, the word of u, then zeros, then
+    the word of z, n digits after u's, is a word without leading zeros
+    whose value is u*b^n + z = a^m: by uniqueness of representations it is
+    the word of a^m, which thus extends the word of u.  So word_am is
+    derived from the words of u and z, each encoded once and kept, and a^m
+    is never encoded.  verify() re-checks the identity, u != 0, the length
+    of z's word, both words' values and word_u's nonzero leading digit.
     """
 
     a: GaussInt
@@ -211,40 +214,38 @@ class PrefixWitness:
     z: GaussInt
 
     @cached_property
-    def word_am(self) -> Word:
-        """The base-b word of a^m, encoded once per witness."""
-        return encode(self.a**self.m, canonical_digit_set(self.b))
-
-    @cached_property
     def word_u(self) -> Word:
-        """The base-b word of u, encoded once per witness."""
         return encode(self.u, canonical_digit_set(self.b))
 
+    @cached_property
+    def word_z(self) -> Word:
+        return encode(self.z, canonical_digit_set(self.b))
+
+    @property
+    def word_am(self) -> Word:
+        return self.word_u + (ZERO,) * (self.n - len(self.word_z)) + self.word_z
+
     def verify(self) -> bool:
-        if self.a**self.m != self.u * self.b**self.n + self.z:
+        identity = bool(self.u) and self.a**self.m == self.u * self.b**self.n + self.z
+        if not identity or len(self.word_z) > self.n or self.word_u[:1] == (ZERO,):
             return False
-        if len(encode(self.z, canonical_digit_set(self.b))) > self.n:
+        D = canonical_digit_set(self.b)
+        try:  # a stored word with a non-digit fails too
+            return decode(self.word_u, D) == self.u and decode(self.word_z, D) == self.z
+        except InvalidInput:
             return False
-        return self.word_am[: len(self.word_u)] == self.word_u
 
 
 def prefix_extension(
-    a: GaussInt,
-    b: GaussInt,
-    u: GaussInt,
-    n_min: int = 0,
-    budget: int = 256,
-    word_u: Optional[Word] = None,
+    a: GaussInt, b: GaussInt, u: GaussInt, n_min: int = 0, budget: int = 256
 ) -> Optional[PrefixWitness]:
     """Find m, n >= n_min with a^m = u*b^n + z and word_length(z) <= n.
 
     The acceptance threshold is the certified length bound of base b:
-    norm(a^m - u*b^n) * norm(b)^m3 <= norm(b)^n.  All three postconditions
-    (exact identity, word length, explicit word-prefix comparison) are
-    re-verified before a witness is returned.  None means the search
-    budget (max m) was exhausted.  word_u, when given, must be the word of
-    u (a chain passes its previous level's word_am); it is then not
-    encoded again.
+    norm(a^m - u*b^n) * norm(b)^m3 <= norm(b)^n.  The witness re-verifies
+    its identity and the word of z before it is returned; the word of a^m
+    follows from them (see PrefixWitness).  None means the search budget
+    (max m) was exhausted.
     """
     if not u:
         raise InvalidInput("prefix extension needs a nonzero target")
@@ -255,8 +256,6 @@ def prefix_extension(
     tail = b.norm() ** length_bound(b).m3
     for m, n, z in _approximations(a, b, u, n_min, budget, 1, tail):
         witness = PrefixWitness(a=a, b=b, u=u, m=m, n=n, z=z)
-        if word_u is not None:
-            vars(witness)["word_u"] = word_u  # fills the cached_property
         if witness.verify():
             return witness
     return None

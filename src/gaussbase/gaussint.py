@@ -119,7 +119,10 @@ class GaussInt:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # one int mixing both components, not a tuple: CPython has hash(-1) == hash(-2), so
+        # (x, -1) and (x, -2) would share a tuple hash; the offset keeps the int positive
+        # for components up to a few thousand in size
+        return hash(self.re * 1000003 + self.im + (1 << 32))
 
     def __repr__(self) -> str:
         return f"GaussInt({self.re}, {self.im})"

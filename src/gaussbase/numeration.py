@@ -221,6 +221,8 @@ def _ceil_log(value: int, base: int) -> int:
 # Iteration budget before an encode is declared non-terminating.  The cap
 # 4*M(3) + 2*ceil(log_N(norm(z)+1)) + 16 is a generous multiple of the
 # certified length bound; M(3) itself is bootstrapped with a fixed cap.
+# encode bounds the log from bit lengths: value < 2^bits(value) and
+# N >= 2^(bits(N) - 1) give N^k >= value for k = ceil(bits(value) / (bits(N) - 1)).
 _BOOTSTRAP_CAP = 64
 
 
@@ -264,7 +266,7 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
     that is not actually a digit set the loop can cycle, so it is capped;
     exceeding the cap raises NonTermination.
     """
-    cap = 4 * D.m3 + 2 * _ceil_log(z.norm() + 1, D.base.norm()) + 16
+    cap = 4 * D.m3 + 2 * -(-(z.norm() + 1).bit_length() // (D.base.norm().bit_length() - 1)) + 16
     return _encode_capped(z, D, cap)
 
 
@@ -382,22 +384,6 @@ def _envelope(D: DigitSet, D2: DigitSet) -> tuple[GaussInt, ...]:
     return tuple(lattice_disc(a2 + b2 + isqrt(4 * a2 * b2)))
 
 
-def _linking_failure(
-    D: DigitSet, D2: DigitSet, envelope: tuple[GaussInt, ...]
-) -> Optional[tuple[GaussInt, GaussInt]]:
-    """First (d, e) with d + e not in D2 + b*E, or None if the envelope links."""
-    members = frozenset(envelope)
-    b = D.base
-    for d in D.digits:
-        for e in envelope:
-            x = d + e
-            d2 = digit_of(x, D2)
-            e2 = exact_div(x - d2, b)
-            if e2 not in members:
-                return d, e
-    return None
-
-
 def check_linked(D: DigitSet, D2: DigitSet) -> Optional[LinkCertificate]:
     """Certify that D and D2 (same base) are linked, or return None.
 
@@ -411,8 +397,12 @@ def check_linked(D: DigitSet, D2: DigitSet) -> Optional[LinkCertificate]:
         if not terminates_on_disc(S):
             raise NonTermination(f"digit set over {S.base} fails the termination probe")
     envelope = _envelope(D, D2)
-    if _linking_failure(D, D2, envelope) is not None:
-        return None
+    members = frozenset(envelope)
+    for d in D.digits:
+        for e in envelope:
+            x = d + e
+            if exact_div(x - digit_of(x, D2), D.base) not in members:
+                return None
     return LinkCertificate(envelope=envelope)
 
 

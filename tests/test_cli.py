@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -25,6 +27,7 @@ from gaussbase.numeration import (
 )
 
 g = GaussInt
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -116,14 +119,44 @@ def test_prefix_report_encodes_each_word_once(capsys, monkeypatch):
     assert report["results"]["chain_depth_reached"] == 1
     # the second level adds digits even with n_min = 0
     assert [(w["m"], w["n"]) for w in chain] == [(1, 1), (93, 121)]
-    # each level encodes its own a^m; the next level takes it as the word of its u
-    for wit in chain:
+    # a^m is never encoded: each level encodes its u (the level before's a^m) and its z once
+    targets = [u] + [a ** wit["m"] for wit in chain[:-1]]
+    for wit, level_u in zip(chain, targets):
         a_m = a ** wit["m"]
         assert wit["certified"] is True
-        assert encoded.count(a_m) == 1
+        assert encoded.count(level_u) == 1
+        assert encoded.count(GaussInt.parse(wit["z"])) == 1
         assert wit["word_am"] == word_to_text(encode(a_m, canonical_digit_set(b)))
+    assert a ** chain[1]["m"] not in encoded
+    assert len(encoded) == 2 * len(chain)
     assert chain[1]["word_u"] == chain[0]["word_am"]
-    assert encoded.count(u) == 1
+
+
+def _readme_cli_lines():
+    """The `gaussbase ...` lines of the sh block under README's `## CLI` heading."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("gaussbase ")]
+
+
+def test_readme_cli_commands_run_as_documented(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # dfa make writes powers.json, which dfa falsify reads
+    ran = []
+    for line in _readme_cli_lines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        if argv[0] == "verify":  # the acceptance tests run its criteria
+            continue
+        ran.append(argv[0])
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["status"]) == (EXIT_OK, "ok"), line
+        if argv[0] == "encode":
+            assert report["results"]["word"] == re.search(r'-> word "(.*)"', comment).group(1)
+        if argv[0] == "deptest":
+            verdict, r, s = re.search(r"-> (dependent|independent), r=(\d+), s=(\d+)", comment).groups()
+            assert report["results"] == {"dependent": verdict == "dependent", "r": int(r), "s": int(s)}
+    assert {"encode", "deptest", "prefix", "dfa"} <= set(ran)
 
 
 def test_prefix_chain_levels_after_the_first_add_digits(capsys):
@@ -459,22 +492,66 @@ def test_closed_pipe_ends_without_a_traceback(tmp_path):
     assert json.loads(out.read_text())["status"] == "ok"
 
 
-def test_an_unprintable_result_is_an_error_report():
-    # (2+i)^9000 has a norm of 6291 digits, past Python's int-to-str limit of 4300
-    word = "1" + ",0" * 9000
+def _decode_in_child(base, word):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     child = subprocess.run(
-        [sys.executable, "-m", "gaussbase.cli", "decode", "-b", "2+1i", word],
+        [sys.executable, "-m", "gaussbase.cli", "decode", "-b", base, word],
         capture_output=True,
         env=env,
         timeout=60,
     )
     assert child.stderr == b""
-    assert child.returncode == EXIT_ERROR
-    report = json.loads(child.stdout)
+    # this process keeps Python's default limit of 4300 digits, so the big ints stay text
+    return child.returncode, json.loads(child.stdout, parse_int=str)
+
+
+def test_an_unprintable_result_is_an_error_report():
+    # (2+i)^9000 has a norm of 6291 digits, past Python's default int-to-str limit of
+    # 4300 but within OUTPUT_DIGITS, so the report prints it
+    code, report = _decode_in_child("2+1i", "1" + ",0" * 9000)
+    assert code == EXIT_OK
+    assert report["status"] == "ok"
+    assert len(report["results"]["norm"]) == 6291
+    # 10^25001 prints, but its norm 10^50002 has 50003 digits, past OUTPUT_DIGITS
+    assert cli.OUTPUT_DIGITS == 50_000
+    code, report = _decode_in_child("10", "1" + ",0" * 25001)
+    assert code == EXIT_ERROR
     assert report["status"] == "error"
     assert report["command"] == "decode"
-    assert "integer string conversion" in report["message"]
+    assert "(50000 digits)" in report["message"]  # Python's message names the limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_a_witness_past_the_default_digit_limit_prints_and_the_limit_is_restored(capsys):
+    before = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    code, report = run_cli(capsys, "prefix", "1+2i", "2+1i", "1", "--n-min", "20000", "--budget", "60000")
+    elapsed = time.perf_counter() - start
+    assert sys.get_int_max_str_digits() == before
+    assert code == EXIT_OK
+    witness = report["results"]["witness"]
+    assert (witness["m"], witness["n"], witness["certified"]) == (20026, 20026, True)
+    assert len(witness["z"]) == 6999
+    assert elapsed < 10  # 0.4 s on a 2-vCPU VM; the bound only catches a runaway
+    # an input literal keeps the interpreter's limit: argparse refuses it as a usage error
+    with pytest.raises(SystemExit):
+        main(["deptest", "1" * (before + 1), "2+1i"])
+    assert sys.get_int_max_str_digits() == before
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("limit", [0, 100_000])
+def test_a_higher_digit_limit_is_kept_while_a_command_runs(capsys, limit):
+    """No limit, or one above OUTPUT_DIGITS, is never lowered: a norm of 50,003 digits prints."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, report = run_cli(capsys, "decode", "-b", "10", "1" + ",0" * 25001)
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert (code, report["status"]) == (EXIT_OK, "ok")
+    assert report["results"]["norm"] == 10**50002
 
 
 def test_importing_the_cli_leaves_verification_and_random_unloaded():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from gaussbase.cli import EXIT_OK, main
 from gaussbase.dependence import (
     PrefixWitness,
+    _common_root,
     _log_polar,
     group_witness,
     mult_dependent,
@@ -19,7 +21,9 @@ from gaussbase.dependence import (
 )
 from gaussbase.gaussint import ONE, UNITS, ZERO, GaussInt, InvalidInput
 from gaussbase.numeration import (
+    _ceil_log,
     canonical_digit_set,
+    decode,
     encode,
     length_bound,
     word_length,
@@ -121,6 +125,57 @@ def test_matches_powering_reference_on_constructed_pairs(gamma, u1, u2, p, q):
     a, b = u1 * gamma**p, u2 * gamma**q
     v = mult_dependent(a, b)
     assert (v.dependent, v.r, v.s) == _reference_verdict(a, b)
+
+
+def reference_mult_dependent(a, b):
+    """The earlier decision: power a^(t*r0) and b^(t*s0) for t = 1, 2, 3, 4 and compare."""
+    na, nb = a.norm(), b.norm()
+    c = _common_root(na, nb)
+    if c is None:
+        return (False, None, None)
+    r0, s0 = _ceil_log(nb, c), _ceil_log(na, c)
+    for t in (1, 2, 3, 4):
+        if a ** (t * r0) == b ** (t * s0):
+            return (True, t * r0, t * s0)
+    return (False, None, None)
+
+
+gammas_7 = st.builds(GaussInt, st.integers(-7, 7), st.integers(-7, 7)).filter(lambda z: z.norm() > 1)
+
+
+# the benchmark's dependent pairs: a unit times g^20..60, far past _reference_verdict's bound of 24;
+# a cofactor delta^k makes most of them independent, some with proportional norms
+@settings(max_examples=150, deadline=None)
+@given(
+    gammas_7,
+    st.sampled_from(UNITS),
+    st.sampled_from(UNITS),
+    st.integers(20, 60),
+    st.integers(20, 60),
+    st.sampled_from([ONE, g(-1), g(0, 1), B, A, g(1, 1), g(3, 4)]),
+    st.integers(0, 2),
+)
+def test_matches_four_power_reference_on_bench_style_pairs(gamma, u1, u2, p, q, delta, k):
+    a, b = u1 * gamma**p, u2 * gamma**q * delta**k
+    v = mult_dependent(a, b)
+    assert (v.dependent, v.r, v.s) == reference_mult_dependent(a, b)
+    assert not v.dependent or a**v.r == b**v.s
+    if delta.norm() == 1:
+        assert v.dependent
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_independent_pair_with_huge_unit_candidates_under_the_default_digit_limit():
+    """Norms 5^113 and 5^127: a^127 and b^113 have parts of about 5000 digits, past
+    Python's default int-to-str limit, and the decision must not format them."""
+    a, b = g(2, 1) ** 113, g(2, -1) ** 127
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        v = mult_dependent(a, b)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert (v.dependent, v.r, v.s) == (False, None, None) == reference_mult_dependent(a, b)
 
 
 # norm 10^40 + 121 is a probable prime, so trial division would need 10^20 steps
@@ -251,11 +306,28 @@ def test_prefix_extension_validation():
 
 def test_prefix_witness_verify_rechecks_every_field():
     w = prefix_extension(A, B, ONE, n_min=3, budget=256)
+    D = canonical_digit_set(B)
     assert w.verify() and w.word_am[:1] == (ONE,) and w.word_u == (ONE,)
     assert not replace(w, z=w.z + ONE).verify()  # identity
+    assert not replace(w, n=w.n + 1).verify() and not replace(w, n=w.n - 1).verify()
     # a^m = (u*b^k) * b^(n-k) + z still holds, but z has more than n - k digits
-    k = w.n - word_length(w.z, canonical_digit_set(B)) + 1
+    k = w.n - word_length(w.z, D) + 1
     assert not replace(w, u=w.u * B**k, n=w.n - k).verify()
+    # u = 0 and z = a^m satisfy the identity and the length of z, but derive a word with leading zeros
+    long_n = len(encode(A**w.m, D))
+    assert not replace(w, u=ZERO, z=A**w.m, n=long_n).verify()
+    # a forged word of z: a wrong last digit, a shifted word, a non-digit
+    other = next(d for d in D.digits if d != w.word_z[-1])
+    for forged_word in (w.word_z[:-1] + (other,), w.word_z[1:] + (ZERO,), (g(7, 7),) + w.word_z[1:]):
+        forged = replace(w)
+        vars(forged)["word_z"] = forged_word  # fills the cached_property
+        assert not forged.verify()
+    # a forged word of u: a wrong digit, a leading zero (same value), a non-digit
+    other = next(d for d in D.digits if d not in (ZERO, w.word_u[0]))
+    for forged_word in ((other,) + w.word_u[1:], (ZERO,) + w.word_u, (g(7, 7),) + w.word_u[1:]):
+        forged = replace(w)
+        vars(forged)["word_u"] = forged_word
+        assert not forged.verify()
 
 
 def test_prefix_extension_budget_exhaustion():
@@ -338,6 +410,43 @@ def test_prefix_extension_matches_unpruned_search(a, b, u, n_min, budget):
     w = prefix_extension(a, b, u, n_min, budget)
     expected = reference_prefix_extension(a, b, u, n_min, budget)
     assert (None if w is None else (w.m, w.n, w.z)) == expected
+
+
+# the benchmark's search bases (norm 5-13) and targets (norm 1-10): a budget of 512 finds
+# a first witness for about half of the independent pairs
+components_3 = st.integers(-3, 3)
+bases_13 = st.builds(GaussInt, components_3, components_3).filter(lambda z: 5 <= z.norm() <= 13)
+targets_10 = st.builds(GaussInt, components_3, components_3).filter(lambda z: 1 <= z.norm() <= 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases_13, bases_13, targets_10, st.integers(0, 8), st.integers(0, 2))
+def test_derived_word_of_a_to_the_m_is_its_encoding(a, b, u, n_min, depth):
+    """Every found witness, also at chain levels past the first, derives the word encode gives a^m."""
+    assume(not mult_dependent(a, b).dependent)
+    D = canonical_digit_set(b)
+    for level in range(depth + 1):
+        w = prefix_extension(a, b, u, n_min if level == 0 else max(n_min, 1), 512)
+        if w is None:
+            return
+        assert w.verify()
+        assert w.word_am == encode(a**w.m, D)
+        assert w.word_u == encode(u, D) == w.word_am[: len(w.word_u)]
+        u = a**w.m
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases_9, bases_9, st.integers(1, 80), st.data())
+def test_every_split_of_a_word_derives_it(a, b, m, data):
+    """Cut the word of a^m after any nonzero leading part u: a^m = u*b^n + z with z the
+    last n digits, some of them leading zeros, and the witness derives the whole word."""
+    D = canonical_digit_set(b)
+    word = encode(a**m, D)
+    n = data.draw(st.integers(0, len(word) - 1))
+    u, z = decode(word[: len(word) - n], D), decode(word[len(word) - n :], D)
+    w = PrefixWitness(a=a, b=b, u=u, m=m, n=n, z=z)
+    assert w.verify()
+    assert w.word_am == word
 
 
 A9 = g(9, 9)  # |A9^300| > 1e308: the float of any component overflows

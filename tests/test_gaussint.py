@@ -181,3 +181,9 @@ def test_is_power_of_sound(z, a):
     n = is_power_of(z, a)
     if n is not None:
         assert a**n == z
+
+
+def test_small_values_have_distinct_hashes():
+    # CPython has hash(-1) == hash(-2), so a tuple hash of the components collides there
+    values = [g(x, y) for x in range(-64, 65) for y in range(-64, 65)]
+    assert len({hash(z) for z in values}) == len(values)

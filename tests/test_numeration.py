@@ -3,12 +3,13 @@
 import itertools
 import time
 from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaussbase import automata
+from gaussbase import automata, numeration
 from gaussbase.gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, divides
 from gaussbase.numeration import (
     DIGIT_BUDGET,
@@ -461,6 +462,28 @@ def test_ceil_log_matches_plain_loop(case):
         p *= base
         k += 1
     assert _ceil_log(value, base) == k
+
+
+huge_components = st.one_of(st.integers(-50, 50), st.integers(-(2**2000), 2**2000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.builds(GaussInt, st.integers(-40, 40), st.integers(-40, 40)).filter(lambda b: b.norm() >= 5),
+        st.sampled_from([g(400, 7), g(-1000, 999)]),  # past DIGIT_BUDGET
+    ),
+    st.builds(GaussInt, huge_components, huge_components),
+)
+@example(g(2, 1), g(2))  # norm(z) + 1 = 5 = norm(b)
+@example(g(2, 1), ZERO)
+def test_encode_cap_is_never_below_the_log_cap(b, z):
+    """encode's cap, bounded from bit lengths, is at least 4*M(3) + 2*ceil(log_N(norm(z)+1)) + 16."""
+    D = canonical_digit_set(b)
+    with mock.patch.object(numeration, "_encode_capped", wraps=numeration._encode_capped) as capped:
+        assert decode(encode(z, D), D) == z
+    cap = capped.call_args.args[2]
+    assert cap >= 4 * D.m3 + 2 * _ceil_log(z.norm() + 1, b.norm()) + 16
 
 
 # ---- the plain-int loops against the GaussInt references they replaced ----
