@@ -14,13 +14,13 @@ MEMBER_BUDGET cap that work before it starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from functools import cache, reduce
 from itertools import accumulate, islice, repeat, takewhile
 from math import isqrt
 from operator import itemgetter, mul
-from typing import Callable, Hashable, Iterable, Iterator, Literal, Optional
 
 from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, is_power_of
 from .numeration import (
@@ -40,24 +40,28 @@ ENUMERATION_BUDGET = 10**8
 MEMBER_BUDGET = 10**6  # candidate values in one walk; each member stays in memory
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(namedtuple("Dfa", "alphabet initial transitions accepting")):
     """Deterministic finite automaton with a total transition table.
 
+    Fields: alphabet (DigitSet), initial (int), transitions
+    (tuple[tuple[int, ...], ...]) and accepting (frozenset[int]).
     transitions[state][digit_index] is the successor state; digit indices
-    follow the alphabet's canonical digit order.
+    follow the alphabet's canonical digit order.  Construction turns the
+    rows into tuples and accepting into a frozenset, then __post_init__
+    checks that every state and target is in range.
     """
 
-    alphabet: DigitSet
-    initial: int
-    transitions: tuple[tuple[int, ...], ...]
-    accepting: frozenset[int]
+    __slots__ = ()
+
+    def __new__(
+        cls, alphabet: DigitSet, initial: int, transitions: Iterable[Iterable[int]], accepting: Iterable[int]
+    ) -> Dfa:
+        rows = tuple(tuple(row) for row in transitions)
+        self = tuple.__new__(cls, (alphabet, initial, rows, frozenset(accepting)))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "transitions", tuple(tuple(row) for row in self.transitions)
-        )
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
         n = len(self.transitions)
         if n == 0:
             raise InvalidInput("a DFA needs at least one state")
@@ -73,6 +77,11 @@ class Dfa:
         if not self.accepting <= set(range(n)):
             raise InvalidInput("accepting states out of range")
 
+    @classmethod
+    def _make(cls, fields: Iterable) -> Dfa:
+        """The DFA of an iterable of the fields, validated; _replace builds through it."""
+        return cls(*fields)
+
     @property
     def state_count(self) -> int:
         return len(self.transitions)
@@ -86,19 +95,17 @@ def _derived(
     product, complement and minimize only renumber the states of checked
     DFAs, so their tables are in range by construction; the public
     constructor and dfa_from_json still validate.  transitions must be a
-    tuple of tuples and accepting a frozenset, as __post_init__ makes them.
+    tuple of tuples and accepting a frozenset, as the constructor makes them.
     """
-    dfa = object.__new__(Dfa)
-    vars(dfa).update(alphabet=alphabet, initial=initial, transitions=transitions, accepting=accepting)
-    return dfa
+    return tuple.__new__(Dfa, (alphabet, initial, transitions, accepting))
 
 
 def run(dfa: Dfa, w: Word) -> bool:
     """True iff the unique run over w ends in an accepting state."""
-    index = dfa.alphabet.index
+    positions = dfa.alphabet.positions
     state = dfa.initial
     for d in w:
-        i = index.get(d)
+        i = positions.get(d)
         if i is None:
             raise InvalidInput(f"{d} is not in the DFA alphabet")
         state = dfa.transitions[state][i]
@@ -136,8 +143,6 @@ def _pairs(d1: Dfa, d2: Dfa) -> tuple[list[tuple[int, int]], list[tuple[int, ...
     return _bfs((d1.initial, d2.initial), lambda pair: zip(t1[pair[0]], t2[pair[1]]))
 
 
-ProductMode = Literal["and", "or", "diff"]
-
 _KEEP: dict[str, Callable[[bool, bool], bool]] = {
     "and": lambda a1, a2: a1 and a2,
     "or": lambda a1, a2: a1 or a2,
@@ -145,8 +150,8 @@ _KEEP: dict[str, Callable[[bool, bool], bool]] = {
 }
 
 
-def product(d1: Dfa, d2: Dfa, mode: ProductMode) -> Dfa:
-    """Product DFA for the boolean combination of two languages."""
+def product(d1: Dfa, d2: Dfa, mode: str) -> Dfa:
+    """Product DFA for the boolean combination of two languages; mode is "and", "or" or "diff"."""
     if mode not in _KEEP:
         raise InvalidInput(f"unknown product mode {mode!r}")
     keep = _KEEP[mode]
@@ -232,21 +237,21 @@ def integers_dfa(b: GaussInt | int) -> Dfa:
     return _three_state(D, real - {ZERO}, real, frozenset({0, 1}))
 
 
-@dataclass(frozen=True)
-class LanguageOracle:
+class LanguageOracle(namedtuple("LanguageOracle", "alphabet value_test candidates")):
     """Ground-truth membership for a set of Gaussian integers, as a word language.
 
-    Words with a zero leading digit are invalid and never members; the
-    empty word is a member exactly when the set contains 0.  membership
-    tests one word's decoded value with value_test.  The harnesses walk
-    the members instead: candidates(within, limit) lists the elements v
-    of the set with within(norm(v)), a disc around 0, or gives None when
-    there are more than limit of them.
+    Fields: alphabet (DigitSet), value_test (Callable[[GaussInt], bool])
+    and candidates (Callable[[Callable[[int], bool], int],
+    Iterable[GaussInt] | None]).  Words with a zero leading digit are
+    invalid and never members; the empty word is a member exactly when the
+    set contains 0.  membership tests one word's decoded value with
+    value_test.  The harnesses walk the members instead:
+    candidates(within, limit) lists the elements v of the set with
+    within(norm(v)), a disc around 0, or gives None when there are more
+    than limit of them.
     """
 
-    alphabet: DigitSet
-    value_test: Callable[[GaussInt], bool]
-    candidates: Callable[[Callable[[int], bool], int], Optional[Iterable[GaussInt]]]
+    __slots__ = ()
 
     def membership(self, w: Word) -> bool:
         if w and w[0] == ZERO:
@@ -259,7 +264,7 @@ def powers_oracle(a: GaussInt, D: DigitSet) -> LanguageOracle:
     if a.norm() <= 1:
         raise InvalidInput(f"norm({a}) <= 1 cannot generate powers")
 
-    def candidates(within: Callable[[int], bool], limit: int) -> Optional[list[GaussInt]]:
+    def candidates(within: Callable[[int], bool], limit: int) -> list[GaussInt] | None:
         powers = accumulate(repeat(a), mul, initial=ONE)  # of increasing norm
         out = list(islice(takewhile(lambda v: within(v.norm()), powers), limit + 1))
         return out if len(out) <= limit else None
@@ -270,7 +275,7 @@ def powers_oracle(a: GaussInt, D: DigitSet) -> LanguageOracle:
 def integers_oracle(D: DigitSet) -> LanguageOracle:
     """Oracle for Z inside Z[i], written over D."""
 
-    def candidates(within: Callable[[int], bool], limit: int) -> Optional[Iterable[GaussInt]]:
+    def candidates(within: Callable[[int], bool], limit: int) -> Iterable[GaussInt] | None:
         top = (limit + 1) // 2  # the 2x + 1 integers of modulus <= x exceed limit iff x >= top
         if within(top * top):
             return None
@@ -313,25 +318,31 @@ def _members(
     if values is None:
         raise BudgetExceeded(f"words of length <= {max_len} exceed the enumeration budget")
     words = (encode_within(v, D, max_len) for v in values)
-    return ((len(w), reduce(lambda i, d: i * m + D.index[d], w, 0)) for w in words if w is not None)
+    return ((len(w), reduce(lambda i, d: i * m + D.positions[d], w, 0)) for w in words if w is not None)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(
+    namedtuple("ResidualReport", "prefix_depth extension_depth class_count representatives")
+):
     """Distinct extension-behaviors among bounded prefixes.
 
-    class_count distinct signatures were observed over prefixes of length
-    <= prefix_depth, where the signature of u is the set of extensions v
-    of length <= extension_depth with u.v a member; only the prefixes of
-    members have nonempty ones.  class_count lower-bounds the state count
-    of any DFA that agrees with the language on all words of length <=
-    prefix_depth + extension_depth.
+    Fields: prefix_depth, extension_depth and class_count (ints), and
+    representatives (tuple[Word, ...]), one word per class, which the
+    repr leaves out.  class_count distinct signatures were observed over
+    prefixes of length <= prefix_depth, where the signature of u is the
+    set of extensions v of length <= extension_depth with u.v a member;
+    only the prefixes of members have nonempty ones.  class_count
+    lower-bounds the state count of any DFA that agrees with the language
+    on all words of length <= prefix_depth + extension_depth.
     """
 
-    prefix_depth: int
-    extension_depth: int
-    class_count: int
-    representatives: tuple[Word, ...] = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return (
+            f"ResidualReport(prefix_depth={self.prefix_depth!r}, "
+            f"extension_depth={self.extension_depth!r}, class_count={self.class_count!r})"
+        )
 
 
 def _word_from_index(digits: tuple[GaussInt, ...], length: int, index: int) -> Word:
@@ -430,7 +441,7 @@ def _accepted(d: Dfa, reach: list[frozenset[int]], n: int) -> Iterator[int]:
         stack.extend((row[x], i * m + x, left - 1) for x in reversed(range(m)) if row[x] in live)
 
 
-def dfa_oracle_disagreement(d: Dfa, L: LanguageOracle, max_len: int) -> Optional[Word]:
+def dfa_oracle_disagreement(d: Dfa, L: LanguageOracle, max_len: int) -> Word | None:
     """Shortest (then lexicographically least) word where DFA and oracle differ.
 
     None means perfect agreement on all words up to max_len.  Per length,

@@ -27,8 +27,8 @@ import functools
 import json
 import os
 import sys
+from collections import namedtuple
 from math import isqrt
-from typing import Callable, NamedTuple, Optional
 
 from .automata import (
     dfa_from_json,
@@ -276,7 +276,7 @@ def cmd_pump(args) -> tuple[dict, dict, str]:
     return _echo(args, "base", "set", "word", "k", "reps"), results, "ok"
 
 
-def _save_dfa(d, path: Optional[str]) -> None:
+def _save_dfa(d, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(dfa_to_json(d), fh, indent=2, sort_keys=True)
@@ -287,37 +287,40 @@ def _load_dfa(path: str):
         return dfa_from_json(json.load(fh))
 
 
-def cmd_dfa(args) -> tuple[dict, dict, str]:
-    if args.dfa_command == "make":
-        if args.kind == "integers":
-            d = integers_dfa(args.base)
-        else:
-            d = powers_dfa(args.base)
-        _save_dfa(d, args.dfa_out)
-        return _echo(args, "kind", "base"), {"dfa": dfa_to_json(d)}, "ok"
-    if args.dfa_command == "run":
-        d = _load_dfa(args.file)
-        w = word_from_text(args.word)
-        return _echo(args, "file", "word"), {"accepts": dfa_run(d, w)}, "ok"
-    if args.dfa_command == "min":
-        d = _load_dfa(args.file)
-        m = minimize(d)
-        _save_dfa(m, args.dfa_out)
-        return _echo(args, "file"), {"states_before": d.state_count, "dfa": dfa_to_json(m)}, "ok"
-    if args.dfa_command == "equiv":
-        d1, d2 = _load_dfa(args.file), _load_dfa(args.file2)
-        return _echo(args, "file", "file2"), {"equivalent": equivalent(d1, d2)}, "ok"
-    if args.dfa_command == "falsify":
-        d = _load_dfa(args.file)
-        oracle = _oracle_for(args.set, d.alphabet.base)
-        word = dfa_oracle_disagreement(d, oracle, args.max_len)
-        inputs = _echo(args, "file", "set", "max_len")
-        results = {
-            "disagreement": None if word is None else word_to_text(word),
-            "agrees_up_to": args.max_len if word is None else None,
-        }
-        return inputs, results, "ok"
-    raise InvalidInput(f"unknown dfa subcommand {args.dfa_command!r}")
+def cmd_dfa_make(args) -> tuple[dict, dict, str]:
+    d = integers_dfa(args.base) if args.kind == "integers" else powers_dfa(args.base)
+    _save_dfa(d, args.dfa_out)
+    return _echo(args, "kind", "base"), {"dfa": dfa_to_json(d)}, "ok"
+
+
+def cmd_dfa_run(args) -> tuple[dict, dict, str]:
+    d = _load_dfa(args.file)
+    w = word_from_text(args.word)
+    return _echo(args, "file", "word"), {"accepts": dfa_run(d, w)}, "ok"
+
+
+def cmd_dfa_min(args) -> tuple[dict, dict, str]:
+    d = _load_dfa(args.file)
+    m = minimize(d)
+    _save_dfa(m, args.dfa_out)
+    return _echo(args, "file"), {"states_before": d.state_count, "dfa": dfa_to_json(m)}, "ok"
+
+
+def cmd_dfa_equiv(args) -> tuple[dict, dict, str]:
+    d1, d2 = _load_dfa(args.file), _load_dfa(args.file2)
+    return _echo(args, "file", "file2"), {"equivalent": equivalent(d1, d2)}, "ok"
+
+
+def cmd_dfa_falsify(args) -> tuple[dict, dict, str]:
+    d = _load_dfa(args.file)
+    oracle = _oracle_for(args.set, d.alphabet.base)
+    word = dfa_oracle_disagreement(d, oracle, args.max_len)
+    inputs = _echo(args, "file", "set", "max_len")
+    results = {
+        "disagreement": None if word is None else word_to_text(word),
+        "agrees_up_to": args.max_len if word is None else None,
+    }
+    return inputs, results, "ok"
 
 
 def cmd_verify(args) -> tuple[dict, dict, str]:
@@ -363,19 +366,17 @@ def _render_pretty(obj, indent: int = 0) -> list[str]:
     return lines
 
 
-class _Command(NamedTuple):
+class _Command(namedtuple("_Command", "name help handler args subcommands", defaults=(None, (), ()))):
     """One subcommand: its name, its help line (None lists no line), its handler and arguments.
 
-    args holds (flags, add_argument options) pairs.  A group such as dfa has
-    subcommands instead, each with the output flags and its own args, so
-    those flags follow the subcommand.
+    Fields: name (str), help (str | None), handler (Callable | None, a
+    cmd_* function), args (tuple) and subcommands (tuple[_Command, ...]).
+    args holds (flags, add_argument options) pairs.  A group such as dfa
+    has subcommands instead, each with its own handler, the output flags
+    and its own args, so those flags follow the subcommand.
     """
 
-    name: str
-    help: Optional[str]
-    handler: Optional[Callable] = None
-    args: tuple = ()
-    subcommands: tuple = ()
+    __slots__ = ()
 
 
 def _arg(*flags: str, **options) -> tuple:
@@ -425,18 +426,18 @@ COMMANDS = {
             _arg("-k", type=_count, default=1, help="zeros per pump block"),
             _arg("--reps", type=_count, default=8),
         )),
-        _Command("dfa", "DFA engine over JSON automata", cmd_dfa, subcommands=(
-            _Command("make", None, args=(
+        _Command("dfa", "DFA engine over JSON automata", subcommands=(
+            _Command("make", None, cmd_dfa_make, (
                 _arg("kind", choices=("powers", "integers")),
                 _BASE,
                 _arg("--dfa-out", metavar="FILE", help="write the DFA JSON to FILE"),
             )),
-            _Command("run", None, args=(_FILE, _arg("--word", required=True))),
-            _Command("min", None, args=(
+            _Command("run", None, cmd_dfa_run, (_FILE, _arg("--word", required=True))),
+            _Command("min", None, cmd_dfa_min, (
                 _FILE, _arg("--dfa-out", metavar="FILE", help="write the minimized DFA JSON to FILE"),
             )),
-            _Command("equiv", None, args=(_FILE, _arg("file2"))),
-            _Command("falsify", None, args=(_FILE, _SET, _arg("--max-len", type=_count, default=6))),
+            _Command("equiv", None, cmd_dfa_equiv, (_FILE, _arg("file2"))),
+            _Command("falsify", None, cmd_dfa_falsify, (_FILE, _SET, _arg("--max-len", type=_count, default=6))),
         )),
         _Command("verify", "run the full verification suite", cmd_verify),
     )
@@ -466,7 +467,7 @@ def _add_command(group, command: _Command) -> None:
 
 
 @functools.cache  # built on first use, not at import, and reused by every main call
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser; given a command name, one that registers only that command.
 
     argparse picks a subcommand by its exact name, so for an argv that
@@ -488,7 +489,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _report(command: str, inputs: dict, results: dict, status: str, message: Optional[str]) -> dict:
+def _report(command: str, inputs: dict, results: dict, status: str, message: str | None) -> dict:
     report = {"command": command, "inputs": inputs, "results": results, "status": status}
     if message is not None:
         report["message"] = message
@@ -540,7 +541,7 @@ def _output_digits():
         set_limit(saved)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a call builds only its own command's parser; -h, an unknown name or none gets the full one
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)

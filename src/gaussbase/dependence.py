@@ -17,24 +17,24 @@ witness re-checks from its stored fields alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator, Optional
 
 from .gaussint import ONE, UNITS, ZERO, GaussInt, InvalidInput
 from .numeration import Word, _ceil_log, canonical_digit_set, decode, encode, length_bound
 
 
-@dataclass(frozen=True)
-class DependenceVerdict:
-    """Outcome of the dependence decision; (r, s) is the minimal positive pair."""
+class DependenceVerdict(namedtuple("DependenceVerdict", "dependent r s", defaults=(None, None))):
+    """Outcome of the dependence decision; (r, s) is the minimal positive pair.
 
-    dependent: bool
-    r: Optional[int] = None
-    s: Optional[int] = None
+    Fields: dependent (bool), r and s (int | None, both None when independent).
+    """
+
+    __slots__ = ()
 
 
-def _common_root(x: int, y: int) -> Optional[int]:
+def _common_root(x: int, y: int) -> int | None:
     """The c with x = c^p and y = c^q for coprime p, q >= 1, given x, y >= 2.
 
     Euclid on the exponents: if x = c^p and y = c^q with p > q, then
@@ -75,21 +75,15 @@ def mult_dependent(a: GaussInt, b: GaussInt) -> DependenceVerdict:
     return DependenceVerdict(False)
 
 
-@dataclass(frozen=True)
-class GroupWitness:
+class GroupWitness(namedtuple("GroupWitness", "a b u m n err_num err_den")):
     """Exponents with norm(a^m - u*b^n) * err_den <= err_num * norm(b)^n.
 
-    The inequality certifies |a^m / b^n - u| <= sqrt(err_num / err_den);
+    Fields: a, b and u (GaussInt), m, n, err_num and err_den (int).  The
+    inequality certifies |a^m / b^n - u| <= sqrt(err_num / err_den);
     verify() re-checks it from the stored fields in integer arithmetic.
     """
 
-    a: GaussInt
-    b: GaussInt
-    u: GaussInt
-    m: int
-    n: int
-    err_num: int
-    err_den: int
+    __slots__ = ()
 
     def verify(self) -> bool:
         z = self.a**self.m - self.u * self.b**self.n
@@ -176,7 +170,7 @@ def group_witness(
     err_num: int,
     err_den: int,
     m_max: int = 256,
-) -> Optional[GroupWitness]:
+) -> GroupWitness | None:
     """Search m = 1..m_max for a certified witness; None when the budget runs out.
 
     For each m only the few n with norm(b)^n near norm(a^m)/norm(u) can
@@ -193,25 +187,20 @@ def group_witness(
     return None
 
 
-@dataclass(frozen=True)
-class PrefixWitness:
+class PrefixWitness(namedtuple("PrefixWitness", "a b u m n z")):
     """a^m = u*b^n + z with the word of z short enough not to disturb u's digits.
 
-    With u != 0 and word_length(z) <= n, the word of u, then zeros, then
-    the word of z, n digits after u's, is a word without leading zeros
-    whose value is u*b^n + z = a^m: by uniqueness of representations it is
-    the word of a^m, which thus extends the word of u.  So word_am is
-    derived from the words of u and z, each encoded once and kept, and a^m
-    is never encoded.  verify() re-checks the identity, u != 0, the length
-    of z's word, both words' values and word_u's nonzero leading digit.
+    Fields: a, b and u (GaussInt), m and n (int), z (GaussInt).  With
+    u != 0 and word_length(z) <= n, the word of u, then zeros, then the
+    word of z, n digits after u's, is a word without leading zeros whose
+    value is u*b^n + z = a^m: by uniqueness of representations it is the
+    word of a^m, which thus extends the word of u.  So word_am is derived
+    from word_u and word_z (each a Word over the canonical digits of b),
+    which are encoded on first use and kept as plain attributes outside
+    the tuple, and a^m is never encoded.  verify() re-checks the identity,
+    u != 0, the length of z's word, both words' values and word_u's
+    nonzero leading digit.
     """
-
-    a: GaussInt
-    b: GaussInt
-    u: GaussInt
-    m: int
-    n: int
-    z: GaussInt
 
     @cached_property
     def word_u(self) -> Word:
@@ -238,7 +227,7 @@ class PrefixWitness:
 
 def prefix_extension(
     a: GaussInt, b: GaussInt, u: GaussInt, n_min: int = 0, budget: int = 256
-) -> Optional[PrefixWitness]:
+) -> PrefixWitness | None:
     """Find m, n >= n_min with a^m = u*b^n + z and word_length(z) <= n.
 
     The acceptance threshold is the certified length bound of base b:

@@ -11,7 +11,6 @@ input and refused work.
 from __future__ import annotations
 
 import re as _regex
-from typing import Optional
 
 
 class NotDivisible(ArithmeticError):
@@ -157,12 +156,12 @@ def exact_div(z: GaussInt, w: GaussInt) -> GaussInt:
     t = z * w.conj()
     q_re, r_re = divmod(t.re, n)
     q_im, r_im = divmod(t.im, n)
-    if r_re or r_im:
-        raise NotDivisible(f"{w} does not divide {z}")
+    if r_re or r_im:  # no operand in the message: formatting a huge one is slow or refused
+        raise NotDivisible("inexact division in Z[i]")
     return GaussInt(q_re, q_im)
 
 
-def is_power_of(z: GaussInt, a: GaussInt) -> Optional[int]:
+def is_power_of(z: GaussInt, a: GaussInt) -> int | None:
     """The n with a^n = z, if any (n = 0 for z = 1); None otherwise."""
     na = a.norm()
     if na <= 1:
@@ -177,10 +176,4 @@ def is_power_of(z: GaussInt, a: GaussInt) -> Optional[int]:
         if r:
             return None
         n += 1
-    # descend by exact division; n steps reach 1 exactly when z = a^n
-    try:
-        for _ in range(n):
-            z = exact_div(z, a)
-    except NotDivisible:
-        return None
-    return n if z == ONE else None
+    return n if a**n == z else None

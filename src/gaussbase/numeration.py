@@ -16,11 +16,11 @@ a value they return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property, lru_cache
 from itertools import product
 from math import isqrt, log2
-from typing import Callable, Iterator, Optional
 
 from .gaussint import ZERO, BudgetExceeded, GaussInt, InvalidInput, exact_div
 
@@ -35,50 +35,48 @@ class NonTermination(RuntimeError):
     """The greedy digit loop exceeded its iteration budget (invalid digit set)."""
 
 
-@dataclass(frozen=True)
-class DigitSet:
-    """A base together with a complete residue system containing 0.
+class DigitSet(namedtuple("DigitSet", "base digits")):
+    """A base together with a complete residue system containing 0: the tuple (base, digits).
 
-    Digits are normalized to (re, im) lexicographic order; construction
-    validates the residue-system invariants and builds the lookup tables
-    the digit map needs, so that no caller re-derives (or re-hashes) them:
-    index maps each digit to its position (and doubles as the member
-    test), and _by_residue maps the residue (t.re % N, t.im % N) of
-    t = d*conj(b), N = norm(b), to (d, t.re, t.im).  Two values are
-    congruent mod b exactly when their residues agree.
+    Fields: base (GaussInt) and digits (tuple[GaussInt, ...]), normalized
+    to (re, im) lexicographic order.  Construction validates the
+    residue-system invariants and keeps, as plain attributes outside the
+    tuple, the lookup tables the digit map needs, so that no caller
+    re-derives (or re-hashes) them: positions (dict[GaussInt, int]) maps
+    each digit to its position and doubles as the member test, and
+    _by_residue (dict[tuple[int, int], tuple[GaussInt, int, int]]) maps
+    the residue (t.re % N, t.im % N) of t = d*conj(b), N = norm(b), to
+    (d, t.re, t.im).  Two values are congruent mod b exactly when their
+    residues agree.  Equality and hash read the two fields only.
     """
 
-    base: GaussInt
-    digits: tuple[GaussInt, ...]
-    index: dict[GaussInt, int] = field(init=False, repr=False, compare=False)
-    _by_residue: dict[tuple[int, int], tuple[GaussInt, int, int]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        n = self.base.norm()
+    def __new__(cls, base: GaussInt, digits: tuple[GaussInt, ...]) -> DigitSet:
+        n = base.norm()
         if n < 5:
-            raise InvalidInput(f"norm({self.base}) = {n} < 5")
-        digits = tuple(sorted(self.digits, key=lambda d: (d.re, d.im)))
-        object.__setattr__(self, "digits", digits)
-        index = {d: i for i, d in enumerate(digits)}
-        if ZERO not in index:
+            raise InvalidInput(f"norm({base}) = {n} < 5")
+        digits = tuple(sorted(digits, key=lambda d: (d.re, d.im)))
+        positions = {d: i for i, d in enumerate(digits)}
+        if ZERO not in positions:
             raise InvalidInput("digit set must contain 0")
-        if len(index) != len(digits):
+        if len(positions) != len(digits):
             raise InvalidInput("duplicate digits")
         if len(digits) != n:
-            raise InvalidInput(
-                f"{len(digits)} digits for base {self.base} of norm {n}"
-            )
-        p, q = self.base.re, self.base.im
+            raise InvalidInput(f"{len(digits)} digits for base {base} of norm {n}")
+        p, q = base.re, base.im
         by_residue = {}
         for d in digits:  # t = d*conj(b) on ints
             t_re, t_im = d.re * p + d.im * q, d.im * p - d.re * q
             by_residue[t_re % n, t_im % n] = (d, t_re, t_im)
         if len(by_residue) != n:
             raise InvalidInput("digits are not pairwise incongruent mod base")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_by_residue", by_residue)
+        self = tuple.__new__(cls, (base, digits))
+        self.positions, self._by_residue = positions, by_residue
+        return self
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> DigitSet:
+        """The digit set of an iterable of the fields, validated; _replace builds through it."""
+        return cls(*fields)
 
     @cached_property
     def m3(self) -> int:
@@ -132,18 +130,18 @@ class _Box:
 class LargeCanonicalDigitSet(DigitSet):
     """The canonical digit set of a base of norm above DIGIT_BUDGET, never listed.
 
-    Its member test and residue table are box arithmetic on one value, so
-    encode, decode, digit_of and m3 work as for any digit set; asking for
-    the digits themselves raises BudgetExceeded.
+    It is the tuple (base, None), so it equals the set of the same base
+    only.  Its member test and residue table are box arithmetic on one
+    value, so encode, decode, digit_of and m3 work as for any digit set;
+    asking for the digits themselves raises BudgetExceeded.  The digits
+    argument is ignored, so that cls(*fields) rebuilds one, as _replace,
+    copy and pickle do.
     """
 
-    def __init__(self, base: GaussInt) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "index", _Box(base))
-        object.__setattr__(self, "_by_residue", self.index)
-
-    def __repr__(self) -> str:
-        return f"LargeCanonicalDigitSet({self.base!r})"
+    def __new__(cls, base: GaussInt, digits: None = None) -> LargeCanonicalDigitSet:
+        self = tuple.__new__(cls, (base, None))
+        self.positions = self._by_residue = _Box(base)
+        return self
 
     @property
     def digits(self) -> tuple[GaussInt, ...]:
@@ -226,7 +224,7 @@ def _ceil_log(value: int, base: int) -> int:
 _BOOTSTRAP_CAP = 64
 
 
-def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Optional[Word]:
+def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
     """The word of z if it has at most max_len digits, else None.
 
     Runs the forced digit loop for at most max_len steps, so the answer is
@@ -272,7 +270,7 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
 
 def decode(w: Word, D: DigitSet) -> GaussInt:
     """Horner evaluation of an msd-first word; decode of the empty word is 0."""
-    members = D.index
+    members = D.positions
     p, q = D.base.re, D.base.im
     x = y = 0
     for d in w:
@@ -292,17 +290,15 @@ def max_length_in_disc(r2: int, D: DigitSet) -> int:
     return max((len(encode(z, D)) for z in lattice_disc(r2)), default=0)
 
 
-@dataclass(frozen=True)
-class LengthBound:
+class LengthBound(namedtuple("LengthBound", "base m3")):
     """Certified length bound for a base: m3 = max length over norm(z) <= 9.
 
-    The predicate norm(z) * norm(b)^m3 <= norm(b)^k guarantees that the
-    word of z has length at most k; the underlying real constant
-    |b|^(-m3) is never materialized.
+    Fields: base (GaussInt), m3 (int).  The predicate norm(z) *
+    norm(b)^m3 <= norm(b)^k guarantees that the word of z has length at
+    most k; the underlying real constant |b|^(-m3) is never materialized.
     """
 
-    base: GaussInt
-    m3: int
+    __slots__ = ()
 
     def within_bound(self, z: GaussInt, k: int) -> bool:
         n = self.base.norm()
@@ -338,7 +334,7 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     """
     if j < 1:
         raise InvalidInput("power exponent must be >= 1")
-    members = D.index
+    members = D.positions
     p, q = D.base.re, D.base.im
     out: list[GaussInt] = []
     x = y = 0
@@ -366,11 +362,10 @@ def terminates_on_disc(D: DigitSet) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LinkCertificate:
-    """An envelope E (containing 0) witnessing D + E <= D' + b*E."""
+class LinkCertificate(namedtuple("LinkCertificate", "envelope")):
+    """An envelope E (containing 0) witnessing D + E <= D' + b*E; envelope is a tuple[GaussInt, ...]."""
 
-    envelope: tuple[GaussInt, ...]
+    __slots__ = ()
 
 
 def _envelope(D: DigitSet, D2: DigitSet) -> tuple[GaussInt, ...]:
@@ -384,7 +379,7 @@ def _envelope(D: DigitSet, D2: DigitSet) -> tuple[GaussInt, ...]:
     return tuple(lattice_disc(a2 + b2 + isqrt(4 * a2 * b2)))
 
 
-def check_linked(D: DigitSet, D2: DigitSet) -> Optional[LinkCertificate]:
+def check_linked(D: DigitSet, D2: DigitSet) -> LinkCertificate | None:
     """Certify that D and D2 (same base) are linked, or return None.
 
     Builds the envelope E of all Gaussian integers within the summed digit
@@ -406,7 +401,7 @@ def check_linked(D: DigitSet, D2: DigitSet) -> Optional[LinkCertificate]:
     return LinkCertificate(envelope=envelope)
 
 
-def real_power_exponent(b: GaussInt) -> Optional[int]:
+def real_power_exponent(b: GaussInt) -> int | None:
     """Least j in 1..8 with b^j a positive rational integer, else None.
 
     A Gaussian integer whose argument is a rational multiple of pi has

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
 from .automata import (
     Dfa,
@@ -65,16 +64,16 @@ _SMALL_DIGITS = (
 )
 
 
-@dataclass
 class CheckResult:
     """One named check: collects failures and details while it runs, then finish() times it."""
 
-    name: str
-    budget_seconds: float | None
-    seconds: float = 0.0
-    details: dict = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
-    started: float = field(default_factory=time.perf_counter, repr=False)
+    def __init__(self, name: str, budget_seconds: float | None) -> None:
+        self.name = name
+        self.budget_seconds = budget_seconds
+        self.seconds = 0.0
+        self.details: dict = {}
+        self.failures: list[str] = []
+        self.started = time.perf_counter()
 
     @property
     def passed(self) -> bool:

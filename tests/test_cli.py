@@ -564,7 +564,7 @@ def test_importing_the_cli_leaves_verification_and_random_unloaded():
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
     assert "gaussbase.cli" in loaded
-    assert not loaded & {"gaussbase.verification", "random"}
+    assert not loaded & {"gaussbase.verification", "random", "dataclasses", "inspect", "typing"}
 
 
 def test_dfa_flags_follow_the_subcommand(tmp_path, capsys):

@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import pytest
@@ -308,24 +307,24 @@ def test_prefix_witness_verify_rechecks_every_field():
     w = prefix_extension(A, B, ONE, n_min=3, budget=256)
     D = canonical_digit_set(B)
     assert w.verify() and w.word_am[:1] == (ONE,) and w.word_u == (ONE,)
-    assert not replace(w, z=w.z + ONE).verify()  # identity
-    assert not replace(w, n=w.n + 1).verify() and not replace(w, n=w.n - 1).verify()
+    assert not w._replace(z=w.z + ONE).verify()  # identity
+    assert not w._replace(n=w.n + 1).verify() and not w._replace(n=w.n - 1).verify()
     # a^m = (u*b^k) * b^(n-k) + z still holds, but z has more than n - k digits
     k = w.n - word_length(w.z, D) + 1
-    assert not replace(w, u=w.u * B**k, n=w.n - k).verify()
+    assert not w._replace(u=w.u * B**k, n=w.n - k).verify()
     # u = 0 and z = a^m satisfy the identity and the length of z, but derive a word with leading zeros
     long_n = len(encode(A**w.m, D))
-    assert not replace(w, u=ZERO, z=A**w.m, n=long_n).verify()
+    assert not w._replace(u=ZERO, z=A**w.m, n=long_n).verify()
     # a forged word of z: a wrong last digit, a shifted word, a non-digit
     other = next(d for d in D.digits if d != w.word_z[-1])
     for forged_word in (w.word_z[:-1] + (other,), w.word_z[1:] + (ZERO,), (g(7, 7),) + w.word_z[1:]):
-        forged = replace(w)
+        forged = w._replace()
         vars(forged)["word_z"] = forged_word  # fills the cached_property
         assert not forged.verify()
     # a forged word of u: a wrong digit, a leading zero (same value), a non-digit
     other = next(d for d in D.digits if d not in (ZERO, w.word_u[0]))
     for forged_word in ((other,) + w.word_u[1:], (ZERO,) + w.word_u, (g(7, 7),) + w.word_u[1:]):
-        forged = replace(w)
+        forged = w._replace()
         vars(forged)["word_u"] = forged_word
         assert not forged.verify()
 

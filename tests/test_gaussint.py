@@ -1,5 +1,6 @@
 """Exact Z[i] arithmetic: parsing, ring operations, exact division, powers."""
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -148,6 +149,27 @@ def test_exact_div_inverts_product(z, w):
     assert exact_div(z * w, w) == z
 
 
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int-to-str limit of 4300 digits while the test runs, where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_exact_div_message_names_no_operand(default_digit_limit):
+    # parts of about 5000 digits, past the limit
+    z, w = g(10**5000 + 1, 3**10480), g(10**4999 + 7, -(2**16600) - 1)
+    with pytest.raises(NotDivisible, match=r"^inexact division in Z\[i\]$"):
+        exact_div(z, w)
+
+
 # ---- power membership ----
 
 def test_is_power_of_examples():
@@ -181,6 +203,42 @@ def test_is_power_of_sound(z, a):
     n = is_power_of(z, a)
     if n is not None:
         assert a**n == z
+
+
+def reference_is_power_of(z, a):
+    """is_power_of as it was: the norm test, then n exact divisions by a."""
+    nz, na, n = z.norm(), a.norm(), 0
+    if not z:
+        return None
+    while nz > 1:
+        nz, r = divmod(nz, na)
+        if r:
+            return None
+        n += 1
+    try:
+        for _ in range(n):
+            z = exact_div(z, a)
+    except NotDivisible:
+        return None
+    return n if z == ONE else None
+
+
+@given(
+    st.builds(GaussInt, st.integers(-9, 9), st.integers(-9, 9)).filter(lambda z: z.norm() > 1),
+    st.integers(0, 12),
+    st.sampled_from([ONE, g(0, 1), g(-1), g(0, -1), g(2), g(1, 1), g(3, -2)]),
+    st.sampled_from([ONE, g(1, 1), g(2, -1), g(-1, 2)]),
+)
+def test_is_power_of_matches_the_division_descent(a, n, unit, factor):
+    # unit multiples and same-norm conjugates of a^n pass the norm test but need not be powers
+    for z in (a**n * unit, (a**n).conj() * unit, a**n * factor, ZERO):
+        assert is_power_of(z, a) == reference_is_power_of(z, a)
+
+
+def test_is_power_of_a_huge_non_power_is_none_under_the_default_limit(default_digit_limit):
+    # equal norms, parts of about 4900 digits: a division message would not format them
+    assert is_power_of(g(2, -1) ** 14000, g(2, 1)) is None
+    assert is_power_of(g(2, 1) ** 14000, g(2, 1)) == 14000
 
 
 def test_small_values_have_distinct_hashes():

@@ -394,7 +394,7 @@ def test_unlisted_canonical_digits_match_the_listed_ones_for_every_base_up_to_no
         listed, unlisted = canonical_digit_set(b), LargeCanonicalDigitSet(b)
         assert unlisted.m3 == listed.m3
         for z in lattice_disc(b.norm()):
-            assert (z in unlisted.index) == (z in listed.index)
+            assert (z in unlisted.positions) == (z in listed.positions)
             assert digit_of(z, unlisted) == digit_of(z, listed)
             assert encode(z, unlisted) == encode(z, listed)
         with pytest.raises(BudgetExceeded, match="digit budget"):
@@ -507,7 +507,7 @@ def reference_decode(w, D):
     """The earlier decode: Horner on GaussInt values."""
     acc = ZERO
     for d in w:
-        if d not in D.index:
+        if d not in D.positions:
             raise InvalidInput(f"{d} is not a digit of base {D.base}")
         acc = acc * D.base + d
     return acc
