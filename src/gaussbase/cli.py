@@ -141,7 +141,7 @@ def cmd_decode(args) -> tuple[dict, dict, str]:
     D = canonical_digit_set(args.base)
     w = word_from_text(args.word)
     value = decode(w, D)
-    return _echo(args, "base", "word"), {"value": str(value), "norm": value.norm()}, "ok"
+    return _echo(args, "base", "word"), {"value": str(value), "norm": str(value.norm())}, "ok"
 
 
 def cmd_scan_bases(args) -> tuple[dict, dict, str]:

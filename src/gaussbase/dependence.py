@@ -1,9 +1,9 @@
 """Multiplicative dependence of Gaussian integers and witness searches.
 
 a and b are multiplicatively dependent when a^r = b^s for positive r, s;
-the decision takes the least relation between the two norms, found by
-Euclid on their exponents rather than by factoring, and settles the unit
-left over by exact comparison.  The two searches certify approximation
+the decision runs Euclid on their exponents by exact division in Z[i],
+without factoring and without forming a power, and reads the least
+relation off the unit it ends at.  The two searches certify approximation
 facts about the group {a^m * b^n}: a group witness pins |a^m / b^n - u|
 below a rational bound, and a prefix witness additionally forces the
 word of a^m to extend the word of u in base b.
@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from functools import cached_property
 
 from .gaussint import ONE, UNITS, ZERO, GaussInt, InvalidInput
-from .numeration import Word, _ceil_log, canonical_digit_set, decode, encode, length_bound
+from .numeration import Word, canonical_digit_set, decode, encode, length_bound
 
 
 class DependenceVerdict(namedtuple("DependenceVerdict", "dependent r s", defaults=(None, None))):
@@ -34,45 +34,40 @@ class DependenceVerdict(namedtuple("DependenceVerdict", "dependent r s", default
     __slots__ = ()
 
 
-def _common_root(x: int, y: int) -> int | None:
-    """The c with x = c^p and y = c^q for coprime p, q >= 1, given x, y >= 2.
-
-    Euclid on the exponents: if x = c^p and y = c^q with p > q, then
-    x / y = c^(p - q), so dividing the larger by the smaller until the two
-    agree ends at c.  None when a division leaves a remainder: then no
-    positive r, s give x^r = y^s.
-    """
-    while x != y:
-        if x < y:
-            x, y = y, x
-        x, rem = divmod(x, y)
-        if rem:
-            return None
-    return x
+_UNIT_ORDER = dict(zip(UNITS, (1, 4, 2, 4)))  # 1, i, -1, -i and their orders
 
 
 def mult_dependent(a: GaussInt, b: GaussInt) -> DependenceVerdict:
     """Decide whether a^r = b^s has a solution in positive integers.
 
-    a^r = b^s forces N(a)^r = N(b)^s, so (r, s) = k*(r0, s0) for the least
-    norm relation, read off the common root of the norms without factoring
-    them.  Then (a^r0 / b^s0)^k = 1, and the roots of unity of Q(i) are the
-    units of Z[i]: the pair is dependent exactly when a^r0 = unit * b^s0,
-    and that unit's order t (1, 2 or 4) gives the minimal pair (t*r0, t*s0).
-    The four comparisons divide nothing, so no error message formats a power.
+    Euclid on the exponents, with exact division in Z[i]: x = a^xa * b^xb
+    and y = a^ya * b^yb start as a and b, and each step divides the one of
+    larger norm by the other and subtracts the exponents.  Z[i] has unique
+    factorization, so a dependent pair is e*g^p and e'*g^q for units e, e':
+    every x and y stays a unit times a power of g, and every division is
+    exact.  A remainder therefore means independent.  Otherwise x ends as
+    a unit; the exponent rows stay unimodular, so (xa, xb) is, up to sign,
+    the least norm relation, and the unit's order t (1, 2 or 4) gives the
+    minimal pair (t*|xa|, t*|xb|).  Nothing is raised to a power.
     """
     na, nb = a.norm(), b.norm()
     if na <= 1 or nb <= 1:
         raise InvalidInput("dependence needs norms > 1")
-    c = _common_root(na, nb)
-    if c is None:
-        return DependenceVerdict(False)
-    r0, s0 = _ceil_log(nb, c), _ceil_log(na, c)
-    ar, bs = a**r0, b**s0
-    for unit, t in zip(UNITS, (1, 4, 2, 4)):  # 1, i, -1, -i and their orders
-        if ar == unit * bs:
-            return DependenceVerdict(True, t * r0, t * s0)
-    return DependenceVerdict(False)
+    x, y = (a.re, a.im, na, 1, 0), (b.re, b.im, nb, 0, 1)  # (re, im, norm, xa, xb) of a^xa * b^xb
+    while x[2] != 1:
+        if x[2] < y[2]:
+            x, y = y, x
+        x_re, x_im, nx, xa, xb = x
+        y_re, y_im, ny, ya, yb = y
+        # x / y = x * conj(y) / norm(y)
+        q_re, r_re = divmod(x_re * y_re + x_im * y_im, ny)
+        q_im, r_im = divmod(x_im * y_re - x_re * y_im, ny)
+        if r_re or r_im:
+            return DependenceVerdict(False)
+        x = (q_re, q_im, nx // ny, xa - ya, xb - yb)
+    x_re, x_im, _, xa, xb = x
+    t = _UNIT_ORDER[GaussInt(x_re, x_im)]
+    return DependenceVerdict(True, t * abs(xa), t * abs(xb))
 
 
 class GroupWitness(namedtuple("GroupWitness", "a b u m n err_num err_den")):

@@ -29,7 +29,7 @@ class BudgetExceeded(RuntimeError):
     """Requested work exceeds a fixed budget such as ENUMERATION_BUDGET."""
 
 
-_LITERAL = _regex.compile(r"^([+-]?\d+)(?:([+-]\d+)i)?$")
+_LITERAL = _regex.compile(r"([+-]?\d+)(?:([+-]\d+)i)?", _regex.ASCII)
 
 
 class GaussInt:
@@ -58,7 +58,7 @@ class GaussInt:
     @classmethod
     def parse(cls, text: str) -> "GaussInt":
         """Parse the literal grammar `a`, `a+bi`, `a-bi` (e.g. `5`, `-1+2i`, `0-1i`)."""
-        m = _LITERAL.match(text)
+        m = _LITERAL.fullmatch(text)
         if m is None:
             raise InvalidInput(f"not a Gaussian integer literal: {text!r}")
         re_txt, im_txt = m.group(1), m.group(2)

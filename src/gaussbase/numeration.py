@@ -11,7 +11,8 @@ against +-norm(b), and radii enter squared; canonical_digit_set solves
 the two box tests for each row of the square instead of testing every
 point.  The per-digit loops (the digit map, encode, decode, recode and
 the residue table) run on plain int pairs and build a GaussInt only for
-a value they return.
+a value they return.  No float enters this module: logarithms are bounded
+from bit lengths.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property, lru_cache
 from itertools import product
-from math import isqrt, log2
+from math import isqrt
 
 from .gaussint import ZERO, BudgetExceeded, GaussInt, InvalidInput, exact_div
 
@@ -195,25 +196,6 @@ def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
     n = b.norm()
     t_re, t_im = z.re * b.re + z.im * b.im, z.im * b.re - z.re * b.im  # t = z*conj(b)
     return D._by_residue[t_re % n, t_im % n][0]
-
-
-def _ceil_log(value: int, base: int) -> int:
-    """Smallest k with base^k >= value, for value >= 1 and base >= 2.
-
-    Up to 64 bits the exact steps start from k = 0: at most 64 of them, on
-    small ints.  Past that value >= 2^(bits - 1) makes (bits - 1) / log2(base)
-    a lower bound on k; the factor 1 - 1e-9 keeps it one after the float
-    rounding, and at most three exact steps up remain.
-    """
-    k, p = 0, 1
-    bits = value.bit_length()
-    if bits > 64:
-        k = int((bits - 1) / log2(base) * (1 - 1e-9))
-        p = base**k
-    while p < value:
-        p *= base
-        k += 1
-    return k
 
 
 # Iteration budget before an encode is declared non-terminating.  The cap

@@ -442,9 +442,10 @@ def test_successive_calls_share_no_state(capsys):
 
 
 def test_usage_error_exits_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["digits", "-b", "not-a-literal"])
-    assert exc.value.code == EXIT_ERROR
+    for literal in ["not-a-literal", "5\n", "2+1i\n", "\uff15", "1+\u0663i"]:
+        with pytest.raises(SystemExit) as exc:
+            main(["digits", "-b", literal])
+        assert exc.value.code == EXIT_ERROR
 
 
 def test_report_written_to_file(tmp_path, capsys):
@@ -548,10 +549,10 @@ def test_a_higher_digit_limit_is_kept_while_a_command_runs(capsys, limit):
     try:
         code, report = run_cli(capsys, "decode", "-b", "10", "1" + ",0" * 25001)
         assert sys.get_int_max_str_digits() == limit
+        assert report["results"]["norm"] == str(10**50002)
     finally:
         sys.set_int_max_str_digits(before)
     assert (code, report["status"]) == (EXIT_OK, "ok")
-    assert report["results"]["norm"] == 10**50002
 
 
 def test_importing_the_cli_leaves_verification_and_random_unloaded():

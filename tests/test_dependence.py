@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import time
 from decimal import Decimal, localcontext
 
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from gaussbase.cli import EXIT_OK, main
 from gaussbase.dependence import (
     PrefixWitness,
-    _common_root,
     _log_polar,
     group_witness,
     mult_dependent,
@@ -20,7 +20,6 @@ from gaussbase.dependence import (
 )
 from gaussbase.gaussint import ONE, UNITS, ZERO, GaussInt, InvalidInput
 from gaussbase.numeration import (
-    _ceil_log,
     canonical_digit_set,
     decode,
     encode,
@@ -126,13 +125,34 @@ def test_matches_powering_reference_on_constructed_pairs(gamma, u1, u2, p, q):
     assert (v.dependent, v.r, v.s) == _reference_verdict(a, b)
 
 
+def _common_root(x, y):
+    """The c with x = c^p and y = c^q for coprime p, q >= 1, or None: Euclid on the exponents."""
+    while x != y:
+        if x < y:
+            x, y = y, x
+        x, rem = divmod(x, y)
+        if rem:
+            return None
+    return x
+
+
+def _exact_log(value, base):
+    """The k with base^k = value, given that one exists."""
+    k = 0
+    while value > 1:
+        value //= base
+        k += 1
+    return k
+
+
 def reference_mult_dependent(a, b):
-    """The earlier decision: power a^(t*r0) and b^(t*s0) for t = 1, 2, 3, 4 and compare."""
+    """The earlier decision: the least norm relation (r0, s0) from the common root of
+    the norms, then a^(t*r0) against b^(t*s0) for t = 1, 2, 3, 4."""
     na, nb = a.norm(), b.norm()
     c = _common_root(na, nb)
     if c is None:
         return (False, None, None)
-    r0, s0 = _ceil_log(nb, c), _ceil_log(na, c)
+    r0, s0 = _exact_log(nb, c), _exact_log(na, c)
     for t in (1, 2, 3, 4):
         if a ** (t * r0) == b ** (t * s0):
             return (True, t * r0, t * s0)
@@ -161,6 +181,76 @@ def test_matches_four_power_reference_on_bench_style_pairs(gamma, u1, u2, p, q, 
     assert not v.dependent or a**v.r == b**v.s
     if delta.norm() == 1:
         assert v.dependent
+
+
+# past the benchmark's exponents: the Euclid takes more and longer steps, and the
+# reference's powers reach g^90000
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([B, g(1, 1), g(3, 3), g(-2, 3)]),
+    st.sampled_from(UNITS),
+    st.integers(60, 150),
+    st.integers(60, 150),
+    st.sampled_from([ONE, g(0, 1), B.conj(), g(1, 1)]),
+)
+def test_matches_four_power_reference_on_exponents_past_the_bench(gamma, u, p, q, delta):
+    a, b = gamma**p, u * gamma**q * delta
+    v = mult_dependent(a, b)
+    assert (v.dependent, v.r, v.s) == reference_mult_dependent(a, b)
+    if delta.norm() == 1:
+        assert v.dependent
+
+
+# 2 and 1+i are a unit times powers of the ramified prime 1+i, 3+3i carries the inert
+# prime 3, and (1+i)*(2+i) two primes: units pile up differently in each
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([g(2), g(1, 1), g(3, 3), g(1, 1) * B]),
+    st.sampled_from(UNITS),
+    st.sampled_from(UNITS),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from([ONE, g(1, 1), B, B.conj(), g(3)]),
+)
+def test_matches_four_power_reference_on_composite_and_ramified_roots(gamma, u1, u2, p, q, delta):
+    a, b = u1 * gamma**p, u2 * gamma**q * delta
+    v = mult_dependent(a, b)
+    assert (v.dependent, v.r, v.s) == reference_mult_dependent(a, b)
+    assert not v.dependent or a**v.r == b**v.s
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (B, B.conj()),
+        (A, B),
+        (g(3, 2), g(2, 3)),
+        (B**3, B.conj() ** 3),
+        (g(5), B**2),
+        (g(5) * B, g(5) * B.conj()),
+        (B, B.conj() ** 3),
+    ],
+)
+def test_equal_and_proportional_norms_of_non_associates_are_independent(a, b):
+    v = mult_dependent(a, b)
+    assert (v.dependent, v.r, v.s) == (False, None, None) == reference_mult_dependent(a, b)
+
+
+@given(small_nonunits, st.sampled_from(UNITS))
+def test_associates_are_dependent_with_the_order_of_their_unit(b, u):
+    order = {ONE: 1, g(0, 1): 4, g(-1): 2, g(0, -1): 4}[u]
+    v = mult_dependent(u * b, b)
+    assert (v.dependent, v.r, v.s) == (True, order, order) == reference_mult_dependent(u * b, b)
+
+
+def test_far_apart_powers_decide_without_forming_a_power():
+    """(1+2i)^997 against (1+2i)^1001: the four-power decision built g^997997 and took about 1 s."""
+    a, b = A**997, A**1001
+    start = time.perf_counter()
+    v = mult_dependent(a, b)
+    elapsed = time.perf_counter() - start
+    assert (v.dependent, v.r, v.s) == (True, 1001, 997)
+    assert elapsed < 0.1  # under 1 ms on a 2-vCPU VM
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")

@@ -42,7 +42,10 @@ def test_parse(text, value):
     assert GaussInt.parse(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "i", "2+i", "2 + 1i", "1.5", "2+1j", "2i"])
+# $ would also match before a trailing newline, and \d any Unicode digit
+@pytest.mark.parametrize(
+    "text", ["", "i", "2+i", "2 + 1i", "1.5", "2+1j", "2i", "5\n", "2+1i\n", "\uff15", "1+\u0663i"]
+)
 def test_parse_rejects(text):
     with pytest.raises(InvalidInput, match="not a Gaussian integer literal"):
         GaussInt.parse(text)
