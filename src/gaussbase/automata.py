@@ -10,6 +10,9 @@ elements in the disc that holds every word of length <= L are the
 candidates, and the forced digit loop, capped at L steps, gives each one
 its word or shows that it has none that short.  ENUMERATION_BUDGET and
 MEMBER_BUDGET cap that work before it starts.
+
+The JSON formats live here too: a DFA's record embeds its alphabet's
+digit-set record.
 """
 
 from __future__ import annotations
@@ -23,21 +26,10 @@ from math import isqrt
 from operator import itemgetter, mul
 
 from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, is_power_of
-from .numeration import (
-    DigitSet,
-    Word,
-    _json_field,
-    _json_int,
-    _json_ints,
-    _json_list,
-    canonical_digit_set,
-    decode,
-    digit_set_from_json,
-    encode_within,
-)
+from .numeration import DigitSet, Word, canonical_digit_set, decode, encode_within
 
 ENUMERATION_BUDGET = 10**8
-MEMBER_BUDGET = 10**6  # candidate values in one walk; each member stays in memory
+MEMBER_BUDGET = 10**6  # candidate values in one walk, and 64-bit words of residual signatures held
 
 
 class Dfa(namedtuple("Dfa", "alphabet initial transitions accepting")):
@@ -285,9 +277,7 @@ def integers_oracle(D: DigitSet) -> LanguageOracle:
     return LanguageOracle(D, lambda v: v.im == 0, candidates)
 
 
-def _members(
-    L: LanguageOracle, max_len: int, per_candidate: int, reserved: int = 0
-) -> Iterator[tuple[int, int]]:
+def _members(L: LanguageOracle, max_len: int, reserved: int = 0) -> Iterator[tuple[int, int]]:
     """(length, index) of every member of length <= max_len, as a stream.
 
     The index of a word is its lexicographic rank among the words of its
@@ -298,8 +288,12 @@ def _members(
     Delta^2*N^max_len while x is far from the bound, so N^max_len is
     formed only when it is about the size of x.  Each candidate's word
     comes from the forced digit loop, run for at most max_len steps.
-    Before the first step, raises BudgetExceeded when reserved units plus
-    per_candidate units per candidate exceed ENUMERATION_BUDGET, or the
+    A candidate costs max_len + 1 digit-steps, the loop's and one to index
+    its word, and a step is charged the 64-bit words of the largest norm
+    it can meet: no value in the disc, nor any the loop makes from one,
+    nor any index, reaches 2^above, so each step costs above // 64 + 1
+    units.  Before the first step, raises BudgetExceeded when reserved
+    units plus those of the candidates exceed ENUMERATION_BUDGET, or the
     candidates MEMBER_BUDGET.
     """
     D = L.alphabet
@@ -313,7 +307,8 @@ def _members(
         bits = (x * scale).bit_length()
         return bits <= below or (bits <= above and x * scale <= bound())
 
-    limit = min(MEMBER_BUDGET, (ENUMERATION_BUDGET - reserved) // max(per_candidate, 1))
+    per_candidate = (max_len + 1) * (above // 64 + 1)
+    limit = min(MEMBER_BUDGET, (ENUMERATION_BUDGET - reserved) // per_candidate)
     values = L.candidates(within, limit) if limit >= 0 else None
     if values is None:
         raise BudgetExceeded(f"words of length <= {max_len} exceed the enumeration budget")
@@ -362,15 +357,21 @@ def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
     <= k + e into u.v with |u| <= k and |v| <= e adds (|v|, index(v)) to
     the signature of u; every other prefix has the empty signature.  A
     class is represented by its first (length, index), and classes are
-    listed in that order.  The budget counts k + e digit-steps per
-    candidate value.
+    listed in that order.  _members charges the walk to the enumeration
+    budget; the split integers are charged to MEMBER_BUDGET, i's 64-bit
+    words per split, before a member's splits are made.
     """
     if k < 0 or e < 0:
         raise InvalidInput("depths must be nonnegative")
     m = len(L.alphabet.digits)
     signatures: dict[tuple[int, int], list[int]] = {}
-    for n, i in _members(L, k + e, k + e):
-        for s in range(max(0, n - k), min(e, n) + 1):
+    held = 0
+    for n, i in _members(L, k + e):
+        splits = range(max(0, n - k), min(e, n) + 1)
+        held += len(splits) * (i.bit_length() // 64 + 1)  # each split's two parts hold about i's words
+        if held > MEMBER_BUDGET:
+            raise BudgetExceeded(f"signatures of depths {k} and {e} hold more words than the member budget")
+        for s in splits:
             width = m**s
             u, v = divmod(i, width)
             # v of length s as one int: the words shorter than s come first
@@ -448,14 +449,14 @@ def dfa_oracle_disagreement(d: Dfa, L: LanguageOracle, max_len: int) -> Word | N
     the accepted words, walked in order, are merged with the members; the
     first mismatch is the answer.  The walk is pruned by the table of the
     states that accept some word of exactly r letters.  The budget counts
-    max_len digit-steps and one walked word per candidate value, the
-    states x (max_len + 1) table cells and one more word per length.
+    the candidates as _members charges them, the states x (max_len + 1)
+    table cells and one more word per length.
     """
     if d.alphabet != L.alphabet:
         raise InvalidInput("DFA and oracle alphabets differ")
     cells = d.state_count * (max_len + 1)
     levels: dict[int, list[int]] = {}
-    for n, i in sorted(_members(L, max_len, max_len + 1, cells + max_len + 1)):
+    for n, i in sorted(_members(L, max_len, cells + max_len + 1)):
         levels.setdefault(n, []).append(i)
     reach = [d.accepting]
     for _ in range(max_len):
@@ -471,10 +472,51 @@ def dfa_oracle_disagreement(d: Dfa, L: LanguageOracle, max_len: int) -> Word | N
     return None
 
 
+def digit_set_to_json(D: DigitSet) -> dict:
+    return {"base": str(D.base), "digits": [str(d) for d in D.digits]}
+
+
+def _json_field(obj: dict, key: str, convert: Callable):
+    """convert(obj[key]); a non-object, a missing field or a mistyped one raises InvalidInput."""
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise InvalidInput(f"missing field {key!r}")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed field {key!r}: {exc}") from exc
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):  # a string would otherwise iterate as characters
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:  # int() would truncate floats and accept strings and bools
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _json_ints(value) -> tuple[int, ...]:
+    return tuple(map(_json_int, _json_list(value)))
+
+
+def digit_set_from_json(obj: dict) -> DigitSet:
+    """Inverse of digit_set_to_json; a missing or mistyped field raises InvalidInput naming it."""
+    return DigitSet(
+        base=_json_field(obj, "base", GaussInt.parse),
+        digits=_json_field(
+            obj, "digits", lambda ds: tuple(GaussInt.parse(d) for d in _json_list(ds))
+        ),
+    )
+
+
 def dfa_to_json(d: Dfa) -> dict:
     return {
-        "base": str(d.alphabet.base),
-        "digits": [str(x) for x in d.alphabet.digits],
+        **digit_set_to_json(d.alphabet),
         "states": d.state_count,
         "initial": d.initial,
         "accepting": sorted(d.accepting),

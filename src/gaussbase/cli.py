@@ -34,6 +34,7 @@ from .automata import (
     dfa_from_json,
     dfa_oracle_disagreement,
     dfa_to_json,
+    digit_set_to_json,
     equivalent,
     integers_dfa,
     integers_oracle,
@@ -49,7 +50,6 @@ from .gaussint import BudgetExceeded, GaussInt, InvalidInput
 from .numeration import (
     canonical_digit_set,
     decode,
-    digit_set_to_json,
     encode,
     lattice_disc,
     length_bound,

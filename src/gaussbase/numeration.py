@@ -4,7 +4,9 @@ A digit set for a base b (norm(b) >= 5) is a complete residue system
 containing 0; every Gaussian integer then has a unique msd-first word over
 the digits.  This module builds the canonical digit set, encodes/decodes,
 certifies word-length bounds, links digit sets over a shared base, and
-recodes words between base b and base b^j.
+recodes words between base b and base b^j.  encode gives up on a cycling
+loop after a cap that reads only the value and the base, so a digit set
+holds no length constant; length_bound computes m3 once per base.
 
 All geometry is integer-exact: half-open box tests use 2*Re(d*conj(b))
 against +-norm(b), and radii enter squared; canonical_digit_set solves
@@ -18,8 +20,8 @@ from bit lengths.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
-from functools import cached_property, lru_cache
+from collections.abc import Iterable, Iterator
+from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -29,11 +31,11 @@ Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
 
 DIGIT_BUDGET = 10**5  # digits of the largest canonical digit set held in memory
-MEMO_SIZE = 64  # digit sets (and termination verdicts) kept by the per-base memos
+MEMO_SIZE = 64  # digit sets, length bounds and termination verdicts kept by the per-base memos
 
 
 class NonTermination(RuntimeError):
-    """The greedy digit loop exceeded its iteration budget (invalid digit set)."""
+    """The greedy digit loop for one value exceeded encode's cap (invalid digit set)."""
 
 
 class DigitSet(namedtuple("DigitSet", "base digits")):
@@ -78,15 +80,6 @@ class DigitSet(namedtuple("DigitSet", "base digits")):
     def _make(cls, fields: Iterable) -> DigitSet:
         """The digit set of an iterable of the fields, validated; _replace builds through it."""
         return cls(*fields)
-
-    @cached_property
-    def m3(self) -> int:
-        """Max word length over the disc norm(z) <= 9, bootstrapped with a fixed cap.
-
-        Lazy, so that a collection that is not a digit set still
-        constructs and can be probed by terminates_on_disc.
-        """
-        return max(len(_encode_capped(z, self, _BOOTSTRAP_CAP)) for z in lattice_disc(9))
 
 
 def lattice_disc(r2: int) -> Iterator[GaussInt]:
@@ -133,10 +126,10 @@ class LargeCanonicalDigitSet(DigitSet):
 
     It is the tuple (base, None), so it equals the set of the same base
     only.  Its member test and residue table are box arithmetic on one
-    value, so encode, decode, digit_of and m3 work as for any digit set;
-    asking for the digits themselves raises BudgetExceeded.  The digits
-    argument is ignored, so that cls(*fields) rebuilds one, as _replace,
-    copy and pickle do.
+    value, so encode, decode, digit_of and length_bound work as for any
+    digit set; asking for the digits themselves raises BudgetExceeded.
+    The digits argument is ignored, so that cls(*fields) rebuilds one, as
+    _replace, copy and pickle do.
     """
 
     def __new__(cls, base: GaussInt, digits: None = None) -> LargeCanonicalDigitSet:
@@ -198,14 +191,6 @@ def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
     return D._by_residue[t_re % n, t_im % n][0]
 
 
-# Iteration budget before an encode is declared non-terminating.  The cap
-# 4*M(3) + 2*ceil(log_N(norm(z)+1)) + 16 is a generous multiple of the
-# certified length bound; M(3) itself is bootstrapped with a fixed cap.
-# encode bounds the log from bit lengths: value < 2^bits(value) and
-# N >= 2^(bits(N) - 1) give N^k >= value for k = ceil(bits(value) / (bits(N) - 1)).
-_BOOTSTRAP_CAP = 64
-
-
 def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
     """The word of z if it has at most max_len digits, else None.
 
@@ -232,22 +217,24 @@ def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
     return tuple(out)
 
 
-def _encode_capped(z: GaussInt, D: DigitSet, cap: int) -> Word:
-    w = encode_within(z, D, cap)
-    if w is None:
-        raise NonTermination(f"digit loop for {z} over base {D.base} exceeded {cap} iterations")
-    return w
-
-
 def encode(z: GaussInt, D: DigitSet) -> Word:
     """The unique msd-first word for z over D; encode(0) is the empty word.
 
     Emits digit_of and replaces z by (z - d)/b until 0.  For a collection
-    that is not actually a digit set the loop can cycle, so it is capped;
-    exceeding the cap raises NonTermination.
+    that is not actually a digit set the loop can cycle, so it gives up
+    after 2*ceil(log_N(norm(z) + 1)) + 272 steps, N = norm(b), and raises
+    NonTermination naming z.  The cap reads only z and the base: a word
+    over the canonical digits has at most ceil(log_N(norm(z))) + m3
+    digits (see LengthBound), and the slack 272 = 4*64 + 16 covers
+    4*m3 + 16 for every m3 up to 64.  The log is bounded from bit lengths:
+    value < 2^bits(value) and N >= 2^(bits(N) - 1) give N^k >= value for
+    k = ceil(bits(value) / (bits(N) - 1)).
     """
-    cap = 4 * D.m3 + 2 * -(-(z.norm() + 1).bit_length() // (D.base.norm().bit_length() - 1)) + 16
-    return _encode_capped(z, D, cap)
+    cap = 2 * -(-(z.norm() + 1).bit_length() // (D.base.norm().bit_length() - 1)) + 272
+    w = encode_within(z, D, cap)
+    if w is None:
+        raise NonTermination(f"digit loop for {z} over base {D.base} exceeded {cap} iterations")
+    return w
 
 
 def decode(w: Word, D: DigitSet) -> GaussInt:
@@ -275,9 +262,11 @@ def max_length_in_disc(r2: int, D: DigitSet) -> int:
 class LengthBound(namedtuple("LengthBound", "base m3")):
     """Certified length bound for a base: m3 = max length over norm(z) <= 9.
 
-    Fields: base (GaussInt), m3 (int).  The predicate norm(z) *
-    norm(b)^m3 <= norm(b)^k guarantees that the word of z has length at
-    most k; the underlying real constant |b|^(-m3) is never materialized.
+    Fields: base (GaussInt), m3 (int), the longest canonical word over the
+    disc norm(z) <= 9; length_bound computes it, and no digit set stores
+    it.  The predicate norm(z) * norm(b)^m3 <= norm(b)^k guarantees that
+    the word of z has length at most k; the underlying real constant
+    |b|^(-m3) is never materialized.
     """
 
     __slots__ = ()
@@ -287,9 +276,10 @@ class LengthBound(namedtuple("LengthBound", "base m3")):
         return z.norm() * n**self.m3 <= n**k
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def length_bound(b: GaussInt) -> LengthBound:
-    """The certified LengthBound for the canonical digit set of b."""
-    return LengthBound(base=b, m3=canonical_digit_set(b).m3)
+    """The certified LengthBound for the canonical digit set of b, m3 computed once per base."""
+    return LengthBound(base=b, m3=max_length_in_disc(9, canonical_digit_set(b)))
 
 
 def power_digit_set(D: DigitSet, j: int) -> DigitSet:
@@ -408,45 +398,3 @@ def word_from_text(text: str) -> Word:
     if not text:
         return EMPTY_WORD
     return tuple(GaussInt.parse(part) for part in text.split(","))
-
-
-def digit_set_to_json(D: DigitSet) -> dict:
-    return {"base": str(D.base), "digits": [str(d) for d in D.digits]}
-
-
-def _json_field(obj: dict, key: str, convert: Callable):
-    """convert(obj[key]); a non-object, a missing field or a mistyped one raises InvalidInput."""
-    if not isinstance(obj, dict):
-        raise InvalidInput(f"expected a JSON object, got {type(obj).__name__}")
-    if key not in obj:
-        raise InvalidInput(f"missing field {key!r}")
-    try:
-        return convert(obj[key])
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed field {key!r}: {exc}") from exc
-
-
-def _json_list(value) -> list:
-    if not isinstance(value, list):  # a string would otherwise iterate as characters
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return value
-
-
-def _json_int(value) -> int:
-    if type(value) is not int:  # int() would truncate floats and accept strings and bools
-        raise TypeError(f"expected an integer, got {type(value).__name__}")
-    return value
-
-
-def _json_ints(value) -> tuple[int, ...]:
-    return tuple(map(_json_int, _json_list(value)))
-
-
-def digit_set_from_json(obj: dict) -> DigitSet:
-    """Inverse of digit_set_to_json; a missing or mistyped field raises InvalidInput naming it."""
-    return DigitSet(
-        base=_json_field(obj, "base", GaussInt.parse),
-        digits=_json_field(
-            obj, "digits", lambda ds: tuple(GaussInt.parse(d) for d in _json_list(ds))
-        ),
-    )

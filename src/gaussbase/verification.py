@@ -55,6 +55,9 @@ SCAN_BASES = (
     GaussInt(1, 3),
 )
 
+#: m3 of each scan base, the longest canonical word over the disc norm(z) <= 9.
+_SCAN_M3 = dict(zip(SCAN_BASES, (3, 3, 3, 2, 2)))
+
 _SMALL_DIGITS = (
     GaussInt(-1, 0),
     GaussInt(0, -1),
@@ -156,6 +159,7 @@ def check_length_bound() -> CheckResult:
         n = b.norm()
         m3 = max_length_in_disc(9, D)
         lb = length_bound(b)
+        c.expect(m3 == _SCAN_M3[b], f"m3 = {m3} for {b}, expected {_SCAN_M3[b]}")
         c.expect(lb.m3 == m3, f"length_bound(m3) mismatch for {b}")
         nm3 = n**m3
         nk = [n**k for k in range(13)]

@@ -1,7 +1,7 @@
 """DFA engine, oracle languages, and the finite-evidence harnesses."""
 
 import random
-from functools import cache
+from functools import cache, reduce
 from itertools import product as words_of
 
 import pytest
@@ -17,6 +17,7 @@ from gaussbase.automata import (
     dfa_from_json,
     dfa_oracle_disagreement,
     dfa_to_json,
+    digit_set_from_json,
     equivalent,
     integers_dfa,
     integers_oracle,
@@ -30,12 +31,7 @@ from gaussbase.automata import (
     zero_pump_probe,
 )
 from gaussbase.gaussint import ONE, ZERO, GaussInt, InvalidInput
-from gaussbase.numeration import (
-    canonical_digit_set,
-    digit_set_from_json,
-    encode,
-    lattice_disc,
-)
+from gaussbase.numeration import canonical_digit_set, encode, lattice_disc
 
 g = GaussInt
 B = g(2, 1)
@@ -308,20 +304,26 @@ def test_residuals_budget():
 def test_budget_counts_candidate_digit_steps(monkeypatch):
     # over 2+1i the largest digit norm is 1 and isqrt(5) - 1 = 1, so the
     # candidates of length <= L are the values of norm <= 5^L: the 2*isqrt(5^L) + 1
-    # real points and the L + 1 powers b^0..b^L
-    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 23 * 3)  # 23 real points x 3 steps
+    # real points and the L + 1 powers b^0..b^L.  Each candidate costs L + 1
+    # digit-steps, each charged the 64-bit words of 2^(1 + 3L), past the rim's norm 5^L
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 23 * 4)  # 23 one-word real points x 4 steps
     assert residual_signatures(integers_oracle(D5), 3, 0).class_count >= 1
     assert residual_signatures(integers_oracle(D5), 1, 2).class_count >= 1
-    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 23 * 3 - 1)
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 23 * 4 - 1)
     with pytest.raises(BudgetExceeded):
         residual_signatures(integers_oracle(D5), 3, 0)
-    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 7 * 6)  # 7 powers x 6 steps
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 7 * 7)  # 7 one-word powers x 7 steps
     assert residual_signatures(powers_oracle(B, D5), 4, 2).class_count >= 1
-    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 7 * 6 - 1)
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 7 * 7 - 1)
     with pytest.raises(BudgetExceeded):
         residual_signatures(powers_oracle(B, D5), 4, 2)
-    # the disagreement search adds a walked word per candidate, 3 states x 4 table
-    # cells and one non-member word per length
+    # at L = 60 a step is charged the 3 words of 2^181
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 61 * 61 * 3)  # 61 powers x 61 steps x 3 words
+    assert residual_signatures(powers_oracle(B, D5), 60, 0).class_count >= 1
+    monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 61 * 61 * 3 - 1)
+    with pytest.raises(BudgetExceeded):
+        residual_signatures(powers_oracle(B, D5), 60, 0)
+    # the disagreement search adds 3 states x 4 table cells and one non-member word per length
     monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 23 * 4 + 3 * 4 + 4)
     assert dfa_oracle_disagreement(powers_dfa(B), integers_oracle(D5), 3) == ()
     monkeypatch.setattr(automata, "ENUMERATION_BUDGET", 23 * 4 + 3 * 4 + 3)
@@ -333,6 +335,24 @@ def test_budget_counts_candidate_digit_steps(monkeypatch):
     monkeypatch.setattr(automata, "MEMBER_BUDGET", 22)
     with pytest.raises(BudgetExceeded):
         residual_signatures(integers_oracle(D5), 1, 2)
+
+
+def test_residual_signatures_charge_the_split_integers_they_hold(monkeypatch):
+    # a member of length n splits into u.v for |v| = max(0, n - k)..min(e, n), and
+    # each split holds about the 64-bit words of the member's index
+    L, k, e = powers_oracle(g(1, 2), D5), 40, 3
+    held = 0
+    for j in range(k + e + 1):
+        w = encode(g(1, 2) ** j, D5)
+        if len(w) <= k + e:
+            index = reduce(lambda i, d: 5 * i + D5.digits.index(d), w, 0)
+            held += (min(e, len(w)) - max(0, len(w) - k) + 1) * (index.bit_length() // 64 + 1)
+    assert held == 220
+    monkeypatch.setattr(automata, "MEMBER_BUDGET", held)
+    assert residual_signatures(L, k, e).class_count == 68
+    monkeypatch.setattr(automata, "MEMBER_BUDGET", held - 1)
+    with pytest.raises(BudgetExceeded, match=f"depths {k} and {e} hold more words than the member budget"):
+        residual_signatures(L, k, e)
 
 
 # ---- zero pumping ----

@@ -194,6 +194,8 @@ def test_residuals_deep_prefixes_answer_fast(capsys):
         ["scan-bases", "--norm-max", "5", "--disc", "1000000000000"],
         ["scan-bases", "--norm-max", "1000", "--disc", "0"],
         ["digits", "-b", "100000"],
+        ["residuals", "1+2i", "2+1i", "-k", "9000", "-e", "3"],
+        ["residuals", "1+2i", "2+1i", "-k", "1500", "-e", "1500"],
     ],
     ids=[
         "pump_digits",
@@ -204,6 +206,8 @@ def test_residuals_deep_prefixes_answer_fast(capsys):
         "scan_probe_disc",
         "scan_digit_sets",
         "digits_huge_base",
+        "residuals_deep",
+        "residuals_deep_and_wide",
     ],
 )
 def test_work_past_the_budget_is_refused_at_once(capsys, argv):

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussbase import InvalidInput
-from gaussbase.automata import Dfa, dfa_to_json
+from gaussbase.automata import Dfa, dfa_to_json, digit_set_from_json
 from gaussbase.cli import COMMANDS, EXIT_ERROR, build_parser, main
 from gaussbase.gaussint import GaussInt
-from gaussbase.numeration import DigitSet, canonical_digit_set, digit_set_from_json
+from gaussbase.numeration import DigitSet, canonical_digit_set
 
 STATUS_OF_EXIT = {0: "ok", 1: "error", 2: "not_found"}
 

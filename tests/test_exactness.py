@@ -1,4 +1,7 @@
-"""Floats stay in the witness search's nominations: the exact layers hold none."""
+"""Floats stay in the witness search's nominations: the exact layers hold none.
+
+And each module keeps its private names: no module imports a _name from another.
+"""
 
 import ast
 from pathlib import Path
@@ -7,6 +10,7 @@ import pytest
 
 import gaussbase
 
+PACKAGE = Path(gaussbase.__file__).parent
 EXACT_MODULES = ("gaussint.py", "numeration.py", "automata.py")
 
 
@@ -29,7 +33,7 @@ def float_uses(tree):
 
 @pytest.mark.parametrize("name", EXACT_MODULES)
 def test_exact_modules_use_no_float(name):
-    path = Path(gaussbase.__file__).parent / name
+    path = PACKAGE / name
     assert list(float_uses(ast.parse(path.read_text(encoding="utf-8")))) == []
 
 
@@ -43,3 +47,29 @@ def test_the_guard_sees_each_kind_of_float_use():
         (5, "float constant 0.5"),
         (5, "the name float"),
     ]
+
+
+def private_imports(tree):
+    """(line, name) for every _name imported from a gaussbase module, relatively or by its full name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "gaussbase"):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.endswith("__"):  # dunders are public
+                    yield alias.lineno, alias.name
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    assert list(private_imports(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+def test_the_guard_sees_each_kind_of_private_import():
+    source = (
+        "from .numeration import _json_int, decode\n"
+        "from . import _private\n"
+        "from gaussbase.automata import _bfs\n"
+        "from collections import _chain_map\n"
+        "from .gaussint import __version__\n"
+        "from .automata import (\n    Dfa,\n    _members,\n)\n"
+    )
+    assert list(private_imports(ast.parse(source))) == [(1, "_json_int"), (2, "_private"), (3, "_bfs"), (8, "_members")]

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussbase import automata, numeration
+from gaussbase.automata import digit_set_from_json, digit_set_to_json
 from gaussbase.gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, divides
 from gaussbase.numeration import (
     DIGIT_BUDGET,
@@ -21,8 +22,6 @@ from gaussbase.numeration import (
     check_linked,
     decode,
     digit_of,
-    digit_set_from_json,
-    digit_set_to_json,
     encode,
     encode_within,
     lattice_disc,
@@ -190,16 +189,20 @@ def test_encode_non_terminating_set_raises():
     base = g(3)
     digits = tuple(d if d != g(-1) else g(2) for d in canonical_digit_set(base).digits)
     trap = DigitSet(base, digits)
-    with pytest.raises(NonTermination):
+    with pytest.raises(NonTermination, match=r"^digit loop for -1 over base 3 exceeded \d+ iterations$"):
         encode(g(-1), trap)
     assert not terminates_on_disc(trap)
     assert encode_within(g(-1), trap, 50) is None  # the loop cycles, so no word at all
+    # the cap reads only the value and the base, so values whose loop ends still encode
+    assert encode(ZERO, trap) == ()
+    assert encode(g(5), trap) == (g(1), g(2))
 
 
 def test_per_base_memos_are_bounded():
     for b in [b for b in lattice_disc(100) if b.norm() >= 5][:200]:
         terminates_on_disc(canonical_digit_set(b))
-    for memo in (canonical_digit_set, terminates_on_disc):
+        length_bound(b)
+    for memo in (canonical_digit_set, length_bound, terminates_on_disc):
         assert memo.cache_info().currsize <= MEMO_SIZE
 
 
@@ -385,13 +388,14 @@ def test_canonical_digits_are_the_box_for_every_base_up_to_norm_100():
 
 def test_length_bound_m3_is_max_length_in_disc_9_for_every_base_up_to_norm_100():
     for b in BASES_5_TO_100:
-        assert length_bound(b).m3 == max_length_in_disc(9, canonical_digit_set(b))
+        D = canonical_digit_set(b)
+        assert length_bound(b).m3 == max(len(reference_encode(z, D)) for z in lattice_disc(9))
 
 
 def test_unlisted_canonical_digits_match_the_listed_ones_for_every_base_up_to_norm_100():
     for b in BASES_5_TO_100:
         listed, unlisted = canonical_digit_set(b), LargeCanonicalDigitSet(b)
-        assert unlisted.m3 == listed.m3
+        assert max_length_in_disc(9, unlisted) == max_length_in_disc(9, listed)
         for z in lattice_disc(b.norm()):
             assert (z in unlisted.positions) == (z in listed.positions)
             assert digit_of(z, unlisted) == digit_of(z, listed)
@@ -432,7 +436,7 @@ def test_digit_map_never_hashes_the_digit_set(monkeypatch):
     assert decode(recode(w, D, 2), power_digit_set(D, 2)) == z
     assert word_length(z, D) == len(w)
     assert digit_of(z, D) == w[-1]
-    assert length_bound(g(3, 2)).m3 == D.m3
+    assert length_bound(g(3, 2)).m3 == max_length_in_disc(9, D)
     assert automata.run(dfa, encode(g(3, 2) ** 3, D))
     assert automata.residual_signatures(oracle, 2, 1).class_count >= 1
     assert automata.dfa_oracle_disagreement(dfa, oracle, 2) is None
@@ -455,14 +459,15 @@ huge_components = st.one_of(st.integers(-50, 50), st.integers(-(2**2000), 2**200
 def test_encode_cap_is_never_below_the_log_cap(b, z):
     """encode's cap, bounded from bit lengths, is at least 4*M(3) + 2*ceil(log_N(norm(z)+1)) + 16."""
     D = canonical_digit_set(b)
-    with mock.patch.object(numeration, "_encode_capped", wraps=numeration._encode_capped) as capped:
+    m3 = length_bound(b).m3
+    with mock.patch.object(numeration, "encode_within", wraps=numeration.encode_within) as capped:
         assert decode(encode(z, D), D) == z
     cap = capped.call_args.args[2]
     k, power = 0, 1
     while power < z.norm() + 1:  # k = ceil(log_N(norm(z) + 1))
         power *= b.norm()
         k += 1
-    assert cap >= 4 * D.m3 + 2 * k + 16
+    assert cap >= 4 * m3 + 2 * k + 16
 
 
 # ---- the plain-int loops against the GaussInt references they replaced ----
@@ -480,6 +485,22 @@ def reference_canonical_digits(b):
         if -n <= 2 * t.re < n and -n <= 2 * t.im < n:
             box.append(g(x, y))
     return tuple(box)
+
+
+def reference_encode(z, D):
+    """The earlier encode: M(3) bootstrapped with the cap 64, then the cap 4*M(3) + 2*ceil(log_N(norm(z) + 1)) + 16.
+
+    The log is bounded from bit lengths, as encode bounds it.
+    """
+
+    def capped(v, cap):
+        w = encode_within(v, D, cap)
+        if w is None:
+            raise NonTermination(f"digit loop for {v} over base {D.base} exceeded {cap} iterations")
+        return w
+
+    m3 = max(len(capped(v, 64)) for v in lattice_disc(9))
+    return capped(z, 4 * m3 + 2 * -(-(z.norm() + 1).bit_length() // (D.base.norm().bit_length() - 1)) + 16)
 
 
 def reference_decode(w, D):
@@ -526,6 +547,20 @@ def digit_words(draw):
     values = st.builds(g, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
     digits = st.lists(st.just(ZERO) | values.map(lambda z: digit_of(z, D)), max_size=14)
     return b, (ZERO,) * draw(st.integers(0, 4)) + tuple(draw(digits))
+
+
+ALT = DigitSet(g(-2, 1), tuple(g(k) for k in range(5)))  # a digit set that is not canonical
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(bases(400).map(canonical_digit_set), st.just(ALT)),
+    st.builds(GaussInt, huge_components, huge_components),
+)
+@example(ALT, g(-3, 7))
+@example(canonical_digit_set(g(20, 1)), ZERO)
+def test_encode_equals_the_reference(D, z):
+    assert encode(z, D) == reference_encode(z, D)
 
 
 @settings(max_examples=150, deadline=None)

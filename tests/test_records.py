@@ -44,7 +44,7 @@ RECORDS = {
         lambda: LargeCanonicalDigitSet(g(400, 1)),
         "LargeCanonicalDigitSet(base=GaussInt(400, 1), digits=None)",
     ),
-    LengthBound: (lambda: length_bound(B), "LengthBound(base=GaussInt(2, 1), m3=3)"),
+    LengthBound: (lambda: LengthBound(B, 3), "LengthBound(base=GaussInt(2, 1), m3=3)"),
     LinkCertificate: (
         lambda: LinkCertificate((ZERO, ONE)),
         "LinkCertificate(envelope=(GaussInt(0, 0), GaussInt(1, 0)))",
@@ -124,7 +124,6 @@ def test_digit_set_fields_and_tables():
     assert (base, digits) == (B, D5.digits) and D._fields == ("base", "digits")
     assert D.positions == {d: i for i, d in enumerate(D5.digits)}
     assert D.index(D5.digits) == 1  # tuple.index, no longer shadowed by the position table
-    assert D.m3 == 3 and vars(D)["m3"] == 3  # filled on first use
 
 
 @pytest.mark.parametrize(
@@ -235,6 +234,6 @@ def test_every_annotation_resolves():
     objects = _annotated_objects()
     assert len(objects) > 150
     names = {f"{obj.__module__}.{obj.__qualname__}" for obj in objects}
-    assert {"gaussbase.automata.Dfa.__new__", "gaussbase.numeration.DigitSet.m3", "gaussbase.cli.main"} <= names
+    assert {"gaussbase.automata.Dfa.__new__", "gaussbase.numeration.length_bound", "gaussbase.cli.main"} <= names
     for obj in objects:
         typing.get_type_hints(obj)  # a name missing from the module raises NameError
