@@ -228,7 +228,7 @@ def _prefix_witness_json(w) -> dict:
         "z": str(w.z),
         "word_am": word_to_text(w.word_am),
         "word_u": word_to_text(w.word_u),
-        "certified": w.verify(),
+        "certified": w.certified,
     }
 
 

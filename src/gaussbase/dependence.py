@@ -9,9 +9,11 @@ below a rational bound, and a prefix witness additionally forces the
 word of a^m to extend the word of u in base b.
 
 In both searches floats nominate the exponents (m, n) and prune them by
-the modulus and the angle of a^m / (u*b^n); exact integer arithmetic
-decides every candidate the floats cannot rule out, and every returned
-witness re-checks from its stored fields alone.
+the modulus and the angle of a^m / (u*b^n); a sieve of two float phase
+tests per m first drops the m for which no n could pass, so most m cost
+a few float operations.  Exact integer arithmetic decides every
+candidate the floats cannot rule out, and every returned witness
+re-checks from its stored fields alone.
 """
 
 from __future__ import annotations
@@ -118,6 +120,24 @@ def _approximations(
     |log u| + 4), the 4 covering the angles (at most pi), and the error of
     log s below 1e-15 * (|ln num| + |ln den| + 2|log u| + 4).  Every
     tolerance is 1e-9 plus 1000 times its bound.
+
+    A sieve of two float phase tests per m runs first and drops only the m
+    for which no n could pass the tests above; the m it keeps meet those
+    tests unchanged.  Let T be twice the tolerance at m_max and n_max =
+    m_max*log|a|/log|b| + 2, past the largest n in reach, and
+    v = (m*log|a| - log|u| - lo + T) / log|b|.  Then ln|r| lies in
+    [lo - T, hi + T] only for n = floor(v), and only if frac(v) <= w =
+    (hi - lo + 2T) / log|b| < 1: the modulus test.  The angle test asks
+    (m*arg a - n*arg b - arg u) / tau, for that n, to lie within
+    (asin(s) + T) / tau of an integer.  Formed as m*alpha - beta and
+    m*turn_a - n*turn_b - turn_u, with alpha = log|a|/log|b| and the
+    angles in turns each rounded once and the mod 1 exact, both phases
+    err by less than 1e-15 * (m*(|log a| + 4) + n*(|log b| + 4) + |log u|
+    + |lo| + 4), in radians and in log|b| units of v; |lo| < log|b| when
+    w < 1.  T exceeds each tolerance by the tolerance at (m_max, n_max),
+    over 1000 times these errors and those of ln|r| and arg r, so every
+    (m, n) that passes the tests above passes the sieve.  When w >= 1
+    (lo = -inf, or s near 1) every m passes.
     """
     log_a, arg_a = _log_polar(a)
     log_b, arg_b = _log_polar(b)
@@ -135,9 +155,20 @@ def _approximations(
             lo, hi, angle = math.log1p(-s), math.log1p(s), math.asin(s)
         else:
             lo, hi, angle = -math.inf, log_s + math.log1p(math.exp(-log_s)), math.inf
+    alpha = log_a / log_b
+    T = 2 * (tol_fixed + m_max * tol_per_m + (m_max * alpha + 2) * tol_per_n)
+    beta, w, half = (log_u + lo - T) / log_b, (hi - lo + 2 * T) / log_b, (angle + T) / math.tau
+    if not w < 1:  # every m passes both tests
+        beta, w, half = 0.0, 1.0, 0.5
+    # a phase within half of an integer is, plus half and mod 1, at most 2*half
+    turn_a, turn_b, turn_u, arc = arg_a / math.tau, arg_b / math.tau, arg_u / math.tau - half, 2 * half
     nb = b.norm()
     a_pow, m_at = ONE, 0
     for m in range(1, m_max + 1):
+        v = m * alpha - beta
+        frac = v % 1.0  # the sieve, with n = v - frac
+        if frac > w or (m * turn_a - (v - frac) * turn_b - turn_u) % 1.0 > arc:
+            continue
         x0 = m * log_a - log_u
         n_star = round(x0 / log_b)
         n_lo, n_hi = max(n_star - 1, n_min), n_star + 1
@@ -194,7 +225,8 @@ class PrefixWitness(namedtuple("PrefixWitness", "a b u m n z")):
     which are encoded on first use and kept as plain attributes outside
     the tuple, and a^m is never encoded.  verify() re-checks the identity,
     u != 0, the length of z's word, both words' values and word_u's
-    nonzero leading digit.
+    nonzero leading digit; certified is its verdict, taken once and kept
+    beside the words, so the search and a report share one check.
     """
 
     @cached_property
@@ -219,6 +251,10 @@ class PrefixWitness(namedtuple("PrefixWitness", "a b u m n z")):
         except InvalidInput:
             return False
 
+    @cached_property
+    def certified(self) -> bool:
+        return self.verify()
+
 
 def prefix_extension(
     a: GaussInt, b: GaussInt, u: GaussInt, n_min: int = 0, budget: int = 256
@@ -227,9 +263,9 @@ def prefix_extension(
 
     The acceptance threshold is the certified length bound of base b:
     norm(a^m - u*b^n) * norm(b)^m3 <= norm(b)^n.  The witness re-verifies
-    its identity and the word of z before it is returned; the word of a^m
-    follows from them (see PrefixWitness).  None means the search budget
-    (max m) was exhausted.
+    its identity and the word of z before it is returned, and keeps that
+    verdict as certified; the word of a^m follows from them (see
+    PrefixWitness).  None means the search budget (max m) was exhausted.
     """
     if not u:
         raise InvalidInput("prefix extension needs a nonzero target")
@@ -240,6 +276,6 @@ def prefix_extension(
     tail = b.norm() ** length_bound(b).m3
     for m, n, z in _approximations(a, b, u, n_min, budget, 1, tail):
         witness = PrefixWitness(a=a, b=b, u=u, m=m, n=n, z=z)
-        if witness.verify():
+        if witness.certified:
             return witness
     return None

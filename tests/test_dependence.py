@@ -7,12 +7,13 @@ import time
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gaussbase.cli import EXIT_OK, main
+from gaussbase.cli import EXIT_NOT_FOUND, EXIT_OK, main
 from gaussbase.dependence import (
     PrefixWitness,
+    _approximations,
     _log_polar,
     group_witness,
     mult_dependent,
@@ -419,6 +420,27 @@ def test_prefix_witness_verify_rechecks_every_field():
         assert not forged.verify()
 
 
+def test_certified_is_one_verify_shared_by_the_search_and_the_report(monkeypatch, capsys):
+    """Each witness the search checks is verified once; the report prints that verdict."""
+    calls = []
+    verify = PrefixWitness.verify
+    monkeypatch.setattr(PrefixWitness, "verify", lambda w: calls.append(w) or verify(w))
+    # the first level's witness is the one exact hit; the second level finds none
+    assert main(["prefix", "--n-min", "3", "--depth", "1", "--", "1+2i", "2+1i", "1"]) == EXIT_NOT_FOUND
+    chain = json.loads(capsys.readouterr().out)["results"]["chain"]
+    assert [entry["certified"] for entry in chain] == [True]
+    assert [(w.m, w.n) for w in calls] == [(39, 39)]
+
+
+def test_certified_rechecks_a_changed_or_forged_witness():
+    w = prefix_extension(A, B, ONE, n_min=3, budget=256)
+    assert w.certified and vars(w)["certified"] is True
+    assert not w._replace(z=w.z + ONE).certified and not w._replace(n=w.n + 1).certified
+    forged = w._replace()
+    vars(forged)["word_z"] = w.word_z[1:] + (ZERO,)
+    assert not forged.certified
+
+
 def test_prefix_extension_budget_exhaustion():
     assert prefix_extension(A, B, ONE, n_min=3, budget=10) is None
 
@@ -538,6 +560,115 @@ def test_every_split_of_a_word_derives_it(a, b, m, data):
     assert w.word_am == word
 
 
+# ---- the sieve against the per-m float filter ----
+
+def _reference_nominations(a, b, u, n_min, m_max, num, den):
+    """The per-m float filter the search ran before it had a sieve, copied: every
+    (m, n) it hands to the exact check."""
+    log_a, arg_a = _log_polar(a)
+    log_b, arg_b = _log_polar(b)
+    log_u, arg_u = _log_polar(u)
+    tol_fixed = 1e-9 + 1e-12 * (abs(log_u) + 4)
+    tol_per_m, tol_per_n = 1e-12 * (abs(log_a) + 4), 1e-12 * (abs(log_b) + 4)
+    lo, hi, angle = 0.0, 0.0, 0.0
+    if num:
+        ln_num, ln_den = math.log(num), math.log(den)
+        log_s = (ln_num - ln_den) / 2 - log_u
+        log_s += 1e-9 + 1e-12 * (abs(ln_num) + abs(ln_den) + 2 * abs(log_u) + 4)
+        if log_s < 0:
+            s = math.exp(log_s)
+            lo, hi, angle = math.log1p(-s), math.log1p(s), math.asin(s)
+        else:
+            lo, hi, angle = -math.inf, log_s + math.log1p(math.exp(-log_s)), math.inf
+    for m in range(1, m_max + 1):
+        x0 = m * log_a - log_u
+        n_star = round(x0 / log_b)
+        n_lo, n_hi = max(n_star - 1, n_min), n_star + 1
+        if n_lo > n_hi:
+            continue
+        tol = tol_fixed + m * tol_per_m + n_hi * tol_per_n
+        t0 = m * arg_a - arg_u
+        for n in range(n_lo, n_hi + 1):
+            x = x0 - n * log_b
+            if x < lo - tol or x > hi + tol:
+                continue
+            if abs(math.remainder(t0 - n * arg_b, math.tau)) > angle + tol:
+                continue
+            yield m, n
+
+
+class _Logged(GaussInt):
+    """A GaussInt that logs the exponents it is raised to.  The search raises a
+    to m - m_at and b to n for each (m, n) it checks exactly, and nothing else."""
+
+    __slots__ = ("tag", "log")
+
+    def __init__(self, z, tag, log):
+        super().__init__(z.re, z.im)
+        self.tag, self.log = tag, log
+
+    def __pow__(self, exp):
+        self.log.append((self.tag, exp))
+        return GaussInt.__pow__(self, exp)
+
+
+def _nominations(a, b, u, n_min, m_max, num, den):
+    """The (m, n) that reach the search's exact check, read off the powers it takes."""
+    log = []
+    hits = list(_approximations(_Logged(a, "a", log), _Logged(b, "b", log), u, n_min, m_max, num, den))
+    m, out = 0, []
+    for tag, exp in log:
+        if tag == "a":
+            m += exp
+        else:
+            out.append((m, exp))
+    assert {(m, n) for m, n, _ in hits} <= set(out)
+    return out
+
+
+EQUAL_NORM_PAIRS = [(A, B), (B, B.conj()), (g(3, 2), g(2, 3)), (g(-1, 3), g(3, 1))]
+
+
+@st.composite
+def sieve_cases(draw, m_max, n_min, wide=False):
+    """Bench-style pairs (bases of norm 5-13, targets of norm 1-10), equal-norm pairs, and
+    chain-level targets u = a^k (with n_min = 0 and the bound 0/1, the exact hit (k, 0)).
+    Narrow bounds are 0/1, 1/10^15, the prefix tail 1/N^m3, and one met with equality by
+    a candidate (m0, n0), on the edge of the sieve's window.  Wide ones put
+    s^2 = num / (den*norm(u)) from 0.01 to 2.25, across the s where the window of ln|r|
+    grows to one n wide and past s = 1, where it has no lower end."""
+    a, b = draw(st.one_of(st.tuples(bases_13, bases_13), st.sampled_from(EQUAL_NORM_PAIRS)))
+    u = draw(st.one_of(targets_10, st.integers(1, 40).map(lambda k: a**k)))
+    m_max, n_min = draw(m_max), draw(n_min)
+    if wide:
+        k = draw(st.one_of(st.integers(1, 225), st.integers(99, 101)))
+        return a, b, u, n_min, m_max, k * u.norm() + draw(st.integers(-1, 1)), 100
+    bound = draw(st.sampled_from([(0, 1), (1, 10**15), (1, b.norm() ** length_bound(b).m3), None]))
+    if bound is None:
+        log_a, log_b, log_u = (math.log(z.norm()) / 2 for z in (a, b, u))
+        m0 = draw(st.integers(1, m_max))
+        n0 = round((m0 * log_a - log_u) / log_b) + draw(st.integers(-1, 1))
+        assume(n0 >= 0)
+        bound = (a**m0 - u * b**n0).norm(), b.norm() ** n0
+    return (a, b, u, n_min, m_max, *bound)
+
+
+# The m the sieve drops have no (m, n) that passes the float filter, and the m it
+# keeps run that filter unchanged: so the two nominate the same (m, n), in order.
+
+@settings(max_examples=200, deadline=None)
+@given(sieve_cases(st.integers(1, 4096), st.one_of(st.just(0), st.integers(0, 900))))
+@example((A, B, A**3, 0, 64, 0, 1))  # the exact hit (3, 0), where m*alpha - log|u|/log|b| rounds below 0
+def test_sieve_hands_the_exact_check_what_the_per_m_filter_does(case):
+    assert _nominations(*case) == list(_reference_nominations(*case))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sieve_cases(st.integers(1, 256), st.integers(0, 8), wide=True))
+def test_sieve_keeps_every_m_whose_window_is_wide(case):
+    assert _nominations(*case) == list(_reference_nominations(*case))
+
+
 A9 = g(9, 9)  # |A9^300| > 1e308: the float of any component overflows
 
 
@@ -633,3 +764,43 @@ def test_float_error_far_below_tolerance(a, b, u, m):
         arg_error -= 2 * pi * (arg_error / (2 * pi)).to_integral_value()
         assert abs(Decimal(ln_r) - exact_ln) * 1000 <= Decimal(tol)
         assert abs(arg_error) * 1000 <= Decimal(tol)
+
+
+@pytest.mark.parametrize(
+    "a,b,u",
+    [(A, B, ONE), (g(-7, 8), g(-3, 6), g(1, -1)), (g(2, -9), g(-5, 4), A9**300)],
+    ids=["norm5_pair", "mixed_signs", "huge_u"],
+)
+@pytest.mark.parametrize("num,den", [(0, 1), (1, 10**15)], ids=["exact", "tight"])
+@pytest.mark.parametrize("m", [1, 37, 1000, 10**5, 10**6])
+def test_sieve_phase_error_far_below_its_margin(a, b, u, num, den, m):
+    """The sieve's modulus phase v and angle phase in turns, for m_max = m and
+    evaluated as the search evaluates them, against 60-digit Decimal values:
+    the error stays 1000x below T, in log|b| units of v and in radians."""
+    (log_a, arg_a), (log_b, arg_b), (log_u, arg_u) = map(_log_polar, (a, b, u))
+    tol_fixed = 1e-9 + 1e-12 * (abs(log_u) + 4)
+    tol_per_m, tol_per_n = 1e-12 * (abs(log_a) + 4), 1e-12 * (abs(log_b) + 4)
+    lo = angle = 0.0
+    if num:
+        ln_num, ln_den = math.log(num), math.log(den)
+        log_s = (ln_num - ln_den) / 2 - log_u
+        log_s += 1e-9 + 1e-12 * (abs(ln_num) + abs(ln_den) + 2 * abs(log_u) + 4)
+        s = math.exp(log_s)
+        lo, angle = math.log1p(-s), math.asin(s)
+    alpha = log_a / log_b
+    T = 2 * (tol_fixed + m * tol_per_m + (m * alpha + 2) * tol_per_n)
+    beta, half = (log_u + lo - T) / log_b, (angle + T) / math.tau
+    turn_a, turn_b, turn_u = arg_a / math.tau, arg_b / math.tau, arg_u / math.tau - half
+    v = m * alpha - beta
+    n = v - v % 1.0
+    phase = (m * turn_a - n * turn_b - turn_u) % 1.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = 4 * _decimal_atan(Decimal(1))
+        ln_a, ln_b, ln_u = (Decimal(z.norm()).ln() / 2 for z in (a, b, u))
+        exact_v = (m * ln_a - ln_u - Decimal(lo) + Decimal(T)) / ln_b
+        exact_phase = (m * _decimal_arg(a, pi) - int(n) * _decimal_arg(b, pi) - _decimal_arg(u, pi)) / (2 * pi)
+        phase_error = Decimal(phase) - exact_phase - Decimal(half)  # up to an integer
+        phase_error -= phase_error.to_integral_value()
+        assert abs(Decimal(v) - exact_v) * ln_b * 1000 <= Decimal(T)
+        assert abs(phase_error) * 2 * pi * 1000 <= Decimal(T)
