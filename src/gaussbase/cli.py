@@ -22,7 +22,6 @@ carrying Python's message, which names the limit.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -525,29 +524,20 @@ def _respond(args) -> int:
     return code
 
 
-@contextlib.contextmanager
-def _output_digits():
-    """Raise the int-to-str digit limit to at least OUTPUT_DIGITS, then restore it.
-
-    A limit of 0 (none) or above OUTPUT_DIGITS is kept.  Pythons before
-    3.10.7 have no limit: it reads as 0 and nothing is set.
-    """
-    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    set_limit(saved and max(saved, OUTPUT_DIGITS))
-    try:
-        yield
-    finally:
-        set_limit(saved)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a call builds only its own command's parser; -h, an unknown name or none gets the full one
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
-    # the command's literals are parsed under the interpreter's limit; its report gets OUTPUT_DIGITS
-    with _output_digits():
+    # The command's literals are parsed under the interpreter's int-to-str digit limit; its
+    # report gets at least OUTPUT_DIGITS.  A limit of 0 (none) or above OUTPUT_DIGITS is kept.
+    # Pythons before 3.10.7 have no limit: it reads as 0 and nothing is set.
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(saved and max(saved, OUTPUT_DIGITS))
+    try:
         return _respond(args)
+    finally:
+        set_limit(saved)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,11 @@ Python ints, checked when a value is built; absolute values are never
 materialized (use norm(z) = |z|^2), and division is either exact or an
 error.  Beyond ring arithmetic it offers divisibility, exact division and
 power membership, and it defines the errors every layer raises for bad
-input and refused work.
+input and refused work.  Literals are checked with str methods rather
+than a regular expression, so importing the package never loads `re`.
 """
 
 from __future__ import annotations
-
-import re as _regex
 
 
 class NotDivisible(ArithmeticError):
@@ -27,9 +26,6 @@ class InvalidInput(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """Requested work exceeds a fixed budget such as ENUMERATION_BUDGET."""
-
-
-_LITERAL = _regex.compile(r"([+-]?\d+)(?:([+-]\d+)i)?", _regex.ASCII)
 
 
 class GaussInt:
@@ -57,12 +53,28 @@ class GaussInt:
 
     @classmethod
     def parse(cls, text: str) -> "GaussInt":
-        """Parse the literal grammar `a`, `a+bi`, `a-bi` (e.g. `5`, `-1+2i`, `0-1i`)."""
-        m = _LITERAL.fullmatch(text)
-        if m is None:
-            raise InvalidInput(f"not a Gaussian integer literal: {text!r}")
-        re_txt, im_txt = m.group(1), m.group(2)
-        return cls(int(re_txt), int(im_txt) if im_txt is not None else 0)
+        """Parse the literal grammar `a`, `a+bi`, `a-bi` (e.g. `5`, `-1+2i`, `0-1i`).
+
+        Each part is `[+-]?[0-9]+` in ASCII digits, and nothing else is
+        allowed: no whitespace, underscores or trailing newline.
+        """
+        if not isinstance(text, str):  # worded as re words it: JSON loaders report it for a mistyped field
+            raise TypeError(f"expected string or bytes-like object, got {type(text).__name__!r}")
+        if text.isdigit() and text.isascii():  # a bare non-negative int, the commonest literal
+            return cls(int(text))
+        # The whole literal is checked before int() sees either part: int() accepts spaces, "_"
+        # and non-ASCII digits, and a part past the digit limit would raise its own ValueError.
+        real, imag = text, "+0"
+        if text.endswith("i"):
+            # the imaginary part starts at the one sign past the first character; with none,
+            # imag is empty, and any other sign fails the digit checks
+            cut = text.find("+", 1)
+            if cut < 0:
+                cut = text.find("-", 1)
+            real, imag = text[:cut], text[cut:-1]
+        if text.isascii() and (real[1:] if real[:1] in "+-" else real).isdigit() and imag[1:].isdigit():
+            return cls(int(real), int(imag))
+        raise InvalidInput(f"not a Gaussian integer literal: {text!r}")
 
     def norm(self) -> int:
         """|z|^2 = re^2 + im^2, always a nonnegative int."""

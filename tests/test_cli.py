@@ -569,7 +569,7 @@ def test_importing_the_cli_leaves_verification_and_random_unloaded():
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
     assert "gaussbase.cli" in loaded
-    assert not loaded & {"gaussbase.verification", "random", "dataclasses", "inspect", "typing"}
+    assert not loaded & {"gaussbase.verification", "random", "dataclasses", "inspect", "typing", "contextlib"}
 
 
 def test_dfa_flags_follow_the_subcommand(tmp_path, capsys):

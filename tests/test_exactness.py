@@ -1,9 +1,13 @@
 """Floats stay in the witness search's nominations: the exact layers hold none.
 
 And each module keeps its private names: no module imports a _name from another.
+And the library imports light: no module imports re, and `import gaussbase` loads
+neither the regex engine nor the CLI's argparse and json.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +77,46 @@ def test_the_guard_sees_each_kind_of_private_import():
         "from .automata import (\n    Dfa,\n    _members,\n)\n"
     )
     assert list(private_imports(ast.parse(source))) == [(1, "_json_int"), (2, "_private"), (3, "_bfs"), (8, "_members")]
+
+
+def regex_imports(tree):
+    """Line of every import of re or a submodule of it, at module level or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "re" or name.startswith("re.") for name in names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_re(path):
+    assert list(regex_imports(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+def test_the_guard_sees_each_kind_of_regex_import():
+    source = (
+        "import re\n"
+        "import os, re as _regex\n"
+        "from re import compile\n"
+        "from . import re_tools\n"
+        "import regex\n"
+        "def parse(text):\n    import re._parser\n"
+        "class Literal:\n    from re import fullmatch\n"
+    )
+    assert list(regex_imports(ast.parse(source))) == [1, 2, 3, 7, 9]
+
+
+def test_importing_the_library_leaves_the_regex_engine_and_the_cli_modules_unloaded():
+    # -I -S: the interpreter and the package alone, as the benchmark measures the import
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import gaussbase; print(*sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "gaussbase.automata" in loaded
+    assert not loaded & {"re", "enum", "argparse", "json", "gettext", "contextlib"}

@@ -1,5 +1,6 @@
 """Exact Z[i] arithmetic: parsing, ring operations, exact division, powers."""
 
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gaussbase.cli import EXIT_ERROR, main
 from gaussbase.gaussint import (
     ONE,
     ZERO,
@@ -42,13 +44,70 @@ def test_parse(text, value):
     assert GaussInt.parse(text) == value
 
 
-# $ would also match before a trailing newline, and \d any Unicode digit
+# a regex's $ would also match before a trailing newline, and int() takes spaces, "_" and any
+# Unicode digit; a sign past the first character starts the imaginary part and nothing else
 @pytest.mark.parametrize(
-    "text", ["", "i", "2+i", "2 + 1i", "1.5", "2+1j", "2i", "5\n", "2+1i\n", "\uff15", "1+\u0663i"]
+    "text",
+    ["", "i", "2+i", "2 + 1i", "1.5", "2+1j", "2i", "5\n", "2+1i\n", "\uff15", "1+\u0663i", " 5", "1_0"]
+    + ["+", "-", "+i", "1+i", "1++2i", "1+-2i", "--1", "-+1", "1-2+3i", "1+2-3i", "+1+1i+1i"],
 )
 def test_parse_rejects(text):
     with pytest.raises(InvalidInput, match="not a Gaussian integer literal"):
         GaussInt.parse(text)
+
+
+_REFERENCE_LITERAL = re.compile(r"([+-]?\d+)(?:([+-]\d+)i)?", re.ASCII)
+
+
+def _reference_parse(text):
+    """The regular-expression parser GaussInt.parse replaced."""
+    m = _REFERENCE_LITERAL.fullmatch(text)
+    if m is None:
+        raise InvalidInput(f"not a Gaussian integer literal: {text!r}")
+    re_txt, im_txt = m.group(1), m.group(2)
+    return GaussInt(int(re_txt), int(im_txt) if im_txt is not None else 0)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except InvalidInput as exc:
+        return str(exc)
+
+
+@given(st.text(alphabet="+-0123456789i _.\n\uff15\u0663", max_size=10))
+def test_parse_matches_the_reference(text):
+    assert _outcome(GaussInt.parse, text) == _outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize("bad", [5, None, 1.5, True, ["5"], {}])
+def test_parse_refuses_a_non_string_with_type_error(bad):
+    # the JSON loaders turn TypeError and ValueError into InvalidInput naming the field
+    with pytest.raises(TypeError, match=f"^expected string or bytes-like object, got '{type(bad).__name__}'$"):
+        GaussInt.parse(bad)
+
+
+def test_a_long_literal_is_checked_before_it_is_converted(default_digit_limit, capsys):
+    # a malformed literal is refused as one whatever its length; a well-formed one past the
+    # interpreter's int-to-str limit raises int()'s own ValueError, as it always has
+    malformed, long = "1" * 5000 + "+xi", "1" * 5000
+    with pytest.raises(InvalidInput, match="not a Gaussian integer literal"):
+        GaussInt.parse(malformed)
+    refused = [malformed]
+    if hasattr(sys, "set_int_max_str_digits"):
+        with pytest.raises(ValueError) as limit:
+            int(long)
+        with pytest.raises(ValueError) as exc:
+            GaussInt.parse(long)
+        assert type(exc.value) is ValueError and str(exc.value) == str(limit.value)
+        refused.append(long)
+    for text in refused:
+        with pytest.raises(SystemExit) as usage:
+            main(["encode", "-b", "2+1i", "--", text])
+        assert usage.value.code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument value: invalid parse value: {text!r}\n")
 
 
 @given(gauss_ints)

@@ -369,6 +369,20 @@ def test_word_text_roundtrip(D):
     assert word_from_text("") == ()
 
 
+@pytest.mark.parametrize(
+    "text,bad", [("1,x,1,y", "x"), ("1,-1,0+1i,2 ,2 ,y", "2 "), ("0,,1", ""), ("1,0,1,1+\u0663i,x", "1+\u0663i")]
+)
+def test_word_from_text_refuses_its_first_malformed_literal(text, bad):
+    with pytest.raises(InvalidInput) as exc:
+        word_from_text(text)
+    assert str(exc.value) == f"not a Gaussian integer literal: {bad!r}"
+
+
+@given(st.lists(st.sampled_from(["0", "1", "-1", "0+1i", "0-1i", "+1", "-0", "7-12i"]), min_size=1, max_size=40))
+def test_word_from_text_parses_each_literal(parts):
+    assert word_from_text(",".join(parts)) == tuple(map(GaussInt.parse, parts))
+
+
 def test_digit_set_json_roundtrip(D):
     obj = digit_set_to_json(D)
     assert obj["base"] == "2+1i"
