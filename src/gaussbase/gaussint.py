@@ -58,10 +58,10 @@ class GaussInt:
         Each part is `[+-]?[0-9]+` in ASCII digits, and nothing else is
         allowed: no whitespace, underscores or trailing newline.
         """
-        if not isinstance(text, str):  # worded as re words it: JSON loaders report it for a mistyped field
+        if not isinstance(text, str):
+            # re's wording, kept so the JSON loaders' report of a mistyped field reads as it did;
+            # unlike re, bytes are refused too
             raise TypeError(f"expected string or bytes-like object, got {type(text).__name__!r}")
-        if text.isdigit() and text.isascii():  # a bare non-negative int, the commonest literal
-            return cls(int(text))
         # The whole literal is checked before int() sees either part: int() accepts spaces, "_"
         # and non-ASCII digits, and a part past the digit limit would raise its own ValueError.
         real, imag = text, "+0"

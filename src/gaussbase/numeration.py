@@ -395,10 +395,6 @@ def word_to_text(w: Word) -> str:
 
 
 def word_from_text(text: str) -> Word:
-    """Inverse of word_to_text; the first malformed literal raises as GaussInt.parse does."""
     if not text:
         return EMPTY_WORD
-    parts = text.split(",")
-    # a word repeats few distinct digits: parse each once, in order of first appearance
-    digit = {part: GaussInt.parse(part) for part in dict.fromkeys(parts)}
-    return tuple(map(digit.__getitem__, parts))
+    return tuple(GaussInt.parse(part) for part in text.split(","))

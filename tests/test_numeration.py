@@ -378,11 +378,6 @@ def test_word_from_text_refuses_its_first_malformed_literal(text, bad):
     assert str(exc.value) == f"not a Gaussian integer literal: {bad!r}"
 
 
-@given(st.lists(st.sampled_from(["0", "1", "-1", "0+1i", "0-1i", "+1", "-0", "7-12i"]), min_size=1, max_size=40))
-def test_word_from_text_parses_each_literal(parts):
-    assert word_from_text(",".join(parts)) == tuple(map(GaussInt.parse, parts))
-
-
 def test_digit_set_json_roundtrip(D):
     obj = digit_set_to_json(D)
     assert obj["base"] == "2+1i"
