@@ -97,20 +97,19 @@ def _log_polar(z: GaussInt) -> tuple[float, float]:
     return math.log(z.norm()) / 2, math.atan2(z.im >> shift, z.re >> shift)
 
 
-def _approximations(
+def _nominees(
     a: GaussInt, b: GaussInt, u: GaussInt, n_min: int, m_max: int, num: int, den: int
-) -> Iterator[tuple[int, int, GaussInt]]:
-    """(m, n, a^m - u*b^n) with norm(a^m - u*b^n) * den <= num * norm(b)^n, over
+) -> Iterator[tuple[int, int]]:
+    """The (m, n) that may meet norm(a^m - u*b^n) * den <= num * norm(b)^n, over
     m = 1..m_max and the few n >= n_min near (m*log|a| - log|u|) / log|b|,
-    where |a^m / b^n| comes closest to |u|.
+    where |a^m / b^n| comes closest to |u|; _approximations decides them.
 
     The test reads |r - 1| <= s for r = a^m / (u*b^n) and
     s^2 = num / (den * norm(u)).  It forces ln|r| into [log1p(-s), log1p(s)]
     and, for s < 1, |arg r| <= asin(s): the ray at angle t meets the disc
     |r - 1| <= s only when sin|t| <= s.  Floats nominate n and skip every
     candidate whose ln|r| or arg r falls outside these bounds widened by a
-    tolerance; exact arithmetic decides the rest, advancing a^m from one
-    surviving candidate to the next.
+    tolerance, and yield the rest.
 
     Float error budget, with unit roundoff 2^-53 ~ 1.1e-16: the log of an
     int (of any size), atan2 of components cut to 64 bits, each product
@@ -162,8 +161,6 @@ def _approximations(
         beta, w, half = 0.0, 1.0, 0.5
     # a phase within half of an integer is, plus half and mod 1, at most 2*half
     turn_a, turn_b, turn_u, arc = arg_a / math.tau, arg_b / math.tau, arg_u / math.tau - half, 2 * half
-    nb = b.norm()
-    a_pow, m_at = ONE, 0
     for m in range(1, m_max + 1):
         v = m * alpha - beta
         frac = v % 1.0  # the sieve, with n = v - frac
@@ -182,11 +179,40 @@ def _approximations(
                 continue
             if abs(math.remainder(t0 - n * arg_b, math.tau)) > angle + tol:
                 continue
-            if m != m_at:
-                a_pow, m_at = a_pow * a ** (m - m_at), m
-            z = a_pow - u * b**n
-            if z.norm() * den <= num * nb**n:
-                yield m, n, z
+            yield m, n
+
+
+# z -> (z.re + _ROOT*z.im) % _PRIME maps Z[i] onto the integers mod the prime
+# 2^64 - 59, a ring homomorphism as _ROOT^2 = -1 there
+_PRIME = 2**64 - 59
+_ROOT = 2296021864060584341  # 2^((_PRIME - 1)/4); 2 is no square mod a prime = 5 mod 8
+
+
+def _residue(z: GaussInt) -> int:
+    return (z.re + _ROOT * z.im) % _PRIME
+
+
+def _approximations(
+    a: GaussInt, b: GaussInt, u: GaussInt, n_min: int, m_max: int, num: int, den: int
+) -> Iterator[tuple[int, int, GaussInt]]:
+    """(m, n, a^m - u*b^n) with norm(a^m - u*b^n) * den <= num * norm(b)^n, over the
+    _nominees, decided in exact arithmetic, advancing a^m from one candidate to the next.
+
+    Under num = 0 the test is a^m = u*b^n, which fails whenever the two
+    sides differ in _residue: those candidates are dropped by a modular
+    pow on word-size ints, and the powers are built only for the rest.
+    """
+    nb = b.norm()
+    a_pow, m_at = ONE, 0
+    res_a, res_b, res_u = _residue(a), _residue(b), _residue(u)
+    for m, n in _nominees(a, b, u, n_min, m_max, num, den):
+        if not num and pow(res_a, m, _PRIME) != res_u * pow(res_b, n, _PRIME) % _PRIME:
+            continue
+        if m != m_at:
+            a_pow, m_at = a_pow * a ** (m - m_at), m
+        z = a_pow - u * b**n
+        if z.norm() * den <= num * nb**n:
+            yield m, n, z
 
 
 def group_witness(

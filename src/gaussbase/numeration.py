@@ -13,8 +13,12 @@ against +-norm(b), and radii enter squared; canonical_digit_set solves
 the two box tests for each row of the square instead of testing every
 point.  The per-digit loops (the digit map, encode, decode, recode and
 the residue table) run on plain int pairs and build a GaussInt only for
-a value they return.  No float enters this module: logarithms are bounded
-from bit lengths.
+a value they return.  A long value or word (BLOCK_DIGITS digits or more)
+is encoded and decoded k digits at a time, with norm(b)^k < 2^60: one
+big-int step per block splits off or adds in a block, whose k digits the
+same loops handle as a short value or word of ints of at most two
+machine words, so the cost is no longer a big-int operation per digit.
+No float enters this module: logarithms are bounded from bit lengths.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
 
 DIGIT_BUDGET = 10**5  # digits of the largest canonical digit set held in memory
+BLOCK_DIGITS = 100  # words of this many digits or more are encoded and decoded in blocks
+_BLOCK_STEPS = 2 * BLOCK_DIGITS + 272  # encode's cap for a value of about BLOCK_DIGITS digits
 MEMO_SIZE = 64  # digit sets, length bounds and termination verdicts kept by the per-base memos
 
 
@@ -191,20 +197,75 @@ def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
     return D._by_residue[t_re % n, t_im % n][0]
 
 
+def _block_length(n: int) -> int:
+    """The largest k with n^k < 2^60: k digits of a base of norm n fit in one two-digit int."""
+    k, power = 0, n
+    while power < 1 << 60:
+        k, power = k + 1, power * n
+    return k
+
+
+def _blocks(x: int, y: int, D: DigitSet, out: list[GaussInt], max_len: int) -> tuple[int, int]:
+    """Append the low digits of w = x + y*i to out, lsd first, a block of k at a time; return the state left.
+
+    k = _block_length(N).  Per block, one big-int pass: the quotient q of w
+    by c = b^k, rounded, leaves r = w - q*c small, and as w - r is a
+    multiple of c, the loop on w emits the digits the loop on r does for k
+    steps and then stands at q + r_k.  The word of r, at most 2k digits,
+    gives both: its low k digits, padded with zeros, and r_k, the value of
+    the rest.  So the blocks reach exactly the loop's states.  They stop
+    once both parts of w have no more bits than N^k, or out would pass
+    max_len, or the word of r is longer (a digit set far from 0, or one
+    whose loop cycles): the digit loop goes on from the state they leave.
+    When the state reaches 0, the last block's padding is stripped, since
+    a word from the loop has a nonzero leading digit.
+    """
+    n = D.base.norm()
+    k = _block_length(n)
+    c = D.base**k
+    c_re, c_im, nk = c.re, c.im, n**k
+    half, small = nk >> 1, nk.bit_length()
+    while k > 1 and (x.bit_length() > small or y.bit_length() > small) and len(out) + k <= max_len:
+        # q = round(w/c) on both parts of w*conj(c)/N^k, and s = r*conj(c)
+        q_re, s_re = divmod(x * c_re + y * c_im + half, nk)
+        q_im, s_im = divmod(y * c_re - x * c_im + half, nk)
+        s_re, s_im = s_re - half, s_im - half
+        r = GaussInt((s_re * c_re - s_im * c_im) // nk, (s_re * c_im + s_im * c_re) // nk)  # s*c/N^k
+        word = encode_within(r, D, 2 * k)
+        if word is None:
+            break
+        out.extend(word[: -k - 1 : -1])
+        if len(word) > k:
+            r_k = decode(word[:-k], D)
+            q_re, q_im = q_re + r_k.re, q_im + r_k.im
+        else:
+            out.extend([ZERO] * (k - len(word)))
+        x, y = q_re, q_im
+    while not (x or y) and not out[-1]:
+        out.pop()
+    return x, y
+
+
 def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
     """The word of z if it has at most max_len digits, else None.
 
     Runs the forced digit loop for at most max_len steps, so the answer is
     exact for any complete residue system, whether or not its loop
-    terminates everywhere.
+    terminates everywhere.  A value of BLOCK_DIGITS digits or more first
+    takes its low digits a block at a time (see _blocks), when max_len
+    leaves room for more than 2*BLOCK_DIGITS + 272 steps, encode's cap
+    for a value of about that many digits: so a call with a short value
+    or a small max_len is told apart by one comparison.
     """
-    # on plain ints: with t = w*conj(b), the next value (w - d)/b is
-    # (t - d*conj(b))/N, an exact division
     n = D.base.norm()
     bre, bim = D.base.re, -D.base.im  # components of conj(b)
     table = D._by_residue
     out: list[GaussInt] = []
     x, y = z.re, z.im
+    if max_len > _BLOCK_STEPS and x.bit_length() + y.bit_length() >= BLOCK_DIGITS * n.bit_length():
+        x, y = _blocks(x, y, D, out, max_len)
+    # on plain ints: with t = w*conj(b), the next value (w - d)/b is
+    # (t - d*conj(b))/N, an exact division
     while x or y:
         if len(out) >= max_len:
             return None
@@ -220,7 +281,8 @@ def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
 def encode(z: GaussInt, D: DigitSet) -> Word:
     """The unique msd-first word for z over D; encode(0) is the empty word.
 
-    Emits digit_of and replaces z by (z - d)/b until 0.  For a collection
+    Emits digit_of and replaces z by (z - d)/b until 0, a block of digits
+    at a time for a long value (see encode_within).  For a collection
     that is not actually a digit set the loop can cycle, so it gives up
     after 2*ceil(log_N(norm(z) + 1)) + 272 steps, N = norm(b), and raises
     NonTermination naming z.  The cap reads only z and the base: a word
@@ -238,7 +300,22 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
 
 
 def decode(w: Word, D: DigitSet) -> GaussInt:
-    """Horner evaluation of an msd-first word; decode of the empty word is 0."""
+    """Horner evaluation of an msd-first word; decode of the empty word is 0.
+
+    A word of BLOCK_DIGITS digits or more is decoded k digits at a time,
+    k = _block_length(N), counted from the least significant end: each
+    block is a short word, and the value takes one big-int step
+    X*b^k + block per block.  Digits are checked in word order either way.
+    """
+    if len(w) >= BLOCK_DIGITS and (k := _block_length(D.base.norm())) > 1:
+        c = D.base**k
+        head = len(w) % k
+        value = decode(w[:head], D)
+        x, y = value.re, value.im
+        for start in range(head, len(w), k):
+            block = decode(w[start : start + k], D)
+            x, y = x * c.re - y * c.im + block.re, x * c.im + y * c.re + block.im
+        return GaussInt(x, y)
     members = D.positions
     p, q = D.base.re, D.base.im
     x = y = 0

@@ -10,11 +10,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gaussbase import dependence
 from gaussbase.cli import EXIT_NOT_FOUND, EXIT_OK, main
 from gaussbase.dependence import (
+    _PRIME,
     PrefixWitness,
     _approximations,
     _log_polar,
+    _nominees,
+    _residue,
     group_witness,
     mult_dependent,
     prefix_extension,
@@ -597,32 +601,11 @@ def _reference_nominations(a, b, u, n_min, m_max, num, den):
             yield m, n
 
 
-class _Logged(GaussInt):
-    """A GaussInt that logs the exponents it is raised to.  The search raises a
-    to m - m_at and b to n for each (m, n) it checks exactly, and nothing else."""
-
-    __slots__ = ("tag", "log")
-
-    def __init__(self, z, tag, log):
-        super().__init__(z.re, z.im)
-        self.tag, self.log = tag, log
-
-    def __pow__(self, exp):
-        self.log.append((self.tag, exp))
-        return GaussInt.__pow__(self, exp)
-
-
 def _nominations(a, b, u, n_min, m_max, num, den):
-    """The (m, n) that reach the search's exact check, read off the powers it takes."""
-    log = []
-    hits = list(_approximations(_Logged(a, "a", log), _Logged(b, "b", log), u, n_min, m_max, num, den))
-    m, out = 0, []
-    for tag, exp in log:
-        if tag == "a":
-            m += exp
-        else:
-            out.append((m, exp))
-    assert {(m, n) for m, n, _ in hits} <= set(out)
+    """The (m, n) that reach the search's exact check; its answers are exactly those that pass it."""
+    out = list(_nominees(a, b, u, n_min, m_max, num, den))
+    hits = [(m, n) for m, n, _ in _approximations(a, b, u, n_min, m_max, num, den)]
+    assert hits == [(m, n) for m, n in out if (a**m - u * b**n).norm() * den <= num * b.norm() ** n]
     return out
 
 
@@ -667,6 +650,25 @@ def test_sieve_hands_the_exact_check_what_the_per_m_filter_does(case):
 @given(sieve_cases(st.integers(1, 256), st.integers(0, 8), wide=True))
 def test_sieve_keeps_every_m_whose_window_is_wide(case):
     assert _nominations(*case) == list(_reference_nominations(*case))
+
+
+gauss_ints = st.builds(GaussInt, st.integers(-(2**200), 2**200), st.integers(-(2**200), 2**200))
+
+
+@given(gauss_ints, gauss_ints)
+def test_the_residue_is_a_ring_homomorphism(x, y):
+    assert _residue(x * y) == _residue(x) * _residue(y) % _PRIME
+    assert _residue(x + y) == (_residue(x) + _residue(y)) % _PRIME
+    assert _residue(g(0, 1)) ** 2 % _PRIME == _PRIME - 1
+
+
+def test_an_exact_hit_search_refutes_a_far_nomination_by_its_residues(monkeypatch):
+    """witness 1+2i 2+1i 1 --bound 0/1 --m-max 10^6 nominates only (561873, 561873);
+    building both powers to reject it took about 0.5 s."""
+    monkeypatch.setattr(dependence, "_nominees", lambda *args: iter([(561873, 561873)]))
+    start = time.perf_counter()
+    assert list(_approximations(A, B, ONE, 0, 10**6, 0, 1)) == []
+    assert time.perf_counter() - start < 0.05  # about 10 us on a 2-vCPU VM
 
 
 A9 = g(9, 9)  # |A9^300| > 1e308: the float of any component overflows

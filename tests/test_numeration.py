@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from gaussbase import automata, numeration
 from gaussbase.automata import digit_set_from_json, digit_set_to_json
-from gaussbase.gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, divides
+from gaussbase.gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, divides, exact_div
 from gaussbase.numeration import (
+    BLOCK_DIGITS,
     DIGIT_BUDGET,
     DigitSet,
     LargeCanonicalDigitSet,
@@ -196,6 +197,15 @@ def test_encode_non_terminating_set_raises():
     # the cap reads only the value and the base, so values whose loop ends still encode
     assert encode(ZERO, trap) == ()
     assert encode(g(5), trap) == (g(1), g(2))
+    # a long value runs the digits a block at a time, and its loop still cycles
+    z = g(-(2**3000) + 1, 3**1000)
+    cap = 2 * -(-(z.norm() + 1).bit_length() // 3) + 272  # bits(norm(3)) - 1 = 3
+    assert reference_encode_within(z, trap, cap) is None
+    with pytest.raises(NonTermination) as got:
+        encode(z, trap)
+    assert str(got.value) == f"digit loop for {z} over base 3 exceeded {cap} iterations"
+    for max_len in (1, 100, 2000, 5000):
+        assert encode_within(z, trap, max_len) is None
 
 
 def test_per_base_memos_are_bounded():
@@ -206,14 +216,20 @@ def test_per_base_memos_are_bounded():
         assert memo.cache_info().currsize <= MEMO_SIZE
 
 
+long_components = st.integers(-300, 300) | st.integers(-(2**3000), 2**3000)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(-300, 300), st.integers(-300, 300))
+@given(long_components, long_components)
+@example(5**150, 0)  # b^300 over 2+i, a word of 301 digits
+@example(5**150 - 1, 0)
 def test_encode_within_cuts_at_the_word_length(D, x, y):
     word = encode(g(x, y), D)
     assert encode_within(g(x, y), D, len(word)) == word
     assert encode_within(g(x, y), D, len(word) + 3) == word
     if word:
         assert encode_within(g(x, y), D, len(word) - 1) is None
+        assert encode_within(g(x, y), D, len(word) // 2) is None
 
 
 # ---- lengths ----
@@ -471,7 +487,7 @@ def test_encode_cap_is_never_below_the_log_cap(b, z):
     m3 = length_bound(b).m3
     with mock.patch.object(numeration, "encode_within", wraps=numeration.encode_within) as capped:
         assert decode(encode(z, D), D) == z
-    cap = capped.call_args.args[2]
+    cap = capped.call_args_list[0].args[2]  # encode's call; the blocks call it again on short values
     k, power = 0, 1
     while power < z.norm() + 1:  # k = ceil(log_N(norm(z) + 1))
         power *= b.norm()
@@ -496,6 +512,18 @@ def reference_canonical_digits(b):
     return tuple(box)
 
 
+def reference_encode_within(z, D, max_len):
+    """The earlier encode_within: one digit step per digit on GaussInt values, at most max_len steps."""
+    out = []
+    while z:
+        if len(out) >= max_len:
+            return None
+        d = digit_of(z, D)
+        out.append(d)
+        z = exact_div(z - d, D.base)
+    return tuple(reversed(out))
+
+
 def reference_encode(z, D):
     """The earlier encode: M(3) bootstrapped with the cap 64, then the cap 4*M(3) + 2*ceil(log_N(norm(z) + 1)) + 16.
 
@@ -503,7 +531,7 @@ def reference_encode(z, D):
     """
 
     def capped(v, cap):
-        w = encode_within(v, D, cap)
+        w = reference_encode_within(v, D, cap)
         if w is None:
             raise NonTermination(f"digit loop for {v} over base {D.base} exceeded {cap} iterations")
         return w
@@ -544,32 +572,91 @@ def bases(max_norm=2000):
 LARGE_BASES = [g(400, -7), g(-317, 0)]  # norms 160049 and 100489, past DIGIT_BUDGET
 
 
-@st.composite
-def digit_words(draw):
-    """(b, w): a base, with or without a listed digit set, and a word over its canonical digits.
-
-    The word often has leading zeros.  The base stands for its digit set,
-    as printing a LargeCanonicalDigitSet's fields would ask for its digits.
-    """
-    b = draw(bases() | st.sampled_from(LARGE_BASES))
-    D = canonical_digit_set(b)
-    values = st.builds(g, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
-    digits = st.lists(st.just(ZERO) | values.map(lambda z: digit_of(z, D)), max_size=14)
-    return b, (ZERO,) * draw(st.integers(0, 4)) + tuple(draw(digits))
+def block_edges(b):
+    """Word lengths at the edges of decode's blocks over b: the first block length, and
+    k - 1, k, k + 1 and 2k + 1 digits past a length of BLOCK_DIGITS or more, for the
+    block length k."""
+    k = numeration._block_length(b.norm())
+    whole = -(-BLOCK_DIGITS // k) * k
+    return [BLOCK_DIGITS - 1, BLOCK_DIGITS, *(whole + extra for extra in (k - 1, k, k + 1, 2 * k + 1))]
 
 
 ALT = DigitSet(g(-2, 1), tuple(g(k) for k in range(5)))  # a digit set that is not canonical
 
 
+def digit_set_of(key):
+    """ALT, or the canonical digit set of a base."""
+    return key if key == ALT else canonical_digit_set(key)
+
+
+@st.composite
+def digit_words(draw):
+    """(key, w): ALT or a base, with or without a listed digit set, and a word over its digits.
+
+    The word often has leading zeros.  Most words are short; the rest have
+    a length at a block edge or up to a few thousand digits, drawn from a
+    seeded generator.  A base stands for its canonical digit set (see
+    digit_set_of), as printing a LargeCanonicalDigitSet's fields would ask
+    for its digits.
+    """
+    key = draw(bases() | st.sampled_from([*LARGE_BASES, ALT]))
+    D = digit_set_of(key)
+    values = st.builds(g, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+    lead = (ZERO,) * draw(st.integers(0, 4))
+    if draw(st.integers(0, 2)):
+        digits = st.lists(st.just(ZERO) | values.map(lambda z: digit_of(z, D)), max_size=14)
+        return key, lead + tuple(draw(digits))
+    length = draw(st.sampled_from(block_edges(D.base)) | st.integers(BLOCK_DIGITS, 3000))
+    rng = draw(st.randoms(use_true_random=False))
+    pool = [digit_of(g(rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6)), D) for _ in range(50)]
+    return key, lead + tuple(rng.choice(pool) for _ in range(length))
+
+
+# components of 0 to 6000 bits: words of every length up to a few thousand digits
+sized_components = st.integers(0, 6000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.one_of(bases(400).map(canonical_digit_set), st.just(ALT)),
-    st.builds(GaussInt, huge_components, huge_components),
+    st.one_of(bases(400), st.sampled_from(LARGE_BASES)).map(canonical_digit_set) | st.just(ALT),
+    st.builds(GaussInt, huge_components, huge_components) | st.builds(GaussInt, sized_components, sized_components),
 )
 @example(ALT, g(-3, 7))
 @example(canonical_digit_set(g(20, 1)), ZERO)
 def test_encode_equals_the_reference(D, z):
     assert encode(z, D) == reference_encode(z, D)
+
+
+FAR = DigitSet(B, tuple(d if d == ZERO else d + g(10**40) * B for d in SMALL_DIGITS))  # digits far from 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 400), st.randoms(use_true_random=False))
+def test_a_word_over_far_digits_encodes_back_to_itself(length, rng):
+    """A word over FAR is the loop's word for its value.  A block's remainder, though small,
+    has a long word over FAR, so the blocks give way to the digit loop."""
+    w = (rng.choice(FAR.digits[1:]),) + tuple(rng.choice(FAR.digits) for _ in range(length - 1))
+    z = decode(w, FAR)
+    assert encode_within(z, FAR, length) == w == reference_encode_within(z, FAR, length)
+    assert encode_within(z, FAR, 10**4) == w
+    assert encode_within(z, FAR, length - 1) is None
+
+
+def test_a_block_that_reaches_the_end_of_the_word_strips_its_padding():
+    """Over 2+i, with e = 2^31 and big = -1-i - e*b^k among the digits, the word of big is (big,),
+    though it has 60 bits.  So in big*b^(20k) the block that splits off big reaches 0 inside
+    itself: the word of its remainder -1-i is (e, 0, ..., 0, big), and the zeros it pads must go."""
+    k = numeration._block_length(B.norm())
+    e = g(2**31)
+    big = g(-1, -1) - e * B**k
+    canonical = canonical_digit_set(B)
+    swap = {digit_of(e, canonical): e, digit_of(big, canonical): big}
+    D = DigitSet(B, tuple(swap.get(d, d) for d in canonical.digits))
+    w = (big,) + (ZERO,) * (20 * k)
+    z = decode(w, D)
+    assert encode_within(z, D, 10**4) == w == reference_encode_within(z, D, 10**4)
+    assert encode_within(z, D, len(w)) == w
+    assert encode_within(z, D, len(w) - 1) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -593,9 +680,10 @@ def test_canonical_digit_set_is_the_box_filter(b):
 @example((B, ()), 3)
 @example((B, (ZERO, ZERO)), 3)
 @example((LARGE_BASES[0], ()), 2)
+@example((ALT, (ZERO,) * 3 + (ONE,) * BLOCK_DIGITS), 2)
 def test_decode_and_recode_equal_the_references(case, j):
-    b, w = case
-    D = canonical_digit_set(b)
+    key, w = case
+    D = digit_set_of(key)
     assert decode(w, D) == reference_decode(w, D)
     assert recode(w, D, j) == reference_recode(w, D, j)
 
@@ -615,3 +703,36 @@ def test_a_non_digit_anywhere_in_a_block_is_refused_as_decode_refuses_it(base, j
                 with pytest.raises(InvalidInput) as got:
                     call(w, D)
                 assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("base", [B, g(3, -2), g(7, 5), *LARGE_BASES])
+def test_a_non_digit_in_a_long_word_is_refused_as_decode_refuses_it(base):
+    """A word of several blocks: a non-digit in its first block, its last, or both, as decode's first."""
+    D = canonical_digit_set(base)
+    word = tuple(digit_of(g(7919 * k, -104729 * k), D) for k in range(1, 3 * BLOCK_DIGITS))
+    bad, worse = word[0] + base, (word[1].re, word[1].im)  # d + b is never a canonical digit
+    k = numeration._block_length(base.norm())
+    head = len(word) % k
+    for places in ((0,), (head - 1,), (head,), (len(word) - k,), (len(word) - 1,), (len(word) - 2, 5), (3, 1)):
+        w = list(word)
+        for pos, digit in zip(places, (bad, worse)):
+            w[pos] = digit
+        w = tuple(w)
+        with pytest.raises(InvalidInput) as want:
+            reference_decode(w, D)
+        for call in (decode, lambda w, D: recode(w, D, 2)):
+            with pytest.raises(InvalidInput) as got:
+                call(w, D)
+            assert str(got.value) == str(want.value)
+
+
+def test_a_word_of_75000_digits_encodes_and_decodes_in_blocks():
+    """b^75000 - 1 over 2+i: one digit step per digit took about 6.5 s for the round trip."""
+    D = canonical_digit_set(B)
+    z = g(5**37500 - 1)
+    start = time.perf_counter()
+    w = encode(z, D)
+    assert decode(w, D) == z
+    elapsed = time.perf_counter() - start
+    assert 75000 <= len(w) <= 75000 + length_bound(B).m3
+    assert elapsed < 2  # about 0.3 s on a 2-vCPU VM
