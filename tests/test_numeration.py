@@ -221,8 +221,8 @@ long_components = st.integers(-300, 300) | st.integers(-(2**3000), 2**3000)
 
 @settings(max_examples=60, deadline=None)
 @given(long_components, long_components)
-@example(5**150, 0)  # b^300 over 2+i, a word of 301 digits
-@example(5**150 - 1, 0)
+@example(5**300, 0)  # a word of about 600 digits over 2+i, so every cut but len // 2 runs blocks
+@example(5**300 - 1, 0)
 def test_encode_within_cuts_at_the_word_length(D, x, y):
     word = encode(g(x, y), D)
     assert encode_within(g(x, y), D, len(word)) == word
@@ -727,7 +727,7 @@ def test_a_non_digit_in_a_long_word_is_refused_as_decode_refuses_it(base):
 
 
 def test_a_word_of_75000_digits_encodes_and_decodes_in_blocks():
-    """b^75000 - 1 over 2+i: one digit step per digit took about 6.5 s for the round trip."""
+    """5^37500 - 1 over 2+i, a word of 75,002 digits: one big-int step per digit took about 6.5 s."""
     D = canonical_digit_set(B)
     z = g(5**37500 - 1)
     start = time.perf_counter()
