@@ -10,13 +10,15 @@ the empty string for the empty word.  Literals starting with `-` must
 follow a `--` separator, as usual for argparse.
 
 The commands are one table, COMMANDS.  A call builds the parser of its
-own command only, as one process runs one command; top-level help, an
-unknown command or none gets the parser of all of them.  The report is
-written to -o FILE before it is printed, and a FILE that cannot be
-written turns it into an error report (exit 1).  A report prints
-integers of up to OUTPUT_DIGITS decimal digits, or more when the
-interpreter's own limit is higher; past that it is an error report
-carrying Python's message, which names the limit.
+own command only, with no top level above it, and reads the arguments
+after the command name with it.  Top-level help, an unknown command or
+none gets the parser of all of them, and so do leftover arguments, so
+their usage error is that parser's.  The report is written to -o FILE
+before it is printed, and a FILE that cannot be written turns it into
+an error report (exit 1).  A report prints integers of up to
+OUTPUT_DIGITS decimal digits, or more when the interpreter's own limit
+is higher; past that it is an error report carrying Python's message,
+which names the limit.
 """
 
 from __future__ import annotations
@@ -452,7 +454,11 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_command(group, command: _Command) -> None:
     """Register one table entry, a group with all its subcommands, in a subparsers group."""
-    p = group.add_parser(command.name, **({} if command.help is None else {"help": command.help}))
+    _register(group.add_parser(command.name, **({} if command.help is None else {"help": command.help})), command)
+
+
+def _register(p: argparse.ArgumentParser, command: _Command) -> None:
+    """Give p one table entry's output flags or subcommands, its arguments and its handler."""
     if command.subcommands:
         sub = p.add_subparsers(dest=f"{command.name}_command", required=True)
         for subcommand in command.subcommands:
@@ -467,25 +473,43 @@ def _add_command(group, command: _Command) -> None:
 
 @functools.cache  # built on first use, not at import, and reused by every main call
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser; given a command name, one that registers only that command.
+    """The CLI's parser; given a command name, that command's parser alone.
 
-    argparse picks a subcommand by its exact name, so for an argv that
-    starts with the name both parsers give the same namespace, help pages
-    and errors; the top-level usage lists every command in both.
+    The full parser hands an argv that starts with a command name to a
+    subparser built from the same COMMANDS entry by the same code, with
+    prog `gaussbase NAME`, and sets `command` to NAME.  The one-command
+    parser is that subparser on its own, so on argv[1:] it gives the
+    full parser's namespace, help pages and errors.  The one exception is
+    leftover arguments, which only the full parser refuses; _parse_argv
+    passes them to it.
     """
+    if command is not None:
+        parser = _Parser(prog=f"gaussbase {command}")
+        _register(parser, COMMANDS[command])
+        parser.set_defaults(command=command)
+        return parser
     parser = _Parser(
         prog="gaussbase",
         description="Numeration systems for the Gaussian integers in a complex base.",
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        registered = COMMANDS.values()
-    else:
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
-        registered = (COMMANDS[command],)
-    for entry in registered:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for entry in COMMANDS.values():
         _add_command(sub, entry)
     return parser
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """argv's namespace, read by its command's parser alone when argv starts with a command name.
+
+    -h, an unknown name or none gets the full parser, as do leftover
+    arguments, so that its usage line heads their error.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser(None).parse_args(argv)
+    args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+    if extra:
+        build_parser(None).error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _report(command: str, inputs: dict, results: dict, status: str, message: str | None) -> dict:
@@ -526,8 +550,7 @@ def _respond(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a call builds only its own command's parser; -h, an unknown name or none gets the full one
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _parse_argv(argv)
     # The command's literals are parsed under the interpreter's int-to-str digit limit; its
     # report gets at least OUTPUT_DIGITS.  A limit of 0 (none) or above OUTPUT_DIGITS is kept.
     # Pythons before 3.10.7 have no limit: it reads as 0 and nothing is set.

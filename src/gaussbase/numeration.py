@@ -467,8 +467,20 @@ def real_power_exponent(b: GaussInt) -> int | None:
 
 
 def word_to_text(w: Word) -> str:
-    """Comma-separated digit literals, msd-first; empty string for the empty word."""
-    return ",".join(str(d) for d in w)
+    """Comma-separated digit literals, msd-first; empty string for the empty word.
+
+    Each distinct digit is formatted once: a word over norm(b) digits has
+    at most that many texts, looked up by the int pair, which hashes in C.
+    """
+    texts: dict = {}
+    parts = []
+    for d in w:
+        key = (d.re, d.im)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = str(d)
+        parts.append(text)
+    return ",".join(parts)
 
 
 def word_from_text(text: str) -> Word:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussbase import InvalidInput
+from gaussbase import InvalidInput, cli
 from gaussbase.automata import Dfa, dfa_to_json, digit_set_from_json
 from gaussbase.cli import COMMANDS, EXIT_ERROR, build_parser, main
 from gaussbase.gaussint import GaussInt
@@ -217,8 +217,8 @@ def _parse(parse, argv: list[str]):
 
 
 def _parses_alike(argv: list[str]) -> None:
-    """The parser of argv[0] alone reads argv as the full parser does."""
-    assert _parse(build_parser(None).parse_args, argv) == _parse(build_parser(argv[0]).parse_args, argv), argv
+    """main's parse path, argv[0]'s own parser on argv[1:], reads argv as the full parser does."""
+    assert _parse(build_parser(None).parse_args, argv) == _parse(cli._parse_argv, argv), argv
 
 
 @settings(max_examples=300, deadline=None)
@@ -246,6 +246,27 @@ USAGE_ERRORS = [
     ["witness", "1+2i", "2+1i"],
     ["prefix", "1+2i", "2+1i", "1", "--dept", "1"],
     ["verify", "now"],
+    # leftovers, which only the full parser refuses
+    ["digits", "-b", "2+1i", "extra", "more"],
+    ["deptest", "--", "3+4i", "2+1i", "extra"],
+    ["deptest", "3+4i", "2+1i", "--", "-x"],
+    ["deptest", "3+4i", "2+1i", "-x"],
+    ["verify", "--", "now"],
+    ["dfa", "run", "powers.json", "--word", "1", "extra"],
+    ["dfa", "run", "powers.json", "--word", "1", "-x"],
+    ["dfa", "min", "powers.json", "extra"],
+    ["dfa", "min", "powers.json", "--", "-x", "y"],
+    # abbreviations and --flag=value forms
+    ["witness", "--m-m", "5", "1+2i", "2+1i", "1"],
+    ["witness", "--m-m=5", "--b=1/2", "1+2i", "2+1i", "1"],
+    ["witness", "--m", "5", "1+2i", "2+1i", "1"],
+    ["scan-bases", "--norm", "9"],
+    ["deptest", "--he"],
+    ["deptest", "--help=x", "3+4i", "2+1i"],
+    ["deptest", "--pretty=x", "3+4i", "2+1i"],
+    ["prefix", "--depth=-1", "1+2i", "2+1i", "1"],
+    ["prefix", "--n-min=2", "--budget=7", "--", "1+2i", "2+1i", "1"],
+    ["dfa", "make", "powers", "--base=2+1i", "--dfa=x.json"],
 ]
 
 
@@ -261,12 +282,25 @@ def test_an_argv_without_a_leading_command_gets_the_full_parser(argv):
     assert _parse(main, argv) == _parse(build_parser(None).parse_args, argv)
 
 
-def test_a_call_builds_only_its_commands_parser(capsys):
+def _constructions(monkeypatch, argv: list[str]) -> int:
+    """The argparse.ArgumentParser objects one cold main(argv) constructs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
     build_parser.cache_clear()
-    assert main(["deptest", "3+4i", "2+1i"]) == 0
-    assert json.loads(capsys.readouterr().out)["status"] == "ok"
-    built = build_parser.cache_info()
-    parser = build_parser("deptest")
-    assert (built.currsize, build_parser.cache_info().hits) == (1, built.hits + 1)
-    [commands] = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(commands) == ["deptest"]
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(argv) == 0
+    return len(built)
+
+
+def test_a_call_builds_only_its_commands_parser(monkeypatch):
+    assert _constructions(monkeypatch, ["deptest", "3+4i", "2+1i"]) == 1
+    # clear_caches() reaches the parser: it lives in build_parser's memo, built on a miss
+    info = build_parser.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert _constructions(monkeypatch, ["dfa", "make", "powers", "-b", "2+1i"]) == 1 + len(COMMANDS["dfa"].subcommands)

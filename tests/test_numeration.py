@@ -385,6 +385,18 @@ def test_word_text_roundtrip(D):
     assert word_from_text("") == ()
 
 
+digit_components = st.integers(-3, 3) | st.integers(-(10**30), 10**30)
+
+
+@settings(max_examples=300, deadline=None)
+@example(w=())
+@example(w=(g(-1), g(0, -1), g(0), g(0, 1), g(-1), g(2, -3), g(0, -1)))
+@given(w=st.lists(st.builds(GaussInt, digit_components, digit_components), max_size=40).map(tuple))
+def test_word_to_text_formats_each_digit_as_str_does(w):
+    # repeated digits, negative, zero-real and zero-imaginary ones all read as str() reads them
+    assert word_to_text(w) == ",".join(str(d) for d in w)
+
+
 @pytest.mark.parametrize(
     "text,bad", [("1,x,1,y", "x"), ("1,-1,0+1i,2 ,2 ,y", "2 "), ("0,,1", ""), ("1,0,1,1+\u0663i,x", "1+\u0663i")]
 )
