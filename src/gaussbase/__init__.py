@@ -23,6 +23,7 @@ from .automata import (
     product,
     residual_signatures,
     run,
+    word_of,
     zero_pump_probe,
 )
 from .dependence import (

@@ -322,13 +322,15 @@ class ResidualReport(
     """Distinct extension-behaviors among bounded prefixes.
 
     Fields: prefix_depth, extension_depth and class_count (ints), and
-    representatives (tuple[Word, ...]), one word per class, which the
-    repr leaves out.  class_count distinct signatures were observed over
-    prefixes of length <= prefix_depth, where the signature of u is the
-    set of extensions v of length <= extension_depth with u.v a member;
-    only the prefixes of members have nonempty ones.  class_count
-    lower-bounds the state count of any DFA that agrees with the language
-    on all words of length <= prefix_depth + extension_depth.
+    representatives (tuple[tuple[int, int], ...]), the sorted
+    (length, index) name of each class's first word, which the repr
+    leaves out; word_of gives a name's word.  class_count distinct
+    signatures were observed over prefixes of length <= prefix_depth,
+    where the signature of u is the set of extensions v of length
+    <= extension_depth with u.v a member; only the prefixes of members
+    have nonempty ones.  class_count lower-bounds the state count of any
+    DFA that agrees with the language on all words of length
+    <= prefix_depth + extension_depth.
     """
 
     __slots__ = ()
@@ -340,14 +342,14 @@ class ResidualReport(
         )
 
 
-def _word_from_index(digits: tuple[GaussInt, ...], length: int, index: int) -> Word:
-    out = []
-    m = len(digits)
+def word_of(alphabet: DigitSet, name: tuple[int, int]) -> Word:
+    """The word named (length, index): index is its lexicographic rank among the words of its length."""
+    length, index = name
+    digits, out = alphabet.digits, []
     for _ in range(length):
-        index, r = divmod(index, m)
+        index, r = divmod(index, len(digits))
         out.append(digits[r])
-    out.reverse()
-    return tuple(out)
+    return tuple(reversed(out))
 
 
 def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
@@ -385,13 +387,11 @@ def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
             gap = (n, i + 1) if i + 1 < m**n else (n + 1, 0)
     if gap[0] <= k:
         first_seen[frozenset()] = gap
-    digits = L.alphabet.digits
-    reps = tuple(_word_from_index(digits, n, i) for n, i in sorted(first_seen.values()))
     return ResidualReport(
         prefix_depth=k,
         extension_depth=e,
         class_count=len(first_seen),
-        representatives=reps,
+        representatives=tuple(sorted(first_seen.values())),
     )
 
 
@@ -468,7 +468,7 @@ def dfa_oracle_disagreement(d: Dfa, L: LanguageOracle, max_len: int) -> Word | N
             word = next(accepted, None)
             if word != member:
                 i = min(x for x in (word, member) if x is not None)
-                return _word_from_index(d.alphabet.digits, n, i)
+                return word_of(d.alphabet, (n, i))
     return None
 
 

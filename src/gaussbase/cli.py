@@ -44,6 +44,7 @@ from .automata import (
     powers_oracle,
     residual_signatures,
     run as dfa_run,
+    word_of,
     zero_pump_probe,
 )
 from .dependence import group_witness, mult_dependent, prefix_extension
@@ -262,7 +263,7 @@ def cmd_residuals(args) -> tuple[dict, dict, str]:
         return {
             "generator": str(generator),
             "class_count": report.class_count,
-            "representatives": [word_to_text(w) for w in report.representatives[:12]],
+            "representatives": [word_to_text(word_of(D, name)) for name in report.representatives[:12]],
         }
 
     results = {"target": side(args.a), "control": side(args.b)}

@@ -303,17 +303,15 @@ def decode(w: Word, D: DigitSet) -> GaussInt:
     """Horner evaluation of an msd-first word; decode of the empty word is 0.
 
     A word of BLOCK_DIGITS digits or more is decoded k digits at a time,
-    k = _block_length(N), counted from the least significant end: each
-    block is a short word, and the value takes one big-int step
-    X*b^k + block per block.  Digits are checked in word order either way.
+    k = _block_length(N): recode(w, D, k) folds the blocks, counted from
+    the least significant end, on small ints, and the value takes one
+    big-int step X*b^k + block per block.  Digits are checked in word
+    order either way.
     """
     if len(w) >= BLOCK_DIGITS and (k := _block_length(D.base.norm())) > 1:
         c = D.base**k
-        head = len(w) % k
-        value = decode(w[:head], D)
-        x, y = value.re, value.im
-        for start in range(head, len(w), k):
-            block = decode(w[start : start + k], D)
+        x = y = 0
+        for block in recode(w, D, k):
             x, y = x * c.re - y * c.im + block.re, x * c.im + y * c.re + block.im
         return GaussInt(x, y)
     members = D.positions

@@ -28,6 +28,7 @@ from gaussbase.automata import (
     product,
     residual_signatures,
     run,
+    word_of,
     zero_pump_probe,
 )
 from gaussbase.gaussint import ONE, ZERO, GaussInt, InvalidInput
@@ -247,7 +248,8 @@ def test_residuals_depth_zero_is_one_class():
     L = powers_oracle(B, D5)
     report = residual_signatures(L, 0, 2)
     assert report.class_count == 1
-    assert report.representatives == ((),)
+    assert report.representatives == ((0, 0),)
+    assert word_of(L.alphabet, (0, 0)) == ()
 
 
 def test_residuals_control_stays_small():
@@ -509,7 +511,13 @@ def test_residuals_match_brute_force(L, depth, data):
     k = data.draw(st.integers(0, depth))
     e = depth - k
     report = residual_signatures(L, k, e)
-    assert (report.class_count, report.representatives) == brute_residuals(L, k, e)
+    m = len(L.alphabet.digits)
+    for name in report.representatives:
+        assert type(name) is tuple and all(type(x) is int for x in name)
+        length, index = name
+        assert 0 <= index < m**length
+    words = tuple(word_of(L.alphabet, name) for name in report.representatives)
+    assert (report.class_count, words) == brute_residuals(L, k, e)
 
 
 @settings(max_examples=60, deadline=None)
@@ -534,6 +542,7 @@ def shifted_alphabets(draw):
 def test_non_canonical_digits_match_brute_force(L, depth, data):
     k = data.draw(st.integers(0, depth))
     report = residual_signatures(L, k, depth - k)
-    assert (report.class_count, report.representatives) == brute_residuals(L, k, depth - k)
+    words = tuple(word_of(L.alphabet, name) for name in report.representatives)
+    assert (report.class_count, words) == brute_residuals(L, k, depth - k)
     d = data.draw(dfas(L.alphabet))
     assert dfa_oracle_disagreement(d, L, depth) == brute_disagreement(d, L, depth)
