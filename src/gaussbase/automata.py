@@ -18,12 +18,12 @@ digit-set record.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Callable, Hashable, Iterable, Iterator
 from functools import cache, reduce
-from itertools import accumulate, islice, repeat, takewhile
+from itertools import accumulate, chain, compress, count, islice, repeat, takewhile
 from math import isqrt
-from operator import itemgetter, mul
+from operator import add, and_, floordiv, gt, itemgetter, mod, mul, ne, or_
 
 from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, is_power_of
 from .numeration import DigitSet, Word, canonical_digit_set, decode, encode_within
@@ -40,7 +40,9 @@ class Dfa(namedtuple("Dfa", "alphabet initial transitions accepting")):
     transitions[state][digit_index] is the successor state; digit indices
     follow the alphabet's canonical digit order.  Construction turns the
     rows into tuples and accepting into a frozenset, then __post_init__
-    checks that every state and target is in range.
+    checks that every state and target is in range: the row widths and
+    the targets of the whole table at once, by C-level set operations,
+    and row by row only when that fails, to name the first fault.
     """
 
     __slots__ = ()
@@ -48,25 +50,28 @@ class Dfa(namedtuple("Dfa", "alphabet initial transitions accepting")):
     def __new__(
         cls, alphabet: DigitSet, initial: int, transitions: Iterable[Iterable[int]], accepting: Iterable[int]
     ) -> Dfa:
-        rows = tuple(tuple(row) for row in transitions)
+        rows = tuple(map(tuple, transitions))
         self = tuple.__new__(cls, (alphabet, initial, rows, frozenset(accepting)))
         self.__post_init__()
         return self
 
     def __post_init__(self) -> None:
-        n = len(self.transitions)
+        rows = self.transitions
+        n = len(rows)
         if n == 0:
             raise InvalidInput("a DFA needs at least one state")
         if not 0 <= self.initial < n:
             raise InvalidInput(f"initial state {self.initial} out of range")
         width = len(self.alphabet.digits)
-        for row in self.transitions:
-            if len(row) != width:
-                raise InvalidInput("transition row width differs from alphabet size")
-            for t in row:
-                if not 0 <= t < n:
-                    raise InvalidInput(f"transition target {t} out of range")
-        if not self.accepting <= set(range(n)):
+        states = set(range(n))
+        if set(map(len, rows)) != {width} or not states.issuperset(chain.from_iterable(rows)):
+            for row in rows:
+                if len(row) != width:
+                    raise InvalidInput("transition row width differs from alphabet size")
+                for t in row:
+                    if not 0 <= t < n:
+                        raise InvalidInput(f"transition target {t} out of range")
+        if not self.accepting <= states:
             raise InvalidInput("accepting states out of range")
 
     @classmethod
@@ -109,51 +114,51 @@ def _bfs(
 ) -> tuple[list, list[tuple[int, ...]]]:
     """Breadth-first numbering of everything reachable from start.
 
-    successors(s) lists the targets of s in digit order.  Returns the
-    reached items in BFS order (item i gets number i) and, for each, the
-    row of its targets' numbers.
+    successors(s) lists the targets of s in digit order, as many for
+    every s.  Returns the reached items in BFS order (item i gets number
+    i) and, for each, the row of its targets' numbers.  A lookup in
+    number numbers a new item itself, so one BFS level is numbered by
+    C-level maps over the targets of all its items, in order, and cut
+    into rows; the items it numbered, the newest keys of number, are the
+    next level.
     """
-    number = {start: 0}
-    order = [start]
-    rows: list[tuple[int, ...]] = []
-    for s in order:  # order grows while it is walked
-        row = []
-        for t in successors(s):
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-            row.append(number[t])
-        rows.append(tuple(row))
-    return order, rows
+    number: defaultdict[Hashable, int] = defaultdict(count().__next__)
+    number[start]
+    rows = [tuple(map(number.__getitem__, successors(start)))]
+    while len(rows) < len(number):
+        # read from the end: skipping the numbered items from the front costs a long chain n^2 steps
+        level = [*islice(reversed(number), len(number) - len(rows))][::-1]
+        targets = map(number.__getitem__, chain.from_iterable(map(successors, level)))
+        rows += zip(*[targets] * len(rows[0]))
+    return list(number), rows
 
 
-def _pairs(d1: Dfa, d2: Dfa) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
-    """_bfs over the state pairs of d1 x d2 reachable from the initial pair."""
+def _pairs(d1: Dfa, d2: Dfa) -> tuple[Iterator[int], Iterator[int], list[tuple[int, ...]]]:
+    """_bfs over the state pairs of d1 x d2 reachable from the initial pair.
+
+    The pair (s1, s2) is walked as the int s1 * n2 + s2, which hashes
+    faster than the tuple.  Returns the d1 and the d2 state of each
+    reached pair, in BFS order, and the rows.
+    """
     if d1.alphabet != d2.alphabet:
         raise InvalidInput("product needs a shared alphabet")
     t1, t2 = d1.transitions, d2.transitions
-    return _bfs((d1.initial, d2.initial), lambda pair: zip(t1[pair[0]], t2[pair[1]]))
+    n2 = len(t2)
+    scaled = [tuple(map(mul, row, repeat(n2))) for row in t1]  # the targets of d1, times n2
+    order, rows = _bfs(d1.initial * n2 + d2.initial, lambda p: map(add, scaled[p // n2], t2[p % n2]))
+    return map(floordiv, order, repeat(n2)), map(mod, order, repeat(n2)), rows
 
 
-_KEEP: dict[str, Callable[[bool, bool], bool]] = {
-    "and": lambda a1, a2: a1 and a2,
-    "or": lambda a1, a2: a1 or a2,
-    "diff": lambda a1, a2: a1 and not a2,
-}
+_KEEP: dict[str, Callable[[bool, bool], bool]] = {"and": and_, "or": or_, "diff": gt}  # on bools, a1 > a2 is a1 and not a2
 
 
 def product(d1: Dfa, d2: Dfa, mode: str) -> Dfa:
     """Product DFA for the boolean combination of two languages; mode is "and", "or" or "diff"."""
     if mode not in _KEEP:
         raise InvalidInput(f"unknown product mode {mode!r}")
-    keep = _KEEP[mode]
-    order, rows = _pairs(d1, d2)
-    accepting = frozenset(
-        i
-        for i, (s1, s2) in enumerate(order)
-        if keep(s1 in d1.accepting, s2 in d2.accepting)
-    )
-    return _derived(d1.alphabet, 0, tuple(rows), accepting)
+    states1, states2, rows = _pairs(d1, d2)
+    kept = map(_KEEP[mode], map(d1.accepting.__contains__, states1), map(d2.accepting.__contains__, states2))
+    return _derived(d1.alphabet, 0, tuple(rows), frozenset(compress(count(), kept)))
 
 
 def complement(d: Dfa) -> Dfa:
@@ -167,9 +172,46 @@ def is_empty(d: Dfa) -> bool:
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Language equality: every reachable state pair agrees on acceptance."""
-    order, _ = _pairs(d1, d2)
-    return all((s1 in d1.accepting) == (s2 in d2.accepting) for s1, s2 in order)
+    """Language equality, by Hopcroft and Karp's union-find test.
+
+    A union-find over the disjoint union of both state sets (d2's state s
+    is n1 + s), with union by size, merges the classes of the state pairs
+    reached from the initial pair.  The languages differ exactly when a
+    merge would join an accepting state to a rejecting one, and the walk
+    stops there; so the work is near-linear in the states, never in their
+    pairs.  Two targets with one parent are in one class already, and
+    C-level maps skip them.  Independent of minimize, which the
+    verification suite checks with it.
+    """
+    if d1.alphabet != d2.alphabet:
+        raise InvalidInput("equivalence needs a shared alphabet")
+    t1, t2, a1, a2 = d1.transitions, d2.transitions, d1.accepting, d2.accepting
+    n1 = len(t1)
+    parent = list(range(n1 + len(t2)))
+    size = [1] * len(parent)
+
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]  # path halving
+        return s
+
+    rows1, rows2 = [(d1.initial,)], [(d2.initial,)]  # the target rows of the pairs merged last
+    while rows1:
+        r1, r2 = [*chain.from_iterable(rows1)], [*chain.from_iterable(rows2)]
+        rows1, rows2 = [], []
+        apart = map(ne, map(parent.__getitem__, r1), map(parent.__getitem__, map(add, r2, repeat(n1))))
+        for s1, s2 in compress(zip(r1, r2), apart):
+            c1, c2 = find(s1), find(n1 + s2)
+            if c1 != c2:
+                if (s1 in a1) != (s2 in a2):
+                    return False
+                if size[c1] < size[c2]:
+                    c1, c2 = c2, c1
+                parent[c2] = c1
+                size[c1] += size[c2]
+                rows1.append(t1[s1])
+                rows2.append(t2[s2])
+    return True
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -181,26 +223,31 @@ def minimize(d: Dfa) -> Dfa:
     shortlex order of their least access words, and a block's least
     access word is its first state's; so numbering blocks by their first
     state, as each round does, is the quotient's own BFS numbering.
+    When every block is a single state, that numbering is the BFS
+    table's own, and the table is returned as it is.
     """
     order, rows = _bfs(d.initial, d.transitions.__getitem__)
-    acc = {i for i, s in enumerate(order) if s in d.accepting}
+    accepts = list(map(d.accepting.__contains__, order))
 
     # Moore refinement: a round only splits blocks, so an unchanged count is the fixpoint,
     # and so is a partition into singletons
-    block = [s in acc for s in range(len(order))]
-    count = len(set(block))
+    block = accepts
+    blocks = len(set(block))
     signature = [itemgetter(s, *row) for s, row in enumerate(rows)]  # (block of s, blocks of its targets)
     while True:
         number: dict[tuple, int] = {}  # a new signature gets the next block number
         block = [number.setdefault(key_of(block), len(number)) for key_of in signature]
-        if len(number) in (count, len(rows)):
+        if len(number) in (blocks, len(rows)):
             break
-        count = len(number)
+        blocks = len(number)
+    acc = compress(count(), accepts)
+    if len(number) == len(rows):
+        return _derived(d.alphabet, 0, tuple(rows), frozenset(acc))
     firsts: dict[int, int] = {}  # the first state of each block, in block order
     for s, b in enumerate(block):
         firsts.setdefault(b, s)
     out_rows = tuple(tuple([block[t] for t in rows[s]]) for s in firsts.values())
-    return _derived(d.alphabet, 0, out_rows, frozenset(block[s] for s in acc))
+    return _derived(d.alphabet, 0, out_rows, frozenset(map(block.__getitem__, acc)))
 
 
 def _three_state(D: DigitSet, first: set, rest: set, accepting: frozenset[int]) -> Dfa:
@@ -504,6 +551,14 @@ def _json_ints(value) -> tuple[int, ...]:
     return tuple(map(_json_int, _json_list(value)))
 
 
+def _json_table(value) -> tuple[tuple[int, ...], ...]:
+    """A list of lists of ints as a tuple of tuples; the types of the whole table are checked at once."""
+    rows = _json_list(value)
+    if set(map(type, rows)) <= {list} and set(map(type, chain.from_iterable(rows))) <= {int}:
+        return tuple(map(tuple, rows))
+    return tuple(map(_json_ints, rows))  # raises, naming the first mistyped row or entry
+
+
 def digit_set_from_json(obj: dict) -> DigitSet:
     """Inverse of digit_set_to_json; a missing or mistyped field raises InvalidInput naming it."""
     return DigitSet(
@@ -529,9 +584,7 @@ def dfa_from_json(obj: dict) -> Dfa:
     d = Dfa(
         alphabet=digit_set_from_json(obj),
         initial=_json_field(obj, "initial", _json_int),
-        transitions=_json_field(
-            obj, "transitions", lambda rows: tuple(map(_json_ints, _json_list(rows)))
-        ),
+        transitions=_json_field(obj, "transitions", _json_table),
         accepting=_json_field(obj, "accepting", lambda states: frozenset(_json_ints(states))),
     )
     if d.state_count != _json_field(obj, "states", _json_int):

@@ -112,10 +112,13 @@ def _bound(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bound must be NUM/DEN, got {text!r}") from exc
 
 
-def _echo(args, *names: str) -> dict:
-    """The named arguments as a report's inputs, Gaussian integers as literals."""
+def _echo(args, names: tuple[str, ...]) -> dict:
+    """The named arguments as a report's inputs: Gaussian integers as literals, a bound as NUM/DEN."""
     values = {name: getattr(args, name) for name in names}
-    return {name: str(v) if isinstance(v, GaussInt) else v for name, v in values.items()}
+    return {
+        name: str(v) if isinstance(v, GaussInt) else "%d/%d" % v if isinstance(v, tuple) else v
+        for name, v in values.items()
+    }
 
 
 def _oracle_for(selector: str, base: GaussInt):
@@ -128,26 +131,25 @@ def _oracle_for(selector: str, base: GaussInt):
     raise InvalidInput(f"unknown set selector {selector!r}; use powers:GAUSS or integers")
 
 
-def cmd_digits(args) -> tuple[dict, dict, str]:
+def cmd_digits(args) -> tuple[dict, str]:
     D = canonical_digit_set(args.base)
-    return _echo(args, "base"), {"digit_set": digit_set_to_json(D)}, "ok"
+    return {"digit_set": digit_set_to_json(D)}, "ok"
 
 
-def cmd_encode(args) -> tuple[dict, dict, str]:
+def cmd_encode(args) -> tuple[dict, str]:
     D = canonical_digit_set(args.base)
     w = encode(args.value, D)
-    return _echo(args, "base", "value"), {"word": word_to_text(w), "length": len(w)}, "ok"
+    return {"word": word_to_text(w), "length": len(w)}, "ok"
 
 
-def cmd_decode(args) -> tuple[dict, dict, str]:
+def cmd_decode(args) -> tuple[dict, str]:
     D = canonical_digit_set(args.base)
     w = word_from_text(args.word)
     value = decode(w, D)
-    return _echo(args, "base", "word"), {"value": str(value), "norm": str(value.norm())}, "ok"
+    return {"value": str(value), "norm": str(value.norm())}, "ok"
 
 
-def cmd_scan_bases(args) -> tuple[dict, dict, str]:
-    inputs = _echo(args, "norm_min", "norm_max", "disc", "k_max")
+def cmd_scan_bases(args) -> tuple[dict, str]:
     lo = max(5, args.norm_min)
     refused = BudgetExceeded(
         f"scanning the bases of norm <= {args.norm_max} over the probe disc norm <= {args.disc}"
@@ -197,21 +199,18 @@ def cmd_scan_bases(args) -> tuple[dict, dict, str]:
                 "pass": ok,
             }
         )
-    return inputs, {"bases": rows, "all_pass": all_pass}, "ok"
+    return {"bases": rows, "all_pass": all_pass}, "ok"
 
 
-def cmd_deptest(args) -> tuple[dict, dict, str]:
+def cmd_deptest(args) -> tuple[dict, str]:
     verdict = mult_dependent(args.a, args.b)
-    results = {"dependent": verdict.dependent, "r": verdict.r, "s": verdict.s}
-    return _echo(args, "a", "b"), results, "ok"
+    return {"dependent": verdict.dependent, "r": verdict.r, "s": verdict.s}, "ok"
 
 
-def cmd_witness(args) -> tuple[dict, dict, str]:
-    num, den = args.bound
-    inputs = {**_echo(args, "a", "b", "u", "m_max"), "bound": f"{num}/{den}"}
-    w = group_witness(args.a, args.b, args.u, num, den, args.m_max)
+def cmd_witness(args) -> tuple[dict, str]:
+    w = group_witness(args.a, args.b, args.u, *args.bound, args.m_max)
     if w is None:
-        return inputs, {"searched_m_max": args.m_max}, "not_found"
+        return {"searched_m_max": args.m_max}, "not_found"
     results = {
         "m": w.m,
         "n": w.n,
@@ -220,7 +219,7 @@ def cmd_witness(args) -> tuple[dict, dict, str]:
         "err_den": w.err_den,
         "certified": w.verify(),
     }
-    return inputs, results, "ok"
+    return results, "ok"
 
 
 def _prefix_witness_json(w) -> dict:
@@ -234,8 +233,7 @@ def _prefix_witness_json(w) -> dict:
     }
 
 
-def cmd_prefix(args) -> tuple[dict, dict, str]:
-    inputs = _echo(args, "a", "b", "u", "n_min", "budget", "depth")
+def cmd_prefix(args) -> tuple[dict, str]:
     chain = []
     u = args.u
     status = "ok"
@@ -252,10 +250,10 @@ def cmd_prefix(args) -> tuple[dict, dict, str]:
     if args.depth > 0 or status == "not_found":
         results["chain"] = chain
         results["chain_depth_reached"] = max(0, len(chain) - 1)
-    return inputs, results, status
+    return results, status
 
 
-def cmd_residuals(args) -> tuple[dict, dict, str]:
+def cmd_residuals(args) -> tuple[dict, str]:
     D = canonical_digit_set(args.b)
 
     def side(generator: GaussInt) -> dict:
@@ -266,16 +264,14 @@ def cmd_residuals(args) -> tuple[dict, dict, str]:
             "representatives": [word_to_text(word_of(D, name)) for name in report.representatives[:12]],
         }
 
-    results = {"target": side(args.a), "control": side(args.b)}
-    return _echo(args, "a", "b", "k", "e"), results, "ok"
+    return {"target": side(args.a), "control": side(args.b)}, "ok"
 
 
-def cmd_pump(args) -> tuple[dict, dict, str]:
+def cmd_pump(args) -> tuple[dict, str]:
     oracle = _oracle_for(args.set, args.base)
     w = word_from_text(args.word)
     probe = zero_pump_probe(oracle, w, args.k, args.reps)
-    results = {"memberships": list(probe), "all_members": all(probe)}
-    return _echo(args, "base", "set", "word", "k", "reps"), results, "ok"
+    return {"memberships": list(probe), "all_members": all(probe)}, "ok"
 
 
 def _save_dfa(d, path: str | None) -> None:
@@ -289,43 +285,42 @@ def _load_dfa(path: str):
         return dfa_from_json(json.load(fh))
 
 
-def cmd_dfa_make(args) -> tuple[dict, dict, str]:
+def cmd_dfa_make(args) -> tuple[dict, str]:
     d = integers_dfa(args.base) if args.kind == "integers" else powers_dfa(args.base)
     _save_dfa(d, args.dfa_out)
-    return _echo(args, "kind", "base"), {"dfa": dfa_to_json(d)}, "ok"
+    return {"dfa": dfa_to_json(d)}, "ok"
 
 
-def cmd_dfa_run(args) -> tuple[dict, dict, str]:
+def cmd_dfa_run(args) -> tuple[dict, str]:
     d = _load_dfa(args.file)
     w = word_from_text(args.word)
-    return _echo(args, "file", "word"), {"accepts": dfa_run(d, w)}, "ok"
+    return {"accepts": dfa_run(d, w)}, "ok"
 
 
-def cmd_dfa_min(args) -> tuple[dict, dict, str]:
+def cmd_dfa_min(args) -> tuple[dict, str]:
     d = _load_dfa(args.file)
     m = minimize(d)
     _save_dfa(m, args.dfa_out)
-    return _echo(args, "file"), {"states_before": d.state_count, "dfa": dfa_to_json(m)}, "ok"
+    return {"states_before": d.state_count, "dfa": dfa_to_json(m)}, "ok"
 
 
-def cmd_dfa_equiv(args) -> tuple[dict, dict, str]:
+def cmd_dfa_equiv(args) -> tuple[dict, str]:
     d1, d2 = _load_dfa(args.file), _load_dfa(args.file2)
-    return _echo(args, "file", "file2"), {"equivalent": equivalent(d1, d2)}, "ok"
+    return {"equivalent": equivalent(d1, d2)}, "ok"
 
 
-def cmd_dfa_falsify(args) -> tuple[dict, dict, str]:
+def cmd_dfa_falsify(args) -> tuple[dict, str]:
     d = _load_dfa(args.file)
     oracle = _oracle_for(args.set, d.alphabet.base)
     word = dfa_oracle_disagreement(d, oracle, args.max_len)
-    inputs = _echo(args, "file", "set", "max_len")
     results = {
         "disagreement": None if word is None else word_to_text(word),
         "agrees_up_to": args.max_len if word is None else None,
     }
-    return inputs, results, "ok"
+    return results, "ok"
 
 
-def cmd_verify(args) -> tuple[dict, dict, str]:
+def cmd_verify(args) -> tuple[dict, str]:
     from . import verification  # only this command needs it, and it imports random
 
     results = verification.run_all()
@@ -342,7 +337,7 @@ def cmd_verify(args) -> tuple[dict, dict, str]:
     ]
     all_passed = all(r.passed for r in results)
     status = "ok" if all_passed else "error"
-    return {}, {"criteria": criteria, "all_passed": all_passed}, status
+    return {"criteria": criteria, "all_passed": all_passed}, status
 
 
 def _render_pretty(obj, indent: int = 0) -> list[str]:
@@ -368,12 +363,14 @@ def _render_pretty(obj, indent: int = 0) -> list[str]:
     return lines
 
 
-class _Command(namedtuple("_Command", "name help handler args subcommands", defaults=(None, (), ()))):
+class _Command(namedtuple("_Command", "name help handler args subcommands inputs", defaults=(None, (), (), ()))):
     """One subcommand: its name, its help line (None lists no line), its handler and arguments.
 
     Fields: name (str), help (str | None), handler (Callable | None, a
-    cmd_* function), args (tuple) and subcommands (tuple[_Command, ...]).
-    args holds (flags, add_argument options) pairs.  A group such as dfa
+    cmd_* function), args (tuple), subcommands (tuple[_Command, ...]) and
+    inputs (tuple[str, ...]).  args holds (flags, add_argument options)
+    pairs.  inputs names the parsed arguments the report echoes, in its
+    order, whether the handler returns or raises.  A group such as dfa
     has subcommands instead, each with its own handler, the output flags
     and its own args, so those flags follow the subcommand.
     """
@@ -394,52 +391,58 @@ _SET = _arg("--set", required=True, help="powers:GAUSS or integers")
 COMMANDS = {
     command.name: command
     for command in (
-        _Command("digits", "canonical digit set of a base", cmd_digits, (_BASE,)),
-        _Command("encode", "word of a Gaussian integer", cmd_encode, (_BASE, _arg("value", type=GaussInt.parse))),
+        _Command("digits", "canonical digit set of a base", cmd_digits, (_BASE,), inputs=("base",)),
+        _Command(
+            "encode", "word of a Gaussian integer", cmd_encode, (_BASE, _arg("value", type=GaussInt.parse)),
+            inputs=("base", "value"),
+        ),
         _Command("decode", "value of an msd-first word", cmd_decode, (
             _BASE, _arg("word", help="comma-separated digits, empty string for the empty word"),
-        )),
+        ), inputs=("base", "word")),
         _Command("scan-bases", "digit/roundtrip/length checks over a norm range", cmd_scan_bases, (
             _arg("--norm-min", type=int, default=5),
             _arg("--norm-max", type=int, default=30),
             _arg("--disc", type=_count, default=100, help="squared radius of the probe disc"),
             _arg("--k-max", type=_count, default=8),
-        )),
-        _Command("deptest", "multiplicative dependence verdict", cmd_deptest, (_A, _B)),
+        ), inputs=("norm_min", "norm_max", "disc", "k_max")),
+        _Command("deptest", "multiplicative dependence verdict", cmd_deptest, (_A, _B), inputs=("a", "b")),
         _Command("witness", "certified |a^m/b^n - u| bound search", cmd_witness, (
             _A, _B, _U,
             _arg("--bound", type=_bound, default=(1, 25), metavar="NUM/DEN"),
             _arg("--m-max", type=_count, default=256),
-        )),
+        ), inputs=("a", "b", "u", "m_max", "bound")),
         _Command("prefix", "prefix-extension witness (optionally chained)", cmd_prefix, (
             _A, _B, _U,
             _arg("--n-min", type=_count, default=0),
             _arg("--budget", type=_count, default=256, help="largest exponent m searched"),
             _arg("--depth", type=_count, default=0, help="extra chain levels beyond the first witness"),
-        )),
+        ), inputs=("a", "b", "u", "n_min", "budget", "depth")),
         _Command("residuals", "residual classes of powers of a over base b", cmd_residuals, (
             _A, _B,
             _arg("-k", type=_count, default=4, help="prefix depth"),
             _arg("-e", type=_count, default=3, help="extension depth"),
-        )),
+        ), inputs=("a", "b", "k", "e")),
         _Command("pump", "insert zero blocks behind the leading digit", cmd_pump, (
             _BASE, _SET,
             _arg("--word", required=True),
             _arg("-k", type=_count, default=1, help="zeros per pump block"),
             _arg("--reps", type=_count, default=8),
-        )),
+        ), inputs=("base", "set", "word", "k", "reps")),
         _Command("dfa", "DFA engine over JSON automata", subcommands=(
             _Command("make", None, cmd_dfa_make, (
                 _arg("kind", choices=("powers", "integers")),
                 _BASE,
                 _arg("--dfa-out", metavar="FILE", help="write the DFA JSON to FILE"),
-            )),
-            _Command("run", None, cmd_dfa_run, (_FILE, _arg("--word", required=True))),
+            ), inputs=("kind", "base")),
+            _Command("run", None, cmd_dfa_run, (_FILE, _arg("--word", required=True)), inputs=("file", "word")),
             _Command("min", None, cmd_dfa_min, (
                 _FILE, _arg("--dfa-out", metavar="FILE", help="write the minimized DFA JSON to FILE"),
-            )),
-            _Command("equiv", None, cmd_dfa_equiv, (_FILE, _arg("file2"))),
-            _Command("falsify", None, cmd_dfa_falsify, (_FILE, _SET, _arg("--max-len", type=_count, default=6))),
+            ), inputs=("file",)),
+            _Command("equiv", None, cmd_dfa_equiv, (_FILE, _arg("file2")), inputs=("file", "file2")),
+            _Command(
+                "falsify", None, cmd_dfa_falsify, (_FILE, _SET, _arg("--max-len", type=_count, default=6)),
+                inputs=("file", "set", "max_len"),
+            ),
         )),
         _Command("verify", "run the full verification suite", cmd_verify),
     )
@@ -469,7 +472,7 @@ def _register(p: argparse.ArgumentParser, command: _Command) -> None:
     for flags, options in command.args:
         p.add_argument(*flags, **options)
     if command.handler is not None:
-        p.set_defaults(handler=command.handler)
+        p.set_defaults(handler=command.handler, inputs=command.inputs)
 
 
 @functools.cache  # built on first use, not at import, and reused by every main call
@@ -521,21 +524,25 @@ def _report(command: str, inputs: dict, results: dict, status: str, message: str
 
 
 def _respond(args) -> int:
-    """Run the parsed command, write and print its report, and return the exit code."""
+    """Run the parsed command, write and print its report, and return the exit code.
+
+    Every report, an error report too, echoes the command's inputs.
+    """
     command = args.command if args.command != "dfa" else f"dfa {args.dfa_command}"
+    inputs = _echo(args, args.inputs)
     try:
-        report = _report(command, *args.handler(args), None)
+        report = _report(command, inputs, *args.handler(args), None)
         # serialised inside the try: an int past the int-to-str digit limit raises ValueError
         text = json.dumps(report, indent=2, sort_keys=True)
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
-        report = _report(command, {}, {}, "error", str(exc) or type(exc).__name__)
+        report = _report(command, inputs, {}, "error", str(exc) or type(exc).__name__)
         text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:  # written before stdout, so that a closed pipe cannot lose it
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            report = _report(command, {}, {}, "error", f"cannot write the report to {args.out}: {exc.strerror or exc}")
+            report = _report(command, inputs, {}, "error", f"cannot write the report to {args.out}: {exc.strerror or exc}")
             text = json.dumps(report, indent=2, sort_keys=True)
     code = {"ok": EXIT_OK, "not_found": EXIT_NOT_FOUND}.get(report["status"], EXIT_ERROR)
     try:

@@ -1,6 +1,9 @@
 """DFA engine, oracle languages, and the finite-evidence harnesses."""
 
 import random
+import re
+import time
+import tracemalloc
 from functools import cache, reduce
 from itertools import product as words_of
 
@@ -61,6 +64,19 @@ def test_dfa_validation():
         Dfa(D5, 0, ((0, 0, 0, 0, 7),), frozenset())
     with pytest.raises(InvalidInput, match="accepting states out of range"):
         Dfa(D5, 0, ((0,) * 5,), frozenset({4}))
+
+
+def test_dfa_validation_names_the_first_fault_in_row_order():
+    with pytest.raises(InvalidInput, match="transition target 7 out of range"):
+        Dfa(D5, 0, ((0, 0, 0, 0, 7), (0, 9, 0, 0, 0)), frozenset())
+    with pytest.raises(InvalidInput, match="transition target -1 out of range"):
+        Dfa(D5, 0, ((0, 0, -1, 0, 0),), frozenset())
+    with pytest.raises(InvalidInput, match="transition row width differs from alphabet size"):
+        Dfa(D5, 0, ((0,) * 5, (0,) * 4, (0,) * 5), frozenset())
+    with pytest.raises(InvalidInput, match="transition target 5 out of range"):
+        Dfa(D5, 0, ((0, 0, 0, 0, 5), (0,) * 6), frozenset())
+    with pytest.raises(InvalidInput, match="transition row width differs from alphabet size"):
+        Dfa(D5, 0, ((0,) * 6, (0, 0, 0, 0, 5)), frozenset())
 
 
 def test_powers_dfa_runs():
@@ -157,9 +173,9 @@ def _random_dfa(draw_int, alphabet, n, accepting):
 
 
 @st.composite
-def any_dfas(draw, max_states=9):
+def any_dfas(draw, max_states=9, alphabets=(D5, canonical_digit_set(g(2, 2)), canonical_digit_set(g(3)))):
     """DFAs with any initial state, so often with unreachable states; all, none or some accept."""
-    alphabet = draw(st.sampled_from([D5, canonical_digit_set(g(2, 2)), canonical_digit_set(g(3))]))
+    alphabet = draw(st.sampled_from(alphabets))
     n = draw(st.integers(1, max_states))
     accepting = draw(
         st.sampled_from([frozenset(), frozenset(range(n))]) | st.frozensets(st.integers(0, n - 1))
@@ -220,6 +236,70 @@ def test_derived_dfas_are_not_revalidated(monkeypatch):
 def test_alphabet_mismatch():
     with pytest.raises(InvalidInput, match="product needs a shared alphabet"):
         product(powers_dfa(B), powers_dfa(g(3)), "and")
+
+
+def test_equivalence_names_its_own_alphabet_mismatch():
+    with pytest.raises(InvalidInput, match="equivalence needs a shared alphabet"):
+        equivalent(powers_dfa(B), powers_dfa(g(3)))
+
+
+# ---- equivalence: Hopcroft-Karp against the pair walk ----
+
+def reference_equivalent(d1: Dfa, d2: Dfa) -> bool:
+    """The earlier equivalent: a BFS over every reachable state pair, then each pair's acceptance."""
+    t1, t2 = d1.transitions, d2.transitions
+    order, _ = _bfs((d1.initial, d2.initial), lambda pair: zip(t1[pair[0]], t2[pair[1]]))
+    return all((s1 in d1.accepting) == (s2 in d2.accepting) for s1, s2 in order)
+
+
+def _renamed(d: Dfa, perm: list[int]) -> Dfa:
+    """d with state s renamed perm[s], which keeps its language."""
+    rows = [()] * d.state_count
+    for s, row in enumerate(d.transitions):
+        rows[perm[s]] = tuple(perm[t] for t in row)
+    return Dfa(d.alphabet, perm[d.initial], rows, frozenset(perm[s] for s in d.accepting))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_equivalent_matches_the_pair_walk(data):
+    d1 = data.draw(any_dfas())
+    d2 = data.draw(any_dfas(alphabets=[d1.alphabet]))
+    assert equivalent(d1, d2) == reference_equivalent(d1, d2)
+    assert equivalent(d2, d1) == reference_equivalent(d1, d2)
+    assert equivalent(d1, minimize(d1)) and equivalent(minimize(d1), d1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_equivalent_on_renamed_copies_with_one_flipped_state(data):
+    d = data.draw(any_dfas())
+    copy = _renamed(d, data.draw(st.permutations(range(d.state_count))))
+    assert equivalent(d, copy) and equivalent(copy, d)
+    flipped = copy._replace(accepting=copy.accepting ^ {data.draw(st.integers(0, d.state_count - 1))})
+    assert equivalent(d, flipped) == reference_equivalent(d, flipped)
+    assert equivalent(flipped, d) == reference_equivalent(flipped, d)
+
+
+def _cycle(n: int, accepting) -> Dfa:
+    """n states in a cycle that the first digit advances and the others keep."""
+    return Dfa(D5, 0, tuple(((s + 1) % n,) + (s,) * 4 for s in range(n)), accepting)
+
+
+def test_equivalence_of_coprime_cycles_is_linear_in_the_states():
+    # the pair walk reaches all 3000 * 2999 state pairs of these two
+    d1, d2 = _cycle(3000, range(3000)), _cycle(2999, range(2999))
+    start = time.perf_counter()
+    assert equivalent(d1, d2)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        equivalent(d1, d2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert not equivalent(_cycle(2000, {0}), _cycle(1999, {0}))
 
 
 # ---- oracles ----
@@ -450,6 +530,27 @@ def test_json_shape():
 @given(dfas())
 def test_json_roundtrip(d):
     assert dfa_from_json(dfa_to_json(d)) == d
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ({1: [0, 0, True, 0, 0]}, "expected an integer, got bool"),
+        ({1: [0, 0, 1.5, 0, 0]}, "expected an integer, got float"),
+        ({1: [0, 0, "1", 0, 0]}, "expected an integer, got str"),
+        ({1: [0, 0, [0], 0, 0]}, "expected an integer, got list"),
+        ({1: "00000"}, "expected a list, got str"),
+        ({1: {"0": 0}}, "expected a list, got dict"),
+        ({0: [0, 1.5, 0, 0, 0], 2: "00000"}, "expected an integer, got float"),
+        ({0: 7, 1: [True, 0, 0, 0, 0]}, "expected a list, got int"),
+    ],
+)
+def test_json_transition_types_are_named_in_row_order(rows, message):
+    obj = dfa_to_json(powers_dfa(B))
+    for i, row in rows.items():
+        obj["transitions"][i] = row
+    with pytest.raises(InvalidInput, match=re.escape(f"malformed field 'transitions': {message}")):
+        dfa_from_json(obj)
 
 
 def test_json_state_count_validated():

@@ -467,7 +467,47 @@ def test_unwritable_report_file_is_an_error_report(tmp_path, capsys, where):
     report = json.loads(captured.out)
     assert report["status"] == "error"
     assert str(out) in report["message"]
+    assert report["inputs"] == {"a": "3+4i", "b": "2+1i"}
     assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "ok_argv, error_argv",
+    [
+        (["residuals", "1+2i", "2+1i", "-k", "0", "-e", "1"], ["residuals", "1+2i", "2+1i", "-k", "0", "-e", "100000"]),
+        (["decode", "-b", "2+1i", "1"], ["decode", "-b", "2+1i", "7"]),
+        (["witness", "1+2i", "2+1i", "1", "--bound", "1/25"], ["witness", "1+2i", "0", "1", "--bound", "1/25"]),
+        (["prefix", "1+2i", "2+1i", "1", "--n-min", "3"], ["prefix", "3+4i", "2+1i", "1", "--n-min", "3"]),
+        (["scan-bases", "--norm-max", "6", "--disc", "4"], ["scan-bases", "--norm-max", "4"]),
+        (["pump", "-b", "2+1i", "--set", "integers", "--word", "1"], ["pump", "-b", "2+1i", "--set", "nothing", "--word", "1"]),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_error_reports_echo_the_inputs_of_an_ok_report(capsys, ok_argv, error_argv):
+    _, ok = run_cli(capsys, *ok_argv)
+    code, error = run_cli(capsys, *error_argv)
+    assert ok["status"] == "ok" and (code, error["status"]) == (EXIT_ERROR, "error")
+    assert list(error["inputs"]) == list(ok["inputs"])  # --pretty prints them in this order
+    assert main([*error_argv, "--pretty"]) == EXIT_ERROR
+    assert capsys.readouterr().out.startswith(f'command: "{error_argv[0]}"\ninputs:\n')
+
+
+def test_error_report_inputs_are_the_parsed_arguments(capsys):
+    code, report = run_cli(capsys, "residuals", "1+2i", "2+1i", "-k", "0", "-e", "100000")
+    assert code == EXIT_ERROR
+    assert report["inputs"] == {"a": "1+2i", "b": "2+1i", "k": 0, "e": 100000}
+    code, report = run_cli(capsys, "witness", "1+2i", "0", "1", "--bound", "01/25", "--m-max", "9")
+    assert report["inputs"] == {"a": "1+2i", "b": "0", "u": "1", "m_max": 9, "bound": "1/25"}
+
+
+def test_dfa_equiv_names_equivalence_in_its_alphabet_error(tmp_path, capsys):
+    one, other = tmp_path / "b21.json", tmp_path / "b3.json"
+    one.write_text(json.dumps(dfa_to_json(powers_dfa(g(2, 1)))))
+    other.write_text(json.dumps(dfa_to_json(powers_dfa(g(3)))))
+    code, report = run_cli(capsys, "dfa", "equiv", str(one), str(other))
+    assert code == EXIT_ERROR
+    assert report["message"] == "equivalence needs a shared alphabet"
+    assert report["inputs"] == {"file": str(one), "file2": str(other)}
 
 
 def test_pretty_rendering_is_not_json(capsys):

@@ -77,7 +77,7 @@ RECORDS = {
     ),
     _Command: (
         lambda: _Command("x", None, args=((("--y",), {}),)),
-        "_Command(name='x', help=None, handler=None, args=((('--y',), {}),), subcommands=())",
+        "_Command(name='x', help=None, handler=None, args=((('--y',), {}),), subcommands=(), inputs=())",
     ),
 }
 
