@@ -20,10 +20,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict, namedtuple
 from collections.abc import Callable, Hashable, Iterable, Iterator
-from functools import cache, reduce
+from functools import cache
 from itertools import accumulate, chain, compress, count, islice, repeat, takewhile
 from math import isqrt
-from operator import add, and_, floordiv, gt, itemgetter, mod, mul, ne, or_
+from operator import add, and_, attrgetter, floordiv, gt, itemgetter, mod, mul, ne, or_
 
 from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, is_power_of
 from .numeration import DigitSet, Word, canonical_digit_set, decode, encode_within
@@ -359,8 +359,16 @@ def _members(L: LanguageOracle, max_len: int, reserved: int = 0) -> Iterator[tup
     values = L.candidates(within, limit) if limit >= 0 else None
     if values is None:
         raise BudgetExceeded(f"words of length <= {max_len} exceed the enumeration budget")
+    index, re_im = D._index, attrgetter("re", "im")
+
+    def rank(w: Word) -> int:  # a digit's position from its (re, im) pair, which hashes in C
+        i = 0
+        for pair in map(re_im, w):
+            i = i * m + index[pair]
+        return i
+
     words = (encode_within(v, D, max_len) for v in values)
-    return ((len(w), reduce(lambda i, d: i * m + D.positions[d], w, 0)) for w in words if w is not None)
+    return ((len(w), rank(w)) for w in words if w is not None)
 
 
 class ResidualReport(

@@ -13,21 +13,28 @@ against +-norm(b), and radii enter squared; canonical_digit_set solves
 the two box tests for each row of the square instead of testing every
 point.  The per-digit loops (the digit map, encode, decode, recode and
 the residue table) run on plain int pairs and build a GaussInt only for
-a value they return.  A long value or word (BLOCK_DIGITS digits or more)
-is encoded and decoded k digits at a time, with norm(b)^k < 2^60: one
-big-int step per block splits off or adds in a block, whose k digits the
-same loops handle as a short value or word of ints of at most two
-machine words, so the cost is no longer a big-int operation per digit.
-No float enters this module: logarithms are bounded from bit lengths.
+a value they return.  A digit set's tables are keyed on (re, im) int
+pairs, which hash in C: a digit is tested by its pair, so no per-digit
+loop, nor the construction of a digit set, hashes a GaussInt through its
+Python-level __hash__.  The one GaussInt-keyed table, positions, is built
+on first use, for the callers that look digits up by value.  m3 encodes
+only the points of its disc that are not digits themselves.  A long
+value or word (BLOCK_DIGITS digits or more) is encoded and decoded k
+digits at a time, with norm(b)^k < 2^60: one big-int step per block
+splits off or adds in a block, whose k digits the same loops handle as a
+short value or word of ints of at most two machine words, so the cost is
+no longer a big-int operation per digit.  No float enters this module:
+logarithms are bounded from bit lengths.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import filterfalse, product, repeat, starmap
 from math import isqrt
+from operator import attrgetter
 
 from .gaussint import ZERO, BudgetExceeded, GaussInt, InvalidInput, exact_div
 
@@ -38,6 +45,8 @@ DIGIT_BUDGET = 10**5  # digits of the largest canonical digit set held in memory
 BLOCK_DIGITS = 100  # words of this many digits or more are encoded and decoded in blocks
 _BLOCK_STEPS = 2 * BLOCK_DIGITS + 272  # encode's cap for a value of about BLOCK_DIGITS digits
 MEMO_SIZE = 64  # digit sets, length bounds and termination verdicts kept by the per-base memos
+
+_RE_IM = attrgetter("re", "im")  # the (re, im) pair of a GaussInt, read in C
 
 
 class NonTermination(RuntimeError):
@@ -50,37 +59,49 @@ class DigitSet(namedtuple("DigitSet", "base digits")):
     Fields: base (GaussInt) and digits (tuple[GaussInt, ...]), normalized
     to (re, im) lexicographic order.  Construction validates the
     residue-system invariants and keeps, as plain attributes outside the
-    tuple, the lookup tables the digit map needs, so that no caller
-    re-derives (or re-hashes) them: positions (dict[GaussInt, int]) maps
-    each digit to its position and doubles as the member test, and
-    _by_residue (dict[tuple[int, int], tuple[GaussInt, int, int]]) maps
-    the residue (t.re % N, t.im % N) of t = d*conj(b), N = norm(b), to
-    (d, t.re, t.im).  Two values are congruent mod b exactly when their
-    residues agree.  Equality and hash read the two fields only.
+    tuple, the two lookup tables the per-digit loops read, both keyed on
+    ints: _index (dict[tuple[int, int], int]) maps each digit's (re, im)
+    pair to its position and doubles as the member test, and _by_residue
+    (dict[tuple[int, int], tuple[GaussInt, int, int]]) maps the residue
+    (t.re % N, t.im % N) of t = d*conj(b), N = norm(b), to (d, t.re, t.im).
+    Two values are congruent mod b exactly when their residues agree.  A
+    tuple of two ints hashes in C, where a GaussInt hashes through a
+    Python-level __hash__, so neither construction nor a per-digit loop
+    hashes a GaussInt.  _norm holds N, so that encode reads it once per
+    word.  positions (dict[GaussInt, int]), each digit's position keyed
+    on the digit itself, is built on first use and kept, for the callers
+    that look a digit up by value (automata.run).  Equality and hash read
+    the two fields only.
     """
 
     def __new__(cls, base: GaussInt, digits: tuple[GaussInt, ...]) -> DigitSet:
         n = base.norm()
         if n < 5:
             raise InvalidInput(f"norm({base}) = {n} < 5")
-        digits = tuple(sorted(digits, key=lambda d: (d.re, d.im)))
-        positions = {d: i for i, d in enumerate(digits)}
-        if ZERO not in positions:
+        digits = tuple(sorted(digits, key=_RE_IM))
+        pairs = list(map(_RE_IM, digits))
+        index = dict(zip(pairs, range(len(pairs))))
+        if (0, 0) not in index:
             raise InvalidInput("digit set must contain 0")
-        if len(positions) != len(digits):
+        if len(index) != len(digits):
             raise InvalidInput("duplicate digits")
         if len(digits) != n:
             raise InvalidInput(f"{len(digits)} digits for base {base} of norm {n}")
         p, q = base.re, base.im
         by_residue = {}
-        for d in digits:  # t = d*conj(b) on ints
-            t_re, t_im = d.re * p + d.im * q, d.im * p - d.re * q
+        for d, (x, y) in zip(digits, pairs):  # t = d*conj(b) on ints
+            t_re, t_im = x * p + y * q, y * p - x * q
             by_residue[t_re % n, t_im % n] = (d, t_re, t_im)
         if len(by_residue) != n:
             raise InvalidInput("digits are not pairwise incongruent mod base")
         self = tuple.__new__(cls, (base, digits))
-        self.positions, self._by_residue = positions, by_residue
+        self._index, self._by_residue, self._norm = index, by_residue, n
         return self
+
+    @cached_property
+    def positions(self) -> dict[GaussInt, int]:
+        """Each digit's position, keyed on the digit."""
+        return dict(zip(self.digits, range(len(self.digits))))
 
     @classmethod
     def _make(cls, fields: Iterable) -> DigitSet:
@@ -88,14 +109,17 @@ class DigitSet(namedtuple("DigitSet", "base digits")):
         return cls(*fields)
 
 
-def lattice_disc(r2: int) -> Iterator[GaussInt]:
-    """All z in Z[i] with norm(z) <= r2, r2 given as a squared radius."""
+def _disc_pairs(r2: int) -> Iterator[tuple[int, int]]:
+    """The (re, im) pairs of all z with norm(z) <= r2, in (re, im) order, a row of y at a time."""
     r = isqrt(r2) if r2 >= 0 else -1
     for x in range(-r, r + 1):
-        xx = x * x
-        for y in range(-r, r + 1):
-            if xx + y * y <= r2:
-                yield GaussInt(x, y)
+        s = isqrt(r2 - x * x)
+        yield from zip(repeat(x), range(-s, s + 1))
+
+
+def lattice_disc(r2: int) -> Iterator[GaussInt]:
+    """All z in Z[i] with norm(z) <= r2, r2 given as a squared radius."""
+    return starmap(GaussInt, _disc_pairs(r2))
 
 
 def _in_box(x: int, y: int, b: GaussInt, n: int) -> bool:
@@ -107,24 +131,35 @@ def _in_box(x: int, y: int, b: GaussInt, n: int) -> bool:
 
 
 class _Box:
-    """Both lookup tables of the canonical digits of b, one entry computed per lookup.
+    """Both int-keyed tables of the canonical digits of b, one entry computed per lookup.
 
-    `d in box` is the member test.  box[residue] is the residue-table
-    entry: the residue (t.re % N, t.im % N) of t = w*conj(b) lifts to the
-    t_d in [-N/2, N/2)^2 congruent to t, and the digit is d = t_d*b/N, an
-    exact division because t_d = d*conj(b).
+    `(x, y) in box` is the member test of the pair of d = x + y*i.
+    box[residue] is the residue-table entry: the residue (t.re % N,
+    t.im % N) of t = w*conj(b) lifts to the t_d in [-N/2, N/2)^2 congruent
+    to t, and the digit is d = t_d*b/N, an exact division because
+    t_d = d*conj(b).
     """
 
     def __init__(self, b: GaussInt) -> None:
         self.b = b
 
-    def __contains__(self, d: object) -> bool:
-        return isinstance(d, GaussInt) and _in_box(d.re, d.im, self.b, self.b.norm())
+    def __contains__(self, pair: tuple[int, int]) -> bool:
+        return _in_box(*pair, self.b, self.b.norm())
 
     def __getitem__(self, residue: tuple[int, int]) -> tuple[GaussInt, int, int]:
         bre, bim, n = self.b.re, self.b.im, self.b.norm()
         t_re, t_im = (r if 2 * r < n else r - n for r in residue)
         return GaussInt((t_re * bre - t_im * bim) // n, (t_re * bim + t_im * bre) // n), t_re, t_im
+
+
+class _BoxDigits:
+    """The positions of a LargeCanonicalDigitSet: `d in positions` is the member test on GaussInt values."""
+
+    def __init__(self, box: _Box) -> None:
+        self.box = box
+
+    def __contains__(self, d: object) -> bool:
+        return isinstance(d, GaussInt) and (d.re, d.im) in self.box
 
 
 class LargeCanonicalDigitSet(DigitSet):
@@ -133,14 +168,16 @@ class LargeCanonicalDigitSet(DigitSet):
     It is the tuple (base, None), so it equals the set of the same base
     only.  Its member test and residue table are box arithmetic on one
     value, so encode, decode, digit_of and length_bound work as for any
-    digit set; asking for the digits themselves raises BudgetExceeded.
-    The digits argument is ignored, so that cls(*fields) rebuilds one, as
-    _replace, copy and pickle do.
+    digit set, and positions is the member test alone; asking for the
+    digits themselves raises BudgetExceeded.  The digits argument is
+    ignored, so that cls(*fields) rebuilds one, as _replace, copy and
+    pickle do.
     """
 
     def __new__(cls, base: GaussInt, digits: None = None) -> LargeCanonicalDigitSet:
         self = tuple.__new__(cls, (base, None))
-        self.positions = self._by_residue = _Box(base)
+        self._index = self._by_residue = _Box(base)
+        self._norm, self.positions = base.norm(), _BoxDigits(self._index)
         return self
 
     @property
@@ -185,7 +222,7 @@ def canonical_digit_set(b: GaussInt) -> DigitSet:
         # -n <= 2*Re(d*conj(b)) < n and -n <= 2*Im(d*conj(b)) < n, each solved for y
         first, last = _narrow(q2, -n - x * p2, n - x * p2, -r, r)
         first, last = _narrow(p2, x * q2 - n, x * q2 + n, first, last)
-        digits.extend(GaussInt(x, y) for y in range(first, last + 1))
+        digits.extend(map(GaussInt, repeat(x), range(first, last + 1)))
     return DigitSet(b, tuple(digits))
 
 
@@ -257,8 +294,9 @@ def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
     for a value of about that many digits: so a call with a short value
     or a small max_len is told apart by one comparison.
     """
-    n = D.base.norm()
-    bre, bim = D.base.re, -D.base.im  # components of conj(b)
+    n = D._norm
+    b = D.base
+    bre, bim = b.re, -b.im  # components of conj(b)
     table = D._by_residue
     out: list[GaussInt] = []
     x, y = z.re, z.im
@@ -292,7 +330,8 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
     value < 2^bits(value) and N >= 2^(bits(N) - 1) give N^k >= value for
     k = ceil(bits(value) / (bits(N) - 1)).
     """
-    cap = 2 * -(-(z.norm() + 1).bit_length() // (D.base.norm().bit_length() - 1)) + 272
+    x, y = z.re, z.im
+    cap = 2 * -(-(x * x + y * y + 1).bit_length() // (D._norm.bit_length() - 1)) + 272
     w = encode_within(z, D, cap)
     if w is None:
         raise NonTermination(f"digit loop for {z} over base {D.base} exceeded {cap} iterations")
@@ -306,7 +345,7 @@ def decode(w: Word, D: DigitSet) -> GaussInt:
     k = _block_length(N): recode(w, D, k) folds the blocks, counted from
     the least significant end, on small ints, and the value takes one
     big-int step X*b^k + block per block.  Digits are checked in word
-    order either way.
+    order either way, by their (re, im) pairs (see _not_a_digit).
     """
     if len(w) >= BLOCK_DIGITS and (k := _block_length(D.base.norm())) > 1:
         c = D.base**k
@@ -314,14 +353,34 @@ def decode(w: Word, D: DigitSet) -> GaussInt:
         for block in recode(w, D, k):
             x, y = x * c.re - y * c.im + block.re, x * c.im + y * c.re + block.im
         return GaussInt(x, y)
-    members = D.positions
+    index = D._index
     p, q = D.base.re, D.base.im
     x = y = 0
-    for d in w:
-        if d not in members:
-            raise InvalidInput(f"{d} is not a digit of base {D.base}")
-        x, y = x * p - y * q + d.re, x * q + y * p + d.im
+    try:
+        for d in w:
+            d_re, d_im = pair = d.re, d.im
+            if pair not in index or not isinstance(d, GaussInt):
+                raise _not_a_digit(w, D)
+            x, y = x * p - y * q + d_re, x * q + y * p + d_im
+    except AttributeError:  # an element with no re or im
+        raise _not_a_digit(w, D) from None
     return GaussInt(x, y)
+
+
+def _not_a_digit(w: Word, D: DigitSet) -> InvalidInput:
+    """The error for the first element of w, in word order, that is not a digit of D.
+
+    decode and recode test a digit by looking up its (re, im) pair in
+    D._index, which hashes in C, and by its type: an element that is no
+    GaussInt, such as a bare (re, im) tuple, is no digit either, whatever
+    its re and im.  Once a test fails, this walk names the element, as
+    str prints it.
+    """
+    index = D._index
+    for d in w:
+        if not (isinstance(d, GaussInt) and (d.re, d.im) in index):
+            return InvalidInput(f"{d} is not a digit of base {D.base}")
+    raise AssertionError("no element of the word is refused")
 
 
 def word_length(z: GaussInt, D: DigitSet) -> int:
@@ -330,8 +389,22 @@ def word_length(z: GaussInt, D: DigitSet) -> int:
 
 
 def max_length_in_disc(r2: int, D: DigitSet) -> int:
-    """Maximum word length over all z with norm(z) <= r2."""
-    return max((len(encode(z, D)) for z in lattice_disc(r2)), default=0)
+    """Maximum word length over all z with norm(z) <= r2.
+
+    The disc is walked on int pairs.  A nonzero point that is a digit, its
+    pair in D._index, is its own residue-table entry, so its word is that
+    one digit for any digit set: the loop stops after one step.  Only the
+    other points are encoded, in lattice_disc's order, so a loop that
+    cycles raises NonTermination at the same point.  Every nonzero point
+    has a word of at least one digit, and the disc holds one once r2 >= 1.
+    Over the canonical digits of a base of norm n above 36, every point
+    of norm at most 9 is a digit, as 2*|Re(z*conj(b))| <= 6*sqrt(n) < n,
+    and none is encoded.
+    """
+    longest = 1 if r2 >= 1 else 0
+    for pair in filterfalse(D._index.__contains__, _disc_pairs(r2)):
+        longest = max(longest, len(encode(GaussInt(*pair), D)))
+    return longest
 
 
 class LengthBound(namedtuple("LengthBound", "base m3")):
@@ -381,20 +454,24 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     """
     if j < 1:
         raise InvalidInput("power exponent must be >= 1")
-    members = D.positions
+    index = D._index
     p, q = D.base.re, D.base.im
     out: list[GaussInt] = []
     x = y = 0
     filled = (-len(w)) % j
-    for d in w:
-        if d not in members:
-            raise InvalidInput(f"{d} is not a digit of base {D.base}")
-        x, y = x * p - y * q + d.re, x * q + y * p + d.im
-        filled += 1
-        if filled == j:
-            if x or y or out:
-                out.append(GaussInt(x, y))
-            x = y = filled = 0
+    try:
+        for d in w:
+            d_re, d_im = pair = d.re, d.im
+            if pair not in index or not isinstance(d, GaussInt):
+                raise _not_a_digit(w, D)
+            x, y = x * p - y * q + d_re, x * q + y * p + d_im
+            filled += 1
+            if filled == j:
+                if x or y or out:
+                    out.append(GaussInt(x, y))
+                x = y = filled = 0
+    except AttributeError:  # an element with no re or im
+        raise _not_a_digit(w, D) from None
     return tuple(out)
 
 

@@ -748,3 +748,134 @@ def test_a_word_of_75000_digits_encodes_and_decodes_in_blocks():
     elapsed = time.perf_counter() - start
     assert 75000 <= len(w) <= 75000 + length_bound(B).m3
     assert elapsed < 2  # about 0.3 s on a 2-vCPU VM
+
+
+# ---- the int-pair tables and the m3 shortcut against brute force ----
+
+def reference_disc(r2):
+    """The earlier lattice_disc: every point of the square |re|, |im| <= isqrt(r2), filtered by norm."""
+    r = isqrt(r2) if r2 >= 0 else -1
+    return tuple(g(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if x * x + y * y <= r2)
+
+
+def brute_max_length(r2, D):
+    """The earlier max_length_in_disc: encode every point of the disc, in disc order."""
+    return max((len(encode(z, D)) for z in reference_disc(r2)), default=0)
+
+
+def horner(w, b):
+    """The value of an msd-first word over base b, folded on GaussInt values with no digit check."""
+    acc = ZERO
+    for d in w:
+        acc = acc * b + d
+    return acc
+
+
+def outcome(call, *args):
+    """What call(*args) returns, or the type and text of the error it raises."""
+    try:
+        return call(*args)
+    except (InvalidInput, NonTermination) as e:
+        return type(e), str(e)
+
+
+def test_lattice_disc_is_the_filtered_square():
+    for r2 in range(-3, 401):
+        assert tuple(lattice_disc(r2)) == reference_disc(r2)
+
+
+def test_length_bound_m3_is_the_longest_encoded_word_for_every_base_of_norm_5_to_300():
+    for b in (b for b in lattice_disc(300) if b.norm() >= 5):
+        D = canonical_digit_set(b)
+        assert length_bound(b).m3 == max(len(encode(z, D)) for z in lattice_disc(9))
+
+
+@st.composite
+def shifted_digit_sets(draw):
+    """A complete residue system containing 0 that is often not canonical: each nonzero canonical
+    digit d of a base of norm 5-80 becomes d + k*b for a small k.  Some of these loops cycle."""
+    b = draw(bases(80))
+    k = st.builds(g, st.integers(-2, 2), st.integers(-2, 2))
+    digits = [d + draw(k) * b if d and draw(st.booleans()) else d for d in canonical_digit_set(b).digits]
+    return DigitSet(b, tuple(digits))
+
+
+TRAP = DigitSet(g(3), tuple(d if d != g(-1) else g(2) for d in canonical_digit_set(g(3)).digits))  # -1 cycles
+
+
+@settings(max_examples=150, deadline=None)
+@given(shifted_digit_sets() | st.sampled_from([ALT, TRAP]), st.integers(-2, 40))
+@example(TRAP, 9)
+@example(ALT, 9)
+@example(canonical_digit_set(g(7, 1)), 0)
+def test_max_length_in_disc_equals_encoding_every_point(D, r2):
+    """Equal lengths, or NonTermination at the same first point with the same message."""
+    assert outcome(max_length_in_disc, r2, D) == outcome(brute_max_length, r2, D)
+
+
+def test_max_length_in_disc_names_the_first_cycling_point():
+    """-3, the first point in disc order, goes to -1, which cycles; the digits before it are not encoded."""
+    with pytest.raises(NonTermination, match=r"^digit loop for -3 over base 3 exceeded 276 iterations$"):
+        max_length_in_disc(9, TRAP)
+    assert max_length_in_disc(-1, TRAP) == max_length_in_disc(0, TRAP) == 0
+    with pytest.raises(NonTermination, match=r"^digit loop for -1 over base 3 exceeded 274 iterations$"):
+        max_length_in_disc(1, TRAP)
+
+
+class Lookalike:
+    """An object with a digit's re and im that is no GaussInt."""
+
+    def __init__(self, d):
+        self.re, self.im = d.re, d.im
+
+    def __str__(self):
+        return f"lookalike of {self.re}, {self.im}"
+
+
+@st.composite
+def words_with_strays(draw):
+    """(D, w, j): a canonical, shifted or large digit set, a word over it that may hold a stray, and a power j.
+
+    A stray is d + b for a digit d, never a digit of a canonical set, a
+    digit's bare (re, im) tuple, or a Lookalike of a digit."""
+    D = draw(st.one_of(st.one_of(bases(400), st.sampled_from(LARGE_BASES)).map(canonical_digit_set), shifted_digit_sets()))
+    values = st.builds(g, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+    digit = values.map(lambda z: digit_of(z, D))
+    stray = st.one_of(digit.map(lambda d: d + D.base), digit.map(lambda d: (d.re, d.im)), digit.map(Lookalike))
+    element = st.one_of(digit, st.just(ZERO), stray) if draw(st.booleans()) else digit | st.just(ZERO)
+    return D, tuple(draw(st.lists(element, max_size=12))), draw(st.sampled_from([1, 2, 3, 5]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(words_with_strays())
+@example((canonical_digit_set(LARGE_BASES[0]), (ONE, ONE + LARGE_BASES[0], ZERO), 2))
+@example((canonical_digit_set(LARGE_BASES[1]), (ONE, ZERO, (0, 1)), 3))
+@example((ALT, (g(4), (4, 0), g(5)), 1))
+@example((ALT, (g(4), Lookalike(ONE), g(3)), 2))
+def test_decode_and_recode_check_digits_as_the_gauss_int_references_do(case):
+    """Same value as the references and as a plain GaussInt fold, or the same error type and text."""
+    D, w, j = case
+    assert outcome(decode, w, D) == outcome(reference_decode, w, D)
+    assert outcome(recode, w, D, j) == outcome(reference_recode, w, D, j)
+    if all(isinstance(d, GaussInt) and d in D.positions for d in w):
+        assert decode(w, D) == horner(w, D.base) == horner(recode(w, D, j), D.base**j)
+
+
+def test_digit_set_construction_and_the_per_digit_loops_hash_no_gauss_int(monkeypatch):
+    b = g(3, 2)
+    digits, m3 = canonical_digit_set(b).digits, length_bound(b).m3
+    large = canonical_digit_set(LARGE_BASES[0])
+    values = [*lattice_disc(25), g(7**200, 3)]  # the last one's word is decoded in blocks
+
+    def no_hash(self):
+        raise AssertionError("GaussInt hashed on a per-digit path")
+
+    monkeypatch.setattr(GaussInt, "__hash__", no_hash)
+    D = DigitSet(b, digits)
+    assert max_length_in_disc(9, D) == m3
+    for S in (D, large):
+        for z in values:
+            w = encode(z, S)
+            assert decode(w, S) == z == horner(recode(w, S, 2), S.base**2)
+    with pytest.raises(InvalidInput, match=r"^\(1, 0\) is not a digit of base 3\+2i$"):
+        decode((ONE, (1, 0)), D)

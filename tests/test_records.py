@@ -186,6 +186,19 @@ def test_a_large_canonical_digit_set_never_equals_a_listed_one(b):
     assert DigitSet(b, listed.digits) != unlisted
 
 
+def test_digit_set_positions_are_built_on_first_use_and_survive_replace_and_pickle():
+    D = DigitSet(B, tuple(reversed(D5.digits)))
+    assert "positions" not in vars(D)  # built on first use, not by the constructor
+    expected = {d: i for i, d in enumerate(D5.digits)}
+    assert pickle.loads(pickle.dumps(D)).positions == expected  # pickled before positions was read
+    assert D.positions == expected and D.positions is D.positions
+    assert D._index == {(d.re, d.im): i for i, d in enumerate(D5.digits)}
+    for clone in (pickle.loads(pickle.dumps(D)), copy.deepcopy(D), D._replace(digits=D.digits)):
+        assert clone.positions == expected and clone._index == D._index
+    D3 = D._replace(base=g(3), digits=canonical_digit_set(g(3)).digits)
+    assert D3.positions == {d: i for i, d in enumerate(canonical_digit_set(g(3)).digits)}
+
+
 def test_records_copy_and_pickle_through_the_constructor():
     for r in (D5, LargeCanonicalDigitSet(g(400, 1)), powers_dfa(B), length_bound(B)):
         for clone in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
