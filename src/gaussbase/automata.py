@@ -42,7 +42,8 @@ class Dfa(namedtuple("Dfa", "alphabet initial transitions accepting")):
     rows into tuples and accepting into a frozenset, then __post_init__
     checks that every state and target is in range: the row widths and
     the targets of the whole table at once, by C-level set operations,
-    and row by row only when that fails, to name the first fault.
+    and row by row only when that fails, to name the first fault by the
+    same membership test.
     """
 
     __slots__ = ()
@@ -60,7 +61,7 @@ class Dfa(namedtuple("Dfa", "alphabet initial transitions accepting")):
         n = len(rows)
         if n == 0:
             raise InvalidInput("a DFA needs at least one state")
-        if not 0 <= self.initial < n:
+        if self.initial not in range(n):
             raise InvalidInput(f"initial state {self.initial} out of range")
         width = len(self.alphabet.digits)
         states = set(range(n))
@@ -69,7 +70,7 @@ class Dfa(namedtuple("Dfa", "alphabet initial transitions accepting")):
                 if len(row) != width:
                     raise InvalidInput("transition row width differs from alphabet size")
                 for t in row:
-                    if not 0 <= t < n:
+                    if t not in states:
                         raise InvalidInput(f"transition target {t} out of range")
         if not self.accepting <= states:
             raise InvalidInput("accepting states out of range")
@@ -98,11 +99,16 @@ def _derived(
 
 
 def run(dfa: Dfa, w: Word) -> bool:
-    """True iff the unique run over w ends in an accepting state."""
+    """True iff the unique run over w ends in an accepting state.
+
+    A digit's index is the entry of its (re, im) pair in the alphabet's
+    positions.  A pair says nothing of type, so an element that is no
+    GaussInt is refused before its lookup.
+    """
     positions = dfa.alphabet.positions
     state = dfa.initial
     for d in w:
-        i = positions.get(d)
+        i = positions.get((d.re, d.im)) if isinstance(d, GaussInt) else None
         if i is None:
             raise InvalidInput(f"{d} is not in the DFA alphabet")
         state = dfa.transitions[state][i]
@@ -334,7 +340,8 @@ def _members(L: LanguageOracle, max_len: int, reserved: int = 0) -> Iterator[tup
     of norm x in that disc.  Bit lengths decide x*(isqrt(N) - 1)^2 <=
     Delta^2*N^max_len while x is far from the bound, so N^max_len is
     formed only when it is about the size of x.  Each candidate's word
-    comes from the forced digit loop, run for at most max_len steps.
+    comes from the forced digit loop, run for at most max_len steps, and
+    is ranked by its digits' (re, im) pairs in D.positions.
     A candidate costs max_len + 1 digit-steps, the loop's and one to index
     its word, and a step is charged the 64-bit words of the largest norm
     it can meet: no value in the disc, nor any the loop makes from one,
@@ -359,7 +366,7 @@ def _members(L: LanguageOracle, max_len: int, reserved: int = 0) -> Iterator[tup
     values = L.candidates(within, limit) if limit >= 0 else None
     if values is None:
         raise BudgetExceeded(f"words of length <= {max_len} exceed the enumeration budget")
-    index, re_im = D._index, attrgetter("re", "im")
+    index, re_im = D.positions, attrgetter("re", "im")
 
     def rank(w: Word) -> int:  # a digit's position from its (re, im) pair, which hashes in C
         i = 0

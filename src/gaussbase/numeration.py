@@ -13,11 +13,11 @@ against +-norm(b), and radii enter squared; canonical_digit_set solves
 the two box tests for each row of the square instead of testing every
 point.  The per-digit loops (the digit map, encode, decode, recode and
 the residue table) run on plain int pairs and build a GaussInt only for
-a value they return.  A digit set's tables are keyed on (re, im) int
-pairs, which hash in C: a digit is tested by its pair, so no per-digit
-loop, nor the construction of a digit set, hashes a GaussInt through its
-Python-level __hash__.  The one GaussInt-keyed table, positions, is built
-on first use, for the callers that look digits up by value.  m3 encodes
+a value they return.  A digit set has one position table, positions,
+keyed on each digit's (re, im) int pair, which hashes in C where a
+GaussInt hashes through a Python-level __hash__: every layer looks a
+digit up by its pair, so no per-digit loop, nor the construction of a
+digit set, hashes a GaussInt.  m3 encodes
 only the points of its disc that are not digits themselves.  A long
 value or word (BLOCK_DIGITS digits or more) is encoded and decoded k
 digits at a time, with norm(b)^k < 2^60: one big-int step per block
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import filterfalse, product, repeat, starmap
 from math import isqrt
 from operator import attrgetter
@@ -59,19 +59,18 @@ class DigitSet(namedtuple("DigitSet", "base digits")):
     Fields: base (GaussInt) and digits (tuple[GaussInt, ...]), normalized
     to (re, im) lexicographic order.  Construction validates the
     residue-system invariants and keeps, as plain attributes outside the
-    tuple, the two lookup tables the per-digit loops read, both keyed on
-    ints: _index (dict[tuple[int, int], int]) maps each digit's (re, im)
-    pair to its position and doubles as the member test, and _by_residue
-    (dict[tuple[int, int], tuple[GaussInt, int, int]]) maps the residue
-    (t.re % N, t.im % N) of t = d*conj(b), N = norm(b), to (d, t.re, t.im).
-    Two values are congruent mod b exactly when their residues agree.  A
-    tuple of two ints hashes in C, where a GaussInt hashes through a
-    Python-level __hash__, so neither construction nor a per-digit loop
-    hashes a GaussInt.  _norm holds N, so that encode reads it once per
-    word.  positions (dict[GaussInt, int]), each digit's position keyed
-    on the digit itself, is built on first use and kept, for the callers
-    that look a digit up by value (automata.run).  Equality and hash read
-    the two fields only.
+    tuple, the two lookup tables that every layer reads, both keyed on
+    ints: positions (dict[tuple[int, int], int]) maps each digit's (re, im)
+    pair to its index in digits and doubles as the member test, and
+    _by_residue (dict[tuple[int, int], tuple[GaussInt, int, int]]) maps the
+    residue (t.re % N, t.im % N) of t = d*conj(b), N = norm(b), to
+    (d, t.re, t.im).  Two values are congruent mod b exactly when their
+    residues agree.  A tuple of two ints hashes in C, where a GaussInt
+    hashes through a Python-level __hash__, so neither construction nor a
+    per-digit loop hashes a GaussInt.  A pair key says nothing of type, so
+    a reader that looks up an element's pair also tests that it is a
+    GaussInt.  _norm holds N, so that encode reads it once per word.
+    Equality and hash read the two fields only.
     """
 
     def __new__(cls, base: GaussInt, digits: tuple[GaussInt, ...]) -> DigitSet:
@@ -80,10 +79,10 @@ class DigitSet(namedtuple("DigitSet", "base digits")):
             raise InvalidInput(f"norm({base}) = {n} < 5")
         digits = tuple(sorted(digits, key=_RE_IM))
         pairs = list(map(_RE_IM, digits))
-        index = dict(zip(pairs, range(len(pairs))))
-        if (0, 0) not in index:
+        positions = dict(zip(pairs, range(len(pairs))))
+        if (0, 0) not in positions:
             raise InvalidInput("digit set must contain 0")
-        if len(index) != len(digits):
+        if len(positions) != len(digits):
             raise InvalidInput("duplicate digits")
         if len(digits) != n:
             raise InvalidInput(f"{len(digits)} digits for base {base} of norm {n}")
@@ -95,13 +94,8 @@ class DigitSet(namedtuple("DigitSet", "base digits")):
         if len(by_residue) != n:
             raise InvalidInput("digits are not pairwise incongruent mod base")
         self = tuple.__new__(cls, (base, digits))
-        self._index, self._by_residue, self._norm = index, by_residue, n
+        self.positions, self._by_residue, self._norm = positions, by_residue, n
         return self
-
-    @cached_property
-    def positions(self) -> dict[GaussInt, int]:
-        """Each digit's position, keyed on the digit."""
-        return dict(zip(self.digits, range(len(self.digits))))
 
     @classmethod
     def _make(cls, fields: Iterable) -> DigitSet:
@@ -133,11 +127,13 @@ def _in_box(x: int, y: int, b: GaussInt, n: int) -> bool:
 class _Box:
     """Both int-keyed tables of the canonical digits of b, one entry computed per lookup.
 
-    `(x, y) in box` is the member test of the pair of d = x + y*i.
-    box[residue] is the residue-table entry: the residue (t.re % N,
-    t.im % N) of t = w*conj(b) lifts to the t_d in [-N/2, N/2)^2 congruent
-    to t, and the digit is d = t_d*b/N, an exact division because
-    t_d = d*conj(b).
+    `(x, y) in box` is the member test of the pair of d = x + y*i, the
+    box inequality of _in_box.  A LargeCanonicalDigitSet's positions is
+    the box, and no reader asks it for an index: a DFA's alphabet and a
+    ranked word need the listed digits.  box[residue] is the
+    residue-table entry: the residue (t.re % N, t.im % N) of
+    t = w*conj(b) lifts to the t_d in [-N/2, N/2)^2 congruent to t, and
+    the digit is d = t_d*b/N, an exact division because t_d = d*conj(b).
     """
 
     def __init__(self, b: GaussInt) -> None:
@@ -152,32 +148,22 @@ class _Box:
         return GaussInt((t_re * bre - t_im * bim) // n, (t_re * bim + t_im * bre) // n), t_re, t_im
 
 
-class _BoxDigits:
-    """The positions of a LargeCanonicalDigitSet: `d in positions` is the member test on GaussInt values."""
-
-    def __init__(self, box: _Box) -> None:
-        self.box = box
-
-    def __contains__(self, d: object) -> bool:
-        return isinstance(d, GaussInt) and (d.re, d.im) in self.box
-
-
 class LargeCanonicalDigitSet(DigitSet):
     """The canonical digit set of a base of norm above DIGIT_BUDGET, never listed.
 
     It is the tuple (base, None), so it equals the set of the same base
-    only.  Its member test and residue table are box arithmetic on one
-    value, so encode, decode, digit_of and length_bound work as for any
-    digit set, and positions is the member test alone; asking for the
-    digits themselves raises BudgetExceeded.  The digits argument is
-    ignored, so that cls(*fields) rebuilds one, as _replace, copy and
-    pickle do.
+    only.  Its positions and its residue table are one _Box, box
+    arithmetic on one pair or residue, so encode, decode, digit_of and
+    length_bound work as for any digit set; positions is the member test
+    alone, and asking for the digits themselves raises BudgetExceeded.
+    The digits argument is ignored, so that cls(*fields) rebuilds one, as
+    _replace, copy and pickle do.
     """
 
     def __new__(cls, base: GaussInt, digits: None = None) -> LargeCanonicalDigitSet:
         self = tuple.__new__(cls, (base, None))
-        self._index = self._by_residue = _Box(base)
-        self._norm, self.positions = base.norm(), _BoxDigits(self._index)
+        self.positions = self._by_residue = _Box(base)
+        self._norm = base.norm()
         return self
 
     @property
@@ -353,7 +339,7 @@ def decode(w: Word, D: DigitSet) -> GaussInt:
         for block in recode(w, D, k):
             x, y = x * c.re - y * c.im + block.re, x * c.im + y * c.re + block.im
         return GaussInt(x, y)
-    index = D._index
+    index = D.positions
     p, q = D.base.re, D.base.im
     x = y = 0
     try:
@@ -371,12 +357,12 @@ def _not_a_digit(w: Word, D: DigitSet) -> InvalidInput:
     """The error for the first element of w, in word order, that is not a digit of D.
 
     decode and recode test a digit by looking up its (re, im) pair in
-    D._index, which hashes in C, and by its type: an element that is no
-    GaussInt, such as a bare (re, im) tuple, is no digit either, whatever
-    its re and im.  Once a test fails, this walk names the element, as
-    str prints it.
+    D.positions, which hashes in C, and by its type: the pair key says
+    nothing of type, and an element that is no GaussInt, such as a bare
+    (re, im) tuple, is no digit either, whatever its re and im.  Once a
+    test fails, this walk names the element, as str prints it.
     """
-    index = D._index
+    index = D.positions
     for d in w:
         if not (isinstance(d, GaussInt) and (d.re, d.im) in index):
             return InvalidInput(f"{d} is not a digit of base {D.base}")
@@ -391,18 +377,18 @@ def word_length(z: GaussInt, D: DigitSet) -> int:
 def max_length_in_disc(r2: int, D: DigitSet) -> int:
     """Maximum word length over all z with norm(z) <= r2.
 
-    The disc is walked on int pairs.  A nonzero point that is a digit, its
-    pair in D._index, is its own residue-table entry, so its word is that
-    one digit for any digit set: the loop stops after one step.  Only the
-    other points are encoded, in lattice_disc's order, so a loop that
-    cycles raises NonTermination at the same point.  Every nonzero point
+    The disc is walked on int pairs.  A nonzero point that is a digit,
+    its pair in D.positions, is its own residue-table entry, so its word
+    is that one digit for any digit set: the loop stops after one step.
+    Only the other points are encoded, in lattice_disc's order, so a loop
+    that cycles raises NonTermination at the same point.  Every nonzero point
     has a word of at least one digit, and the disc holds one once r2 >= 1.
     Over the canonical digits of a base of norm n above 36, every point
     of norm at most 9 is a digit, as 2*|Re(z*conj(b))| <= 6*sqrt(n) < n,
     and none is encoded.
     """
     longest = 1 if r2 >= 1 else 0
-    for pair in filterfalse(D._index.__contains__, _disc_pairs(r2)):
+    for pair in filterfalse(D.positions.__contains__, _disc_pairs(r2)):
         longest = max(longest, len(encode(GaussInt(*pair), D)))
     return longest
 
@@ -454,7 +440,7 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     """
     if j < 1:
         raise InvalidInput("power exponent must be >= 1")
-    index = D._index
+    index = D.positions
     p, q = D.base.re, D.base.im
     out: list[GaussInt] = []
     x = y = 0
@@ -477,10 +463,13 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def terminates_on_disc(D: DigitSet) -> bool:
-    """Probe digit-set validity: does encode terminate for all norm(z) <= 400?"""
+    """Probe digit-set validity: does encode terminate for all norm(z) <= 400?
+
+    max_length_in_disc encodes every point of that disc that is not a
+    digit, in lattice_disc's order; a digit's word is itself.
+    """
     try:
-        for z in lattice_disc(400):
-            encode(z, D)
+        max_length_in_disc(400, D)
     except NonTermination:
         return False
     return True

@@ -37,6 +37,8 @@ from gaussbase.automata import (
 from gaussbase.gaussint import ONE, ZERO, GaussInt, InvalidInput
 from gaussbase.numeration import canonical_digit_set, encode, lattice_disc
 
+from test_numeration import Lookalike, outcome
+
 g = GaussInt
 B = g(2, 1)
 D5 = canonical_digit_set(B)
@@ -89,6 +91,9 @@ def test_powers_dfa_runs():
     assert not run(d, (g(1), g(0, -1)))
     with pytest.raises(InvalidInput, match="7 is not in the DFA alphabet"):
         run(d, (g(7),))
+    for stray, text in [((1, 0), "(1, 0)"), (Lookalike(ONE), "lookalike of 1, 0"), ([1, 0], "[1, 0]")]:
+        with pytest.raises(InvalidInput, match=f"^{re.escape(text)} is not in the DFA alphabet$"):
+            run(d, (ONE, stray))
 
 
 def test_minimize_powers_dfa_has_three_states():
@@ -636,6 +641,46 @@ def shifted_alphabets(draw):
     shifts = st.sampled_from([g(0), g(1), g(-1), g(0, 1), g(0, -1), g(1, 1)])
     digits = [d if d == ZERO else d + D.base * draw(shifts) for d in D.digits]
     return digit_set_from_json({"base": str(D.base), "digits": [str(d) for d in digits]})
+
+
+def reference_run(dfa, w):
+    """run with each digit's position found by D.digits.index."""
+    state = dfa.initial
+    for d in w:
+        try:
+            i = dfa.alphabet.digits.index(d)
+        except ValueError:
+            raise InvalidInput(f"{d} is not in the DFA alphabet") from None
+        state = dfa.transitions[state][i]
+    return state in dfa.accepting
+
+
+@st.composite
+def runs_with_strays(draw):
+    """A DFA over a canonical or shifted alphabet, and a word over it that may hold a stray.
+
+    A stray is d + b, never a digit of a complete residue system that
+    holds d, a digit's bare (re, im) tuple, a Lookalike of a digit, or a
+    list of its parts."""
+    alphabet = draw(st.sampled_from(ALPHABETS) | shifted_alphabets())
+    dfa = draw(any_dfas(max_states=6, alphabets=(alphabet,)))
+    digit = st.sampled_from(alphabet.digits)
+    stray = st.one_of(
+        digit.map(lambda d: d + alphabet.base),
+        digit.map(lambda d: (d.re, d.im)),
+        digit.map(Lookalike),
+        digit.map(lambda d: [d.re, d.im]),
+    )
+    element = digit | stray if draw(st.booleans()) else digit
+    return dfa, tuple(draw(st.lists(element, max_size=10)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs_with_strays())
+def test_run_finds_each_digit_as_digits_index_does(case):
+    """The same verdict as the reference, or InvalidInput with the same text."""
+    dfa, w = case
+    assert outcome(run, dfa, w) == outcome(reference_run, dfa, w)
 
 
 @settings(max_examples=40, deadline=None)

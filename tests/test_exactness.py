@@ -1,6 +1,7 @@
 """Floats stay in the witness search's nominations: the exact layers hold none.
 
-And each module keeps its private names: no module imports a _name from another.
+And each module keeps its private names: no module imports a _name from another,
+nor reads one as an attribute of another's objects.
 And the library imports light: no module imports re, and `import gaussbase` loads
 neither the regex engine nor the CLI's argparse and json.
 """
@@ -77,6 +78,59 @@ def test_the_guard_sees_each_kind_of_private_import():
         "from .automata import (\n    Dfa,\n    _members,\n)\n"
     )
     assert list(private_imports(ast.parse(source))) == [(1, "_json_int"), (2, "_private"), (3, "_bfs"), (8, "_members")]
+
+
+NAMEDTUPLE_API = frozenset({"_replace", "_make", "_fields", "_asdict"})
+
+
+def private_attribute_reads(tree):
+    """(line, name) for every read of obj._name where _name is defined or assigned nowhere in the module.
+
+    A read through self or cls, a dunder and namedtuple's _replace, _make,
+    _fields and _asdict are the module's own.
+    """
+    own = set(NAMEDTUPLE_API)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+    reads = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+            and node.attr not in own
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        ):
+            reads.append((node.lineno, node.attr))
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_reads_a_private_attribute_of_another(path):
+    assert private_attribute_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_guard_sees_each_kind_of_private_attribute_read():
+    source = (
+        "from . import numeration\n"
+        "class Box:\n"
+        "    def __init__(self, b):\n"
+        "        self._b, self._n = b, b.norm()\n"
+        "    def lift(self):\n"
+        "        return self._b, self._unset, cls._count\n"
+        "def _helper(D, box, r):\n"
+        "    return D._index, box._b, r._replace(re=1), r._fields, r._asdict(), type(r)._make(r)\n"
+        "x = numeration._block_length(5) + numeration._helper(D).__len__()\n"
+        "_limit = 3\n"
+        "y = D.positions.__contains__, cli._limit, D._by_residue[0, 0]\n"
+    )
+    assert private_attribute_reads(ast.parse(source)) == [(8, "_index"), (9, "_block_length"), (11, "_by_residue")]
 
 
 def regex_imports(tree):

@@ -434,7 +434,8 @@ def test_unlisted_canonical_digits_match_the_listed_ones_for_every_base_up_to_no
         listed, unlisted = canonical_digit_set(b), LargeCanonicalDigitSet(b)
         assert max_length_in_disc(9, unlisted) == max_length_in_disc(9, listed)
         for z in lattice_disc(b.norm()):
-            assert (z in unlisted.positions) == (z in listed.positions)
+            pair = (z.re, z.im)
+            assert (pair in unlisted.positions) == (pair in listed.positions) == in_canonical_box(z, b)
             assert digit_of(z, unlisted) == digit_of(z, listed)
             assert encode(z, unlisted) == encode(z, listed)
         with pytest.raises(BudgetExceeded, match="digit budget"):
@@ -509,6 +510,19 @@ def test_encode_cap_is_never_below_the_log_cap(b, z):
 
 # ---- the plain-int loops against the GaussInt references they replaced ----
 
+def in_canonical_box(d, b):
+    """-n <= 2*Re(d*conj(b)) < n and -n <= 2*Im(d*conj(b)) < n for n = norm(b): d/b rounds to 0."""
+    n, t = b.norm(), d * b.conj()
+    return -n <= 2 * t.re < n and -n <= 2 * t.im < n
+
+
+def is_digit(d, D):
+    """Whether d is a GaussInt among D's listed digits, or in the box of a set that lists none."""
+    if not isinstance(d, GaussInt):
+        return False
+    return in_canonical_box(d, D.base) if isinstance(D, LargeCanonicalDigitSet) else d in D.digits
+
+
 def reference_canonical_digits(b):
     """The earlier canonical_digit_set: box-test every point of the square |re|, |im| <= isqrt(norm(b)).
 
@@ -556,7 +570,7 @@ def reference_decode(w, D):
     """The earlier decode: Horner on GaussInt values."""
     acc = ZERO
     for d in w:
-        if d not in D.positions:
+        if not is_digit(d, D):
             raise InvalidInput(f"{d} is not a digit of base {D.base}")
         acc = acc * D.base + d
     return acc
@@ -822,6 +836,31 @@ def test_max_length_in_disc_names_the_first_cycling_point():
         max_length_in_disc(1, TRAP)
 
 
+def brute_terminates(D):
+    """The earlier terminates_on_disc: encode every point of lattice_disc(400), in disc order."""
+    try:
+        for z in lattice_disc(400):
+            encode(z, D)
+    except NonTermination:
+        return False
+    return True
+
+
+# 11 = (11 + 22)/3 is a fixed point, and every point of norm <= 100 terminates
+FAR_TRAP = DigitSet(g(3), tuple(d if d != g(-1) else g(-22) for d in canonical_digit_set(g(3)).digits))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifted_digit_sets() | st.sampled_from([ALT, TRAP, FAR_TRAP]))
+@example(TRAP)
+@example(FAR_TRAP)
+@example(ALT)
+def test_terminates_on_disc_equals_encoding_every_point(D):
+    want = brute_terminates(D)
+    terminates_on_disc.cache_clear()
+    assert terminates_on_disc(D) == want
+
+
 class Lookalike:
     """An object with a digit's re and im that is no GaussInt."""
 
@@ -857,7 +896,7 @@ def test_decode_and_recode_check_digits_as_the_gauss_int_references_do(case):
     D, w, j = case
     assert outcome(decode, w, D) == outcome(reference_decode, w, D)
     assert outcome(recode, w, D, j) == outcome(reference_recode, w, D, j)
-    if all(isinstance(d, GaussInt) and d in D.positions for d in w):
+    if all(is_digit(d, D) for d in w):
         assert decode(w, D) == horner(w, D.base) == horner(recode(w, D, j), D.base**j)
 
 

@@ -122,7 +122,7 @@ def test_digit_set_fields_and_tables():
     D = DigitSet(B, tuple(reversed(D5.digits)))
     base, digits = D
     assert (base, digits) == (B, D5.digits) and D._fields == ("base", "digits")
-    assert D.positions == {d: i for i, d in enumerate(D5.digits)}
+    assert D.positions == {(d.re, d.im): i for i, d in enumerate(D5.digits)}
     assert D.index(D5.digits) == 1  # tuple.index, no longer shadowed by the position table
 
 
@@ -154,6 +154,10 @@ def test_digit_set_rejects_every_malformed_input(base, digits, message):
         (0, ((0, 0, 0, 0, -1),), (), "transition target -1 out of range"),
         (0, ((0,) * 5,), (4,), "accepting states out of range"),
         (0, ((0,) * 5,), (-1,), "accepting states out of range"),
+        # the row walk that names a fault tests what the whole-table check tests, membership in range(n)
+        (0, ((0, 0, 1.5, 0, 0), (0,) * 5), (), "transition target 1.5 out of range"),
+        (0, ((0, 0, "1", 0, 0), (0,) * 5), (), "transition target 1 out of range"),
+        (0.5, ((0,) * 5, (0,) * 5), (), "initial state 0.5 out of range"),
     ],
 )
 def test_dfa_rejects_every_malformed_input(initial, transitions, accepting, message):
@@ -161,6 +165,12 @@ def test_dfa_rejects_every_malformed_input(initial, transitions, accepting, mess
         Dfa(D5, initial, transitions, accepting)
     with pytest.raises(InvalidInput, match=message):
         powers_dfa(B)._replace(initial=initial, transitions=transitions, accepting=accepting)
+
+
+@pytest.mark.parametrize("state", [1.0, True])
+def test_dfa_accepts_a_state_of_another_type_equal_to_one_in_range(state):
+    d = Dfa(D5, state, ((0, 0, state, 0, 0), (0,) * 5), ())
+    assert d.initial == d.transitions[0][2] == 1
 
 
 def test_dfa_normalises_its_rows_and_accepting_states():
@@ -186,17 +196,13 @@ def test_a_large_canonical_digit_set_never_equals_a_listed_one(b):
     assert DigitSet(b, listed.digits) != unlisted
 
 
-def test_digit_set_positions_are_built_on_first_use_and_survive_replace_and_pickle():
+def test_digit_set_positions_survive_replace_and_pickle():
     D = DigitSet(B, tuple(reversed(D5.digits)))
-    assert "positions" not in vars(D)  # built on first use, not by the constructor
-    expected = {d: i for i, d in enumerate(D5.digits)}
-    assert pickle.loads(pickle.dumps(D)).positions == expected  # pickled before positions was read
-    assert D.positions == expected and D.positions is D.positions
-    assert D._index == {(d.re, d.im): i for i, d in enumerate(D5.digits)}
+    expected = {(d.re, d.im): i for i, d in enumerate(D5.digits)}
     for clone in (pickle.loads(pickle.dumps(D)), copy.deepcopy(D), D._replace(digits=D.digits)):
-        assert clone.positions == expected and clone._index == D._index
+        assert clone.positions == expected
     D3 = D._replace(base=g(3), digits=canonical_digit_set(g(3)).digits)
-    assert D3.positions == {d: i for i, d in enumerate(canonical_digit_set(g(3)).digits)}
+    assert D3.positions == {(d.re, d.im): i for i, d in enumerate(canonical_digit_set(g(3)).digits)}
 
 
 def test_records_copy_and_pickle_through_the_constructor():
