@@ -21,10 +21,11 @@ digit set, hashes a GaussInt.  m3 encodes
 only the points of its disc that are not digits themselves.  A long
 value or word (BLOCK_DIGITS digits or more) is encoded and decoded k
 digits at a time, with norm(b)^k < 2^60: one big-int step per block
-splits off or adds in a block, whose k digits the same loops handle as a
-short value or word of ints of at most two machine words, so the cost is
-no longer a big-int operation per digit.  No float enters this module:
-logarithms are bounded from bit lengths.
+splits off or adds in a block.  Encode runs the digit loop's own k steps
+on the block's remainder, and decode folds the block with recode, both
+on ints of at most two machine words, so the cost is no longer a big-int
+operation per digit.  No float enters this module: logarithms are
+bounded from bit lengths.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import filterfalse, product, repeat, starmap
 from math import isqrt
 from operator import attrgetter
 
-from .gaussint import ZERO, BudgetExceeded, GaussInt, InvalidInput, exact_div
+from .gaussint import BudgetExceeded, GaussInt, InvalidInput, exact_div
 
 Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
@@ -116,34 +117,29 @@ def lattice_disc(r2: int) -> Iterator[GaussInt]:
     return starmap(GaussInt, _disc_pairs(r2))
 
 
-def _in_box(x: int, y: int, b: GaussInt, n: int) -> bool:
-    """Whether d = x + y*i is a canonical digit of b, n = norm(b).
-
-    d/b rounds to 0 exactly when -n <= 2*t < n for both parts of t = d*conj(b).
-    """
-    return -n <= 2 * (x * b.re + y * b.im) < n and -n <= 2 * (y * b.re - x * b.im) < n
-
-
 class _Box:
     """Both int-keyed tables of the canonical digits of b, one entry computed per lookup.
 
     `(x, y) in box` is the member test of the pair of d = x + y*i, the
-    box inequality of _in_box.  A LargeCanonicalDigitSet's positions is
-    the box, and no reader asks it for an index: a DFA's alphabet and a
-    ranked word need the listed digits.  box[residue] is the
-    residue-table entry: the residue (t.re % N, t.im % N) of
+    box inequality: d/b rounds to 0 exactly when -N <= 2*t < N for both
+    parts of t = d*conj(b), N = norm(b).  A LargeCanonicalDigitSet's
+    positions is the box, and no reader asks it for an index: a DFA's
+    alphabet and a ranked word need the listed digits.  box[residue] is
+    the residue-table entry: the residue (t.re % N, t.im % N) of
     t = w*conj(b) lifts to the t_d in [-N/2, N/2)^2 congruent to t, and
     the digit is d = t_d*b/N, an exact division because t_d = d*conj(b).
+    N is computed once, with the box.
     """
 
     def __init__(self, b: GaussInt) -> None:
-        self.b = b
+        self.b, self.n = b, b.norm()
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return _in_box(*pair, self.b, self.b.norm())
+        (x, y), bre, bim, n = pair, self.b.re, self.b.im, self.n
+        return -n <= 2 * (x * bre + y * bim) < n and -n <= 2 * (y * bre - x * bim) < n
 
     def __getitem__(self, residue: tuple[int, int]) -> tuple[GaussInt, int, int]:
-        bre, bim, n = self.b.re, self.b.im, self.b.norm()
+        bre, bim, n = self.b.re, self.b.im, self.n
         t_re, t_im = (r if 2 * r < n else r - n for r in residue)
         return GaussInt((t_re * bre - t_im * bim) // n, (t_re * bim + t_im * bre) // n), t_re, t_im
 
@@ -156,14 +152,14 @@ class LargeCanonicalDigitSet(DigitSet):
     arithmetic on one pair or residue, so encode, decode, digit_of and
     length_bound work as for any digit set; positions is the member test
     alone, and asking for the digits themselves raises BudgetExceeded.
-    The digits argument is ignored, so that cls(*fields) rebuilds one, as
-    _replace, copy and pickle do.
+    Its _norm is the N the box computed.  The digits argument is ignored,
+    so that cls(*fields) rebuilds one, as _replace, copy and pickle do.
     """
 
     def __new__(cls, base: GaussInt, digits: None = None) -> LargeCanonicalDigitSet:
         self = tuple.__new__(cls, (base, None))
-        self.positions = self._by_residue = _Box(base)
-        self._norm = base.norm()
+        self.positions = self._by_residue = box = _Box(base)
+        self._norm = box.n
         return self
 
     @property
@@ -190,9 +186,9 @@ def _narrow(c: int, low: int, high: int, first: int, last: int) -> tuple[int, in
 def canonical_digit_set(b: GaussInt) -> DigitSet:
     """The digits d with Re(d/b) and Im(d/b) in [-1/2, 1/2), all within |re|, |im| <= isqrt(norm(b)).
 
-    The square is walked row by row: for d = x + y*i, the two tests of
-    _in_box are linear in y, so each row's digits are one interval of y,
-    solved exactly, and the digits come out in (re, im) order.  A base of
+    The square is walked row by row: for d = x + y*i, the two box tests
+    (see _Box) are linear in y, so each row's digits are one interval of
+    y, solved exactly, and the digits come out in (re, im) order.  A base of
     norm above DIGIT_BUDGET gets a LargeCanonicalDigitSet, which does not
     list them.
     """
@@ -228,57 +224,25 @@ def _block_length(n: int) -> int:
     return k
 
 
-def _blocks(x: int, y: int, D: DigitSet, out: list[GaussInt], max_len: int) -> tuple[int, int]:
-    """Append the low digits of w = x + y*i to out, lsd first, a block of k at a time; return the state left.
-
-    k = _block_length(N).  Per block, one big-int pass: the quotient q of w
-    by c = b^k, rounded, leaves r = w - q*c small, and as w - r is a
-    multiple of c, the loop on w emits the digits the loop on r does for k
-    steps and then stands at q + r_k.  The word of r, at most 2k digits,
-    gives both: its low k digits, padded with zeros, and r_k, the value of
-    the rest.  So the blocks reach exactly the loop's states.  They stop
-    once both parts of w have no more bits than N^k, or out would pass
-    max_len, or the word of r is longer (a digit set far from 0, or one
-    whose loop cycles): the digit loop goes on from the state they leave.
-    When the state reaches 0, the last block's padding is stripped, since
-    a word from the loop has a nonzero leading digit.
-    """
-    n = D.base.norm()
-    k = _block_length(n)
-    c = D.base**k
-    c_re, c_im, nk = c.re, c.im, n**k
-    half, small = nk >> 1, nk.bit_length()
-    while k > 1 and (x.bit_length() > small or y.bit_length() > small) and len(out) + k <= max_len:
-        # q = round(w/c) on both parts of w*conj(c)/N^k, and s = r*conj(c)
-        q_re, s_re = divmod(x * c_re + y * c_im + half, nk)
-        q_im, s_im = divmod(y * c_re - x * c_im + half, nk)
-        s_re, s_im = s_re - half, s_im - half
-        r = GaussInt((s_re * c_re - s_im * c_im) // nk, (s_re * c_im + s_im * c_re) // nk)  # s*c/N^k
-        word = encode_within(r, D, 2 * k)
-        if word is None:
-            break
-        out.extend(word[: -k - 1 : -1])
-        if len(word) > k:
-            r_k = decode(word[:-k], D)
-            q_re, q_im = q_re + r_k.re, q_im + r_k.im
-        else:
-            out.extend([ZERO] * (k - len(word)))
-        x, y = q_re, q_im
-    while not (x or y) and not out[-1]:
-        out.pop()
-    return x, y
-
-
 def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
     """The word of z if it has at most max_len digits, else None.
 
     Runs the forced digit loop for at most max_len steps, so the answer is
     exact for any complete residue system, whether or not its loop
     terminates everywhere.  A value of BLOCK_DIGITS digits or more first
-    takes its low digits a block at a time (see _blocks), when max_len
-    leaves room for more than 2*BLOCK_DIGITS + 272 steps, encode's cap
-    for a value of about that many digits: so a call with a short value
-    or a small max_len is told apart by one comparison.
+    runs the loop a block of k = _block_length(N) steps at a time, when
+    max_len leaves room for more than 2*BLOCK_DIGITS + 272 steps, encode's
+    cap for a value of about that many digits: so a call with a short
+    value or a small max_len is told apart by one comparison.  A block
+    takes one big-int pass, w = q*c + r with c = b^k and q the rounded
+    quotient, so r is small.  As w - r is a multiple of b^k, the loop's
+    first k digits of w are its first k digits of r, and its state on w
+    after them is its state on r plus q: so a block runs the loop's step
+    k times on r, zeros included where r's word is shorter, and adds q.
+    Blocks stop once both parts of w have no more bits than N^k, or out
+    would pass max_len, and the loop goes on from the state they leave.
+    A block in which the state reaches 0 leaves zeros past the leading
+    digit, which are stripped.
     """
     n = D._norm
     b = D.base
@@ -287,7 +251,25 @@ def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
     out: list[GaussInt] = []
     x, y = z.re, z.im
     if max_len > _BLOCK_STEPS and x.bit_length() + y.bit_length() >= BLOCK_DIGITS * n.bit_length():
-        x, y = _blocks(x, y, D, out, max_len)
+        k = _block_length(n)
+        c = b**k
+        c_re, c_im, nk = c.re, c.im, n**k
+        half, small = nk >> 1, nk.bit_length()
+        while k > 1 and (x.bit_length() > small or y.bit_length() > small) and len(out) + k <= max_len:
+            # q = round(w/c) on both parts of w*conj(c)/N^k, s = r*conj(c), and r = s*c/N^k
+            q_re, s_re = divmod(x * c_re + y * c_im + half, nk)
+            q_im, s_im = divmod(y * c_re - x * c_im + half, nk)
+            s_re, s_im = s_re - half, s_im - half
+            x, y = (s_re * c_re - s_im * c_im) // nk, (s_re * c_im + s_im * c_re) // nk
+            for _ in range(k):  # the digit loop's step, as below
+                t_re = x * bre - y * bim
+                t_im = x * bim + y * bre
+                d, d_re, d_im = table[t_re % n, t_im % n]
+                out.append(d)
+                x, y = (t_re - d_re) // n, (t_im - d_im) // n
+            x, y = x + q_re, y + q_im
+        while not (x or y) and not out[-1]:
+            out.pop()
     # on plain ints: with t = w*conj(b), the next value (w - d)/b is
     # (t - d*conj(b))/N, an exact division
     while x or y:
@@ -348,7 +330,7 @@ def decode(w: Word, D: DigitSet) -> GaussInt:
             if pair not in index or not isinstance(d, GaussInt):
                 raise _not_a_digit(w, D)
             x, y = x * p - y * q + d_re, x * q + y * p + d_im
-    except AttributeError:  # an element with no re or im
+    except (AttributeError, TypeError):  # an element with no re or im, or parts no lookup takes
         raise _not_a_digit(w, D) from None
     return GaussInt(x, y)
 
@@ -360,7 +342,10 @@ def _not_a_digit(w: Word, D: DigitSet) -> InvalidInput:
     D.positions, which hashes in C, and by its type: the pair key says
     nothing of type, and an element that is no GaussInt, such as a bare
     (re, im) tuple, is no digit either, whatever its re and im.  Once a
-    test fails, this walk names the element, as str prints it.
+    test fails, or raises AttributeError or TypeError on an element with
+    no re or im or with parts that do not hash or multiply, this walk
+    names the element, as str prints it; it tests isinstance first, so it
+    never looks such an element up.
     """
     index = D.positions
     for d in w:
@@ -456,7 +441,7 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
                 if x or y or out:
                     out.append(GaussInt(x, y))
                 x = y = filled = 0
-    except AttributeError:  # an element with no re or im
+    except (AttributeError, TypeError):  # an element with no re or im, or parts no lookup takes
         raise _not_a_digit(w, D) from None
     return tuple(out)
 

@@ -1,6 +1,7 @@
 """Digit sets, words, length bounds, linking, and base-power recoding."""
 
 import itertools
+import random
 import time
 from math import isqrt
 from unittest import mock
@@ -500,7 +501,7 @@ def test_encode_cap_is_never_below_the_log_cap(b, z):
     m3 = length_bound(b).m3
     with mock.patch.object(numeration, "encode_within", wraps=numeration.encode_within) as capped:
         assert decode(encode(z, D), D) == z
-    cap = capped.call_args_list[0].args[2]  # encode's call; the blocks call it again on short values
+    cap = capped.call_args_list[0].args[2]  # encode's call
     k, power = 0, 1
     while power < z.norm() + 1:  # k = ceil(log_N(norm(z) + 1))
         power *= b.norm()
@@ -660,7 +661,7 @@ FAR = DigitSet(B, tuple(d if d == ZERO else d + g(10**40) * B for d in SMALL_DIG
 @given(st.integers(1, 400), st.randoms(use_true_random=False))
 def test_a_word_over_far_digits_encodes_back_to_itself(length, rng):
     """A word over FAR is the loop's word for its value.  A block's remainder, though small,
-    has a long word over FAR, so the blocks give way to the digit loop."""
+    has a long word over FAR, and a block still emits just the loop's first k digits of it."""
     w = (rng.choice(FAR.digits[1:]),) + tuple(rng.choice(FAR.digits) for _ in range(length - 1))
     z = decode(w, FAR)
     assert encode_within(z, FAR, length) == w == reference_encode_within(z, FAR, length)
@@ -668,10 +669,31 @@ def test_a_word_over_far_digits_encodes_back_to_itself(length, rng):
     assert encode_within(z, FAR, length - 1) is None
 
 
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_the_block_length_changes_no_word_and_no_value(k):
+    """The loop's state on w = q*b^k + r after k steps is its state on r plus q, for every k."""
+    rng = random.Random(k)
+    cases = []
+    for D in (canonical_digit_set(g(3, -2)), ALT):
+        for bits in (700, 2000, 6000):
+            cases.append((D, g(rng.randint(-(2**bits), 2**bits), rng.randint(-(2**bits), 2**bits))))
+    for length in (BLOCK_DIGITS, 400):
+        far = (rng.choice(FAR.digits[1:]),) + tuple(rng.choice(FAR.digits) for _ in range(length - 1))
+        cases.append((FAR, decode(far, FAR)))
+    words = [encode_within(z, D, 10**4) for D, z in cases]
+    assert all(len(w) >= BLOCK_DIGITS for w in words)
+    with mock.patch.object(numeration, "_block_length", lambda n: k):
+        for (D, z), w in zip(cases, words):
+            assert encode_within(z, D, 10**4) == w
+            assert encode_within(z, D, len(w) - 1) is None
+            assert decode(w, D) == z
+
+
 def test_a_block_that_reaches_the_end_of_the_word_strips_its_padding():
     """Over 2+i, with e = 2^31 and big = -1-i - e*b^k among the digits, the word of big is (big,),
     though it has 60 bits.  So in big*b^(20k) the block that splits off big reaches 0 inside
-    itself: the word of its remainder -1-i is (e, 0, ..., 0, big), and the zeros it pads must go."""
+    itself: the word of its remainder -1-i is (e, 0, ..., 0, big), so its k steps emit big and
+    k - 1 zeros, the state e they leave plus q = -e is 0, and those zeros must go."""
     k = numeration._block_length(B.norm())
     e = g(2**31)
     big = g(-1, -1) - e * B**k
@@ -861,6 +883,36 @@ def test_terminates_on_disc_equals_encoding_every_point(D):
     assert terminates_on_disc(D) == want
 
 
+# values whose real part has 700-6000 bits: words of several hundred to a few thousand digits
+long_values = st.integers(700, 6000).flatmap(
+    lambda bits: st.builds(
+        g,
+        st.integers(2 ** (bits - 1), 2**bits - 1) | st.integers(1 - 2**bits, -(2 ** (bits - 1))),
+        st.integers(-(2**bits), 2**bits),
+    )
+)
+
+
+def cut(word, max_len):
+    """reference_encode_within's answer at max_len, given its word at a larger max_len (or None)."""
+    return word if word is not None and len(word) <= max_len else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shifted_digit_sets() | st.sampled_from([ALT, TRAP, FAR]) | st.sampled_from(LARGE_BASES).map(canonical_digit_set),
+    long_values,
+    st.integers(1, 64),
+)
+def test_the_block_path_equals_the_reference_at_the_max_len_edges(D, z, past):
+    """Digit sets that may cycle or lie far from 0; max_len just past _BLOCK_STEPS, within 3 of the
+    word's length, and 10^4."""
+    word = reference_encode_within(z, D, 10**4)
+    edges = range(len(word) - 3, len(word) + 4) if word is not None else ()
+    for max_len in (numeration._BLOCK_STEPS + past, *edges, 10**4):
+        assert encode_within(z, D, max_len) == cut(word, max_len)
+
+
 class Lookalike:
     """An object with a digit's re and im that is no GaussInt."""
 
@@ -871,16 +923,29 @@ class Lookalike:
         return f"lookalike of {self.re}, {self.im}"
 
 
+def odd_parts(re):
+    """A Lookalike of 0 whose re is re: no lookup of its (re, im) pair can be made."""
+    stray = Lookalike(ZERO)
+    stray.re = re
+    return stray
+
+
 @st.composite
 def words_with_strays(draw):
     """(D, w, j): a canonical, shifted or large digit set, a word over it that may hold a stray, and a power j.
 
     A stray is d + b for a digit d, never a digit of a canonical set, a
-    digit's bare (re, im) tuple, or a Lookalike of a digit."""
+    digit's bare (re, im) tuple, a Lookalike of a digit, or a Lookalike
+    whose re is unhashable, a string or None (see odd_parts)."""
     D = draw(st.one_of(st.one_of(bases(400), st.sampled_from(LARGE_BASES)).map(canonical_digit_set), shifted_digit_sets()))
     values = st.builds(g, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
     digit = values.map(lambda z: digit_of(z, D))
-    stray = st.one_of(digit.map(lambda d: d + D.base), digit.map(lambda d: (d.re, d.im)), digit.map(Lookalike))
+    stray = st.one_of(
+        digit.map(lambda d: d + D.base),
+        digit.map(lambda d: (d.re, d.im)),
+        digit.map(Lookalike),
+        st.sampled_from([[1], "a", None]).map(odd_parts),
+    )
     element = st.one_of(digit, st.just(ZERO), stray) if draw(st.booleans()) else digit | st.just(ZERO)
     return D, tuple(draw(st.lists(element, max_size=12))), draw(st.sampled_from([1, 2, 3, 5]))
 
@@ -891,6 +956,10 @@ def words_with_strays(draw):
 @example((canonical_digit_set(LARGE_BASES[1]), (ONE, ZERO, (0, 1)), 3))
 @example((ALT, (g(4), (4, 0), g(5)), 1))
 @example((ALT, (g(4), Lookalike(ONE), g(3)), 2))
+@example((canonical_digit_set(B), (ONE, odd_parts([1]), ZERO), 2))
+@example((canonical_digit_set(LARGE_BASES[0]), (ONE, ZERO, odd_parts("a")), 3))
+@example((canonical_digit_set(LARGE_BASES[0]), (odd_parts(None),), 1))
+@example((canonical_digit_set(LARGE_BASES[1]), (ONE, odd_parts([1])), 2))
 def test_decode_and_recode_check_digits_as_the_gauss_int_references_do(case):
     """Same value as the references and as a plain GaussInt fold, or the same error type and text."""
     D, w, j = case
