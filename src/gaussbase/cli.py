@@ -9,16 +9,20 @@ Gaussian integers use the literal grammar `a`, `a+bi`, `a-bi` (e.g. 5,
 the empty string for the empty word.  Literals starting with `-` must
 follow a `--` separator, as usual for argparse.
 
-The commands are one table, COMMANDS.  A call builds the parser of its
-own command only, with no top level above it, and reads the arguments
-after the command name with it.  Top-level help, an unknown command or
-none gets the parser of all of them, and so do leftover arguments, so
-their usage error is that parser's.  The report is written to -o FILE
-before it is printed, and a FILE that cannot be written turns it into
-an error report (exit 1).  A report prints integers of up to
-OUTPUT_DIGITS decimal digits, or more when the interpreter's own limit
-is higher; past that it is an error report carrying Python's message,
-which names the limit.
+The commands are one table, COMMANDS.  A plain command line (exact
+flags, each option's value the next token, positionals, and everything
+after one --) is read straight off its command's entry by _read_argv,
+which builds no parser and gives the namespace argparse would.  Every
+other line goes to argparse: -h, abbreviations, --flag=value and
+-kVALUE forms, and every error.  argparse then builds the parser of
+the line's own command only, with no top level above it; top-level
+help, an unknown command or none gets the parser of all of them, and so
+do leftover arguments, so help, usage and every error are argparse's
+own.  The report is written to -o FILE before it is printed, and a FILE
+that cannot be written turns it into an error report (exit 1).  A
+report prints integers of up to OUTPUT_DIGITS decimal digits, or more
+when the interpreter's own limit is higher; past that it is an error
+report carrying Python's message, which names the limit.
 """
 
 from __future__ import annotations
@@ -91,6 +95,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
+
+    def _get_values(self, action, arg_strings):
+        # Python 3.11's argparse drops a "--" that it took as an argument's one value
+        # (--base=--, or a second --), and gives [] without calling the type
+        values = super()._get_values(action, arg_strings)
+        if action.nargs is None and values == []:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return values
 
 
 def _count(text: str) -> int:
@@ -386,6 +398,12 @@ _BASE = _arg("-b", "--base", type=GaussInt.parse, required=True)
 _A, _B, _U = (_arg(name, type=GaussInt.parse) for name in "abu")
 _FILE = _arg("file")
 _SET = _arg("--set", required=True, help="powers:GAUSS or integers")
+# every command's output flags; the two store_true flags exclude each other
+_OUTPUT = (
+    _arg("--json", action="store_true", help="JSON report (default)"),
+    _arg("--pretty", action="store_true", help="human-readable rendering"),
+    _arg("-o", "--out", metavar="FILE", help="also write the JSON report to FILE"),
+)
 
 # every command of the CLI, in the order its help lists them; build_parser and main read this table
 COMMANDS = {
@@ -449,13 +467,6 @@ COMMANDS = {
 }
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", help="JSON report (default)")
-    mode.add_argument("--pretty", action="store_true", help="human-readable rendering")
-    p.add_argument("-o", "--out", metavar="FILE", help="also write the JSON report to FILE")
-
-
 def _add_command(group, command: _Command) -> None:
     """Register one table entry, a group with all its subcommands, in a subparsers group."""
     _register(group.add_parser(command.name, **({} if command.help is None else {"help": command.help})), command)
@@ -468,7 +479,9 @@ def _register(p: argparse.ArgumentParser, command: _Command) -> None:
         for subcommand in command.subcommands:
             _add_command(sub, subcommand)
     else:
-        _add_output_flags(p)
+        mode = p.add_mutually_exclusive_group()
+        for flags, options in _OUTPUT:
+            (mode if "action" in options else p).add_argument(*flags, **options)
     for flags, options in command.args:
         p.add_argument(*flags, **options)
     if command.handler is not None:
@@ -502,12 +515,91 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """argv's namespace, read by its command's parser alone when argv starts with a command name.
+def _dest(flags: tuple[str, ...]) -> str:
+    """argparse's dest of an argument: a positional's name, else its first long flag's or its first flag's."""
+    for flag in flags:
+        if flag.startswith("--"):
+            return flag[2:].replace("-", "_")
+    return flags[0].lstrip("-").replace("-", "_") if flags[0].startswith("-") else flags[0]
 
-    -h, an unknown name or none gets the full parser, as do leftover
-    arguments, so that its usage line heads their error.
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a plain command line, read off its COMMANDS entry; else None.
+
+    Plain is: a command name, for a group its subcommand's name next,
+    then the entry's exact flags, each option's value the next token
+    when that token does not start with -, positionals that do not start
+    with -, and every token after one -- that is not the last.  None
+    hands the line to argparse: -h, abbreviations, --flag=value and
+    -kVALUE forms, any other token starting with - before --, a repeated
+    argument, -o with --out, a second --, --json with --pretty, a missing
+    option, too few or too many positionals, a bad choice and a value
+    whose type callable raises.  Arguments are store actions with a
+    type, default, choices or required, and the store_true output flags.
     """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values, rest = {"command": command.name}, argv[1:]
+    if command.subcommands:
+        group, command = command.name, next((sub for sub in command.subcommands if rest[:1] == [sub.name]), None)
+        if command is None:
+            return None
+        values[f"{group}_command"], rest = command.name, rest[1:]
+    specs = [(_dest(flags), flags, opts) for flags, opts in (*_OUTPUT, *command.args)]
+    options = {flag: (dest, opts) for dest, flags, opts in specs for flag in flags if flag.startswith("-")}
+    given, positionals, tokens = {}, [], iter(rest)
+    for token in tokens:
+        if token == "--":
+            after = list(tokens)
+            if not after or token in after:  # argparse may leave a last -- over, and reads a second apart
+                return None
+            positionals += after
+            break
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        dest, opts = options.get(token, (None, None))
+        if dest is None or dest in given:
+            return None
+        if "action" in opts:  # a store_true flag takes no value
+            given[dest] = True
+        elif (value := next(tokens, "-")).startswith("-"):  # a missing value declines too
+            return None
+        else:
+            given[dest] = value
+    dests = [dest for dest, flags, _ in specs if not flags[0].startswith("-")]
+    if len(positionals) != len(dests) or (given.get("json") and given.get("pretty")):
+        return None
+    given.update(zip(dests, positionals))
+    try:
+        for dest, _, opts in specs:
+            if dest not in given:
+                if opts.get("required"):
+                    return None
+                values[dest] = opts.get("default", False if "action" in opts else None)
+            elif "action" in opts:
+                values[dest] = True
+            else:
+                values[dest] = value = opts.get("type", str)(given[dest])
+                if "choices" in opts and value not in opts["choices"]:
+                    return None
+    except Exception:  # argparse reports a refused value, or propagates what it does not catch
+        return None
+    return argparse.Namespace(**values, handler=command.handler, inputs=command.inputs)
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """argv's namespace: read off the table when plain, else by its command's parser alone.
+
+    _read_argv takes the plain lines.  A line it declines that starts
+    with a command name goes to that command's parser; -h, an unknown
+    name or none gets the full parser, as do leftover arguments, so that
+    its usage line heads their error.
+    """
+    args = _read_argv(argv)
+    if args is not None:
+        return args
     if not argv or argv[0] not in COMMANDS:
         return build_parser(None).parse_args(argv)
     args, extra = build_parser(argv[0]).parse_known_args(argv[1:])

@@ -122,7 +122,8 @@ class _Box:
 
     `(x, y) in box` is the member test of the pair of d = x + y*i, the
     box inequality: d/b rounds to 0 exactly when -N <= 2*t < N for both
-    parts of t = d*conj(b), N = norm(b).  A LargeCanonicalDigitSet's
+    parts of t = d*conj(b), N = norm(b); a pair whose parts are not
+    both ints is no member.  A LargeCanonicalDigitSet's
     positions is the box, and no reader asks it for an index: a DFA's
     alphabet and a ranked word need the listed digits.  box[residue] is
     the residue-table entry: the residue (t.re % N, t.im % N) of
@@ -136,6 +137,8 @@ class _Box:
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         (x, y), bre, bim, n = pair, self.b.re, self.b.im, self.n
+        if not (isinstance(x, int) and isinstance(y, int)):  # tested first: b.re * [1] is a list, or an OverflowError
+            return False
         return -n <= 2 * (x * bre + y * bim) < n and -n <= 2 * (y * bre - x * bim) < n
 
     def __getitem__(self, residue: tuple[int, int]) -> tuple[GaussInt, int, int]:

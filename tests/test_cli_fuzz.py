@@ -10,9 +10,11 @@ import argparse
 import contextlib
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussbase import InvalidInput, cli
@@ -205,6 +207,16 @@ def test_a_5000_digit_literal_is_a_usage_error():
     assert (code, stdout) == (EXIT_ERROR, "")
 
 
+@pytest.mark.parametrize(
+    "argv", [["digits", "--base=--"], ["deptest", "--", "0", "--"], ["dfa", "run", "powers.json", "--word=--"]]
+)
+def test_a_dash_dash_taken_as_a_value_is_a_usage_error(argv):
+    """argparse reads such a value as [] and calls no type on it; the handlers would get a list."""
+    result, stdout, stderr = _parse(cli._parse_argv, argv)
+    assert (result, stdout) == (EXIT_ERROR, "")
+    assert stderr.endswith(": expected one argument\n")
+
+
 def _parse(parse, argv: list[str]):
     """What parse(argv) gives: the namespace's fields or the SystemExit code, with stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -282,6 +294,135 @@ def test_an_argv_without_a_leading_command_gets_the_full_parser(argv):
     assert _parse(main, argv) == _parse(build_parser(None).parse_args, argv)
 
 
+# the text of each argument type in COMMANDS, one its type callable takes
+TYPED_VALUES = {
+    GaussInt.parse: st.builds(lambda x, y: str(GaussInt(x, y)), st.integers(-(10**6), 10**6), st.integers(-3, 3))
+    | st.sampled_from(["-1+2i", "0-1i", "7"]),
+    cli._count: st.integers(0, 10**6).map(str),
+    int: st.integers(-40, 40).map(str),
+    cli._bound: st.builds("{}/{}".format, st.integers(0, 10**6), st.integers(1, 10**6)),
+    None: st.text(alphabet="ab01,+-i:./ ", max_size=8),
+}
+GARBAGE = st.sampled_from(["", "x", "1.5", "1:2", "1e3", "٣", "1" * 5000])
+
+
+@st.composite
+def plain_argvs(draw):
+    """(argv, valid): a plain command line of a COMMANDS entry, and whether every value is one its type takes.
+
+    Options, each as FLAG VALUE with any of its flags, and the output
+    flags (--json or --pretty, -o or --out) are shuffled among the
+    positionals that precede --; the others, any of them starting with
+    -, follow one --.  An option's value never starts with -.  When not
+    valid, any value may be garbage or outside the choices.
+    """
+    command = COMMANDS[draw(st.sampled_from(list(COMMANDS)))]
+    argv = [command.name]
+    if command.subcommands:
+        command = draw(st.sampled_from(command.subcommands))
+        argv.append(command.name)
+    valid = draw(st.integers(0, 3)) > 0
+
+    def value(options):
+        typed = st.sampled_from(options["choices"]) if "choices" in options else TYPED_VALUES[options.get("type")]
+        return draw(typed if valid else typed | GARBAGE | st.just("other"))
+
+    chunks = [draw(st.sampled_from([[], ["--json"], ["--pretty"]]))]
+    positionals = []
+    for flags, options in (*cli._OUTPUT, *command.args):
+        if not flags[0].startswith("-"):
+            positionals.append(value(options))
+        elif "action" not in options and (options.get("required") or draw(st.booleans())):
+            chunks.append([draw(st.sampled_from(flags)), value(options).lstrip("-")])
+    lead = draw(st.integers(0, len(positionals)))
+    lead = next((i for i, text in enumerate(positionals[:lead]) if text.startswith("-")), lead)
+    order = draw(st.permutations([True] * lead + [False] * len(chunks)))
+    chunks, leading = iter(draw(st.permutations(chunks))), iter(positionals[:lead])
+    for is_positional in order:
+        argv.extend([next(leading)] if is_positional else next(chunks))
+    if lead < len(positionals):
+        argv.extend(["--", *positionals[lead:]])
+    return argv, valid
+
+
+def _reads_as_argparse(argv: list[str]):
+    """_read_argv(argv); when it reads argv, its namespace is the one argv[0]'s parser gives, with no leftovers."""
+    read = cli._read_argv(argv)
+    if read is not None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = build_parser(argv[0]).parse_known_args(argv[1:])
+        assert parsed == (read, []), argv
+    return read
+
+
+@settings(max_examples=400, deadline=None)
+@given(plain_argvs())
+@example((["decode", "-b", "2+1i", "--", ""], True))
+@example((["dfa", "make", "-o", "r.json", "integers", "--pretty", "--base", "2+1i"], True))
+@example((["witness", "1+2i", "--m-max", "9", "--", "-2+1i", "-1+2i"], True))
+def test_the_reader_gives_argparses_namespace_for_plain_command_lines(case):
+    argv, valid = case
+    read = _reads_as_argparse(argv)
+    assert read is not None or not valid, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_reader_gives_argparses_namespace_or_declines_on_the_fuzzed_argvs(data):
+    _reads_as_argparse(data.draw(_argvs("fuzzed.json", "powers.json"), label="argv"))
+
+
+DECLINED = [
+    ["deptest", "-h", "3+4i", "2+1i"],
+    ["dfa", "make", "powers", "-b", "2+1i", "--help"],
+    ["witness", "--m-m", "5", "1+2i", "2+1i", "1"],
+    ["witness", "--m-max=5", "1+2i", "2+1i", "1"],
+    ["residuals", "-k4", "1+2i", "2+1i"],
+    ["deptest", "-3", "2+1i"],
+    ["deptest", "-1+2i", "2+1i"],
+    ["prefix", "--depth", "-1", "1+2i", "2+1i", "1"],
+    ["witness", "1+2i", "2+1i", "1", "--m-max"],
+    ["witness", "--m-max", "5", "--m-max", "6", "1+2i", "2+1i", "1"],
+    ["deptest", "-o", "a.json", "--out", "b.json", "3+4i", "2+1i"],
+    ["deptest", "--", "3+4i", "--", "2+1i"],
+    ["deptest", "3+4i", "2+1i", "--"],
+    ["deptest", "--", "0", "--"],
+    ["deptest", "--json", "--pretty", "3+4i", "2+1i"],
+    ["digits"],
+    ["pump", "-b", "2+1i", "--set", "integers"],
+    ["deptest", "3+4i"],
+    ["deptest", "3+4i", "2+1i", "1"],
+    ["dfa", "make", "other", "-b", "2+1i"],
+    ["deptest", "3+4i", "x"],
+    ["witness", "--bound", "1:2", "1+2i", "2+1i", "1"],
+    ["prefix", "--budget", "1.5", "1+2i", "2+1i", "1"],
+    ["digits", "-b", "1" * 5000],
+    ["dfa"],
+    ["dfa", "--pretty", "make", "powers", "-b", "2+1i"],
+    [],
+    ["bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED + HELP_ARGVS + USAGE_ERRORS, ids=lambda argv: " ".join(argv)[:60])
+def test_the_reader_declines_what_argparse_must_read(argv):
+    """Help, unusual forms and every error go to argparse, whose help and errors main prints."""
+    assert cli._read_argv(argv) is None
+    _parses_alike(argv)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_reader_reads_every_readme_command_line():
+    lines = [line.strip() for line in README.read_text(encoding="utf-8").splitlines()]
+    # the loop variable of the residuals example stands for one of its values
+    argvs = [shlex.split(line.partition("#")[0].replace("$k", "4"))[1:] for line in lines if line.startswith("gaussbase ")]
+    assert len(argvs) >= 15
+    for argv in argvs:
+        assert _reads_as_argparse(argv) is not None, argv
+
+
 def _constructions(monkeypatch, argv: list[str]) -> int:
     """The argparse.ArgumentParser objects one cold main(argv) constructs."""
     built = []
@@ -299,8 +440,13 @@ def _constructions(monkeypatch, argv: list[str]) -> int:
 
 
 def test_a_call_builds_only_its_commands_parser(monkeypatch):
-    assert _constructions(monkeypatch, ["deptest", "3+4i", "2+1i"]) == 1
+    # a plain line is read off the table: no parser is built and build_parser's memo stays empty
+    for argv in (["deptest", "3+4i", "2+1i"], ["dfa", "make", "powers", "-b", "2+1i"]):
+        assert _constructions(monkeypatch, argv) == 0
+        assert build_parser.cache_info().currsize == 0
+    # a declined line builds its command's parser alone
+    assert _constructions(monkeypatch, ["digits", "--base=2+1i"]) == 1
     # clear_caches() reaches the parser: it lives in build_parser's memo, built on a miss
     info = build_parser.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    assert _constructions(monkeypatch, ["dfa", "make", "powers", "-b", "2+1i"]) == 1 + len(COMMANDS["dfa"].subcommands)
+    assert _constructions(monkeypatch, ["dfa", "make", "powers", "--base=2+1i"]) == 1 + len(COMMANDS["dfa"].subcommands)

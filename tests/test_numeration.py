@@ -960,6 +960,7 @@ def words_with_strays(draw):
 @example((canonical_digit_set(LARGE_BASES[0]), (ONE, ZERO, odd_parts("a")), 3))
 @example((canonical_digit_set(LARGE_BASES[0]), (odd_parts(None),), 1))
 @example((canonical_digit_set(LARGE_BASES[1]), (ONE, odd_parts([1])), 2))
+@example((canonical_digit_set(g(10**19, 1)), (ONE, odd_parts([1])), 2))  # [1] * 10**19 cannot be built
 def test_decode_and_recode_check_digits_as_the_gauss_int_references_do(case):
     """Same value as the references and as a plain GaussInt fold, or the same error type and text."""
     D, w, j = case
