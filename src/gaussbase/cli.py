@@ -22,7 +22,7 @@ own.  The report is written to -o FILE before it is printed, and a FILE
 that cannot be written turns it into an error report (exit 1).  A
 report prints integers of up to OUTPUT_DIGITS decimal digits, or more
 when the interpreter's own limit is higher; past that it is an error
-report carrying Python's message, which names the limit.
+report that names the limit.
 """
 
 from __future__ import annotations
@@ -78,6 +78,19 @@ SCAN_BUDGET = 10**6  # candidate bases x (probe points + digit-set candidates) i
 OUTPUT_DIGITS = 50_000
 
 
+def _decimal(value) -> str:
+    """str(value) for a report; an int past the int-to-str digit limit in force is refused by name."""
+    try:
+        return str(value)
+    except ValueError:  # int -> str refuses more digits than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise BudgetExceeded(
+            f"a result has an integer past the report's digit limit ({limit} digits): the CLI prints"
+            f" integers of up to OUTPUT_DIGITS = {OUTPUT_DIGITS} decimal digits, or up to the"
+            " interpreter's own limit when that is higher"
+        ) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits usage errors with code 2; keep 2 reserved for not_found.
 
@@ -95,6 +108,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # Python 3.11's argparse leaves a last -- over after an option but reads it after a
+        # positional; it is left over in both cases, so no line turns valid by where it ends
+        namespace, extras = super().parse_known_args(args, namespace)
+        if args and args[-1] == "--" and extras[-1:] != ["--"]:
+            extras.append("--")
+        return namespace, extras
 
     def _get_values(self, action, arg_strings):
         # Python 3.11's argparse drops a "--" that it took as an argument's one value
@@ -158,7 +179,7 @@ def cmd_decode(args) -> tuple[dict, str]:
     D = canonical_digit_set(args.base)
     w = word_from_text(args.word)
     value = decode(w, D)
-    return {"value": str(value), "norm": str(value.norm())}, "ok"
+    return {"value": _decimal(value), "norm": _decimal(value.norm())}, "ok"
 
 
 def cmd_scan_bases(args) -> tuple[dict, str]:
@@ -238,7 +259,7 @@ def _prefix_witness_json(w) -> dict:
     return {
         "m": w.m,
         "n": w.n,
-        "z": str(w.z),
+        "z": _decimal(w.z),
         "word_am": word_to_text(w.word_am),
         "word_u": word_to_text(w.word_u),
         "certified": w.certified,
@@ -523,6 +544,24 @@ def _dest(flags: tuple[str, ...]) -> str:
     return flags[0].lstrip("-").replace("-", "_") if flags[0].startswith("-") else flags[0]
 
 
+# (command, entry) -> _reader_table's table of that COMMANDS entry, built on its first plain line;
+# a plain dict and no functools memo, since it is a constant of COMMANDS that no cache clearing
+# should make the next line rebuild
+_READER_TABLES: dict[tuple[str, str], tuple] = {}
+
+
+def _reader_table(group: str, command: _Command) -> tuple:
+    """(specs, options, dests) of one COMMANDS entry: (dest, flags, options) of each argument, output
+    flags first; each flag's (dest, options); and the positionals' dests, in order."""
+    table = _READER_TABLES.get((group, command.name))
+    if table is None:
+        specs = [(_dest(flags), flags, opts) for flags, opts in (*_OUTPUT, *command.args)]
+        options = {flag: (dest, opts) for dest, flags, opts in specs for flag in flags if flag.startswith("-")}
+        dests = [dest for dest, flags, _ in specs if not flags[0].startswith("-")]
+        table = _READER_TABLES[group, command.name] = specs, options, dests
+    return table
+
+
 def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse gives a plain command line, read off its COMMANDS entry; else None.
 
@@ -546,13 +585,12 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
         if command is None:
             return None
         values[f"{group}_command"], rest = command.name, rest[1:]
-    specs = [(_dest(flags), flags, opts) for flags, opts in (*_OUTPUT, *command.args)]
-    options = {flag: (dest, opts) for dest, flags, opts in specs for flag in flags if flag.startswith("-")}
+    specs, options, dests = _reader_table(values["command"], command)
     given, positionals, tokens = {}, [], iter(rest)
     for token in tokens:
         if token == "--":
             after = list(tokens)
-            if not after or token in after:  # argparse may leave a last -- over, and reads a second apart
+            if not after or token in after:  # a last -- is a usage error, and argparse reads a second apart
                 return None
             positionals += after
             break
@@ -568,7 +606,6 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
             return None
         else:
             given[dest] = value
-    dests = [dest for dest, flags, _ in specs if not flags[0].startswith("-")]
     if len(positionals) != len(dests) or (given.get("json") and given.get("pretty")):
         return None
     given.update(zip(dests, positionals))

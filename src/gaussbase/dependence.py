@@ -10,10 +10,15 @@ word of a^m to extend the word of u in base b.
 
 In both searches floats nominate the exponents (m, n) and prune them by
 the modulus and the angle of a^m / (u*b^n); a sieve of two float phase
-tests per m first drops the m for which no n could pass, so most m cost
-a few float operations.  Exact integer arithmetic decides every
-candidate the floats cannot rule out, and every returned witness
-re-checks from its stored fields alone.
+tests first drops the m for which no n could pass.  The sieve never
+sees most m: the m whose modulus phase can pass are the returns of a
+rotation to a window, which an exact integer walk over 2^64 reaches in
+O(log) Euclid-like steps to the first and one of three gaps (Slater
+1967) to each next; where log|a|/log|b| is an int, as for equal norms,
+the walk runs on the angle phase instead.  So a search costs little
+per survivor and almost nothing per skipped m.  Exact integer
+arithmetic decides every candidate the floats cannot rule out, and
+every returned witness re-checks from its stored fields alone.
 """
 
 from __future__ import annotations
@@ -97,6 +102,64 @@ def _log_polar(z: GaussInt) -> tuple[float, float]:
     return math.log(z.norm()) / 2, math.atan2(z.im >> shift, z.re >> shift)
 
 
+# a phase in turns, times _TURN and floored, is an int mod _TURN: the walks below are exact
+_TURN = 2**64
+
+
+def _first_return(rot: int, start: int, modulus: int, window: int) -> int | None:
+    """The least k >= 0 with (rot*k + start) % modulus <= window; None when no k has it.
+
+    Needs 0 <= rot, start, window < modulus.  Euclid-like: from start >
+    window, start + rot*k climbs and can land in [0, window] only as it
+    passes a multiple of modulus.  Its pass over (j+1)*modulus lands at
+    (start - (j+1)*modulus) % rot, so the least j whose pass lands in the
+    window is the same question on the modulus rot, and gives k.  A rot
+    above modulus/2 is mirrored first, as (rot*k + start) % modulus <=
+    window exactly when ((modulus - rot)*k + window - start) % modulus <=
+    window, so the modulus at least halves at every level.
+    """
+    if start <= window:
+        return 0
+    if 2 * rot > modulus:
+        rot, start = modulus - rot, modulus + window - start
+    if not rot:
+        return None
+    k = -((start - modulus) // rot)  # the first pass over modulus
+    if start + rot * k - modulus <= window:
+        return k
+    j = _first_return(-modulus % rot, (start - modulus) % rot, rot, window)
+    return None if j is None else -((start - (j + 1) * modulus) // rot)
+
+
+def _returns(rot: int, start: int, modulus: int, window: int, first: int, last: int) -> Iterator[int]:
+    """The m in first..last with (rot*m + start) % modulus <= window, in order; needs 2*window < modulus.
+
+    The first comes from _first_return, and each next one from the three
+    gaps (Slater 1967).  Let a be the least k >= 1 with d1 = rot*k %
+    modulus <= window, and b the least with d2 = -rot*k % modulus <=
+    window.  Every k below both moves a point of [0, window] out of it,
+    so from a hit at m with x = (rot*m + start) % modulus the next hit is
+    m + a when x + d1 <= window, m + b when x >= d2 (the sooner when both
+    hold), and otherwise m + a + b, at x + d1 - d2.
+    """
+    k = _first_return(rot, (rot * first + start) % modulus, modulus, window)
+    if k is None or first + k > last:
+        return
+    m = first + k
+    x = (rot * m + start) % modulus
+    back = -rot % modulus
+    a, b = 1 + _first_return(rot, rot, modulus, window), 1 + _first_return(back, back, modulus, window)
+    d1, d2 = a * rot % modulus, b * back % modulus
+    while m <= last:
+        yield m
+        if x + d1 <= window and (a < b or x < d2):
+            m, x = m + a, x + d1
+        elif x >= d2:
+            m, x = m + b, x - d2
+        else:
+            m, x = m + a + b, x + d1 - d2
+
+
 def _nominees(
     a: GaussInt, b: GaussInt, u: GaussInt, n_min: int, m_max: int, num: int, den: int
 ) -> Iterator[tuple[int, int]]:
@@ -120,9 +183,9 @@ def _nominees(
     log s below 1e-15 * (|ln num| + |ln den| + 2|log u| + 4).  Every
     tolerance is 1e-9 plus 1000 times its bound.
 
-    A sieve of two float phase tests per m runs first and drops only the m
-    for which no n could pass the tests above; the m it keeps meet those
-    tests unchanged.  Let T be twice the tolerance at m_max and n_max =
+    Two float phase tests per m, the sieve, drop only the m for which no
+    n could pass the tests above; the m they keep meet those tests
+    unchanged.  Let T be twice the tolerance at m_max and n_max =
     m_max*log|a|/log|b| + 2, past the largest n in reach, and
     v = (m*log|a| - log|u| - lo + T) / log|b|.  Then ln|r| lies in
     [lo - T, hi + T] only for n = floor(v), and only if frac(v) <= w =
@@ -137,6 +200,31 @@ def _nominees(
     over 1000 times these errors and those of ln|r| and arg r, so every
     (m, n) that passes the tests above passes the sieve.  When w >= 1
     (lo = -inf, or s near 1) every m passes.
+
+    The sieve runs only on the m that an exact integer walk reaches, and
+    the walk reaches every m whose float modulus test passes.  The floats
+    alpha and beta are exact reals.  Scaled by _TURN = 2^64 and floored
+    they give the ints A and B, and m*A - B is off (m*alpha - beta)*_TURN
+    by less than m + 1.  The float v and its frac err by at most
+    2^-52*(m*alpha + |beta|) + 2^-53, within the allowance
+    2^-50*(m_max*alpha + |beta| + 2).  Let D be that allowance times
+    _TURN, plus m_max + 1, and W = floor(w*_TURN) + 2D.  Then every m
+    whose float frac(v) <= w has X_m = (A*m + D - B) % _TURN <= W, and its
+    n = floor(v) is the one j with A*m + D - B - j*_TURN in [0, W].  The m
+    with X_m <= W are the returns of a rotation to a window: _returns
+    reaches the first in O(log _TURN) steps and each next in O(1).
+
+    An int alpha = k (equal norms give exactly 1.0) makes A = 0 mod
+    _TURN, so X_m is constant.  Then no m passes the modulus test, or
+    each m that passes has n = k*m + c with c = (D - B) // _TURN, and its
+    angle phase m*(turn_a - k*turn_b) - c*turn_b - turn_u is linear in m.
+    The same walk runs on that phase, its window arc widened the same
+    way: the float phase errs by under 2^-50*(m_max*(k+1) + |c| + 2), and
+    the floored turns by under m_max*(k+1) + |c| + 1 units.
+
+    A window of half a turn or more, and w >= 1, visit every m.  Every
+    walk starts at an m at or below the least m whose n_star + 1 reaches
+    n_min, as no m before it has an n to try.
     """
     log_a, arg_a = _log_polar(a)
     log_b, arg_b = _log_polar(b)
@@ -161,7 +249,28 @@ def _nominees(
         beta, w, half = 0.0, 1.0, 0.5
     # a phase within half of an integer is, plus half and mod 1, at most 2*half
     turn_a, turn_b, turn_u, arc = arg_a / math.tau, arg_b / math.tau, arg_u / math.tau - half, 2 * half
-    for m in range(1, m_max + 1):
+    # n_star + 1 >= n_min needs m*log|a| - log|u| >= (n_min - 1.5)*log|b|, up to the float error;
+    # n_min is capped so that its float cannot overflow, and a lower cap only starts earlier
+    n_reach = min(n_min, 2**53)
+    reach = (n_reach - 2) * log_b + log_u - 1e-12 * (n_reach * log_b + abs(log_u) + 1)
+    first = max(1, math.floor(reach / log_a))
+    ms = range(first, m_max + 1)
+    if w < 1:
+        slack = math.ceil((m_max * alpha + abs(beta) + 2) * 2**14) + m_max + 1  # D, as 2^-50 * _TURN = 2^14
+        rot, start = math.floor(alpha * _TURN) % _TURN, slack - math.floor(beta * _TURN)
+        window = math.floor(w * _TURN) + 2 * slack
+        if not rot and 2 * window < _TURN:  # alpha is an int k
+            c, start = divmod(start, _TURN)
+            if start > window:  # no m passes the modulus test
+                return
+            k, turn = int(alpha), math.floor(turn_b * _TURN)
+            slack = math.ceil((m_max * (k + 1) + abs(c) + 2) * 2**14) + m_max * (k + 1) + abs(c) + 2
+            rot = (math.floor(turn_a * _TURN) - k * turn) % _TURN
+            start = slack - c * turn - math.floor(turn_u * _TURN)
+            window = math.floor(arc * _TURN) + 2 * slack
+        if 2 * window < _TURN:
+            ms = _returns(rot, start % _TURN, _TURN, window, first, m_max)
+    for m in ms:
         v = m * alpha - beta
         frac = v % 1.0  # the sieve, with n = v - frac
         if frac > w or (m * turn_a - (v - frac) * turn_b - turn_u) % 1.0 > arc:

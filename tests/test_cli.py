@@ -563,7 +563,26 @@ def test_an_unprintable_result_is_an_error_report():
     assert code == EXIT_ERROR
     assert report["status"] == "error"
     assert report["command"] == "decode"
-    assert "(50000 digits)" in report["message"]  # Python's message names the limit
+    assert "(50000 digits)" in report["message"]  # the message names the limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_a_result_past_the_digit_limit_names_output_digits(capsys):
+    """The error names the CLI's limit, not Python's advice to call sys.set_int_max_str_digits()."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default, which main raises to OUTPUT_DIGITS
+    try:
+        code, report = run_cli(capsys, "decode", "-b", "10", "1" + ",0" * 25001)  # a norm of 50,003 digits
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert (code, report["status"]) == (EXIT_ERROR, "error")
+    assert report["inputs"] == {"base": "10", "word": "1" + ",0" * 25001}
+    assert report["message"] == (
+        "a result has an integer past the report's digit limit (50000 digits): the CLI prints"
+        " integers of up to OUTPUT_DIGITS = 50000 decimal digits, or up to the interpreter's own"
+        " limit when that is higher"
+    )
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")

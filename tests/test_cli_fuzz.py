@@ -217,6 +217,25 @@ def test_a_dash_dash_taken_as_a_value_is_a_usage_error(argv):
     assert stderr.endswith(": expected one argument\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deptest", "3+4i", "2+1i", "--"],
+        ["witness", "3+2i", "2+1i", "1", "--"],
+        ["deptest", "3+4i", "2+1i", "--json", "--"],
+        ["digits", "-b", "2+1i", "--"],
+    ],
+    ids=" ".join,
+)
+def test_a_trailing_dash_dash_is_a_usage_error(argv):
+    """Python 3.11's argparse reads a last -- after a positional and leaves it over after an option."""
+    assert _parse(main, argv) == _parse(build_parser(None).parse_args, argv)
+    result, stdout, stderr = _parse(cli._parse_argv, argv)
+    assert (result, stdout) == (EXIT_ERROR, "")
+    assert stderr.startswith("usage: gaussbase [-h]")
+    assert stderr.endswith("gaussbase: error: unrecognized arguments: --\n")
+
+
 def _parse(parse, argv: list[str]):
     """What parse(argv) gives: the namespace's fields or the SystemExit code, with stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()

@@ -16,9 +16,11 @@ from gaussbase.dependence import (
     _PRIME,
     PrefixWitness,
     _approximations,
+    _first_return,
     _log_polar,
     _nominees,
     _residue,
+    _returns,
     group_witness,
     mult_dependent,
     prefix_extension,
@@ -639,17 +641,79 @@ def sieve_cases(draw, m_max, n_min, wide=False):
 # The m the sieve drops have no (m, n) that passes the float filter, and the m it
 # keeps run that filter unchanged: so the two nominate the same (m, n), in order.
 
+FIVE = g(5)  # norm 25 over norm 5: alpha = log|a|/log|b| is exactly 2.0
+NEAR_THREE = B**3  # alpha is 3.0000000000000004, a rotation of 2^13 in 2^64
+
+
 @settings(max_examples=200, deadline=None)
 @given(sieve_cases(st.integers(1, 4096), st.one_of(st.just(0), st.integers(0, 900))))
 @example((A, B, A**3, 0, 64, 0, 1))  # the exact hit (3, 0), where m*alpha - log|u|/log|b| rounds below 0
+# an int alpha: the walk runs on the angle phase with n = alpha*m + c, or no m passes (u = 1+i)
+@example((A, B, ONE, 0, 4096, 1, 10**15))
+@example((A, B, g(1, 1), 0, 4096, 0, 1))
+@example((B, B.conj(), A**7, 0, 4096, 1, B.norm() ** length_bound(B).m3))
+@example((FIVE, B, ONE, 0, 4096, 1, 10**15))
+@example((FIVE, B, FIVE**9, 30, 4096, 0, 1))  # the exact hit (9, 0) lies below n_min: none is nominated
+@example((g(3, 4), B, g(2, -1), 0, 4096, 1, B.norm() ** length_bound(B).m3))
+@example((NEAR_THREE, B, ONE, 0, 300, 1, 10**15))  # every m is a hit, a = b^3
 def test_sieve_hands_the_exact_check_what_the_per_m_filter_does(case):
     assert _nominations(*case) == list(_reference_nominations(*case))
 
 
 @settings(max_examples=150, deadline=None)
 @given(sieve_cases(st.integers(1, 256), st.integers(0, 8), wide=True))
+@example((A, B, ONE, 0, 256, 49, 100))
+@example((FIVE, B, g(1, 1), 2, 256, 199, 100))
+@example((FIVE, B, ONE, 0, 256, 225, 100))  # s = 1.5: ln|r| has no lower end
 def test_sieve_keeps_every_m_whose_window_is_wide(case):
     assert _nominations(*case) == list(_reference_nominations(*case))
+
+
+# ---- the walk over the returns of a rotation to a window ----
+
+@st.composite
+def rotations(draw, narrow=False):
+    """(rot, start, modulus, window) on small moduli; narrow windows have 2*window < modulus."""
+    modulus = draw(st.integers(1, 400))
+    rot, start = draw(st.integers(0, modulus - 1)), draw(st.integers(0, modulus - 1))
+    window = draw(st.integers(0, (modulus - 1) // 2 if narrow else modulus - 1))
+    return rot, start, modulus, window
+
+
+@settings(max_examples=500, deadline=None)
+@given(rotations())
+@example((0, 3, 10, 2))  # rotation 0, start outside the window: never
+@example((0, 1, 10, 2))  # rotation 0, start inside: k = 0
+@example((7, 5, 23, 0))  # window 0
+@example((8, 1, 16, 0))  # every step is a multiple of 8 from 1: never
+@example((97, 50, 101, 10))  # rot above modulus/2, mirrored
+def test_first_return_is_the_least_hit(case):
+    rot, start, modulus, window = case
+    # (rot*k + start) % modulus repeats with a period of at most modulus
+    hits = (k for k in range(modulus) if (rot * k + start) % modulus <= window)
+    assert _first_return(rot, start, modulus, window) == next(hits, None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rotations(narrow=True), st.integers(0, 60), st.integers(0, 600))
+@example((0, 3, 10, 2), 0, 50)  # rotation 0, start outside the window: no hit
+@example((0, 1, 10, 2), 5, 20)  # rotation 0, start inside: every m
+@example((7, 5, 23, 0), 0, 100)  # window 0
+@example((5, 1, 40, 3), 0, 100)  # a start inside the window
+@example((1, 30, 100, 4), 0, 60)  # the first hit, m = 70, lies past the range
+@example((97, 50, 101, 10), 0, 300)  # a wrap at almost every step
+@example((3, 0, 20, 3), 0, 100)  # the three gaps 1, 6 and 7
+def test_the_returns_are_every_hit_in_order(case, first, span):
+    rot, start, modulus, window = case
+    expected = [m for m in range(first, first + span + 1) if (rot * m + start) % modulus <= window]
+    assert list(_returns(rot, start, modulus, window, first, first + span)) == expected
+
+
+def test_a_long_search_walks_only_the_returns():
+    """witness 3+2i 2+1i 1 --bound 1/10^15 --m-max 10^7 tested every m: 1.8 s on a 2-vCPU VM."""
+    start = time.perf_counter()
+    assert group_witness(g(3, 2), B, ONE, 1, 10**15, 10**7) is None
+    assert time.perf_counter() - start < 0.5  # about 4 ms on a 2-vCPU VM
 
 
 gauss_ints = st.builds(GaussInt, st.integers(-(2**200), 2**200), st.integers(-(2**200), 2**200))
