@@ -1,8 +1,17 @@
 """Command-line front end: JSON reports over the library operations.
 
 Every command prints a report {command, inputs, results, status}; output
-is JSON by default (deterministic key order) with an optional --pretty
-rendering.  Exit codes: 0 ok, 2 not found (exhausted searches), 1 error.
+is JSON by default with an optional --pretty rendering.  Exit codes: 0
+ok, 2 not found (exhausted searches), 1 error.
+
+A report's JSON text, on stdout and in the -o file, is exactly
+json.dumps(report, indent=2, sort_keys=True), and a --dfa-out file is
+exactly that text of its DFA, with no newline after it.  _render lays it
+out by hand because json only runs its C encoder when indent is None:
+with an indent every call builds and runs json's pure-Python encoder,
+which took 14-18 us of a 65-75 us witness query (2 vCPUs, Python
+3.11.7).  _render walks the dicts and lists itself and leaves strings
+and ints to C, and a list of plain ints to one join.
 
 Gaussian integers use the literal grammar `a`, `a+bi`, `a-bi` (e.g. 5,
 2+1i, -1+2i); words are comma-separated digit literals, msd-first, with
@@ -33,6 +42,7 @@ import json
 import os
 import sys
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from .automata import (
@@ -78,10 +88,10 @@ SCAN_BUDGET = 10**6  # candidate bases x (probe points + digit-set candidates) i
 OUTPUT_DIGITS = 50_000
 
 
-def _decimal(value) -> str:
-    """str(value) for a report; an int past the int-to-str digit limit in force is refused by name."""
+def _text(value, render=str) -> str:
+    """render(value) for a report; an int past the int-to-str digit limit in force is refused by name."""
     try:
-        return str(value)
+        return render(value)
     except ValueError:  # int -> str refuses more digits than sys.get_int_max_str_digits()
         limit = sys.get_int_max_str_digits()
         raise BudgetExceeded(
@@ -179,7 +189,7 @@ def cmd_decode(args) -> tuple[dict, str]:
     D = canonical_digit_set(args.base)
     w = word_from_text(args.word)
     value = decode(w, D)
-    return {"value": _decimal(value), "norm": _decimal(value.norm())}, "ok"
+    return {"value": _text(value), "norm": _text(value.norm())}, "ok"
 
 
 def cmd_scan_bases(args) -> tuple[dict, str]:
@@ -259,7 +269,7 @@ def _prefix_witness_json(w) -> dict:
     return {
         "m": w.m,
         "n": w.n,
-        "z": _decimal(w.z),
+        "z": _text(w.z),
         "word_am": word_to_text(w.word_am),
         "word_u": word_to_text(w.word_u),
         "certified": w.certified,
@@ -310,7 +320,7 @@ def cmd_pump(args) -> tuple[dict, str]:
 def _save_dfa(d, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dfa_to_json(d), fh, indent=2, sort_keys=True)
+            fh.write(_render(dfa_to_json(d)))
 
 
 def _load_dfa(path: str):
@@ -373,6 +383,47 @@ def cmd_verify(args) -> tuple[dict, str]:
     return {"criteria": criteria, "all_passed": all_passed}, status
 
 
+_PLAIN_INTS = {int}  # the element types of a list that one join renders; a bool is not a plain int
+
+
+def _render(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), with each leaf encoded by C code.
+
+    pad is a newline and the indent of value's own line.  A string is
+    encoded by json's C encode_basestring_ascii, an int by int.__repr__
+    (past the int-to-str digit limit it raises json's ValueError), a list
+    of plain ints in one join, None and the bools by name, and a float or
+    any other leaf by json.dumps itself.  Dict keys are strings, as in
+    every report: another key raises TypeError, where json writes its
+    JSON text.  A circular value recurses until RecursionError, where
+    json raises ValueError.
+    """
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(key) + ": " + _render(item, inner) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        plain = {*map(type, value)} == _PLAIN_INTS
+        rows = map(int.__repr__, value) if plain else [_render(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(rows) + pad + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)
+
+
 def _render_pretty(obj, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
@@ -383,16 +434,16 @@ def _render_pretty(obj, indent: int = 0) -> list[str]:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_render_pretty(value, indent + 1))
             else:
-                lines.append(f"{pad}{key}: {json.dumps(value)}")
+                lines.append(f"{pad}{key}: {_render(value)}")
     elif isinstance(obj, list):
         for value in obj:
             if isinstance(value, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_pretty(value, indent + 1))
             else:
-                lines.append(f"{pad}- {json.dumps(value)}")
+                lines.append(f"{pad}- {_render(value)}")
     else:
-        lines.append(f"{pad}{json.dumps(obj)}")
+        lines.append(f"{pad}{_render(obj)}")
     return lines
 
 
@@ -661,18 +712,18 @@ def _respond(args) -> int:
     inputs = _echo(args, args.inputs)
     try:
         report = _report(command, inputs, *args.handler(args), None)
-        # serialised inside the try: an int past the int-to-str digit limit raises ValueError
-        text = json.dumps(report, indent=2, sort_keys=True)
+        # rendered inside the try: an int past the int-to-str digit limit is refused by name
+        text = _text(report, _render)
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         report = _report(command, inputs, {}, "error", str(exc) or type(exc).__name__)
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = _render(report)
     if args.out:  # written before stdout, so that a closed pipe cannot lose it
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             report = _report(command, inputs, {}, "error", f"cannot write the report to {args.out}: {exc.strerror or exc}")
-            text = json.dumps(report, indent=2, sort_keys=True)
+            text = _render(report)
     code = {"ok": EXIT_OK, "not_found": EXIT_NOT_FOUND}.get(report["status"], EXIT_ERROR)
     try:
         print("\n".join(_render_pretty(report)) if args.pretty else text)

@@ -1,6 +1,7 @@
 """CLI commands are thin adapters: reports must match the library results."""
 
 import json
+import math
 import os
 import re
 import shlex
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaussbase import cli, dependence
 from gaussbase.automata import dfa_to_json, minimize, powers_dfa
@@ -326,7 +329,7 @@ def test_dfa_make_matches_library(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert report["results"]["dfa"] == dfa_to_json(powers_dfa(g(2, 1)))
-    assert json.loads(path.read_text()) == dfa_to_json(powers_dfa(g(2, 1)))
+    assert path.read_text() == json.dumps(dfa_to_json(powers_dfa(g(2, 1))), indent=2, sort_keys=True)
 
 
 POWERS_2_1I = {
@@ -338,6 +341,69 @@ POWERS_2_1I = {
     "transitions": [[2, 2, 2, 2, 1], [2, 2, 1, 2, 2], [2, 2, 2, 2, 2]],
 }
 DIGITS_3 = ["-1-1i", "-1", "-1+1i", "0-1i", "0", "0+1i", "1-1i", "1", "1+1i"]
+
+
+# the leaves json meets in a report, and the ones it encodes another way: floats, nan, the
+# infinities and -0.0, text with non-ASCII, control characters, quotes and backslashes
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(),
+    st.text(alphabet='"\\/\x00\x1f\x7f\n\té€\U0001d11e aZ', max_size=8),
+)
+int_rows = st.lists(st.integers(-(10**40), 10**40), max_size=6)
+# a row of ints with one bool in it, which json writes as true or false, never as an int
+rows_with_a_bool = st.builds(
+    lambda row, flag, at: [*row[:at], flag, *row[at:]], int_rows, st.booleans(), st.integers(0, 6)
+)
+json_trees = st.recursive(
+    json_leaves | int_rows | rows_with_a_bool | st.sampled_from([[], {}, ()]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+PREFIX_DEPTH_1_REPORT = {
+    "command": "prefix",
+    "inputs": {"a": "2-2i", "b": "3+2i", "budget": 2048, "depth": 1, "n_min": 2, "u": "1"},
+    "results": {
+        "chain": [{"certified": True, "m": 5, "n": 4, "word_am": "1,0,0+1i,1,0+1i", "word_u": "1", "z": "-9+8i"}],
+        "chain_depth_reached": 0,
+        "witness": {"certified": True, "m": 5, "n": 4, "word_am": "1,0,0+1i,1,0+1i", "word_u": "1", "z": "-9+8i"},
+    },
+    "status": "not_found",
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_trees)
+@example(PREFIX_DEPTH_1_REPORT)
+@example({"command": "dfa min", "results": {"dfa": POWERS_2_1I, "states_before": 3}})
+@example([[1, True, 0], [False], (2, 3), {"": {"": []}}])
+def test_render_is_json_dumps_with_indent_2_and_sorted_keys(value):
+    assert cli._render(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_a_result_int_past_the_digit_limit_is_an_error_report_naming_output_digits(capsys, monkeypatch):
+    """An int leaf of a report is refused by name when the report is rendered, as a decimal string is."""
+    monkeypatch.setattr(cli, "mult_dependent", lambda a, b: dependence.DependenceVerdict(True, 10**50001, 1))
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default, which main raises to OUTPUT_DIGITS
+    try:
+        code, report = run_cli(capsys, "deptest", "3+4i", "2+1i")
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert (code, report["status"]) == (EXIT_ERROR, "error")
+    assert report["inputs"] == {"a": "3+4i", "b": "2+1i"}
+    assert report["message"] == (
+        "a result has an integer past the report's digit limit (50000 digits): the CLI prints"
+        " integers of up to OUTPUT_DIGITS = 50000 decimal digits, or up to the interpreter's own"
+        " limit when that is higher"
+    )
 
 
 @pytest.mark.parametrize(
@@ -398,7 +464,7 @@ def test_dfa_commands(tmp_path, capsys):
     code, report = run_cli(capsys, "dfa", "min", str(path), "--dfa-out", str(out_path))
     assert code == EXIT_OK
     assert report["results"]["dfa"] == dfa_to_json(minimize(d))
-    assert json.loads(out_path.read_text()) == dfa_to_json(minimize(d))
+    assert out_path.read_text() == json.dumps(dfa_to_json(minimize(d)), indent=2, sort_keys=True)
 
     code, report = run_cli(capsys, "dfa", "equiv", str(path), str(out_path))
     assert code == EXIT_OK and report["results"]["equivalent"] is True

@@ -1,7 +1,8 @@
 """Fuzzed command lines and JSON files: every call ends in a report or a usage error.
 
 A call that parses prints one JSON report whose status matches the exit
-code (0 ok, 1 error, 2 not_found); one that does not parse is a usage
+code (0 ok, 1 error, 2 not_found), as the text json.dumps(report,
+indent=2, sort_keys=True) writes; one that does not parse is a usage
 error with exit 1 and nothing on stdout.  Any other exception fails the
 test.  The JSON loaders raise InvalidInput and nothing else.
 """
@@ -11,14 +12,15 @@ import contextlib
 import io
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaussbase import InvalidInput, cli
-from gaussbase.automata import Dfa, dfa_to_json, digit_set_from_json
+from gaussbase import InvalidInput, cli, verification
+from gaussbase.automata import Dfa, dfa_to_json, digit_set_from_json, powers_dfa
 from gaussbase.cli import COMMANDS, EXIT_ERROR, build_parser, main
 from gaussbase.gaussint import GaussInt
 from gaussbase.numeration import DigitSet, canonical_digit_set
@@ -172,12 +174,28 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _json_dumps_text(stdout: str) -> str:
+    """The text that json.dumps(indent=2, sort_keys=True) and print give the report stdout holds.
+
+    The int-to-str digit limit is lifted while the report is read and
+    written again, so that no int of the report is refused here.
+    """
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        return json.dumps(json.loads(stdout), indent=2, sort_keys=True) + "\n"
+    finally:
+        set_limit(saved)
+
+
 def _check_call(argv: list[str]) -> None:
     code, stdout = _run(argv)
     assert code in STATUS_OF_EXIT, (argv, code)
     if not stdout:  # argparse refused the command line
         assert code == EXIT_ERROR, argv
         return
+    assert stdout == _json_dumps_text(stdout), argv
     report = json.loads(stdout)
     assert set(report) >= {"command", "inputs", "results", "status"}, argv
     assert report["status"] == STATUS_OF_EXIT[code], (argv, report)
@@ -433,13 +451,38 @@ def test_the_reader_declines_what_argparse_must_read(argv):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_the_reader_reads_every_readme_command_line():
+def _readme_argvs() -> list[list[str]]:
+    """The argv of every `gaussbase ...` line of the README."""
     lines = [line.strip() for line in README.read_text(encoding="utf-8").splitlines()]
     # the loop variable of the residuals example stands for one of its values
-    argvs = [shlex.split(line.partition("#")[0].replace("$k", "4"))[1:] for line in lines if line.startswith("gaussbase ")]
+    return [shlex.split(line.partition("#")[0].replace("$k", "4"))[1:] for line in lines if line.startswith("gaussbase ")]
+
+
+def test_the_reader_reads_every_readme_command_line():
+    argvs = _readme_argvs()
     assert len(argvs) >= 15
     for argv in argvs:
         assert _reads_as_argparse(argv) is not None, argv
+
+
+def test_every_readme_report_is_json_dumps_text_on_stdout_and_in_its_files(tmp_path, monkeypatch):
+    """Each README line, with -o: stdout is the report as json.dumps writes it, the -o file is stdout,
+    and the --dfa-out file is json.dumps of its DFA with no newline after it."""
+    monkeypatch.chdir(tmp_path)  # dfa make writes powers.json, which dfa falsify reads
+    # verify runs criteria 4-10 only, which take milliseconds; the acceptance tests run all ten
+    monkeypatch.setattr(verification, "ALL_CHECKS", verification.ALL_CHECKS[3:])
+    out = tmp_path / "report.json"
+    commands = set()
+    for argv in _readme_argvs():
+        at = 2 if argv[0] == "dfa" else 1  # the output flags follow a group's subcommand
+        code, stdout = _run([*argv[:at], "-o", str(out), *argv[at:]])
+        assert json.loads(stdout)["status"] == STATUS_OF_EXIT[code] != "error", argv
+        assert stdout == _json_dumps_text(stdout), argv
+        assert out.read_text(encoding="utf-8") == stdout, argv
+        commands.add(" ".join(argv[:at]))
+    assert {"verify", "dfa make", "prefix", "scan-bases"} <= commands
+    made = (tmp_path / "powers.json").read_text(encoding="utf-8")
+    assert made == json.dumps(dfa_to_json(powers_dfa(GaussInt(2, 1))), indent=2, sort_keys=True)
 
 
 def _constructions(monkeypatch, argv: list[str]) -> int:

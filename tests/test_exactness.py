@@ -4,6 +4,8 @@ And each module keeps its private names: no module imports a _name from another,
 nor reads one as an attribute of another's objects.
 And the library imports light: no module imports re, and `import gaussbase` loads
 neither the regex engine nor the CLI's argparse and json.
+And the CLI has one JSON writer: no module calls json's indenting encoder, whose
+pure-Python path cli._render replaces.
 """
 
 import ast
@@ -174,3 +176,38 @@ def test_importing_the_library_leaves_the_regex_engine_and_the_cli_modules_unloa
     loaded = set(child.stdout.split())
     assert "gaussbase.automata" in loaded
     assert not loaded & {"re", "enum", "argparse", "json", "gettext", "contextlib"}
+
+
+JSON_WRITERS = ("dump", "dumps", "JSONEncoder")
+
+
+def indented_json_writes(tree):
+    """Line of every call of json.dump, json.dumps or json.JSONEncoder, or of one of those names, that
+    passes indent, or passes **options, which may hold it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in JSON_WRITERS and any(keyword.arg in ("indent", None) for keyword in node.keywords):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_writes_indented_json_but_through_the_cli_renderer(path):
+    assert list(indented_json_writes(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+def test_the_guard_sees_each_kind_of_indented_json_write():
+    source = (
+        "import json\n"
+        "text = json.dumps(report, indent=2, sort_keys=True)\n"
+        "json.dump(report, fh, indent=2)\n"
+        "from json import dumps as dumps\n"
+        "line = dumps(report, sort_keys=True, indent=None)\n"
+        "json.dumps(value)\n"
+        "json.dumps(report, **options)\n"
+        "encoder = json.JSONEncoder(indent=2)\n"
+        "print(json.dumps(report), indent)\n"
+        "json.loads(text, indent=2)\n"
+    )
+    assert list(indented_json_writes(ast.parse(source))) == [2, 3, 5, 7, 8]
