@@ -21,7 +21,8 @@ follow a `--` separator, as usual for argparse.
 The commands are one table, COMMANDS.  A plain command line (exact
 flags, each option's value the next token, positionals, and everything
 after one --) is read straight off its command's entry by _read_argv,
-which builds no parser and gives the namespace argparse would.  Every
+which builds no parser and gives a types.SimpleNamespace with the
+attributes argparse's namespace would have.  Every
 other line goes to argparse: -h, abbreviations, --flag=value and
 -kVALUE forms, and every error.  argparse then builds the parser of
 the line's own command only, with no top level above it; top-level
@@ -32,18 +33,30 @@ that cannot be written turns it into an error report (exit 1).  A
 report prints integers of up to OUTPUT_DIGITS decimal digits, or more
 when the interpreter's own limit is higher; past that it is an error
 report that names the limit.
+
+A plain line imports neither argparse nor json, nor the re, enum and
+gettext they load.  Most of a one-shot call is interpreter start-up, and
+those modules took 8 of the 16 ms of importing this module (-X
+importtime, -I -S, 2 vCPUs, Python 3.11.7).  argparse is imported on the
+lines the reader declines (by _parser_class, and by _count and _bound
+for a refused value), json by the DFA-file commands and by _render for
+a float.  Strings are encoded by _json's C encode_basestring_ascii, the
+function json.encoder itself binds.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import sys
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii
 from math import isqrt
+from types import SimpleNamespace
+
+try:  # the C function json.encoder binds, without importing json and the re it loads
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without the _json accelerator
+    from json.encoder import encode_basestring_ascii
 
 from .automata import (
     dfa_from_json,
@@ -101,39 +114,53 @@ def _text(value, render=str) -> str:
         ) from None
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits usage errors with code 2; keep 2 reserved for not_found.
+# the CLI's argparse.ArgumentParser subclass, made by _parser_class on the first line the reader
+# declines; a plain list and no functools memo, since no cache clearing should make it anew
+_PARSER_CLASS: list[type] = []
 
-    Help and usage are laid out 100 columns wide whatever the terminal, so
-    they do not depend on COLUMNS and building the parser never asks for
-    the terminal size.
-    """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(
-            *args, formatter_class=functools.partial(argparse.HelpFormatter, width=100), **kwargs
-        )
+def _parser_class() -> type:
+    """_Parser, an argparse.ArgumentParser; importing argparse is left to the lines that need it."""
+    if _PARSER_CLASS:
+        return _PARSER_CLASS[0]
+    import argparse
 
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_ERROR)
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits usage errors with code 2; keep 2 reserved for not_found.
 
-    def parse_known_args(self, args=None, namespace=None):
-        # Python 3.11's argparse leaves a last -- over after an option but reads it after a
-        # positional; it is left over in both cases, so no line turns valid by where it ends
-        namespace, extras = super().parse_known_args(args, namespace)
-        if args and args[-1] == "--" and extras[-1:] != ["--"]:
-            extras.append("--")
-        return namespace, extras
+        Help and usage are laid out 100 columns wide whatever the terminal, so
+        they do not depend on COLUMNS and building the parser never asks for
+        the terminal size.
+        """
 
-    def _get_values(self, action, arg_strings):
-        # Python 3.11's argparse drops a "--" that it took as an argument's one value
-        # (--base=--, or a second --), and gives [] without calling the type
-        values = super()._get_values(action, arg_strings)
-        if action.nargs is None and values == []:
-            raise argparse.ArgumentError(action, "expected one argument")
-        return values
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(
+                *args, formatter_class=functools.partial(argparse.HelpFormatter, width=100), **kwargs
+            )
+
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_ERROR)
+
+        def parse_known_args(self, args=None, namespace=None):
+            # Python 3.11's argparse leaves a last -- over after an option but reads it after a
+            # positional; it is left over in both cases, so no line turns valid by where it ends
+            namespace, extras = super().parse_known_args(args, namespace)
+            if args and args[-1] == "--" and extras[-1:] != ["--"]:
+                extras.append("--")
+            return namespace, extras
+
+        def _get_values(self, action, arg_strings):
+            # Python 3.11's argparse drops a "--" that it took as an argument's one value
+            # (--base=--, or a second --), and gives [] without calling the type
+            values = super()._get_values(action, arg_strings)
+            if action.nargs is None and values == []:
+                raise argparse.ArgumentError(action, "expected one argument")
+            return values
+
+    _PARSER_CLASS.append(_Parser)
+    return _Parser
 
 
 def _count(text: str) -> int:
@@ -144,6 +171,8 @@ def _count(text: str) -> int:
             return value
     except ValueError:
         pass
+    import argparse  # only a refused value loads argparse, which prints the message
+
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
@@ -152,6 +181,8 @@ def _bound(text: str) -> tuple[int, int]:
         num, den = text.split("/", 1)
         return int(num), int(den)
     except ValueError as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"bound must be NUM/DEN, got {text!r}") from exc
 
 
@@ -324,6 +355,8 @@ def _save_dfa(d, path: str | None) -> None:
 
 
 def _load_dfa(path: str):
+    import json  # only the DFA-file commands read JSON
+
     with open(path, "r", encoding="utf-8") as fh:
         return dfa_from_json(json.load(fh))
 
@@ -421,6 +454,8 @@ def _render(value, pad: str = "\n") -> str:
         return "true"
     if value is False:
         return "false"
+    import json  # only verify's report has floats, so no other plain line loads json
+
     return json.dumps(value)
 
 
@@ -544,7 +579,7 @@ def _add_command(group, command: _Command) -> None:
     _register(group.add_parser(command.name, **({} if command.help is None else {"help": command.help})), command)
 
 
-def _register(p: argparse.ArgumentParser, command: _Command) -> None:
+def _register(p, command: _Command) -> None:
     """Give p one table entry's output flags or subcommands, its arguments and its handler."""
     if command.subcommands:
         sub = p.add_subparsers(dest=f"{command.name}_command", required=True)
@@ -561,7 +596,7 @@ def _register(p: argparse.ArgumentParser, command: _Command) -> None:
 
 
 @functools.cache  # built on first use, not at import, and reused by every main call
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None):
     """The CLI's parser; given a command name, that command's parser alone.
 
     The full parser hands an argv that starts with a command name to a
@@ -573,11 +608,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     passes them to it.
     """
     if command is not None:
-        parser = _Parser(prog=f"gaussbase {command}")
+        parser = _parser_class()(prog=f"gaussbase {command}")
         _register(parser, COMMANDS[command])
         parser.set_defaults(command=command)
         return parser
-    parser = _Parser(
+    parser = _parser_class()(
         prog="gaussbase",
         description="Numeration systems for the Gaussian integers in a complex base.",
     )
@@ -613,7 +648,7 @@ def _reader_table(group: str, command: _Command) -> tuple:
     return table
 
 
-def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse gives a plain command line, read off its COMMANDS entry; else None.
 
     Plain is: a command name, for a group its subcommand's name next,
@@ -674,10 +709,10 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
                     return None
     except Exception:  # argparse reports a refused value, or propagates what it does not catch
         return None
-    return argparse.Namespace(**values, handler=command.handler, inputs=command.inputs)
+    return SimpleNamespace(**values, handler=command.handler, inputs=command.inputs)
 
 
-def _parse_argv(argv: list[str]) -> argparse.Namespace:
+def _parse_argv(argv: list[str]):
     """argv's namespace: read off the table when plain, else by its command's parser alone.
 
     _read_argv takes the plain lines.  A line it declines that starts

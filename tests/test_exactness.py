@@ -3,7 +3,9 @@
 And each module keeps its private names: no module imports a _name from another,
 nor reads one as an attribute of another's objects.
 And the library imports light: no module imports re, and `import gaussbase` loads
-neither the regex engine nor the CLI's argparse and json.
+neither the regex engine nor the CLI's argparse and json.  A plain CLI command line
+loads neither argparse nor json, nor the re, enum and gettext they import: only a
+line the reader declines imports argparse, and only a DFA file json.
 And the CLI has one JSON writer: no module calls json's indenting encoder, whose
 pure-Python path cli._render replaces.
 """
@@ -176,6 +178,65 @@ def test_importing_the_library_leaves_the_regex_engine_and_the_cli_modules_unloa
     loaded = set(child.stdout.split())
     assert "gaussbase.automata" in loaded
     assert not loaded & {"re", "enum", "argparse", "json", "gettext", "contextlib"}
+
+
+# main on each line, its report captured; then the exit codes and the loaded modules on stdout
+CLI_CHILD = (
+    "import io, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from gaussbase.cli import main\n"
+    "codes = []\n"
+    "for line in sys.argv[2:]:\n"
+    "    sys.stdout = io.StringIO()\n"
+    "    codes.append(main(line.split('\\t')))\n"
+    "sys.stdout = sys.__stdout__\n"
+    "print(*codes)\n"
+    "print(*sys.modules)\n"
+)
+PLAIN_LINES = (
+    ("deptest", "3+4i", "2+1i"),
+    ("witness", "1+2i", "2+1i", "1", "--bound", "1/25", "--m-max", "64"),
+    ("prefix", "1+2i", "2+1i", "1", "--n-min", "3", "--budget", "256"),
+    ("encode", "-b", "2+1i", "--", "-3+2i"),
+    ("digits", "-b", "2+1i"),
+)
+# argparse and json, and the modules they import
+ARGPARSE_AND_JSON = {"re", "enum", "argparse", "json", "gettext"}
+
+
+def cli_child(*lines: tuple[str, ...]) -> tuple[list[int], set[str]]:
+    """main's exit code on each line, and the modules loaded after them, in a -I -S interpreter."""
+    argv = [sys.executable, "-I", "-S", "-c", CLI_CHILD, str(PACKAGE.parent), *map("\t".join, lines)]
+    child = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    codes, modules = child.stdout.splitlines()
+    return [int(code) for code in codes.split()], set(modules.split())
+
+
+def test_plain_command_lines_load_neither_argparse_nor_json_nor_the_regex_engine():
+    codes, loaded = cli_child(*PLAIN_LINES)
+    assert codes == [0] * len(PLAIN_LINES)
+    assert "gaussbase.cli" in loaded
+    assert not loaded & ARGPARSE_AND_JSON
+
+
+def test_a_declined_line_and_a_dfa_file_still_load_argparse_and_json(tmp_path):
+    dfa = str(tmp_path / "powers.json")
+    codes, loaded = cli_child(
+        ("dfa", "make", "powers", "-b", "2+1i", "--dfa-out", dfa),
+        ("dfa", "run", dfa, "--word", "0-1i,0+1i,-1,0"),
+        ("digits", "--base=2+1i"),
+    )
+    assert codes == [0, 0, 0]
+    assert {"argparse", "json"} <= loaded
+
+
+def test_the_cli_encodes_strings_with_jsons_own_function():
+    from json import encoder
+
+    from gaussbase import cli
+
+    assert cli.encode_basestring_ascii is encoder.encode_basestring_ascii
 
 
 JSON_WRITERS = ("dump", "dumps", "JSONEncoder")
