@@ -22,32 +22,30 @@ The commands are one table, COMMANDS.  A plain command line (exact
 flags, each option's value the next token, positionals, and everything
 after one --) is read straight off its command's entry by _read_argv,
 which builds no parser and gives a types.SimpleNamespace with the
-attributes argparse's namespace would have.  Every
-other line goes to argparse: -h, abbreviations, --flag=value and
--kVALUE forms, and every error.  argparse then builds the parser of
-the line's own command only, with no top level above it; top-level
-help, an unknown command or none gets the parser of all of them, and so
-do leftover arguments, so help, usage and every error are argparse's
-own.  The report is written to -o FILE before it is printed, and a FILE
-that cannot be written turns it into an error report (exit 1).  A
-report prints integers of up to OUTPUT_DIGITS decimal digits, or more
-when the interpreter's own limit is higher; past that it is an error
-report that names the limit.
+attributes argparse's namespace would have.  Every other line goes to
+the one argparse parser, which build_parser makes of the whole table on
+the first such line of a process: -h, abbreviations, --flag=value and
+-kVALUE forms, and every error, so help, usage and every error are
+argparse's own.  The report is written to -o FILE before it is
+printed, and a FILE that cannot be written turns it into an error
+report (exit 1).  A report prints integers of up to OUTPUT_DIGITS
+decimal digits, or more when the interpreter's own limit is higher;
+past that it is an error report that names the limit.
 
 A plain line imports neither argparse nor json, nor the re, enum and
 gettext they load.  Most of a one-shot call is interpreter start-up, and
 those modules took 8 of the 16 ms of importing this module (-X
 importtime, -I -S, 2 vCPUs, Python 3.11.7).  argparse is imported on the
-lines the reader declines (by _parser_class, and by _count and _bound
-for a refused value), json by the DFA-file commands and by _render for
-a float.  Strings are encoded by _json's C encode_basestring_ascii, the
+lines the reader declines (by build_parser, and by _count, _bound and
+_gauss for a refused value), json by the DFA-file commands and by
+_render for a float, and os only when stdout's reader has closed the
+pipe.  Strings are encoded by _json's C encode_basestring_ascii, the
 function json.encoder itself binds.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import sys
 from collections import namedtuple
 from math import isqrt
@@ -114,55 +112,6 @@ def _text(value, render=str) -> str:
         ) from None
 
 
-# the CLI's argparse.ArgumentParser subclass, made by _parser_class on the first line the reader
-# declines; a plain list and no functools memo, since no cache clearing should make it anew
-_PARSER_CLASS: list[type] = []
-
-
-def _parser_class() -> type:
-    """_Parser, an argparse.ArgumentParser; importing argparse is left to the lines that need it."""
-    if _PARSER_CLASS:
-        return _PARSER_CLASS[0]
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """argparse exits usage errors with code 2; keep 2 reserved for not_found.
-
-        Help and usage are laid out 100 columns wide whatever the terminal, so
-        they do not depend on COLUMNS and building the parser never asks for
-        the terminal size.
-        """
-
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(
-                *args, formatter_class=functools.partial(argparse.HelpFormatter, width=100), **kwargs
-            )
-
-        def error(self, message: str):
-            self.print_usage(sys.stderr)
-            print(f"{self.prog}: error: {message}", file=sys.stderr)
-            raise SystemExit(EXIT_ERROR)
-
-        def parse_known_args(self, args=None, namespace=None):
-            # Python 3.11's argparse leaves a last -- over after an option but reads it after a
-            # positional; it is left over in both cases, so no line turns valid by where it ends
-            namespace, extras = super().parse_known_args(args, namespace)
-            if args and args[-1] == "--" and extras[-1:] != ["--"]:
-                extras.append("--")
-            return namespace, extras
-
-        def _get_values(self, action, arg_strings):
-            # Python 3.11's argparse drops a "--" that it took as an argument's one value
-            # (--base=--, or a second --), and gives [] without calling the type
-            values = super()._get_values(action, arg_strings)
-            if action.nargs is None and values == []:
-                raise argparse.ArgumentError(action, "expected one argument")
-            return values
-
-    _PARSER_CLASS.append(_Parser)
-    return _Parser
-
-
 def _count(text: str) -> int:
     """argparse type for budgets, depths and lengths: a non-negative int."""
     try:
@@ -184,6 +133,22 @@ def _bound(text: str) -> tuple[int, int]:
         import argparse
 
         raise argparse.ArgumentTypeError(f"bound must be NUM/DEN, got {text!r}") from exc
+
+
+def _gauss(text: str) -> GaussInt:
+    """argparse type for Gaussian integers: GaussInt.parse, its refusal kept as the usage error."""
+    try:
+        return GaussInt.parse(text)
+    except InvalidInput as exc:
+        message = str(exc)
+    except ValueError:  # int() refuses a well-formed part past the int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        message = (
+            f"a Gaussian integer literal with a part past {limit} digits, the interpreter's limit: {text!r}"
+        )
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
 
 
 def _echo(args, names: tuple[str, ...]) -> dict:
@@ -501,8 +466,8 @@ def _arg(*flags: str, **options) -> tuple:
     return flags, options
 
 
-_BASE = _arg("-b", "--base", type=GaussInt.parse, required=True)
-_A, _B, _U = (_arg(name, type=GaussInt.parse) for name in "abu")
+_BASE = _arg("-b", "--base", type=_gauss, required=True)
+_A, _B, _U = (_arg(name, type=_gauss) for name in "abu")
 _FILE = _arg("file")
 _SET = _arg("--set", required=True, help="powers:GAUSS or integers")
 # every command's output flags; the two store_true flags exclude each other
@@ -512,13 +477,13 @@ _OUTPUT = (
     _arg("-o", "--out", metavar="FILE", help="also write the JSON report to FILE"),
 )
 
-# every command of the CLI, in the order its help lists them; build_parser and main read this table
+# every command of the CLI, in the order its help lists them; build_parser and _read_argv read this table
 COMMANDS = {
     command.name: command
     for command in (
         _Command("digits", "canonical digit set of a base", cmd_digits, (_BASE,), inputs=("base",)),
         _Command(
-            "encode", "word of a Gaussian integer", cmd_encode, (_BASE, _arg("value", type=GaussInt.parse)),
+            "encode", "word of a Gaussian integer", cmd_encode, (_BASE, _arg("value", type=_gauss)),
             inputs=("base", "value"),
         ),
         _Command("decode", "value of an msd-first word", cmd_decode, (
@@ -575,12 +540,8 @@ COMMANDS = {
 
 
 def _add_command(group, command: _Command) -> None:
-    """Register one table entry, a group with all its subcommands, in a subparsers group."""
-    _register(group.add_parser(command.name, **({} if command.help is None else {"help": command.help})), command)
-
-
-def _register(p, command: _Command) -> None:
-    """Give p one table entry's output flags or subcommands, its arguments and its handler."""
+    """Register one table entry in a subparsers group: its output flags or subcommands, arguments and handler."""
+    p = group.add_parser(command.name, **({} if command.help is None else {"help": command.help}))
     if command.subcommands:
         sub = p.add_subparsers(dest=f"{command.name}_command", required=True)
         for subcommand in command.subcommands:
@@ -595,27 +556,49 @@ def _register(p, command: _Command) -> None:
         p.set_defaults(handler=command.handler, inputs=command.inputs)
 
 
-@functools.cache  # built on first use, not at import, and reused by every main call
-def build_parser(command: str | None = None):
-    """The CLI's parser; given a command name, that command's parser alone.
+@functools.cache  # built on the first line the reader declines, and reused by every later one
+def build_parser():
+    """The CLI's one argparse parser, with a subparser per COMMANDS entry.
 
-    The full parser hands an argv that starts with a command name to a
-    subparser built from the same COMMANDS entry by the same code, with
-    prog `gaussbase NAME`, and sets `command` to NAME.  The one-command
-    parser is that subparser on its own, so on argv[1:] it gives the
-    full parser's namespace, help pages and errors.  The one exception is
-    leftover arguments, which only the full parser refuses; _parse_argv
-    passes them to it.
+    A subparser's prog is `gaussbase NAME`, and the command's name is set
+    as `command` (a group's subcommand as `GROUP_command`).  Building it
+    imports argparse, which a plain line never needs.
     """
-    if command is not None:
-        parser = _parser_class()(prog=f"gaussbase {command}")
-        _register(parser, COMMANDS[command])
-        parser.set_defaults(command=command)
-        return parser
-    parser = _parser_class()(
-        prog="gaussbase",
-        description="Numeration systems for the Gaussian integers in a complex base.",
-    )
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits usage errors with code 2; keep 2 reserved for not_found.
+
+        Help and usage are laid out 100 columns wide whatever the terminal, so
+        they do not depend on COLUMNS and building the parser never asks for
+        the terminal size.
+        """
+
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, formatter_class=functools.partial(argparse.HelpFormatter, width=100), **kwargs)
+
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_ERROR)
+
+        def parse_known_args(self, args=None, namespace=None):
+            # Python 3.11's argparse leaves a last -- over after an option but reads it after a
+            # positional; it is left over in both cases, so no line turns valid by where it ends
+            namespace, extras = super().parse_known_args(args, namespace)
+            if args and args[-1] == "--" and extras[-1:] != ["--"]:
+                extras.append("--")
+            return namespace, extras
+
+        def _get_values(self, action, arg_strings):
+            # Python 3.11's argparse drops a "--" that it took as an argument's one value
+            # (--base=--, or a second --), and gives [] without calling the type
+            values = super()._get_values(action, arg_strings)
+            if action.nargs is None and values == []:
+                raise argparse.ArgumentError(action, "expected one argument")
+            return values
+
+    parser = _Parser(prog="gaussbase", description="Numeration systems for the Gaussian integers in a complex base.")
     sub = parser.add_subparsers(dest="command", required=True)
     for entry in COMMANDS.values():
         _add_command(sub, entry)
@@ -713,22 +696,9 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _parse_argv(argv: list[str]):
-    """argv's namespace: read off the table when plain, else by its command's parser alone.
-
-    _read_argv takes the plain lines.  A line it declines that starts
-    with a command name goes to that command's parser; -h, an unknown
-    name or none gets the full parser, as do leftover arguments, so that
-    its usage line heads their error.
-    """
+    """argv's namespace: read off the table when plain, else by build_parser's parser."""
     args = _read_argv(argv)
-    if args is not None:
-        return args
-    if not argv or argv[0] not in COMMANDS:
-        return build_parser(None).parse_args(argv)
-    args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
-    if extra:
-        build_parser(None).error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def _report(command: str, inputs: dict, results: dict, status: str, message: str | None) -> dict:
@@ -766,6 +736,8 @@ def _respond(args) -> int:
     except BrokenPipeError:
         # the reader closed the pipe early; send the unflushed rest to devnull so that
         # the interpreter's flush at exit does not raise again
+        import os  # only here: importing it loads stat and posixpath too
+
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_ERROR
     return code

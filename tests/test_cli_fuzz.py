@@ -249,7 +249,7 @@ def test_a_dash_dash_taken_as_a_value_is_a_usage_error(argv):
 )
 def test_a_trailing_dash_dash_is_a_usage_error(argv):
     """Python 3.11's argparse reads a last -- after a positional and leaves it over after an option."""
-    assert _parse(main, argv) == _parse(build_parser(None).parse_args, argv)
+    assert _parse(main, argv) == _parse(build_parser().parse_args, argv)
     result, stdout, stderr = _parse(cli._parse_argv, argv)
     assert (result, stdout) == (EXIT_ERROR, "")
     assert stderr.startswith("usage: gaussbase [-h]")
@@ -268,13 +268,13 @@ def _parse(parse, argv: list[str]):
 
 
 def _parses_alike(argv: list[str]) -> None:
-    """main's parse path, argv[0]'s own parser on argv[1:], reads argv as the full parser does."""
-    assert _parse(build_parser(None).parse_args, argv) == _parse(cli._parse_argv, argv), argv
+    """main's parse path, the reader or else the parser, reads argv as the parser does, help and errors too."""
+    assert _parse(build_parser().parse_args, argv) == _parse(cli._parse_argv, argv), argv
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_one_command_parser_reads_argvs_as_the_full_one(data):
+def test_the_reader_reads_or_declines_fuzzed_argvs_as_argparse_does(data):
     _parses_alike(data.draw(_argvs("fuzzed.json", "powers.json"), label="argv"))
 
 
@@ -323,6 +323,7 @@ USAGE_ERRORS = [
 
 @pytest.mark.parametrize("argv", HELP_ARGVS + USAGE_ERRORS, ids=" ".join)
 def test_one_command_parser_gives_the_same_help_and_errors(argv):
+    """The CLI's one command parser, build_parser's, prints the help and usage errors of main's parse path."""
     _parses_alike(argv)
 
 
@@ -330,12 +331,12 @@ def test_one_command_parser_gives_the_same_help_and_errors(argv):
     "argv", [[], ["-h"], ["--help"], ["bogus"], ["Deptest", "3+4i", "2+1i"], ["--pretty", "deptest", "3+4i", "2+1i"]]
 )
 def test_an_argv_without_a_leading_command_gets_the_full_parser(argv):
-    assert _parse(main, argv) == _parse(build_parser(None).parse_args, argv)
+    assert _parse(main, argv) == _parse(build_parser().parse_args, argv)
 
 
 # the text of each argument type in COMMANDS, one its type callable takes
 TYPED_VALUES = {
-    GaussInt.parse: st.builds(lambda x, y: str(GaussInt(x, y)), st.integers(-(10**6), 10**6), st.integers(-3, 3))
+    cli._gauss: st.builds(lambda x, y: str(GaussInt(x, y)), st.integers(-(10**6), 10**6), st.integers(-3, 3))
     | st.sampled_from(["-1+2i", "0-1i", "7"]),
     cli._count: st.integers(0, 10**6).map(str),
     int: st.integers(-40, 40).map(str),
@@ -385,13 +386,13 @@ def plain_argvs(draw):
 
 
 def _reads_as_argparse(argv: list[str]):
-    """_read_argv(argv); when it reads argv, its namespace has the fields of the one argv[0]'s parser
-    gives, with no leftovers.  The fields are compared as argparse.Namespace.__eq__ compares two
+    """_read_argv(argv); when it reads argv, its namespace has the fields that the parser gives, with
+    no leftovers.  The fields are compared as argparse.Namespace.__eq__ compares two
     namespaces, since the reader's SimpleNamespace never equals an argparse.Namespace."""
     read = cli._read_argv(argv)
     if read is not None:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            parsed, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+            parsed, extras = build_parser().parse_known_args(argv)
         assert (vars(parsed), extras) == (vars(read), []), argv
     return read
 
@@ -490,7 +491,7 @@ def test_every_readme_report_is_json_dumps_text_on_stdout_and_in_its_files(tmp_p
 
 
 def _constructions(monkeypatch, argv: list[str]) -> int:
-    """The argparse.ArgumentParser objects one cold main(argv) constructs."""
+    """The argparse.ArgumentParser objects one main(argv) constructs."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -498,21 +499,26 @@ def _constructions(monkeypatch, argv: list[str]) -> int:
         built.append(self)
         init(self, *args, **kwargs)
 
-    build_parser.cache_clear()
     with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
         patch.setattr(argparse.ArgumentParser, "__init__", counting)
         assert main(argv) == 0
     return len(built)
 
 
-def test_a_call_builds_only_its_commands_parser(monkeypatch):
+def test_only_the_first_declined_line_builds_the_parser(monkeypatch):
+    build_parser.cache_clear()
     # a plain line is read off the table: no parser is built and build_parser's memo stays empty
     for argv in (["deptest", "3+4i", "2+1i"], ["dfa", "make", "powers", "-b", "2+1i"]):
         assert _constructions(monkeypatch, argv) == 0
         assert build_parser.cache_info().currsize == 0
-    # a declined line builds its command's parser alone
-    assert _constructions(monkeypatch, ["digits", "--base=2+1i"]) == 1
+    # the first declined line builds the whole parser: the top level, each command's and each
+    # subcommand's, 17 in all today
+    parsers = 1 + sum(1 + len(command.subcommands) for command in COMMANDS.values())
+    assert _constructions(monkeypatch, ["digits", "--base=2+1i"]) == parsers
     # clear_caches() reaches the parser: it lives in build_parser's memo, built on a miss
     info = build_parser.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    assert _constructions(monkeypatch, ["dfa", "make", "powers", "--base=2+1i"]) == 1 + len(COMMANDS["dfa"].subcommands)
+    # a later declined line, of any command, reuses it
+    assert _constructions(monkeypatch, ["dfa", "make", "powers", "--base=2+1i"]) == 0
+    assert _constructions(monkeypatch, ["digits", "-b2+1i"]) == 0
+    assert build_parser.cache_info().misses == 1

@@ -4,8 +4,8 @@ And each module keeps its private names: no module imports a _name from another,
 nor reads one as an attribute of another's objects.
 And the library imports light: no module imports re, and `import gaussbase` loads
 neither the regex engine nor the CLI's argparse and json.  A plain CLI command line
-loads neither argparse nor json, nor the re, enum and gettext they import: only a
-line the reader declines imports argparse, and only a DFA file json.
+loads neither argparse nor json, nor the re, enum and gettext they import, nor os:
+only a line the reader declines imports argparse, and only a DFA file json.
 And the CLI has one JSON writer: no module calls json's indenting encoder, whose
 pure-Python path cli._render replaces.
 """
@@ -218,6 +218,8 @@ def test_plain_command_lines_load_neither_argparse_nor_json_nor_the_regex_engine
     assert codes == [0] * len(PLAIN_LINES)
     assert "gaussbase.cli" in loaded
     assert not loaded & ARGPARSE_AND_JSON
+    # os, with the stat and posixpath it loads, only when stdout's reader closed the pipe
+    assert not loaded & {"os", "stat", "posixpath"}
 
 
 def test_a_declined_line_and_a_dfa_file_still_load_argparse_and_json(tmp_path):

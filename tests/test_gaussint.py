@@ -93,21 +93,42 @@ def test_a_long_literal_is_checked_before_it_is_converted(default_digit_limit, c
     malformed, long = "1" * 5000 + "+xi", "1" * 5000
     with pytest.raises(InvalidInput, match="not a Gaussian integer literal"):
         GaussInt.parse(malformed)
-    refused = [malformed]
+    refused = {malformed: f"not a Gaussian integer literal: {malformed!r}"}
     if hasattr(sys, "set_int_max_str_digits"):
         with pytest.raises(ValueError) as limit:
             int(long)
         with pytest.raises(ValueError) as exc:
             GaussInt.parse(long)
         assert type(exc.value) is ValueError and str(exc.value) == str(limit.value)
-        refused.append(long)
-    for text in refused:
+        # the CLI's usage error names the limit without int()'s advice to raise it, which no option can
+        digits = sys.get_int_max_str_digits()
+        refused[long] = f"a Gaussian integer literal with a part past {digits} digits, the interpreter's limit: {long!r}"
+    for text, message in refused.items():
         with pytest.raises(SystemExit) as usage:
             main(["encode", "-b", "2+1i", "--", text])
         assert usage.value.code == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(f"error: argument value: invalid parse value: {text!r}\n")
+        assert captured.err.endswith(f"error: argument value: {message}\n")
+        assert "set_int_max_str_digits" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        (["digits", "-b", "2+i"], "argument -b/--base: not a Gaussian integer literal: '2+i'"),
+        (["deptest", "3+4j", "2+1i"], "argument a: not a Gaussian integer literal: '3+4j'"),
+    ],
+    ids=lambda case: " ".join(case[0]),
+)
+def test_a_malformed_literal_is_a_usage_error_that_names_it(case, capsys):
+    argv, message = case
+    with pytest.raises(SystemExit) as usage:
+        main(argv)
+    assert usage.value.code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"gaussbase {argv[0]}: error: {message}\n")
 
 
 @given(gauss_ints)
