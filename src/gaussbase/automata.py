@@ -25,7 +25,7 @@ from itertools import accumulate, chain, compress, count, islice, repeat, takewh
 from math import isqrt
 from operator import add, and_, attrgetter, floordiv, gt, itemgetter, mod, mul, ne, or_
 
-from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, is_power_of
+from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, Message, is_power_of
 from .numeration import DigitSet, Word, canonical_digit_set, decode, encode_within
 
 ENUMERATION_BUDGET = 10**8
@@ -477,7 +477,7 @@ def zero_pump_probe(
     steps = (reps + 1) * n * n + 2 * n * k * s1 + k * k * s2  # sum of (n + j*k)^2, j = 0..reps
     if steps > ENUMERATION_BUDGET:
         raise BudgetExceeded(
-            f"decoding {reps + 1} pumped words takes {steps} digit-steps, past the enumeration budget"
+            Message("decoding %d pumped words takes %d digit-steps, past the enumeration budget", reps + 1, steps)
         )
     head, tail = w[:1], w[1:]
     return tuple(

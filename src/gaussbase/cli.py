@@ -28,16 +28,24 @@ the first such line of a process: -h, abbreviations, --flag=value and
 -kVALUE forms, and every error, so help, usage and every error are
 argparse's own.  The report is written to -o FILE before it is
 printed, and a FILE that cannot be written turns it into an error
-report (exit 1).  A report prints integers of up to OUTPUT_DIGITS
-decimal digits, or more when the interpreter's own limit is higher;
-past that it is an error report that names the limit.
+report (exit 1).
+
+One int-to-str digit limit reads and one writes.  Every literal, an
+argument or one a handler reads (a powers: set, a word, a DFA file's
+base, digits and ints), is read by GaussInt.parse under the
+interpreter's own limit, which refuses a part past it by name.  _text
+renders a report's text, an error's message included, under a limit
+of at least OUTPUT_DIGITS, lifted for that render only: a report prints
+integers of up to OUTPUT_DIGITS decimal digits, or more when the
+interpreter's own limit is higher, and past that it is an error report
+that names the limit.
 
 A plain line imports neither argparse nor json, nor the re, enum and
 gettext they load.  Most of a one-shot call is interpreter start-up, and
 those modules took 8 of the 16 ms of importing this module (-X
 importtime, -I -S, 2 vCPUs, Python 3.11.7).  argparse is imported on the
-lines the reader declines (by build_parser, and by _count, _bound and
-_gauss for a refused value), json by the DFA-file commands and by
+lines the reader declines (by build_parser, and by _refusal and _gauss
+for a refused value), json by the DFA-file commands and by
 _render for a float, and os only when stdout's reader has closed the
 pipe.  Strings are encoded by _json's C encode_basestring_ascii, the
 function json.encoder itself binds.
@@ -92,24 +100,37 @@ EXIT_NOT_FOUND = 2
 SCAN_BUDGET = 10**6  # candidate bases x (probe points + digit-set candidates) in scan-bases
 
 # Python refuses to convert an int of more than 4300 digits to or from text by default
-# (sys.set_int_max_str_digits, the CVE-2020-10735 guard).  main raises that limit to at
-# least OUTPUT_DIGITS while a command runs and its report is serialised and printed: str() of
-# a 50,000-digit int takes 40-55 ms (2 vCPUs, Python 3.11.7), and the cost grows
-# quadratically with the digit count.
+# (sys.set_int_max_str_digits, the CVE-2020-10735 guard).  Every literal is read under that
+# limit (GaussInt.parse refuses a part past it by name); _text raises it to at least
+# OUTPUT_DIGITS while it renders a report's text, and nowhere else: str() of a 50,000-digit
+# int takes 40-55 ms (2 vCPUs, Python 3.11.7), and the cost grows quadratically with the
+# digit count.
 OUTPUT_DIGITS = 50_000
 
 
 def _text(value, render=str) -> str:
-    """render(value) for a report; an int past the int-to-str digit limit in force is refused by name."""
+    """render(value) for a report, under an int-to-str digit limit of at least OUTPUT_DIGITS.
+
+    The interpreter's limit is raised for the render only and restored
+    after; a limit of 0 (none) or above OUTPUT_DIGITS is kept, and a
+    Python without the limit is left alone.  An int past the limit in
+    force is refused by name.
+    """
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = saved and max(saved, OUTPUT_DIGITS)
+    if limit != saved:
+        sys.set_int_max_str_digits(limit)
     try:
         return render(value)
-    except ValueError:  # int -> str refuses more digits than sys.get_int_max_str_digits()
-        limit = sys.get_int_max_str_digits()
+    except ValueError:  # int -> str refuses more digits than the limit
         raise BudgetExceeded(
             f"a result has an integer past the report's digit limit ({limit} digits): the CLI prints"
             f" integers of up to OUTPUT_DIGITS = {OUTPUT_DIGITS} decimal digits, or up to the"
             " interpreter's own limit when that is higher"
         ) from None
+    finally:
+        if limit != saved:
+            sys.set_int_max_str_digits(saved)
 
 
 def _count(text: str) -> int:
@@ -120,19 +141,30 @@ def _count(text: str) -> int:
             return value
     except ValueError:
         pass
-    import argparse  # only a refused value loads argparse, which prints the message
-
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    raise _refusal(f"expected a non-negative integer, got {text!r}", text)
 
 
 def _bound(text: str) -> tuple[int, int]:
     try:
         num, den = text.split("/", 1)
         return int(num), int(den)
-    except ValueError as exc:
-        import argparse
+    except ValueError:
+        pass
+    raise _refusal(f"bound must be NUM/DEN, got {text!r}", *(text.split("/", 1) if "/" in text else ()))
 
-        raise argparse.ArgumentTypeError(f"bound must be NUM/DEN, got {text!r}") from exc
+
+def _refusal(message: str, *parts: str):
+    """argparse's error for a value int() refused: GaussInt.parse's, naming the digit limit, when a
+    part is a decimal numeral, which int() refuses only past that limit; else message."""
+    import argparse  # only a refused value loads argparse, which prints the message
+
+    try:
+        for part in parts:
+            if part.isascii() and (part[1:] if part[:1] in "+-" else part).isdigit():
+                GaussInt.parse(part)
+    except InvalidInput as exc:
+        message = str(exc)
+    return argparse.ArgumentTypeError(message)
 
 
 def _gauss(text: str) -> GaussInt:
@@ -140,15 +172,9 @@ def _gauss(text: str) -> GaussInt:
     try:
         return GaussInt.parse(text)
     except InvalidInput as exc:
-        message = str(exc)
-    except ValueError:  # int() refuses a well-formed part past the int-to-str digit limit
-        limit = sys.get_int_max_str_digits()
-        message = (
-            f"a Gaussian integer literal with a part past {limit} digits, the interpreter's limit: {text!r}"
-        )
-    import argparse
+        import argparse
 
-    raise argparse.ArgumentTypeError(message)
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _echo(args, names: tuple[str, ...]) -> dict:
@@ -323,7 +349,14 @@ def _load_dfa(path: str):
     import json  # only the DFA-file commands read JSON
 
     with open(path, "r", encoding="utf-8") as fh:
-        return dfa_from_json(json.load(fh))
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refused an int past the digit limit: read again, for GaussInt.parse to name it
+        obj = json.loads(text, parse_int=lambda part: GaussInt.parse(part).re)
+    return dfa_from_json(obj)
 
 
 def cmd_dfa_make(args) -> tuple[dict, str]:
@@ -720,7 +753,11 @@ def _respond(args) -> int:
         # rendered inside the try: an int past the int-to-str digit limit is refused by name
         text = _text(report, _render)
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
-        report = _report(command, inputs, {}, "error", str(exc) or type(exc).__name__)
+        try:  # a library Message names its ints only now, under the report's limit
+            message = _text(exc)
+        except BudgetExceeded as refused:
+            message = str(refused)
+        report = _report(command, inputs, {}, "error", message or type(exc).__name__)
         text = _render(report)
     if args.out:  # written before stdout, so that a closed pipe cannot lose it
         try:
@@ -731,7 +768,7 @@ def _respond(args) -> int:
             text = _render(report)
     code = {"ok": EXIT_OK, "not_found": EXIT_NOT_FOUND}.get(report["status"], EXIT_ERROR)
     try:
-        print("\n".join(_render_pretty(report)) if args.pretty else text)
+        print(_text(report, lambda report: "\n".join(_render_pretty(report))) if args.pretty else text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early; send the unflushed rest to devnull so that
@@ -745,17 +782,7 @@ def _respond(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_argv(argv)
-    # The command's literals are parsed under the interpreter's int-to-str digit limit; its
-    # report gets at least OUTPUT_DIGITS.  A limit of 0 (none) or above OUTPUT_DIGITS is kept.
-    # Pythons before 3.10.7 have no limit: it reads as 0 and nothing is set.
-    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    set_limit(saved and max(saved, OUTPUT_DIGITS))
-    try:
-        return _respond(args)
-    finally:
-        set_limit(saved)
+    return _respond(_parse_argv(argv))
 
 
 if __name__ == "__main__":

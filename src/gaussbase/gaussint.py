@@ -11,6 +11,8 @@ than a regular expression, so importing the package never loads `re`.
 
 from __future__ import annotations
 
+import sys
+
 
 class NotDivisible(ArithmeticError):
     """Exact division requested but the divisor does not divide."""
@@ -26,6 +28,25 @@ class InvalidInput(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """Requested work exceeds a fixed budget such as ENUMERATION_BUDGET."""
+
+
+class Message:
+    """An error's message, template % values, formatted each time it is read.
+
+    A message that names an int computed from the inputs, such as a
+    base's norm, can pass the int-to-str digit limit that the inputs were
+    read under; formatted late, it is rendered where the CLI renders its
+    report, under the report's limit.
+    """
+
+    __slots__ = ("template", "values")
+
+    def __init__(self, template: str, *values) -> None:
+        self.template = template
+        self.values = values
+
+    def __str__(self) -> str:
+        return self.template % self.values
 
 
 class GaussInt:
@@ -56,14 +77,18 @@ class GaussInt:
         """Parse the literal grammar `a`, `a+bi`, `a-bi` (e.g. `5`, `-1+2i`, `0-1i`).
 
         Each part is `[+-]?[0-9]+` in ASCII digits, and nothing else is
-        allowed: no whitespace, underscores or trailing newline.
+        allowed: no whitespace, underscores or trailing newline.  Parts are
+        read under the interpreter's int-to-str digit limit
+        (sys.get_int_max_str_digits()), which this never raises: a
+        well-formed literal with a part past it raises InvalidInput naming
+        the limit, where int() would advise raising it.
         """
         if not isinstance(text, str):
             # re's wording, kept so the JSON loaders' report of a mistyped field reads as it did;
             # unlike re, bytes are refused too
             raise TypeError(f"expected string or bytes-like object, got {type(text).__name__!r}")
         # The whole literal is checked before int() sees either part: int() accepts spaces, "_"
-        # and non-ASCII digits, and a part past the digit limit would raise its own ValueError.
+        # and non-ASCII digits, so a ValueError from int() can only be the digit limit.
         real, imag = text, "+0"
         if text.endswith("i"):
             # the imaginary part starts at the one sign past the first character; with none,
@@ -73,7 +98,13 @@ class GaussInt:
                 cut = text.find("-", 1)
             real, imag = text[:cut], text[cut:-1]
         if text.isascii() and (real[1:] if real[:1] in "+-" else real).isdigit() and imag[1:].isdigit():
-            return cls(int(real), int(imag))
+            try:
+                return cls(int(real), int(imag))
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                raise InvalidInput(
+                    f"a Gaussian integer literal with a part past {limit} digits, the interpreter's limit: {text!r}"
+                ) from None
         raise InvalidInput(f"not a Gaussian integer literal: {text!r}")
 
     def norm(self) -> int:

@@ -37,7 +37,7 @@ from itertools import filterfalse, product, repeat, starmap
 from math import isqrt
 from operator import attrgetter
 
-from .gaussint import BudgetExceeded, GaussInt, InvalidInput, exact_div
+from .gaussint import BudgetExceeded, GaussInt, InvalidInput, Message, exact_div
 
 Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
@@ -86,7 +86,7 @@ class DigitSet(namedtuple("DigitSet", "base digits")):
         if len(positions) != len(digits):
             raise InvalidInput("duplicate digits")
         if len(digits) != n:
-            raise InvalidInput(f"{len(digits)} digits for base {base} of norm {n}")
+            raise InvalidInput(Message("%d digits for base %s of norm %d", len(digits), base, n))
         p, q = base.re, base.im
         by_residue = {}
         for d, (x, y) in zip(digits, pairs):  # t = d*conj(b) on ints
@@ -169,7 +169,7 @@ class LargeCanonicalDigitSet(DigitSet):
     def digits(self) -> tuple[GaussInt, ...]:
         b = self.base
         raise BudgetExceeded(
-            f"base {b} of norm {b.norm()} has more digits than the digit budget of {DIGIT_BUDGET}"
+            Message("base %s of norm %d has more digits than the digit budget of %d", b, b.norm(), DIGIT_BUDGET)
         )
 
 

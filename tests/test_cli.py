@@ -1,5 +1,6 @@
 """CLI commands are thin adapters: reports must match the library results."""
 
+import argparse
 import json
 import math
 import os
@@ -682,6 +683,113 @@ def test_a_higher_digit_limit_is_kept_while_a_command_runs(capsys, limit):
     finally:
         sys.set_int_max_str_digits(before)
     assert (code, report["status"]) == (EXIT_OK, "ok")
+
+
+def _dfa_file(tmp_path, field: str, part: str) -> str:
+    """A file of POWERS_2_1I with one literal replaced by part: the base, the digit 1, or a transition target,
+    the last written as a JSON int."""
+    obj = json.loads(json.dumps(POWERS_2_1I))
+    if field == "base":
+        obj["base"] = part
+    elif field == "digits":
+        obj["digits"][-1] = part
+    else:
+        obj["transitions"][0][0] = "@"
+    path = tmp_path / f"{field}.json"
+    path.write_text(json.dumps(obj).replace('"@"', part), encoding="utf-8")
+    return str(path)
+
+
+# argv with one literal given as a part, for every place the CLI reads a literal
+LITERAL_SITES = {
+    "base": lambda part, tmp: ["encode", "-b", part, "0"],
+    "positional": lambda part, tmp: ["deptest", part, "2+1i"],
+    "m_max": lambda part, tmp: ["witness", "1+2i", "2+1i", "1", "--m-max", part],
+    "bound": lambda part, tmp: ["witness", "1+2i", "2+1i", "1", "--bound", "1/" + part],
+    "powers_set": lambda part, tmp: ["pump", "-b", "2+1i", "--set", "powers:" + part, "--word", "1", "-k", "1"],
+    "pump_word": lambda part, tmp: ["pump", "-b", "2+1i", "--set", "integers", "--word", "1," + part],
+    "decode_word": lambda part, tmp: ["decode", "-b", "2+1i", part],
+    "dfa_run_word": lambda part, tmp: ["dfa", "run", _dfa_file(tmp, "base", "2+1i"), "--word", part],
+    "dfa_base": lambda part, tmp: ["dfa", "run", _dfa_file(tmp, "base", part), "--word", "1"],
+    "dfa_digit": lambda part, tmp: ["dfa", "min", _dfa_file(tmp, "digits", part)],
+    "dfa_transition": lambda part, tmp: ["dfa", "falsify", _dfa_file(tmp, "transitions", part), "--set", "integers"],
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("site", LITERAL_SITES)
+def test_every_literal_is_read_under_the_interpreters_digit_limit(default_digit_limit, capsys, tmp_path, site):
+    """A part of exactly the limit is not refused for its length; one digit more is, by name, exit 1."""
+    refusal = "a part past 4300 digits, the interpreter's limit"
+    for digits in (4300, 4301):
+        try:
+            code = main(LITERAL_SITES[site]("1" * digits, tmp_path))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (refusal in out + err) is (digits > 4300), (site, digits, code, out[-300:], err[-300:])
+        assert code == EXIT_ERROR or digits == 4300
+        assert "set_int_max_str_digits" not in out + err
+        assert sys.get_int_max_str_digits() == 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["digits", "-b", "1" * 4300], r"base 1{4300} of norm (\d+) has more digits than the digit budget of 100000"),
+        (
+            ["pump", "-b", "2+1i", "--set", "integers", "--word", "1", "-k", "1" * 4300, "--reps", "1"],
+            r"decoding 2 pumped words takes (\d+) digit-steps, past the enumeration budget",
+        ),
+        (["dfa", "min", "base"], r"5 digits for base 1{4300} of norm (\d+)"),
+    ],
+    ids=["digit_budget", "pump_budget", "dfa_digit_count"],
+)
+def test_a_message_naming_an_int_past_the_limit_prints_it(default_digit_limit, capsys, tmp_path, argv, message):
+    """A library error that names an int computed from literals read under the limit prints it in full."""
+    if argv[-1] == "base":
+        argv = [*argv[:-1], _dfa_file(tmp_path, "base", "1" * 4300)]
+    code, report = run_cli(capsys, *argv)
+    assert (code, report["status"]) == (EXIT_ERROR, "error")
+    match = re.fullmatch(message, report["message"])
+    assert match and len(match[1]) > 4300
+    assert sys.get_int_max_str_digits() == 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_a_message_naming_an_int_past_a_higher_limit_is_refused_by_name(capsys):
+    """Under a limit above OUTPUT_DIGITS, a 40,000-digit base reads, and its 79,999-digit norm is refused by name."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(60_000)
+    try:
+        code, report = run_cli(capsys, "digits", "-b", "1" * 40_000)
+        assert sys.get_int_max_str_digits() == 60_000
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert (code, report["status"]) == (EXIT_ERROR, "error")
+    assert report["message"] == (
+        "a result has an integer past the report's digit limit (60000 digits): the CLI prints"
+        " integers of up to OUTPUT_DIGITS = 50000 decimal digits, or up to the interpreter's own"
+        " limit when that is higher"
+    )
+
+
+@pytest.mark.parametrize(
+    "convert, text, message",
+    [
+        (cli._count, "1.5", "expected a non-negative integer, got '1.5'"),
+        (cli._count, "-5", "expected a non-negative integer, got '-5'"),
+        (cli._count, "+-5", "expected a non-negative integer, got '+-5'"),
+        (cli._bound, "1:2", "bound must be NUM/DEN, got '1:2'"),
+        (cli._bound, "1/x", "bound must be NUM/DEN, got '1/x'"),
+        (cli._bound, "1" * 5000, f"bound must be NUM/DEN, got {'1' * 5000!r}"),  # no /, whatever its length
+    ],
+)
+def test_a_malformed_count_or_bound_keeps_its_message(default_digit_limit, convert, text, message):
+    with pytest.raises(argparse.ArgumentTypeError) as exc:
+        convert(text)
+    assert str(exc.value) == message
 
 
 def test_importing_the_cli_leaves_verification_and_random_unloaded():

@@ -341,7 +341,8 @@ TYPED_VALUES = {
     cli._count: st.integers(0, 10**6).map(str),
     int: st.integers(-40, 40).map(str),
     cli._bound: st.builds("{}/{}".format, st.integers(0, 10**6), st.integers(1, 10**6)),
-    None: st.text(alphabet="ab01,+-i:./ ", max_size=8),
+    # never "--": placed after the separator, a second -- is refused by the reader and argparse alike
+    None: st.text(alphabet="ab01,+-i:./ ", max_size=8).filter(lambda text: text != "--"),
 }
 GARBAGE = st.sampled_from(["", "x", "1.5", "1:2", "1e3", "٣", "1" * 5000])
 
@@ -402,10 +403,24 @@ def _reads_as_argparse(argv: list[str]):
 @example((["decode", "-b", "2+1i", "--", ""], True))
 @example((["dfa", "make", "-o", "r.json", "integers", "--pretty", "--base", "2+1i"], True))
 @example((["witness", "1+2i", "--m-max", "9", "--", "-2+1i", "-1+2i"], True))
+@example((["decode", "-b", "1+2i", "--", "--"], False))
+@example((["decode", "-b", "0", "--", "--"], False))
+@example((["dfa", "equiv", "--", "", "--"], False))
 def test_the_reader_gives_argparses_namespace_for_plain_command_lines(case):
     argv, valid = case
     read = _reads_as_argparse(argv)
     assert read is not None or not valid, argv
+
+
+# the not-valid @examples above: a second -- after the separator, which plain_argvs once drew as an untyped value
+SECOND_SEPARATORS = [["decode", "-b", "1+2i", "--", "--"], ["decode", "-b", "0", "--", "--"], ["dfa", "equiv", "--", "", "--"]]
+
+
+@pytest.mark.parametrize("argv", SECOND_SEPARATORS, ids=" ".join)
+def test_a_second_separator_is_refused_by_the_reader_and_by_argparse(argv):
+    assert cli._read_argv(argv) is None
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        build_parser().parse_args(argv)
 
 
 @settings(max_examples=300, deadline=None)

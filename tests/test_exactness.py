@@ -8,6 +8,8 @@ loads neither argparse nor json, nor the re, enum and gettext they import, nor o
 only a line the reader declines imports argparse, and only a DFA file json.
 And the CLI has one JSON writer: no module calls json's indenting encoder, whose
 pure-Python path cli._render replaces.
+And one owner lifts the int-to-str digit limit: only cli._text names
+sys.set_int_max_str_digits, so every literal is read under the interpreter's limit.
 """
 
 import ast
@@ -274,3 +276,36 @@ def test_the_guard_sees_each_kind_of_indented_json_write():
         "json.loads(text, indent=2)\n"
     )
     assert list(indented_json_writes(ast.parse(source))) == [2, 3, 5, 7, 8]
+
+
+def digit_limit_writes(tree, function=None):
+    """(line, enclosing function) of every name, attribute, import or getattr string set_int_max_str_digits."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        if (
+            (isinstance(node, ast.Name) and node.id == "set_int_max_str_digits")
+            or (isinstance(node, ast.Attribute) and node.attr == "set_int_max_str_digits")
+            or (isinstance(node, ast.alias) and node.name == "set_int_max_str_digits")
+            or (isinstance(node, ast.Constant) and node.value == "set_int_max_str_digits")
+        ):
+            yield node.lineno, function
+        yield from digit_limit_writes(node, inner)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_cli_report_text_lifts_the_digit_limit(path):
+    functions = {function for _, function in digit_limit_writes(ast.parse(path.read_text(encoding="utf-8")))}
+    assert functions == ({"_text"} if path.name == "cli.py" else set())
+
+
+def test_the_guard_sees_each_kind_of_digit_limit_write():
+    source = (
+        "import sys\n"
+        "sys.set_int_max_str_digits(0)\n"
+        "from sys import set_int_max_str_digits\n"
+        "def lift(limit):\n    set_int_max_str_digits(limit)\n"
+        "class Report:\n    def render(self):\n        getattr(sys, 'set_int_max_str_digits')(0)\n"
+        "limit = sys.get_int_max_str_digits()\n"
+        "note = 'call set_int_max_str_digits'\n"
+    )
+    assert list(digit_limit_writes(ast.parse(source))) == [(2, None), (3, None), (5, "lift"), (8, "render")]
