@@ -144,6 +144,15 @@ def _count(text: str) -> int:
     raise _refusal(f"expected a non-negative integer, got {text!r}", text)
 
 
+def _int(text: str) -> int:
+    """argparse type for the ends of scan-bases' norm range: any int."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    raise _refusal(f"expected an integer, got {text!r}", text)
+
+
 def _bound(text: str) -> tuple[int, int]:
     try:
         num, den = text.split("/", 1)
@@ -523,8 +532,8 @@ COMMANDS = {
             _BASE, _arg("word", help="comma-separated digits, empty string for the empty word"),
         ), inputs=("base", "word")),
         _Command("scan-bases", "digit/roundtrip/length checks over a norm range", cmd_scan_bases, (
-            _arg("--norm-min", type=int, default=5),
-            _arg("--norm-max", type=int, default=30),
+            _arg("--norm-min", type=_int, default=5),
+            _arg("--norm-max", type=_int, default=30),
             _arg("--disc", type=_count, default=100, help="squared radius of the probe disc"),
             _arg("--k-max", type=_count, default=8),
         ), inputs=("norm_min", "norm_max", "disc", "k_max")),

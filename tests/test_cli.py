@@ -705,6 +705,8 @@ LITERAL_SITES = {
     "base": lambda part, tmp: ["encode", "-b", part, "0"],
     "positional": lambda part, tmp: ["deptest", part, "2+1i"],
     "m_max": lambda part, tmp: ["witness", "1+2i", "2+1i", "1", "--m-max", part],
+    "norm_min": lambda part, tmp: ["scan-bases", "--norm-min", part],
+    "norm_max": lambda part, tmp: ["scan-bases", "--norm-max", part],
     "bound": lambda part, tmp: ["witness", "1+2i", "2+1i", "1", "--bound", "1/" + part],
     "powers_set": lambda part, tmp: ["pump", "-b", "2+1i", "--set", "powers:" + part, "--word", "1", "-k", "1"],
     "pump_word": lambda part, tmp: ["pump", "-b", "2+1i", "--set", "integers", "--word", "1," + part],
@@ -781,6 +783,9 @@ def test_a_message_naming_an_int_past_a_higher_limit_is_refused_by_name(capsys):
         (cli._count, "1.5", "expected a non-negative integer, got '1.5'"),
         (cli._count, "-5", "expected a non-negative integer, got '-5'"),
         (cli._count, "+-5", "expected a non-negative integer, got '+-5'"),
+        (cli._int, "1.5", "expected an integer, got '1.5'"),
+        (cli._int, "+-5", "expected an integer, got '+-5'"),
+        (cli._int, "1e3", "expected an integer, got '1e3'"),
         (cli._bound, "1:2", "bound must be NUM/DEN, got '1:2'"),
         (cli._bound, "1/x", "bound must be NUM/DEN, got '1/x'"),
         (cli._bound, "1" * 5000, f"bound must be NUM/DEN, got {'1' * 5000!r}"),  # no /, whatever its length

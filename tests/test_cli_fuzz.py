@@ -339,7 +339,7 @@ TYPED_VALUES = {
     cli._gauss: st.builds(lambda x, y: str(GaussInt(x, y)), st.integers(-(10**6), 10**6), st.integers(-3, 3))
     | st.sampled_from(["-1+2i", "0-1i", "7"]),
     cli._count: st.integers(0, 10**6).map(str),
-    int: st.integers(-40, 40).map(str),
+    cli._int: st.integers(-40, 40).map(str),
     cli._bound: st.builds("{}/{}".format, st.integers(0, 10**6), st.integers(1, 10**6)),
     # never "--": placed after the separator, a second -- is refused by the reader and argparse alike
     None: st.text(alphabet="ab01,+-i:./ ", max_size=8).filter(lambda text: text != "--"),

@@ -10,6 +10,9 @@ And the CLI has one JSON writer: no module calls json's indenting encoder, whose
 pure-Python path cli._render replaces.
 And one owner lifts the int-to-str digit limit: only cli._text names
 sys.set_int_max_str_digits, so every literal is read under the interpreter's limit.
+And the verification suite checks digit sets without the library's digit lookups:
+verification.py reads no .positions and no digit_of (the private-attribute guard
+covers _by_residue), so its residue check does not lean on the code it verifies.
 """
 
 import ast
@@ -309,3 +312,46 @@ def test_the_guard_sees_each_kind_of_digit_limit_write():
         "note = 'call set_int_max_str_digits'\n"
     )
     assert list(digit_limit_writes(ast.parse(source))) == [(2, None), (3, None), (5, "lift"), (8, "render")]
+
+
+DIGIT_LOOKUPS = ("positions", "digit_of")
+
+
+def digit_lookup_reads(tree):
+    """(line, name) of every name, attribute, import or getattr string naming a digit lookup table."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in DIGIT_LOOKUPS:
+            yield node.lineno, name
+
+
+def test_the_verification_suite_reads_no_digit_lookup_of_the_library():
+    path = PACKAGE / "verification.py"
+    assert list(digit_lookup_reads(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+def test_the_guard_sees_each_kind_of_digit_lookup_read():
+    source = (
+        "from .numeration import decode, digit_of\n"
+        "index = D.positions\n"
+        "d = numeration.digit_of(z, D)\n"
+        "def first(z, D):\n    return digit_of(z, D)\n"
+        "table = getattr(D, 'positions')\n"
+        "note = 'the positions of the digits', D.position, digits_of\n"
+    )
+    assert sorted(digit_lookup_reads(ast.parse(source))) == [
+        (1, "digit_of"),
+        (2, "positions"),
+        (3, "digit_of"),
+        (5, "digit_of"),
+        (6, "positions"),
+    ]
