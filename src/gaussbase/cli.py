@@ -32,11 +32,12 @@ report (exit 1).
 
 One int-to-str digit limit reads and one writes.  Every literal, an
 argument or one a handler reads (a powers: set, a word, a DFA file's
-base, digits and ints), is read by GaussInt.parse under the
-interpreter's own limit, which refuses a part past it by name.  _text
-renders a report's text, an error's message included, under a limit
-of at least OUTPUT_DIGITS, lifted for that render only: a report prints
-integers of up to OUTPUT_DIGITS decimal digits, or more when the
+base, digits and ints), is read under the interpreter's own limit, and
+a part past it is refused by name: GaussInt.parse names a Gaussian
+integer literal, _int_literal an integer option or a DFA file's int.
+_text renders a report's text, an error's message included, under a
+limit of at least OUTPUT_DIGITS, lifted for that render only: a report
+prints integers of up to OUTPUT_DIGITS decimal digits, or more when the
 interpreter's own limit is higher, and past that it is an error report
 that names the limit.
 
@@ -81,7 +82,7 @@ from .automata import (
     zero_pump_probe,
 )
 from .dependence import group_witness, mult_dependent, prefix_extension
-from .gaussint import BudgetExceeded, GaussInt, InvalidInput
+from .gaussint import BudgetExceeded, GaussInt, InvalidInput, past_digit_limit
 from .numeration import (
     canonical_digit_set,
     decode,
@@ -101,10 +102,10 @@ SCAN_BUDGET = 10**6  # candidate bases x (probe points + digit-set candidates) i
 
 # Python refuses to convert an int of more than 4300 digits to or from text by default
 # (sys.set_int_max_str_digits, the CVE-2020-10735 guard).  Every literal is read under that
-# limit (GaussInt.parse refuses a part past it by name); _text raises it to at least
-# OUTPUT_DIGITS while it renders a report's text, and nowhere else: str() of a 50,000-digit
-# int takes 40-55 ms (2 vCPUs, Python 3.11.7), and the cost grows quadratically with the
-# digit count.
+# limit (GaussInt.parse and _int_literal refuse a part past it by name); _text raises it to
+# at least OUTPUT_DIGITS while it renders a report's text, and nowhere else: str() of a
+# 50,000-digit int takes 40-55 ms (2 vCPUs, Python 3.11.7), and the cost grows quadratically
+# with the digit count.
 OUTPUT_DIGITS = 50_000
 
 
@@ -162,15 +163,23 @@ def _bound(text: str) -> tuple[int, int]:
     raise _refusal(f"bound must be NUM/DEN, got {text!r}", *(text.split("/", 1) if "/" in text else ()))
 
 
+def _int_literal(text: str) -> int:
+    """int(text) for a decimal numeral, which int() refuses only past the digit limit: refused by name."""
+    try:
+        return int(text)
+    except ValueError:
+        raise past_digit_limit("an integer literal", text) from None
+
+
 def _refusal(message: str, *parts: str):
-    """argparse's error for a value int() refused: GaussInt.parse's, naming the digit limit, when a
+    """argparse's error for a value int() refused: _int_literal's, naming the digit limit, when a
     part is a decimal numeral, which int() refuses only past that limit; else message."""
     import argparse  # only a refused value loads argparse, which prints the message
 
     try:
         for part in parts:
             if part.isascii() and (part[1:] if part[:1] in "+-" else part).isdigit():
-                GaussInt.parse(part)
+                _int_literal(part)
     except InvalidInput as exc:
         message = str(exc)
     return argparse.ArgumentTypeError(message)
@@ -319,7 +328,8 @@ def cmd_prefix(args) -> tuple[dict, str]:
             status = "not_found"
             break
         chain.append(_prefix_witness_json(w))
-        u = args.a**w.m  # the next level extends this level's word
+        if level < args.depth:  # the next level extends this level's word
+            u = args.a**w.m
     results: dict = {"witness": chain[0] if chain else None}
     if args.depth > 0 or status == "not_found":
         results["chain"] = chain
@@ -363,8 +373,8 @@ def _load_dfa(path: str):
         obj = json.loads(text)
     except json.JSONDecodeError:
         raise
-    except ValueError:  # int() refused an int past the digit limit: read again, for GaussInt.parse to name it
-        obj = json.loads(text, parse_int=lambda part: GaussInt.parse(part).re)
+    except ValueError:  # int() refused an int past the digit limit: read again, for _int_literal to name it
+        obj = json.loads(text, parse_int=_int_literal)
     return dfa_from_json(obj)
 
 

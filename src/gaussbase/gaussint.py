@@ -49,6 +49,11 @@ class Message:
         return self.template % self.values
 
 
+def past_digit_limit(literal: str, text: str) -> InvalidInput:
+    """The refusal of a well-formed literal whose digits int() refused: the limit named, not int()'s advice."""
+    return InvalidInput(f"{literal} past {sys.get_int_max_str_digits()} digits, the interpreter's limit: {text!r}")
+
+
 class GaussInt:
     """A Gaussian integer re + im*i.
 
@@ -101,10 +106,7 @@ class GaussInt:
             try:
                 return cls(int(real), int(imag))
             except ValueError:
-                limit = sys.get_int_max_str_digits()
-                raise InvalidInput(
-                    f"a Gaussian integer literal with a part past {limit} digits, the interpreter's limit: {text!r}"
-                ) from None
+                raise past_digit_limit("a Gaussian integer literal with a part", text) from None
         raise InvalidInput(f"not a Gaussian integer literal: {text!r}")
 
     def norm(self) -> int:

@@ -11,9 +11,9 @@ holds no length constant; length_bound computes m3 once per base.
 All geometry is integer-exact: half-open box tests use 2*Re(d*conj(b))
 against +-norm(b), and radii enter squared; canonical_digit_set solves
 the two box tests for each row of the square instead of testing every
-point.  The per-digit loops (the digit map, encode, decode, recode and
-the residue table) run on plain int pairs and build a GaussInt only for
-a value they return.  A digit set has one position table, positions,
+point.  The per-digit loops (the digit map, encode, recode and the
+residue table) run on plain int pairs and build a GaussInt only for a
+value they return.  A digit set has one position table, positions,
 keyed on each digit's (re, im) int pair, which hashes in C where a
 GaussInt hashes through a Python-level __hash__: every layer looks a
 digit up by its pair, so no per-digit loop, nor the construction of a
@@ -22,10 +22,11 @@ only the points of its disc that are not digits themselves.  A long
 value or word (BLOCK_DIGITS digits or more) is encoded and decoded k
 digits at a time, with norm(b)^k < 2^60: one big-int step per block
 splits off or adds in a block.  Encode runs the digit loop's own k steps
-on the block's remainder, and decode folds the block with recode, both
+on the block's remainder, and recode folds each block for decode, both
 on ints of at most two machine words, so the cost is no longer a big-int
-operation per digit.  No float enters this module: logarithms are
-bounded from bit lengths.
+operation per digit.  decode has no digit loop: a shorter word is one
+block of recode.  No float enters this module: logarithms are bounded
+from bit lengths.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import filterfalse, product, repeat, starmap
 from math import isqrt
 from operator import attrgetter
 
-from .gaussint import BudgetExceeded, GaussInt, InvalidInput, Message, exact_div
+from .gaussint import ZERO, BudgetExceeded, GaussInt, InvalidInput, Message, exact_div
 
 Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
@@ -70,7 +71,7 @@ class DigitSet(namedtuple("DigitSet", "base digits")):
     hashes through a Python-level __hash__, so neither construction nor a
     per-digit loop hashes a GaussInt.  A pair key says nothing of type, so
     a reader that looks up an element's pair also tests that it is a
-    GaussInt.  _norm holds N, so that encode reads it once per word.
+    GaussInt.  _norm holds N, so that encode and decode read it once per word.
     Equality and hash read the two fields only.
     """
 
@@ -312,36 +313,25 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
 def decode(w: Word, D: DigitSet) -> GaussInt:
     """Horner evaluation of an msd-first word; decode of the empty word is 0.
 
-    A word of BLOCK_DIGITS digits or more is decoded k digits at a time,
-    k = _block_length(N): recode(w, D, k) folds the blocks, counted from
-    the least significant end, on small ints, and the value takes one
-    big-int step X*b^k + block per block.  Digits are checked in word
-    order either way, by their (re, im) pairs (see _not_a_digit).
+    recode checks each digit, in word order, and takes every Horner step.
+    A word of fewer than BLOCK_DIGITS digits, or over a base with
+    k = _block_length(N) below 2, is one block, its value recode's one
+    digit (none for 0).  Any other word is folded k digits at a time: one
+    big-int step X*b^k + block per block of recode(w, D, k).
     """
-    if len(w) >= BLOCK_DIGITS and (k := _block_length(D.base.norm())) > 1:
-        c = D.base**k
-        x = y = 0
-        for block in recode(w, D, k):
-            x, y = x * c.re - y * c.im + block.re, x * c.im + y * c.re + block.im
-        return GaussInt(x, y)
-    index = D.positions
-    p, q = D.base.re, D.base.im
+    if len(w) < BLOCK_DIGITS or (k := _block_length(D._norm)) < 2:
+        return (recode(w, D, len(w) or 1) or (ZERO,))[0]
+    c = D.base**k
     x = y = 0
-    try:
-        for d in w:
-            d_re, d_im = pair = d.re, d.im
-            if pair not in index or not isinstance(d, GaussInt):
-                raise _not_a_digit(w, D)
-            x, y = x * p - y * q + d_re, x * q + y * p + d_im
-    except (AttributeError, TypeError):  # an element with no re or im, or parts no lookup takes
-        raise _not_a_digit(w, D) from None
+    for block in recode(w, D, k):
+        x, y = x * c.re - y * c.im + block.re, x * c.im + y * c.re + block.im
     return GaussInt(x, y)
 
 
 def _not_a_digit(w: Word, D: DigitSet) -> InvalidInput:
     """The error for the first element of w, in word order, that is not a digit of D.
 
-    decode and recode test a digit by looking up its (re, im) pair in
+    recode tests a digit, for decode too, by looking up its (re, im) pair in
     D.positions, which hashes in C, and by its type: the pair key says
     nothing of type, and an element that is no GaussInt, such as a bare
     (re, im) tuple, is no digit either, whatever its re and im.  Once a
@@ -424,7 +414,8 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     end, into one digit of power_digit_set(D, j), and skips leading zero
     digits; the decoded value is unchanged.  One pass on ints: the first
     block starts its count at the number of leading zeros a pad to a
-    multiple of j would add, and a digit is checked as decode checks it.
+    multiple of j would add, and digits are checked in word order (see
+    _not_a_digit), for decode too.
     """
     if j < 1:
         raise InvalidInput("power exponent must be >= 1")

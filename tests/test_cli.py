@@ -716,13 +716,17 @@ LITERAL_SITES = {
     "dfa_digit": lambda part, tmp: ["dfa", "min", _dfa_file(tmp, "digits", part)],
     "dfa_transition": lambda part, tmp: ["dfa", "falsify", _dfa_file(tmp, "transitions", part), "--set", "integers"],
 }
+INTEGER_SITES = {"m_max", "norm_min", "norm_max", "bound", "dfa_transition"}  # the sites that read a plain int
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
 @pytest.mark.parametrize("site", LITERAL_SITES)
 def test_every_literal_is_read_under_the_interpreters_digit_limit(default_digit_limit, capsys, tmp_path, site):
-    """A part of exactly the limit is not refused for its length; one digit more is, by name, exit 1."""
-    refusal = "a part past 4300 digits, the interpreter's limit"
+    """A part of exactly the limit is not refused for its length; one digit more is, by name, exit 1.
+
+    The refusal names an integer literal where the site reads a plain int, and a Gaussian one elsewhere."""
+    refusal = "past 4300 digits, the interpreter's limit"
+    literal = "an integer literal" if site in INTEGER_SITES else "a Gaussian integer literal with a part"
     for digits in (4300, 4301):
         try:
             code = main(LITERAL_SITES[site]("1" * digits, tmp_path))
@@ -730,6 +734,7 @@ def test_every_literal_is_read_under_the_interpreters_digit_limit(default_digit_
             code = exc.code
         out, err = capsys.readouterr()
         assert (refusal in out + err) is (digits > 4300), (site, digits, code, out[-300:], err[-300:])
+        assert (f"{literal} {refusal}" in out + err) is (digits > 4300), (site, out[-300:], err[-300:])
         assert code == EXIT_ERROR or digits == 4300
         assert "set_int_max_str_digits" not in out + err
         assert sys.get_int_max_str_digits() == 4300

@@ -729,6 +729,9 @@ def test_canonical_digit_set_is_the_box_filter(b):
 @example((B, (ZERO, ZERO)), 3)
 @example((LARGE_BASES[0], ()), 2)
 @example((ALT, (ZERO,) * 3 + (ONE,) * BLOCK_DIGITS), 2)
+# long words over bases whose _block_length is 1 (norm 2^31) and 0 (norm 2^60): each is one block
+@example((g(2**15, 2**15), (ZERO,) + tuple(g(k, 1 - k) for k in range(BLOCK_DIGITS))), 3)
+@example((g(2**30, 0), tuple(g(-k, k % 7) for k in range(BLOCK_DIGITS + 1))), 2)
 def test_decode_and_recode_equal_the_references(case, j):
     key, w = case
     D = digit_set_of(key)
