@@ -17,14 +17,16 @@ digit-set record.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import defaultdict, namedtuple
-from collections.abc import Callable, Hashable, Iterable, Iterator
-from functools import cache
+from _collections_abc import Callable, Hashable, Iterable, Iterator
 from itertools import accumulate, chain, compress, count, islice, repeat, takewhile
 from math import isqrt
-from operator import add, and_, attrgetter, floordiv, gt, itemgetter, mod, mul, ne, or_
 
+try:  # operator's C functions, without the Python layer of operator
+    from _operator import add, and_, attrgetter, floordiv, gt, itemgetter, mod, mul, ne, or_
+except ImportError:
+    from operator import add, and_, attrgetter, floordiv, gt, itemgetter, mod, mul, ne, or_
+
+from ._records import defaultdict, record
 from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, Message, is_power_of
 from .numeration import DigitSet, Word, canonical_digit_set, decode, encode_within
 
@@ -32,7 +34,7 @@ ENUMERATION_BUDGET = 10**8
 MEMBER_BUDGET = 10**6  # candidate values in one walk, and 64-bit words of residual signatures held
 
 
-class Dfa(namedtuple("Dfa", "alphabet initial transitions accepting")):
+class Dfa(record("Dfa", "alphabet initial transitions accepting")):
     """Deterministic finite automaton with a total transition table.
 
     Fields: alphabet (DigitSet), initial (int), transitions
@@ -282,7 +284,7 @@ def integers_dfa(b: GaussInt | int) -> Dfa:
     return _three_state(D, real - {ZERO}, real, frozenset({0, 1}))
 
 
-class LanguageOracle(namedtuple("LanguageOracle", "alphabet value_test candidates")):
+class LanguageOracle(record("LanguageOracle", "alphabet value_test candidates")):
     """Ground-truth membership for a set of Gaussian integers, as a word language.
 
     Fields: alphabet (DigitSet), value_test (Callable[[GaussInt], bool])
@@ -319,6 +321,7 @@ def powers_oracle(a: GaussInt, D: DigitSet) -> LanguageOracle:
 
 def integers_oracle(D: DigitSet) -> LanguageOracle:
     """Oracle for Z inside Z[i], written over D."""
+    from bisect import bisect_left  # only this oracle needs it, and importing it loads _bisect
 
     def candidates(within: Callable[[int], bool], limit: int) -> Iterable[GaussInt] | None:
         top = (limit + 1) // 2  # the 2x + 1 integers of modulus <= x exceed limit iff x >= top
@@ -355,11 +358,18 @@ def _members(L: LanguageOracle, max_len: int, reserved: int = 0) -> Iterator[tup
     scale, delta2 = (isqrt(m) - 1) ** 2, max(d.norm() for d in D.digits)
     below = max_len * (m.bit_length() - 1)  # 2^below <= Delta^2*N^max_len < 2^above
     above = delta2.bit_length() + max_len * m.bit_length()
-    bound = cache(lambda: delta2 * m**max_len)
+    bound = None  # Delta^2*N^max_len, formed on the first x that needs it
 
     def within(x: int) -> bool:
+        nonlocal bound
         bits = (x * scale).bit_length()
-        return bits <= below or (bits <= above and x * scale <= bound())
+        if bits <= below:
+            return True
+        if bits > above:
+            return False
+        if bound is None:
+            bound = delta2 * m**max_len
+        return x * scale <= bound
 
     per_candidate = (max_len + 1) * (above // 64 + 1)
     limit = min(MEMBER_BUDGET, (ENUMERATION_BUDGET - reserved) // per_candidate)
@@ -379,7 +389,7 @@ def _members(L: LanguageOracle, max_len: int, reserved: int = 0) -> Iterator[tup
 
 
 class ResidualReport(
-    namedtuple("ResidualReport", "prefix_depth extension_depth class_count representatives")
+    record("ResidualReport", "prefix_depth extension_depth class_count representatives")
 ):
     """Distinct extension-behaviors among bounded prefixes.
 

@@ -48,23 +48,24 @@ importtime, -I -S, 2 vCPUs, Python 3.11.7).  argparse is imported on the
 lines the reader declines (by build_parser, and by _refusal and _gauss
 for a refused value), json by the DFA-file commands and by
 _render for a float, and os only when stdout's reader has closed the
-pipe.  Strings are encoded by _json's C encode_basestring_ascii, the
-function json.encoder itself binds.
+pipe.  Nor does the package load collections, functools or types: the
+_Command record, build_parser's memo and the reader's namespace come
+from gaussbase._records, and build_parser imports functools for its
+formatter only after argparse has loaded it.  Strings are encoded by
+_json's C encode_basestring_ascii, the function json.encoder itself binds.
 """
 
 from __future__ import annotations
 
-import functools
 import sys
-from collections import namedtuple
 from math import isqrt
-from types import SimpleNamespace
 
 try:  # the C function json.encoder binds, without importing json and the re it loads
     from _json import encode_basestring_ascii
 except ImportError:  # an interpreter without the _json accelerator
     from json.encoder import encode_basestring_ascii
 
+from ._records import SimpleNamespace, memo, record
 from .automata import (
     dfa_from_json,
     dfa_oracle_disagreement,
@@ -499,7 +500,7 @@ def _render_pretty(obj, indent: int = 0) -> list[str]:
     return lines
 
 
-class _Command(namedtuple("_Command", "name help handler args subcommands inputs", defaults=(None, (), (), ()))):
+class _Command(record("_Command", "name help handler args subcommands inputs", defaults=(None, (), (), ()))):
     """One subcommand: its name, its help line (None lists no line), its handler and arguments.
 
     Fields: name (str), help (str | None), handler (Callable | None, a
@@ -608,15 +609,17 @@ def _add_command(group, command: _Command) -> None:
         p.set_defaults(handler=command.handler, inputs=command.inputs)
 
 
-@functools.cache  # built on the first line the reader declines, and reused by every later one
+@memo(None)  # built on the first line the reader declines, and reused by every later one
 def build_parser():
     """The CLI's one argparse parser, with a subparser per COMMANDS entry.
 
     A subparser's prog is `gaussbase NAME`, and the command's name is set
     as `command` (a group's subcommand as `GROUP_command`).  Building it
-    imports argparse, which a plain line never needs.
+    imports argparse, which a plain line never needs, and the functools
+    that argparse has already loaded.
     """
     import argparse
+    import functools
 
     class _Parser(argparse.ArgumentParser):
         """argparse exits usage errors with code 2; keep 2 reserved for not_found.
@@ -666,7 +669,7 @@ def _dest(flags: tuple[str, ...]) -> str:
 
 
 # (command, entry) -> _reader_table's table of that COMMANDS entry, built on its first plain line;
-# a plain dict and no functools memo, since it is a constant of COMMANDS that no cache clearing
+# a plain dict and no memo, since it is a constant of COMMANDS that no cache clearing
 # should make the next line rebuild
 _READER_TABLES: dict[tuple[str, str], tuple] = {}
 

@@ -24,15 +24,14 @@ every returned witness re-checks from its stored fields alone.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from collections.abc import Iterator
-from functools import cached_property
+from _collections_abc import Iterator
 
+from ._records import cached_property, record
 from .gaussint import ONE, UNITS, ZERO, GaussInt, InvalidInput
 from .numeration import Word, canonical_digit_set, decode, encode, length_bound
 
 
-class DependenceVerdict(namedtuple("DependenceVerdict", "dependent r s", defaults=(None, None))):
+class DependenceVerdict(record("DependenceVerdict", "dependent r s", defaults=(None, None))):
     """Outcome of the dependence decision; (r, s) is the minimal positive pair.
 
     Fields: dependent (bool), r and s (int | None, both None when independent).
@@ -77,7 +76,7 @@ def mult_dependent(a: GaussInt, b: GaussInt) -> DependenceVerdict:
     return DependenceVerdict(True, t * abs(xa), t * abs(xb))
 
 
-class GroupWitness(namedtuple("GroupWitness", "a b u m n err_num err_den")):
+class GroupWitness(record("GroupWitness", "a b u m n err_num err_den")):
     """Exponents with norm(a^m - u*b^n) * err_den <= err_num * norm(b)^n.
 
     Fields: a, b and u (GaussInt), m, n, err_num and err_den (int).  The
@@ -348,7 +347,7 @@ def group_witness(
     return None
 
 
-class PrefixWitness(namedtuple("PrefixWitness", "a b u m n z")):
+class PrefixWitness(record("PrefixWitness", "a b u m n z")):
     """a^m = u*b^n + z with the word of z short enough not to disturb u's digits.
 
     Fields: a, b and u (GaussInt), m and n (int), z (GaussInt).  With

@@ -31,13 +31,16 @@ from bit lengths.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Iterable, Iterator
-from functools import lru_cache
+from _collections_abc import Iterable, Iterator
 from itertools import filterfalse, product, repeat, starmap
 from math import isqrt
-from operator import attrgetter
 
+try:  # operator's C attrgetter, without the Python layer of operator
+    from _operator import attrgetter
+except ImportError:
+    from operator import attrgetter
+
+from ._records import memo, record
 from .gaussint import ZERO, BudgetExceeded, GaussInt, InvalidInput, Message, exact_div
 
 Word = tuple[GaussInt, ...]
@@ -55,7 +58,7 @@ class NonTermination(RuntimeError):
     """The greedy digit loop for one value exceeded encode's cap (invalid digit set)."""
 
 
-class DigitSet(namedtuple("DigitSet", "base digits")):
+class DigitSet(record("DigitSet", "base digits")):
     """A base together with a complete residue system containing 0: the tuple (base, digits).
 
     Fields: base (GaussInt) and digits (tuple[GaussInt, ...]), normalized
@@ -186,7 +189,7 @@ def _narrow(c: int, low: int, high: int, first: int, last: int) -> tuple[int, in
     return (first, last) if low <= 0 < high else (1, 0)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo(MEMO_SIZE)
 def canonical_digit_set(b: GaussInt) -> DigitSet:
     """The digits d with Re(d/b) and Im(d/b) in [-1/2, 1/2), all within |re|, |im| <= isqrt(norm(b)).
 
@@ -371,7 +374,7 @@ def max_length_in_disc(r2: int, D: DigitSet) -> int:
     return longest
 
 
-class LengthBound(namedtuple("LengthBound", "base m3")):
+class LengthBound(record("LengthBound", "base m3")):
     """Certified length bound for a base: m3 = max length over norm(z) <= 9.
 
     Fields: base (GaussInt), m3 (int), the longest canonical word over the
@@ -388,7 +391,7 @@ class LengthBound(namedtuple("LengthBound", "base m3")):
         return z.norm() * n**self.m3 <= n**k
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo(MEMO_SIZE)
 def length_bound(b: GaussInt) -> LengthBound:
     """The certified LengthBound for the canonical digit set of b, m3 computed once per base."""
     return LengthBound(base=b, m3=max_length_in_disc(9, canonical_digit_set(b)))
@@ -440,7 +443,7 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     return tuple(out)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@memo(MEMO_SIZE)
 def terminates_on_disc(D: DigitSet) -> bool:
     """Probe digit-set validity: does encode terminate for all norm(z) <= 400?
 
@@ -454,7 +457,7 @@ def terminates_on_disc(D: DigitSet) -> bool:
     return True
 
 
-class LinkCertificate(namedtuple("LinkCertificate", "envelope")):
+class LinkCertificate(record("LinkCertificate", "envelope")):
     """An envelope E (containing 0) witnessing D + E <= D' + b*E; envelope is a tuple[GaussInt, ...]."""
 
     __slots__ = ()

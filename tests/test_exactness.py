@@ -5,7 +5,10 @@ nor reads one as an attribute of another's objects.
 And the library imports light: no module imports re, and `import gaussbase` loads
 neither the regex engine nor the CLI's argparse and json.  A plain CLI command line
 loads neither argparse nor json, nor the re, enum and gettext they import, nor os:
-only a line the reader declines imports argparse, and only a DFA file json.
+only a line the reader declines imports argparse, and only a DFA file json.  Neither
+loads collections, functools or types, nor the keyword and reprlib they import:
+the records, memos and cached properties come from gaussbase._records.  Nor
+operator's and bisect's Python layers: operator's functions come from _operator.
 And the CLI has one JSON writer: no module calls json's indenting encoder, whose
 pure-Python path cli._render replaces.
 And one owner lifts the int-to-str digit limit: only cli._text names
@@ -173,6 +176,12 @@ def test_the_guard_sees_each_kind_of_regex_import():
     assert list(regex_imports(ast.parse(source))) == [1, 2, 3, 7, 9]
 
 
+# the modules the package's records, memos and cached properties once came from, and those they load,
+# and the Python layers of operator and bisect: the package reads operator's C functions, and only
+# integers_oracle imports bisect
+RECORD_MODULES = {"collections", "functools", "types", "keyword", "reprlib", "operator", "bisect"}
+
+
 def test_importing_the_library_leaves_the_regex_engine_and_the_cli_modules_unloaded():
     # -I -S: the interpreter and the package alone, as the benchmark measures the import
     code = "import sys; sys.path.insert(0, sys.argv[1]); import gaussbase; print(*sys.modules)"
@@ -183,6 +192,7 @@ def test_importing_the_library_leaves_the_regex_engine_and_the_cli_modules_unloa
     loaded = set(child.stdout.split())
     assert "gaussbase.automata" in loaded
     assert not loaded & {"re", "enum", "argparse", "json", "gettext", "contextlib"}
+    assert not loaded & RECORD_MODULES
 
 
 # main on each line, its report captured; then the exit codes and the loaded modules on stdout
@@ -223,6 +233,7 @@ def test_plain_command_lines_load_neither_argparse_nor_json_nor_the_regex_engine
     assert codes == [0] * len(PLAIN_LINES)
     assert "gaussbase.cli" in loaded
     assert not loaded & ARGPARSE_AND_JSON
+    assert not loaded & RECORD_MODULES
     # os, with the stat and posixpath it loads, only when stdout's reader closed the pipe
     assert not loaded & {"os", "stat", "posixpath"}
 

@@ -1,22 +1,32 @@
-"""The records: named tuples with validated construction, and annotations that resolve."""
+"""The records: named tuples with validated construction, and annotations that resolve.
 
+Each record class behaves as the collections.namedtuple of its name,
+fields and defaults, and each memo keeps functools.lru_cache's contract,
+on which the benchmark's cache clearing relies.
+"""
+
+import collections
 import copy
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import pickle
 import sys
+import types
 import typing
-from functools import cached_property
+from pathlib import Path
 
 import pytest
 
 import gaussbase
+from gaussbase._records import CacheInfo, cached_property
 from gaussbase.automata import Dfa, LanguageOracle, ResidualReport, powers_dfa, powers_oracle, residual_signatures
-from gaussbase.cli import COMMANDS, _Command
+from gaussbase.cli import COMMANDS, _Command, build_parser
 from gaussbase.dependence import DependenceVerdict, GroupWitness, PrefixWitness, group_witness, prefix_extension
 from gaussbase.gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput
 from gaussbase.numeration import (
+    MEMO_SIZE,
     DigitSet,
     LargeCanonicalDigitSet,
     LengthBound,
@@ -256,3 +266,132 @@ def test_every_annotation_resolves():
     assert {"gaussbase.automata.Dfa.__new__", "gaussbase.numeration.length_bound", "gaussbase.cli.main"} <= names
     for obj in objects:
         typing.get_type_hints(obj)  # a name missing from the module raises NameError
+
+
+# every record class: (name, fields, defaults), as collections.namedtuple takes them
+RECORD_SPECS = {
+    DigitSet: ("DigitSet", "base digits", ()),
+    LengthBound: ("LengthBound", "base m3", ()),
+    LinkCertificate: ("LinkCertificate", "envelope", ()),
+    Dfa: ("Dfa", "alphabet initial transitions accepting", ()),
+    LanguageOracle: ("LanguageOracle", "alphabet value_test candidates", ()),
+    ResidualReport: ("ResidualReport", "prefix_depth extension_depth class_count representatives", ()),
+    DependenceVerdict: ("DependenceVerdict", "dependent r s", (None, None)),
+    GroupWitness: ("GroupWitness", "a b u m n err_num err_den", ()),
+    PrefixWitness: ("PrefixWitness", "a b u m n z", ()),
+    _Command: ("_Command", "name help handler args subcommands inputs", (None, (), (), ())),
+    CacheInfo: ("CacheInfo", "hits misses maxsize currsize", ()),
+}
+
+
+def _record_and_twin(cls, monkeypatch):
+    """The tuple class cls derives from, and the namedtuple of the same spec, in a module of its own;
+    each is put in its module under its name, so that pickle finds them."""
+    base = next(c for c in cls.__mro__ if c.__bases__ == (tuple,))
+    name, fields, defaults = RECORD_SPECS[cls]
+    twins = types.ModuleType("namedtuple_twins")
+    monkeypatch.setitem(sys.modules, twins.__name__, twins)
+    twin = collections.namedtuple(name, fields, defaults=defaults, module=twins.__name__)
+    setattr(twins, name, twin)
+    monkeypatch.setattr(sys.modules[base.__module__], name, base, raising=False)
+    return base, twin
+
+
+def _raised(call):
+    """(type, message) of the exception call raises."""
+    with pytest.raises(Exception) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("cls", RECORD_SPECS, ids=lambda cls: cls.__name__)
+def test_a_record_class_behaves_as_the_namedtuple_of_its_spec(cls, monkeypatch):
+    base, twin = _record_and_twin(cls, monkeypatch)
+    fields = twin._fields
+    values = tuple(range(10, 10 + len(fields)))
+    required = len(fields) - len(twin._field_defaults)
+    r, t = base(*values), twin(*values)
+    # construction: positional, keyword and with the defaults
+    assert base(**dict(zip(fields, values))) == r == t == values
+    assert base(*values[:required]) == twin(*values[:required])
+    assert type(base(*values[:required])) is base
+    assert _raised(lambda: base(*values[: required - 1])) == _raised(lambda: twin(*values[: required - 1]))
+    assert _raised(lambda: base(*values, 0)) == _raised(lambda: twin(*values, 0))
+    assert _raised(lambda: base(*values, **{fields[0]: 0})) == _raised(lambda: twin(*values, **{fields[0]: 0}))
+    # the class's description
+    assert base._fields == base.__match_args__ == fields
+    assert base._field_defaults == twin._field_defaults
+    assert [getattr(r, field) for field in fields] == list(values)
+    assert [getattr(base, field).__doc__ for field in fields] == [getattr(twin, field).__doc__ for field in fields]
+    assert repr(r) == repr(t) and repr(base(*values[:required])) == repr(twin(*values[:required]))
+    assert hash(r) == hash(t) == hash(values) and r != values[:-1]
+    match r:
+        case base(first):
+            assert first == values[0]
+    # _replace, _make and _asdict
+    assert r._replace(**{fields[-1]: 0}) == t._replace(**{fields[-1]: 0}) == (*values[:-1], 0)
+    assert type(r._replace()) is base
+    assert _raised(lambda: r._replace(bogus=1)) == _raised(lambda: t._replace(bogus=1)) == (
+        ValueError,
+        "Got unexpected field names: ['bogus']",
+    )
+    assert base._make(iter(values)) == r and type(base._make(values)) is base
+    for wrong in (values[:-1], (*values, 0)):
+        assert _raised(lambda: base._make(wrong)) == _raised(lambda: twin._make(wrong))
+    assert r._asdict() == t._asdict() and list(r._asdict()) == list(fields)
+    # copy, deepcopy and pickle
+    for clone in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert clone == r and type(clone) is base
+    assert r.__getnewargs__() == t.__getnewargs__() == values
+
+
+def _memos():
+    """Every memo of the package, emptied, with the maxsize its contract names and an argument to call it with."""
+    memos = {
+        canonical_digit_set: (MEMO_SIZE, (g(3, 1),)),
+        length_bound: (MEMO_SIZE, (g(3, 1),)),
+        terminates_on_disc: (MEMO_SIZE, (canonical_digit_set(g(3, 1)),)),
+        build_parser: (None, ()),
+    }
+    for memo in memos:
+        memo.cache_clear()
+    return memos
+
+
+def test_every_memo_keeps_cache_clear_cache_info_and_wrapped():
+    for memo, (maxsize, args) in _memos().items():
+        assert memo.cache_info() == (0, 0, maxsize, 0)
+        assert type(memo.cache_info())._fields == ("hits", "misses", "maxsize", "currsize")
+        assert not hasattr(memo.__wrapped__, "cache_info") and memo.__wrapped__.__name__ == memo.__name__
+        first = memo(*args)
+        assert memo(*args) is first
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 1, maxsize, 1)
+        if memo is not build_parser:  # a fresh call of the function itself gives an equal value
+            assert memo.__wrapped__(*args) == first and memo.cache_info() == info
+        memo.cache_clear()
+        assert memo.cache_info() == (0, 0, maxsize, 0)
+
+
+def test_the_benchmarks_clear_caches_empties_every_memo():
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    api = tracing.library(("numeration", "automata", "dependence", "cli"))
+    memos = _memos()
+    for memo, (_, args) in memos.items():
+        memo(*args)
+    assert all(memo.cache_info().currsize >= 1 for memo in memos)
+    api.clear_caches()
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
+
+
+def test_a_cached_property_runs_its_getter_once_and_keeps_the_value():
+    w = PrefixWitness(*prefix_extension(g(1, 2), B, ONE, 3))  # fresh: the search read its words
+    assert "word_u" not in vars(w) and isinstance(PrefixWitness.word_u, cached_property)
+    assert PrefixWitness.word_u.func.__name__ == "word_u"
+    first = w.word_u
+    assert vars(w)["word_u"] is first is w.word_u
+    vars(w)["word_z"] = (ONE,)  # a value put in the instance shadows the getter
+    assert w.word_z == (ONE,)
