@@ -12,13 +12,17 @@ All geometry is integer-exact: half-open box tests use 2*Re(d*conj(b))
 against +-norm(b), and radii enter squared; canonical_digit_set solves
 the two box tests for each row of the square instead of testing every
 point.  The per-digit loops (the digit map, encode, recode and the
-residue table) run on plain int pairs and build a GaussInt only for a
-value they return.  A digit set has one position table, positions,
-keyed on each digit's (re, im) int pair, which hashes in C where a
-GaussInt hashes through a Python-level __hash__: every layer looks a
-digit up by its pair, so no per-digit loop, nor the construction of a
-digit set, hashes a GaussInt.  m3 encodes
-only the points of its disc that are not digits themselves.  A long
+residue table) run on plain ints and build a GaussInt only for a value
+they return.  A digit set has one position table, positions, keyed on
+each digit's (re, im) int pair, which hashes in C where a GaussInt
+hashes through a Python-level __hash__: every layer looks a digit up by
+its pair, so no per-digit loop, nor the construction of a digit set,
+hashes a GaussInt.  The residue table is keyed by one int, so an encode
+step builds and hashes no tuple at all.  A digit set also keeps the
+constants of its two loops in two tuples, which digit_of, encode,
+decode and recode each read in one step, since on the short words that
+most callers pass the per-call set-up costs as much as the digits.  m3
+encodes only the points of its disc that are not digits themselves.  A long
 value or word (BLOCK_DIGITS digits or more) is encoded and decoded k
 digits at a time, with norm(b)^k < 2^60: one big-int step per block
 splits off or adds in a block.  Encode runs the digit loop's own k steps
@@ -66,16 +70,21 @@ class DigitSet(record("DigitSet", "base digits")):
     residue-system invariants and keeps, as plain attributes outside the
     tuple, the two lookup tables that every layer reads, both keyed on
     ints: positions (dict[tuple[int, int], int]) maps each digit's (re, im)
-    pair to its index in digits and doubles as the member test, and
-    _by_residue (dict[tuple[int, int], tuple[GaussInt, int, int]]) maps the
-    residue (t.re % N, t.im % N) of t = d*conj(b), N = norm(b), to
+    pair to its index in digits and doubles as the member test, and the
+    residue table (dict[int, tuple[GaussInt, int, int]]) maps the residue
+    key t.re % N * N + t.im % N of t = d*conj(b), N = norm(b), to
     (d, t.re, t.im).  Two values are congruent mod b exactly when their
-    residues agree.  A tuple of two ints hashes in C, where a GaussInt
-    hashes through a Python-level __hash__, so neither construction nor a
-    per-digit loop hashes a GaussInt.  A pair key says nothing of type, so
-    a reader that looks up an element's pair also tests that it is a
-    GaussInt.  _norm holds N, so that encode and decode read it once per word.
-    Equality and hash read the two fields only.
+    keys agree.  An int or a tuple of two ints hashes in C, where a
+    GaussInt hashes through a Python-level __hash__, so neither
+    construction nor a per-digit loop hashes a GaussInt.  A pair key says
+    nothing of type, so a reader that looks up an element's pair also
+    tests that it is a GaussInt.  The constants of its two loops sit in
+    two tuples, each read in one step per call: _loop is the digit loop's
+    (N, Re conj(b), Im conj(b), residue table, N.bit_length() - 1), the
+    last encode's cap divisor, and _fold is the Horner fold's
+    (positions, b.re, b.im).  Equality and hash read the two fields only,
+    and every copy, pickle or _replace builds through the constructor, so
+    the tables and tuples always follow the fields.
     """
 
     def __new__(cls, base: GaussInt, digits: tuple[GaussInt, ...]) -> DigitSet:
@@ -95,12 +104,18 @@ class DigitSet(record("DigitSet", "base digits")):
         by_residue = {}
         for d, (x, y) in zip(digits, pairs):  # t = d*conj(b) on ints
             t_re, t_im = x * p + y * q, y * p - x * q
-            by_residue[t_re % n, t_im % n] = (d, t_re, t_im)
+            by_residue[t_re % n * n + t_im % n] = (d, t_re, t_im)
         if len(by_residue) != n:
             raise InvalidInput("digits are not pairwise incongruent mod base")
         self = tuple.__new__(cls, (base, digits))
-        self.positions, self._by_residue, self._norm = positions, by_residue, n
+        self._keep(positions, by_residue, n)
         return self
+
+    def _keep(self, positions: dict | _Box, table: dict | _Box, n: int) -> None:
+        """Keep the two tables, and the constants of the digit loop and of the Horner fold."""
+        p, q = self.base.re, self.base.im
+        self.positions = positions
+        self._loop, self._fold = (n, p, -q, table, n.bit_length() - 1), (positions, p, q)
 
     @classmethod
     def _make(cls, fields: Iterable) -> DigitSet:
@@ -129,11 +144,12 @@ class _Box:
     parts of t = d*conj(b), N = norm(b); a pair whose parts are not
     both ints is no member.  A LargeCanonicalDigitSet's
     positions is the box, and no reader asks it for an index: a DFA's
-    alphabet and a ranked word need the listed digits.  box[residue] is
-    the residue-table entry: the residue (t.re % N, t.im % N) of
-    t = w*conj(b) lifts to the t_d in [-N/2, N/2)^2 congruent to t, and
-    the digit is d = t_d*b/N, an exact division because t_d = d*conj(b).
-    N is computed once, with the box.
+    alphabet and a ranked word need the listed digits.  box[key] is the
+    residue-table entry: the one-int key t.re % N * N + t.im % N of
+    t = w*conj(b) splits by divmod(key, N) into the residue pair, which
+    lifts to the t_d in [-N/2, N/2)^2 congruent to t, and the digit is
+    d = t_d*b/N, an exact division because t_d = d*conj(b).  N is
+    computed once, with the box.
     """
 
     def __init__(self, b: GaussInt) -> None:
@@ -145,9 +161,9 @@ class _Box:
             return False
         return -n <= 2 * (x * bre + y * bim) < n and -n <= 2 * (y * bre - x * bim) < n
 
-    def __getitem__(self, residue: tuple[int, int]) -> tuple[GaussInt, int, int]:
+    def __getitem__(self, key: int) -> tuple[GaussInt, int, int]:
         bre, bim, n = self.b.re, self.b.im, self.n
-        t_re, t_im = (r if 2 * r < n else r - n for r in residue)
+        t_re, t_im = (r if 2 * r < n else r - n for r in divmod(key, n))
         return GaussInt((t_re * bre - t_im * bim) // n, (t_re * bim + t_im * bre) // n), t_re, t_im
 
 
@@ -156,17 +172,18 @@ class LargeCanonicalDigitSet(DigitSet):
 
     It is the tuple (base, None), so it equals the set of the same base
     only.  Its positions and its residue table are one _Box, box
-    arithmetic on one pair or residue, so encode, decode, digit_of and
-    length_bound work as for any digit set; positions is the member test
-    alone, and asking for the digits themselves raises BudgetExceeded.
-    Its _norm is the N the box computed.  The digits argument is ignored,
+    arithmetic on one pair or residue key, so encode, decode, recode,
+    digit_of and length_bound work as for any digit set; positions is the
+    member test alone, and asking for the digits themselves raises
+    BudgetExceeded.  Its _loop and _fold hold the box where a listed set
+    holds its tables, and the N the box computed.  The digits argument is ignored,
     so that cls(*fields) rebuilds one, as _replace, copy and pickle do.
     """
 
     def __new__(cls, base: GaussInt, digits: None = None) -> LargeCanonicalDigitSet:
         self = tuple.__new__(cls, (base, None))
-        self.positions = self._by_residue = box = _Box(base)
-        self._norm = box.n
+        box = _Box(base)
+        self._keep(box, box, box.n)
         return self
 
     @property
@@ -217,10 +234,10 @@ def canonical_digit_set(b: GaussInt) -> DigitSet:
 
 def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
     """The unique d in D with b | (z - d)."""
-    b = D.base
-    n = b.norm()
-    t_re, t_im = z.re * b.re + z.im * b.im, z.im * b.re - z.re * b.im  # t = z*conj(b)
-    return D._by_residue[t_re % n, t_im % n][0]
+    n, bre, bim, table, _ = D._loop  # bre + bim*i is conj(b)
+    x, y = z.re, z.im
+    t_re, t_im = x * bre - y * bim, x * bim + y * bre  # t = z*conj(b)
+    return table[t_re % n * n + t_im % n][0]
 
 
 def _block_length(n: int) -> int:
@@ -251,15 +268,12 @@ def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
     A block in which the state reaches 0 leaves zeros past the leading
     digit, which are stripped.
     """
-    n = D._norm
-    b = D.base
-    bre, bim = b.re, -b.im  # components of conj(b)
-    table = D._by_residue
+    n, bre, bim, table, _ = D._loop  # bre + bim*i is conj(b)
     out: list[GaussInt] = []
     x, y = z.re, z.im
     if max_len > _BLOCK_STEPS and x.bit_length() + y.bit_length() >= BLOCK_DIGITS * n.bit_length():
         k = _block_length(n)
-        c = b**k
+        c = D.base**k
         c_re, c_im, nk = c.re, c.im, n**k
         half, small = nk >> 1, nk.bit_length()
         while k > 1 and (x.bit_length() > small or y.bit_length() > small) and len(out) + k <= max_len:
@@ -271,7 +285,7 @@ def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
             for _ in range(k):  # the digit loop's step, as below
                 t_re = x * bre - y * bim
                 t_im = x * bim + y * bre
-                d, d_re, d_im = table[t_re % n, t_im % n]
+                d, d_re, d_im = table[t_re % n * n + t_im % n]
                 out.append(d)
                 x, y = (t_re - d_re) // n, (t_im - d_im) // n
             x, y = x + q_re, y + q_im
@@ -284,7 +298,7 @@ def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
             return None
         t_re = x * bre - y * bim
         t_im = x * bim + y * bre
-        d, d_re, d_im = table[t_re % n, t_im % n]
+        d, d_re, d_im = table[t_re % n * n + t_im % n]
         out.append(d)
         x, y = (t_re - d_re) // n, (t_im - d_im) // n
     out.reverse()
@@ -306,7 +320,7 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
     k = ceil(bits(value) / (bits(N) - 1)).
     """
     x, y = z.re, z.im
-    cap = 2 * -(-(x * x + y * y + 1).bit_length() // (D._norm.bit_length() - 1)) + 272
+    cap = 2 * -(-(x * x + y * y + 1).bit_length() // D._loop[4]) + 272
     w = encode_within(z, D, cap)
     if w is None:
         raise NonTermination(f"digit loop for {z} over base {D.base} exceeded {cap} iterations")
@@ -322,7 +336,7 @@ def decode(w: Word, D: DigitSet) -> GaussInt:
     digit (none for 0).  Any other word is folded k digits at a time: one
     big-int step X*b^k + block per block of recode(w, D, k).
     """
-    if len(w) < BLOCK_DIGITS or (k := _block_length(D._norm)) < 2:
+    if len(w) < BLOCK_DIGITS or (k := _block_length(D._loop[0])) < 2:
         return (recode(w, D, len(w) or 1) or (ZERO,))[0]
     c = D.base**k
     x = y = 0
@@ -381,14 +395,21 @@ class LengthBound(record("LengthBound", "base m3")):
     disc norm(z) <= 9; length_bound computes it, and no digit set stores
     it.  The predicate norm(z) * norm(b)^m3 <= norm(b)^k guarantees that
     the word of z has length at most k; the underlying real constant
-    |b|^(-m3) is never materialized.
+    |b|^(-m3) is never materialized.  within_bound decides it in ints for
+    every k with one power: norm(z) <= norm(b)^(k - m3) when k >= m3, and
+    z = 0 otherwise, as norm(b)^(k - m3) < 1 then for norm(b) >= 2; a
+    negative k forms no float, so a huge base cannot overflow.  A record
+    built directly on a unit or zero base, which length_bound never builds,
+    is decided by the predicate as written.
     """
 
     __slots__ = ()
 
     def within_bound(self, z: GaussInt, k: int) -> bool:
-        n = self.base.norm()
-        return z.norm() * n**self.m3 <= n**k
+        n, e = self.base.norm(), k - self.m3
+        if n < 2:  # a unit or zero base, which length_bound never builds: the predicate as written
+            return z.norm() * n**self.m3 <= n**k
+        return z.norm() <= n**e if e >= 0 else not z
 
 
 @memo(MEMO_SIZE)
@@ -422,8 +443,7 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     """
     if j < 1:
         raise InvalidInput("power exponent must be >= 1")
-    index = D.positions
-    p, q = D.base.re, D.base.im
+    index, p, q = D._fold
     out: list[GaussInt] = []
     x = y = 0
     filled = (-len(w)) % j

@@ -15,7 +15,7 @@ And one owner lifts the int-to-str digit limit: only cli._text names
 sys.set_int_max_str_digits, so every literal is read under the interpreter's limit.
 And the verification suite checks digit sets without the library's digit lookups:
 verification.py reads no .positions and no digit_of (the private-attribute guard
-covers _by_residue), so its residue check does not lean on the code it verifies.
+covers _loop and _fold), so its residue check does not lean on the code it verifies.
 """
 
 import ast

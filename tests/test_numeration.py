@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 from math import isqrt
 from unittest import mock
 
@@ -18,6 +19,7 @@ from gaussbase.numeration import (
     DIGIT_BUDGET,
     DigitSet,
     LargeCanonicalDigitSet,
+    LengthBound,
     MEMO_SIZE,
     NonTermination,
     canonical_digit_set,
@@ -281,6 +283,32 @@ def test_length_bound_predicate(D):
                 assert ell <= k
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([B, g(-4, 7), g(0, 11), g(10**200, 1)]),
+    st.integers(0, 6),
+    st.integers(-3, 20),
+    st.integers(-1, 1),
+    st.integers(-1, 1),
+)
+@example(g(10**200, 1), 1, -1, 0, 0)
+@example(g(10**200, 1), 1, -1, -1, 0)
+@example(B, 3, 1, -1, 0)
+@example(g(1), 2, 1, 0, 0)
+@example(g(1), 2, -1, 1, 0)
+@example(g(1), 2, 4, 1, 0)
+@example(ZERO, 2, 3, 1, 0)
+@example(ZERO, 0, 0, 0, 0)
+def test_within_bound_is_the_exact_predicate_for_every_k(b, m3, k, dx, dy):
+    # z is b^(k - m3), of norm exactly n^(k - m3), or one of its neighbours; 1 and its
+    # neighbours, 0 among them, when k < m3.  For k < 0 the predicate's n^k is a Fraction.
+    # The unit and zero bases of the examples, which length_bound never builds, keep
+    # their exponents where the predicate is defined.
+    n = b.norm()
+    z = b ** max(k - m3, 0) + g(dx, dy)
+    assert LengthBound(b, m3).within_bound(z, k) == (z.norm() * Fraction(n) ** m3 <= Fraction(n) ** k)
+
+
 # ---- base powers and recoding ----
 
 def test_power_digit_set_sizes(D):
@@ -438,7 +466,10 @@ def test_unlisted_canonical_digits_match_the_listed_ones_for_every_base_up_to_no
             pair = (z.re, z.im)
             assert (pair in unlisted.positions) == (pair in listed.positions) == in_canonical_box(z, b)
             assert digit_of(z, unlisted) == digit_of(z, listed)
-            assert encode(z, unlisted) == encode(z, listed)
+            w = encode(z, unlisted)
+            assert w == encode(z, listed)
+            assert decode(w, unlisted) == z
+            assert recode(w, unlisted, 2) == recode(w, listed, 2)
         with pytest.raises(BudgetExceeded, match="digit budget"):
             unlisted.digits
 
@@ -718,9 +749,10 @@ def test_a_block_that_reaches_the_end_of_the_word_strips_its_padding():
 def test_canonical_digit_set_is_the_box_filter(b):
     D = canonical_digit_set(b)
     assert D.digits == reference_canonical_digits(b)
+    n = b.norm()
     for d in D.digits:
         t = d * b.conj()
-        assert D._by_residue[t.re % b.norm(), t.im % b.norm()] == (d, t.re, t.im)
+        assert D._loop[3][t.re % n * n + t.im % n] == (d, t.re, t.im)
 
 
 @settings(max_examples=200, deadline=None)

@@ -32,7 +32,10 @@ from gaussbase.numeration import (
     LengthBound,
     LinkCertificate,
     canonical_digit_set,
+    decode,
+    encode,
     length_bound,
+    recode,
     terminates_on_disc,
 )
 
@@ -206,13 +209,24 @@ def test_a_large_canonical_digit_set_never_equals_a_listed_one(b):
     assert DigitSet(b, listed.digits) != unlisted
 
 
+def assert_same_words(D, fresh):
+    """encode, decode and recode through D agree with a digit set built afresh from the same fields."""
+    for z in (g(0), g(1), g(-7, 3), g(40, -29), g(123456, 789)):
+        w = encode(z, D)
+        assert w == encode(z, fresh) and decode(w, D) == z
+        assert recode(w, D, 2) == recode(w, fresh, 2)
+
+
 def test_digit_set_positions_survive_replace_and_pickle():
     D = DigitSet(B, tuple(reversed(D5.digits)))
     expected = {(d.re, d.im): i for i, d in enumerate(D5.digits)}
+    fresh = DigitSet(B, D5.digits)
     for clone in (pickle.loads(pickle.dumps(D)), copy.deepcopy(D), D._replace(digits=D.digits)):
         assert clone.positions == expected
+        assert_same_words(clone, fresh)
     D3 = D._replace(base=g(3), digits=canonical_digit_set(g(3)).digits)
     assert D3.positions == {(d.re, d.im): i for i, d in enumerate(canonical_digit_set(g(3)).digits)}
+    assert_same_words(D3, DigitSet(g(3), canonical_digit_set(g(3)).digits))
 
 
 def test_records_copy_and_pickle_through_the_constructor():
@@ -220,8 +234,10 @@ def test_records_copy_and_pickle_through_the_constructor():
         for clone in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
             assert clone == r and type(clone) is type(r)
     clone = pickle.loads(pickle.dumps(D5))
-    assert clone.positions == D5.positions and clone._by_residue == D5._by_residue
-    assert LargeCanonicalDigitSet(g(400, 1))._replace(base=g(1000, 1)) == canonical_digit_set(g(1000, 1))
+    assert clone.positions == D5.positions and clone._loop == D5._loop
+    moved = LargeCanonicalDigitSet(g(400, 1))._replace(base=g(1000, 1))
+    assert moved == canonical_digit_set(g(1000, 1))
+    assert_same_words(moved, LargeCanonicalDigitSet(g(1000, 1)))
 
 
 def test_each_dfa_subcommand_has_its_own_handler():
