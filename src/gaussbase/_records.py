@@ -10,24 +10,16 @@ the package still needs 1.2 ms of that, for _collections_abc, and with
 this module, and operator's functions read from _operator, the import
 takes 7.3 ms (-X importtime, -I -S, medians of 20 alternating runs,
 2 shared vCPUs, Python 3.11.7).  This module reads the same C objects from _collections and _functools,
-which the interpreter builds in; where one is missing, the name comes
-from the public module that provides it, and the package imports what
-it imported before.
+which the interpreter builds in.  _collections is required: collections
+itself takes defaultdict from it, so without it no fallback could load.
+Without _functools, the memo wrapper is functools' pure-Python one.
 """
 
 from __future__ import annotations
 
 import sys
 
-try:  # the C field getter namedtuple uses
-    from _collections import _tuplegetter
-except ImportError:
-    from collections import _tuplegetter
-
-try:
-    from _collections import defaultdict
-except ImportError:
-    from collections import defaultdict
+from _collections import _tuplegetter, defaultdict  # the C field getter namedtuple uses, and the class itself
 
 try:  # the C wrapper of functools.lru_cache
     from _functools import _lru_cache_wrapper

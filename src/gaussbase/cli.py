@@ -15,20 +15,16 @@ and ints to C, and a list of plain ints to one join.
 
 Gaussian integers use the literal grammar `a`, `a+bi`, `a-bi` (e.g. 5,
 2+1i, -1+2i); words are comma-separated digit literals, msd-first, with
-the empty string for the empty word.  Literals starting with `-` must
-follow a `--` separator, as usual for argparse.
-
-The commands are one table, COMMANDS.  A plain command line (exact
-flags, each option's value the next token, positionals, and everything
-after one --) is read straight off its command's entry by _read_argv,
-which builds no parser and gives a types.SimpleNamespace with the
-attributes argparse's namespace would have.  Every other line goes to
-the one argparse parser, which build_parser makes of the whole table on
-the first such line of a process: -h, abbreviations, --flag=value and
--kVALUE forms, and every error, so help, usage and every error are
-argparse's own.  The report is written to -o FILE before it is
-printed, and a FILE that cannot be written turns it into an error
-report (exit 1).
+the empty string for the empty word.  _read_argv reads every command
+line off one table, COMMANDS: a command's name (for a group, its
+subcommand's name next), then its flags, options and positionals in any
+order, and every token after one -- as a positional.  An option's value
+is the next token, or follows = (--m-max=64) or a one-letter flag (-k4);
+only such a value, a token after --, or a negative number (-3) may start
+with -.  The last of a repeated option counts; flags have no
+abbreviations.  A usage error prints the usage line and `PROG: error:
+MESSAGE` to stderr and exits 1.  The report is written to -o FILE before
+it is printed; a FILE that cannot be written makes it an error report.
 
 One int-to-str digit limit reads and one writes.  Every literal, an
 argument or one a handler reads (a powers: set, a word, a DFA file's
@@ -41,18 +37,13 @@ prints integers of up to OUTPUT_DIGITS decimal digits, or more when the
 interpreter's own limit is higher, and past that it is an error report
 that names the limit.
 
-A plain line imports neither argparse nor json, nor the re, enum and
-gettext they load.  Most of a one-shot call is interpreter start-up, and
-those modules took 8 of the 16 ms of importing this module (-X
-importtime, -I -S, 2 vCPUs, Python 3.11.7).  argparse is imported on the
-lines the reader declines (by build_parser, and by _refusal and _gauss
-for a refused value), json by the DFA-file commands and by
-_render for a float, and os only when stdout's reader has closed the
-pipe.  Nor does the package load collections, functools or types: the
-_Command record, build_parser's memo and the reader's namespace come
-from gaussbase._records, and build_parser imports functools for its
-formatter only after argparse has loaded it.  Strings are encoded by
-_json's C encode_basestring_ascii, the function json.encoder itself binds.
+No line imports argparse, nor json but for a DFA file or a float, nor
+the re, enum and gettext they load, which took 8 of the 16 ms of
+importing this module (-X importtime, -I -S, 2 vCPUs, Python 3.11.7).
+os is imported only when stdout's reader has closed the pipe, and
+collections, functools and types not at all: the _Command record and
+the namespace come from gaussbase._records.  Strings are encoded by
+_json's C encode_basestring_ascii, the function json.encoder binds.
 """
 
 from __future__ import annotations
@@ -65,7 +56,7 @@ try:  # the C function json.encoder binds, without importing json and the re it 
 except ImportError:  # an interpreter without the _json accelerator
     from json.encoder import encode_basestring_ascii
 
-from ._records import SimpleNamespace, memo, record
+from ._records import SimpleNamespace, record
 from .automata import (
     dfa_from_json,
     dfa_oracle_disagreement,
@@ -136,7 +127,7 @@ def _text(value, render=str) -> str:
 
 
 def _count(text: str) -> int:
-    """argparse type for budgets, depths and lengths: a non-negative int."""
+    """Type of budgets, depths and lengths: a non-negative int."""
     try:
         value = int(text)
         if value >= 0:
@@ -147,7 +138,7 @@ def _count(text: str) -> int:
 
 
 def _int(text: str) -> int:
-    """argparse type for the ends of scan-bases' norm range: any int."""
+    """Type of the ends of scan-bases' norm range: any int."""
     try:
         return int(text)
     except ValueError:
@@ -172,28 +163,13 @@ def _int_literal(text: str) -> int:
         raise past_digit_limit("an integer literal", text) from None
 
 
-def _refusal(message: str, *parts: str):
-    """argparse's error for a value int() refused: _int_literal's, naming the digit limit, when a
-    part is a decimal numeral, which int() refuses only past that limit; else message."""
-    import argparse  # only a refused value loads argparse, which prints the message
-
-    try:
-        for part in parts:
-            if part.isascii() and (part[1:] if part[:1] in "+-" else part).isdigit():
-                _int_literal(part)
-    except InvalidInput as exc:
-        message = str(exc)
-    return argparse.ArgumentTypeError(message)
-
-
-def _gauss(text: str) -> GaussInt:
-    """argparse type for Gaussian integers: GaussInt.parse, its refusal kept as the usage error."""
-    try:
-        return GaussInt.parse(text)
-    except InvalidInput as exc:
-        import argparse
-
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _refusal(message: str, *parts: str) -> InvalidInput:
+    """The refusal of a value int() refused: InvalidInput(message), unless a part is a decimal
+    numeral, which int() refuses only past the digit limit: then _int_literal raises its own."""
+    for part in parts:
+        if part.isascii() and (part[1:] if part[:1] in "+-" else part).isdigit():
+            _int_literal(part)
+    return InvalidInput(message)
 
 
 def _echo(args, names: tuple[str, ...]) -> dict:
@@ -501,259 +477,223 @@ def _render_pretty(obj, indent: int = 0) -> list[str]:
 
 
 class _Command(record("_Command", "name help handler args subcommands inputs", defaults=(None, (), (), ()))):
-    """One subcommand: its name, its help line (None lists no line), its handler and arguments.
+    """One subcommand: its name, its help line, its handler and arguments.
 
-    Fields: name (str), help (str | None), handler (Callable | None, a
-    cmd_* function), args (tuple), subcommands (tuple[_Command, ...]) and
-    inputs (tuple[str, ...]).  args holds (flags, add_argument options)
-    pairs.  inputs names the parsed arguments the report echoes, in its
-    order, whether the handler returns or raises.  A group such as dfa
-    has subcommands instead, each with its own handler, the output flags
-    and its own args, so those flags follow the subcommand.
+    Fields: name (str), help (str | None), handler (Callable | None, a cmd_*
+    function), args (tuple of _arg's triples), subcommands (tuple[_Command,
+    ...]) and inputs (tuple[str, ...]), the arguments the report echoes, in
+    its order, whether the handler returns or raises.  A group such as dfa
+    has subcommands instead, each with its own handler, the output flags and
+    its own args, so those flags follow the subcommand.
     """
 
     __slots__ = ()
 
 
 def _arg(*flags: str, **options) -> tuple:
-    return flags, options
+    """(dest, flags, options) of an option (flags start with -) or a required positional; dest is its last flag's
+    (--m-max: m_max).  options may hold type (str by default; it raises InvalidInput), default, required,
+    choices, metavar, help, and action: "help" or "store_true" for a flag without value."""
+    if not flags[0].startswith("-"):
+        options["required"] = True
+    return flags[-1].lstrip("-").replace("-", "_"), flags, options
 
 
-_BASE = _arg("-b", "--base", type=_gauss, required=True)
-_A, _B, _U = (_arg(name, type=_gauss) for name in "abu")
+_HELP = _arg("-h", "--help", action="help", help="show this help message and exit")
+_BASE = _arg("-b", "--base", type=GaussInt.parse, required=True)
+_A, _B, _U = (_arg(name, type=GaussInt.parse) for name in "abu")
 _FILE = _arg("file")
 _SET = _arg("--set", required=True, help="powers:GAUSS or integers")
-# every command's output flags; the two store_true flags exclude each other
+# every command's output flags; the store_true flags exclude each other
 _OUTPUT = (
-    _arg("--json", action="store_true", help="JSON report (default)"),
-    _arg("--pretty", action="store_true", help="human-readable rendering"),
+    _arg("--json", action="store_true", default=False, help="JSON report (default)"),
+    _arg("--pretty", action="store_true", default=False, help="human-readable rendering"),
     _arg("-o", "--out", metavar="FILE", help="also write the JSON report to FILE"),
 )
 
-# every command of the CLI, in the order its help lists them; build_parser and _read_argv read this table
-COMMANDS = {
-    command.name: command
-    for command in (
-        _Command("digits", "canonical digit set of a base", cmd_digits, (_BASE,), inputs=("base",)),
+# every command of the CLI, as the top level's subcommands, in the order its help lists them
+_TOP = _Command("gaussbase", "Numeration systems for the Gaussian integers in a complex base.", subcommands=(
+    _Command("digits", "canonical digit set of a base", cmd_digits, (_BASE,), inputs=("base",)),
+    _Command(
+        "encode", "word of a Gaussian integer", cmd_encode, (_BASE, _arg("value", type=GaussInt.parse)),
+        inputs=("base", "value"),
+    ),
+    _Command("decode", "value of an msd-first word", cmd_decode, (
+        _BASE, _arg("word", help="comma-separated digits, empty string for the empty word"),
+    ), inputs=("base", "word")),
+    _Command("scan-bases", "digit/roundtrip/length checks over a norm range", cmd_scan_bases, (
+        _arg("--norm-min", type=_int, default=5),
+        _arg("--norm-max", type=_int, default=30),
+        _arg("--disc", type=_count, default=100, help="squared radius of the probe disc"),
+        _arg("--k-max", type=_count, default=8),
+    ), inputs=("norm_min", "norm_max", "disc", "k_max")),
+    _Command("deptest", "multiplicative dependence verdict", cmd_deptest, (_A, _B), inputs=("a", "b")),
+    _Command("witness", "certified |a^m/b^n - u| bound search", cmd_witness, (
+        _A, _B, _U,
+        _arg("--bound", type=_bound, default=(1, 25), metavar="NUM/DEN"),
+        _arg("--m-max", type=_count, default=256),
+    ), inputs=("a", "b", "u", "m_max", "bound")),
+    _Command("prefix", "prefix-extension witness (optionally chained)", cmd_prefix, (
+        _A, _B, _U,
+        _arg("--n-min", type=_count, default=0),
+        _arg("--budget", type=_count, default=256, help="largest exponent m searched"),
+        _arg("--depth", type=_count, default=0, help="extra chain levels beyond the first witness"),
+    ), inputs=("a", "b", "u", "n_min", "budget", "depth")),
+    _Command("residuals", "residual classes of powers of a over base b", cmd_residuals, (
+        _A, _B,
+        _arg("-k", type=_count, default=4, help="prefix depth"),
+        _arg("-e", type=_count, default=3, help="extension depth"),
+    ), inputs=("a", "b", "k", "e")),
+    _Command("pump", "insert zero blocks behind the leading digit", cmd_pump, (
+        _BASE, _SET,
+        _arg("--word", required=True),
+        _arg("-k", type=_count, default=1, help="zeros per pump block"),
+        _arg("--reps", type=_count, default=8),
+    ), inputs=("base", "set", "word", "k", "reps")),
+    _Command("dfa", "DFA engine over JSON automata", subcommands=(
+        _Command("make", None, cmd_dfa_make, (
+            _arg("kind", choices=("powers", "integers")),
+            _BASE,
+            _arg("--dfa-out", metavar="FILE", help="write the DFA JSON to FILE"),
+        ), inputs=("kind", "base")),
+        _Command("run", None, cmd_dfa_run, (_FILE, _arg("--word", required=True)), inputs=("file", "word")),
+        _Command("min", None, cmd_dfa_min, (
+            _FILE, _arg("--dfa-out", metavar="FILE", help="write the minimized DFA JSON to FILE"),
+        ), inputs=("file",)),
+        _Command("equiv", None, cmd_dfa_equiv, (_FILE, _arg("file2")), inputs=("file", "file2")),
         _Command(
-            "encode", "word of a Gaussian integer", cmd_encode, (_BASE, _arg("value", type=_gauss)),
-            inputs=("base", "value"),
+            "falsify", None, cmd_dfa_falsify, (_FILE, _SET, _arg("--max-len", type=_count, default=6)),
+            inputs=("file", "set", "max_len"),
         ),
-        _Command("decode", "value of an msd-first word", cmd_decode, (
-            _BASE, _arg("word", help="comma-separated digits, empty string for the empty word"),
-        ), inputs=("base", "word")),
-        _Command("scan-bases", "digit/roundtrip/length checks over a norm range", cmd_scan_bases, (
-            _arg("--norm-min", type=_int, default=5),
-            _arg("--norm-max", type=_int, default=30),
-            _arg("--disc", type=_count, default=100, help="squared radius of the probe disc"),
-            _arg("--k-max", type=_count, default=8),
-        ), inputs=("norm_min", "norm_max", "disc", "k_max")),
-        _Command("deptest", "multiplicative dependence verdict", cmd_deptest, (_A, _B), inputs=("a", "b")),
-        _Command("witness", "certified |a^m/b^n - u| bound search", cmd_witness, (
-            _A, _B, _U,
-            _arg("--bound", type=_bound, default=(1, 25), metavar="NUM/DEN"),
-            _arg("--m-max", type=_count, default=256),
-        ), inputs=("a", "b", "u", "m_max", "bound")),
-        _Command("prefix", "prefix-extension witness (optionally chained)", cmd_prefix, (
-            _A, _B, _U,
-            _arg("--n-min", type=_count, default=0),
-            _arg("--budget", type=_count, default=256, help="largest exponent m searched"),
-            _arg("--depth", type=_count, default=0, help="extra chain levels beyond the first witness"),
-        ), inputs=("a", "b", "u", "n_min", "budget", "depth")),
-        _Command("residuals", "residual classes of powers of a over base b", cmd_residuals, (
-            _A, _B,
-            _arg("-k", type=_count, default=4, help="prefix depth"),
-            _arg("-e", type=_count, default=3, help="extension depth"),
-        ), inputs=("a", "b", "k", "e")),
-        _Command("pump", "insert zero blocks behind the leading digit", cmd_pump, (
-            _BASE, _SET,
-            _arg("--word", required=True),
-            _arg("-k", type=_count, default=1, help="zeros per pump block"),
-            _arg("--reps", type=_count, default=8),
-        ), inputs=("base", "set", "word", "k", "reps")),
-        _Command("dfa", "DFA engine over JSON automata", subcommands=(
-            _Command("make", None, cmd_dfa_make, (
-                _arg("kind", choices=("powers", "integers")),
-                _BASE,
-                _arg("--dfa-out", metavar="FILE", help="write the DFA JSON to FILE"),
-            ), inputs=("kind", "base")),
-            _Command("run", None, cmd_dfa_run, (_FILE, _arg("--word", required=True)), inputs=("file", "word")),
-            _Command("min", None, cmd_dfa_min, (
-                _FILE, _arg("--dfa-out", metavar="FILE", help="write the minimized DFA JSON to FILE"),
-            ), inputs=("file",)),
-            _Command("equiv", None, cmd_dfa_equiv, (_FILE, _arg("file2")), inputs=("file", "file2")),
-            _Command(
-                "falsify", None, cmd_dfa_falsify, (_FILE, _SET, _arg("--max-len", type=_count, default=6)),
-                inputs=("file", "set", "max_len"),
-            ),
-        )),
-        _Command("verify", "run the full verification suite", cmd_verify),
-    )
-}
+    )),
+    _Command("verify", "run the full verification suite", cmd_verify),
+))
+COMMANDS = {command.name: command for command in _TOP.subcommands}
+_READER_TABLES: dict[str, tuple] = {}
 
 
-def _add_command(group, command: _Command) -> None:
-    """Register one table entry in a subparsers group: its output flags or subcommands, arguments and handler."""
-    p = group.add_parser(command.name, **({} if command.help is None else {"help": command.help}))
-    if command.subcommands:
-        sub = p.add_subparsers(dest=f"{command.name}_command", required=True)
-        for subcommand in command.subcommands:
-            _add_command(sub, subcommand)
-    else:
-        mode = p.add_mutually_exclusive_group()
-        for flags, options in _OUTPUT:
-            (mode if "action" in options else p).add_argument(*flags, **options)
-    for flags, options in command.args:
-        p.add_argument(*flags, **options)
-    if command.handler is not None:
-        p.set_defaults(handler=command.handler, inputs=command.inputs)
-
-
-@memo(None)  # built on the first line the reader declines, and reused by every later one
-def build_parser():
-    """The CLI's one argparse parser, with a subparser per COMMANDS entry.
-
-    A subparser's prog is `gaussbase NAME`, and the command's name is set
-    as `command` (a group's subcommand as `GROUP_command`).  Building it
-    imports argparse, which a plain line never needs, and the functools
-    that argparse has already loaded.
-    """
-    import argparse
-    import functools
-
-    class _Parser(argparse.ArgumentParser):
-        """argparse exits usage errors with code 2; keep 2 reserved for not_found.
-
-        Help and usage are laid out 100 columns wide whatever the terminal, so
-        they do not depend on COLUMNS and building the parser never asks for
-        the terminal size.
-        """
-
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, formatter_class=functools.partial(argparse.HelpFormatter, width=100), **kwargs)
-
-        def error(self, message: str):
-            self.print_usage(sys.stderr)
-            print(f"{self.prog}: error: {message}", file=sys.stderr)
-            raise SystemExit(EXIT_ERROR)
-
-        def parse_known_args(self, args=None, namespace=None):
-            # Python 3.11's argparse leaves a last -- over after an option but reads it after a
-            # positional; it is left over in both cases, so no line turns valid by where it ends
-            namespace, extras = super().parse_known_args(args, namespace)
-            if args and args[-1] == "--" and extras[-1:] != ["--"]:
-                extras.append("--")
-            return namespace, extras
-
-        def _get_values(self, action, arg_strings):
-            # Python 3.11's argparse drops a "--" that it took as an argument's one value
-            # (--base=--, or a second --), and gives [] without calling the type
-            values = super()._get_values(action, arg_strings)
-            if action.nargs is None and values == []:
-                raise argparse.ArgumentError(action, "expected one argument")
-            return values
-
-    parser = _Parser(prog="gaussbase", description="Numeration systems for the Gaussian integers in a complex base.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for entry in COMMANDS.values():
-        _add_command(sub, entry)
-    return parser
-
-
-def _dest(flags: tuple[str, ...]) -> str:
-    """argparse's dest of an argument: a positional's name, else its first long flag's or its first flag's."""
-    for flag in flags:
-        if flag.startswith("--"):
-            return flag[2:].replace("-", "_")
-    return flags[0].lstrip("-").replace("-", "_") if flags[0].startswith("-") else flags[0]
-
-
-# (command, entry) -> _reader_table's table of that COMMANDS entry, built on its first plain line;
-# a plain dict and no memo, since it is a constant of COMMANDS that no cache clearing
-# should make the next line rebuild
-_READER_TABLES: dict[tuple[str, str], tuple] = {}
-
-
-def _reader_table(group: str, command: _Command) -> tuple:
-    """(specs, options, dests) of one COMMANDS entry: (dest, flags, options) of each argument, output
-    flags first; each flag's (dest, options); and the positionals' dests, in order."""
-    table = _READER_TABLES.get((group, command.name))
-    if table is None:
-        specs = [(_dest(flags), flags, opts) for flags, opts in (*_OUTPUT, *command.args)]
-        options = {flag: (dest, opts) for dest, flags, opts in specs for flag in flags if flag.startswith("-")}
-        dests = [dest for dest, flags, _ in specs if not flags[0].startswith("-")]
-        table = _READER_TABLES[group, command.name] = specs, options, dests
+def _reader_table(prog: str, command: _Command) -> tuple:
+    """prog's table, built on its first line and kept in _READER_TABLES, which no cache clearing empties: a group's
+    positional naming its subcommand, its choices each subcommand by name; else a command's (options, positionals,
+    defaults, required): each flag's argument, -h and --help too; its positionals; each default; required names."""
+    table = _READER_TABLES.get(prog)
+    if table is None and command.subcommands:
+        table = _READER_TABLES[prog] = _arg("command", choices={sub.name: sub for sub in command.subcommands})
+    elif table is None:
+        specs = (*_OUTPUT, *command.args)
+        options = {flag: spec for spec in (_HELP, *specs) for flag in spec[1] if flag[0] == "-"}
+        defaults = {dest: opts.get("default") for dest, _, opts in specs}
+        required = [(dest, "/".join(flags)) for dest, flags, opts in specs if opts.get("required")]
+        table = _READER_TABLES[prog] = options, [spec for spec in specs if spec[1][0][0] != "-"], defaults, required
     return table
 
 
-def _read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse gives a plain command line, read off its COMMANDS entry; else None.
+def _flag_like(text: str) -> bool:
+    """Whether text reads as a flag: it starts with - and is no negative number (argparse's ^-\\d+$|^-\\d*\\.\\d+$)."""
+    if text[:1] != "-":
+        return False
+    whole, dot, fraction = text[1:].partition(".")
+    return not (whole.isdecimal() if not dot else (not whole or whole.isdecimal()) and fraction.isdecimal())
 
-    Plain is: a command name, for a group its subcommand's name next,
-    then the entry's exact flags, each option's value the next token
-    when that token does not start with -, positionals that do not start
-    with -, and every token after one -- that is not the last.  None
-    hands the line to argparse: -h, abbreviations, --flag=value and
-    -kVALUE forms, any other token starting with - before --, a repeated
-    argument, -o with --out, a second --, --json with --pretty, a missing
-    option, too few or too many positionals, a bad choice and a value
-    whose type callable raises.  Arguments are store actions with a
-    type, default, choices or required, and the store_true output flags.
-    """
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is None:
-        return None
-    values, rest = {"command": command.name}, argv[1:]
-    if command.subcommands:
-        group, command = command.name, next((sub for sub in command.subcommands if rest[:1] == [sub.name]), None)
-        if command is None:
-            return None
-        values[f"{group}_command"], rest = command.name, rest[1:]
-    specs, options, dests = _reader_table(values["command"], command)
-    given, positionals, tokens = {}, [], iter(rest)
-    for token in tokens:
-        if token == "--":
-            after = list(tokens)
-            if not after or token in after:  # a last -- is a usage error, and argparse reads a second apart
-                return None
-            positionals += after
-            break
-        if not token.startswith("-"):
-            positionals.append(token)
-            continue
-        dest, opts = options.get(token, (None, None))
-        if dest is None or dest in given:
-            return None
-        if "action" in opts:  # a store_true flag takes no value
-            given[dest] = True
-        elif (value := next(tokens, "-")).startswith("-"):  # a missing value declines too
-            return None
-        else:
-            given[dest] = value
-    if len(positionals) != len(dests) or (given.get("json") and given.get("pretty")):
-        return None
-    given.update(zip(dests, positionals))
+
+def _value(spec: tuple, text: str):
+    """text read by the argument's type, str when it has none, and within its choices; else InvalidInput naming it."""
+    _, flags, options = spec
     try:
-        for dest, _, opts in specs:
-            if dest not in given:
-                if opts.get("required"):
-                    return None
-                values[dest] = opts.get("default", False if "action" in opts else None)
-            elif "action" in opts:
-                values[dest] = True
+        value = options.get("type", str)(text)
+        if "choices" not in options or value in options["choices"]:
+            return value
+        message = f"invalid choice: {text!r} (choose from {', '.join(map(repr, options['choices']))})"
+    except InvalidInput as exc:
+        message = exc
+    raise InvalidInput(f"argument {'/'.join(flags)}: {message}")
+
+
+def _shown(spec: tuple, flags: tuple[str, ...]) -> str:
+    """How usage and help show an argument: each of flags with its value's name, or a positional's name or {choices}."""
+    dest, _, options = spec
+    name = "{" + ",".join(options["choices"]) + "}" if "choices" in options else options.get("metavar", dest)
+    if flags[0][0] != "-":
+        return name
+    return ", ".join(flag if "action" in options else f"{flag} {name.upper()}" for flag in flags)
+
+
+def _usage(prog: str, command: _Command) -> str:
+    """prog's usage line: -h, the options, with the store_true flags in one bracket, then the positionals."""
+    if command.subcommands:
+        return f"usage: {prog} [-h] {_shown(_reader_table(prog, command), ('command',))} ..."
+    specs = sorted((*_OUTPUT, *command.args), key=lambda spec: spec[1][0][0] != "-")  # options first
+    exclusive = " | ".join(flags[0] for _, flags, options in specs if "action" in options)
+    shown = [(_shown(spec, spec[1][:1]), spec[2]) for spec in specs if "action" not in spec[2]]
+    parts = [text if options.get("required") else f"[{text}]" for text, options in shown]
+    return f"usage: {prog} [-h] [{exclusive}] {' '.join(parts)}"
+
+
+def _exit_with_help(prog: str, command: _Command):
+    """Print prog's usage line, its entry's help line and a row per argument and subcommand, and exit 0."""
+    specs = (_HELP, *_OUTPUT, *command.args) if command.handler else (_HELP,)
+    rows = [(_shown(spec, spec[1]), spec[2].get("help", "")) for spec in specs]
+    rows += [(sub.name, sub.help or "") for sub in command.subcommands]
+    lines = "\n".join(f"  {shown:20}  {help}".rstrip() for shown, help in rows)
+    sys.stdout.write("\n\n".join(filter(None, [_usage(prog, command), command.help, "arguments:\n" + lines])) + "\n")
+    raise SystemExit(EXIT_OK)
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace:
+    """argv's namespace: each argument's dest, the command's name (`dfa make` for a group's subcommand) as
+    `command`, its handler and inputs.  Help exits 0 and a usage error 1."""
+    prog, command, values = "gaussbase", _TOP, {}
+    try:
+        while command.subcommands:  # the top level, then a group such as dfa: -h or a subcommand's name
+            if not argv:
+                raise InvalidInput("the following arguments are required: command")
+            if argv[0] in ("-h", "--help"):
+                _exit_with_help(prog, command)
+            choice = _reader_table(prog, command)
+            name = _value(choice, argv[0])
+            command, argv, prog = choice[2]["choices"][name], argv[1:], f"{prog} {name}"
+        options, positionals, defaults, required = _reader_table(prog, command)
+        held, extras, chosen, tokens = [], [], None, iter(argv)
+        for token in tokens:
+            if token == "--":
+                after = list(tokens)
+                extras += ["--"] if not after or "--" in after else []  # nothing after it, or a second one
+                held += [text for text in after if text != "--"]
+                break
+            spec, value = options.get(token), None
+            if spec is None:
+                if not _flag_like(token):
+                    held.append(token)
+                    continue
+                flag, equals, value = token.partition("=")  # --flag=value, or -kVALUE
+                spec = options.get(flag) if equals else None
+                if spec is None and token[1:2] != "-":
+                    spec, value = options.get(token[:2]), token[2:]
+                if spec is None or "action" in spec[2]:  # unknown, or a flag without value given one
+                    extras.append(token)
+                    continue
+            dest, flags, opts = spec
+            if opts.get("action") == "help":
+                _exit_with_help(prog, command)
+            if "action" in opts:  # a store_true output flag; they exclude each other
+                if chosen not in (None, flags[0]):
+                    raise InvalidInput(f"argument {flags[0]}: not allowed with argument {chosen}")
+                values[dest], chosen = True, flags[0]
+            elif (value is None and _flag_like(value := next(tokens, "-"))) or value == "--":  # -- is never a value
+                raise InvalidInput(f"argument {'/'.join(flags)}: expected one argument")
             else:
-                values[dest] = value = opts.get("type", str)(given[dest])
-                if "choices" in opts and value not in opts["choices"]:
-                    return None
-    except Exception:  # argparse reports a refused value, or propagates what it does not catch
-        return None
+                values[dest] = _value(spec, value)
+        values.update((spec[0], _value(spec, text)) for spec, text in zip(positionals, held))
+        extras += held[len(positionals) :]
+        if extras:
+            raise InvalidInput(f"unrecognized arguments: {' '.join(extras)}")
+        if missing := [name for dest, name in required if dest not in values]:
+            raise InvalidInput(f"the following arguments are required: {', '.join(missing)}")
+    except InvalidInput as exc:
+        print(_usage(prog, command), f"{prog}: error: {exc}", sep="\n", file=sys.stderr)
+        raise SystemExit(EXIT_ERROR) from None
+    values = {**defaults, **values, "command": prog.partition(" ")[2]}
     return SimpleNamespace(**values, handler=command.handler, inputs=command.inputs)
-
-
-def _parse_argv(argv: list[str]):
-    """argv's namespace: read off the table when plain, else by build_parser's parser."""
-    args = _read_argv(argv)
-    return args if args is not None else build_parser().parse_args(argv)
 
 
 def _report(command: str, inputs: dict, results: dict, status: str, message: str | None) -> dict:
@@ -768,7 +708,7 @@ def _respond(args) -> int:
 
     Every report, an error report too, echoes the command's inputs.
     """
-    command = args.command if args.command != "dfa" else f"dfa {args.dfa_command}"
+    command = args.command
     inputs = _echo(args, args.inputs)
     try:
         report = _report(command, inputs, *args.handler(args), None)
@@ -804,7 +744,7 @@ def _respond(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    return _respond(_parse_argv(argv))
+    return _respond(_read_argv(argv))
 
 
 if __name__ == "__main__":

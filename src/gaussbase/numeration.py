@@ -91,6 +91,10 @@ class DigitSet(record("DigitSet", "base digits")):
         n = base.norm()
         if n < 5:
             raise InvalidInput(f"norm({base}) = {n} < 5")
+        digits = tuple(digits)
+        if not {*map(type, digits)} <= {GaussInt}:
+            bad = next(d for d in digits if type(d) is not GaussInt)
+            raise InvalidInput(Message("digit %r is not a GaussInt", bad))
         digits = tuple(sorted(digits, key=_RE_IM))
         pairs = list(map(_RE_IM, digits))
         positions = dict(zip(pairs, range(len(pairs))))
@@ -408,6 +412,9 @@ class LengthBound(record("LengthBound", "base m3")):
     def within_bound(self, z: GaussInt, k: int) -> bool:
         n, e = self.base.norm(), k - self.m3
         if n < 2:  # a unit or zero base, which length_bound never builds: the predicate as written
+            if not n and min(k, self.m3) < 0:
+                message = Message("a zero base's bound raises 0 to a negative power: k = %d, m3 = %d", k, self.m3)
+                raise InvalidInput(message)
             return z.norm() * n**self.m3 <= n**k
         return z.norm() <= n**e if e >= 0 else not z
 

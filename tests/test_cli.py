@@ -1,6 +1,5 @@
 """CLI commands are thin adapters: reports must match the library results."""
 
-import argparse
 import json
 import math
 import os
@@ -19,7 +18,7 @@ from gaussbase import cli, dependence
 from gaussbase.automata import dfa_to_json, minimize, powers_dfa
 from gaussbase.cli import EXIT_ERROR, EXIT_NOT_FOUND, EXIT_OK, main
 from gaussbase.dependence import group_witness, prefix_extension
-from gaussbase.gaussint import ONE, GaussInt
+from gaussbase.gaussint import ONE, GaussInt, InvalidInput
 from gaussbase.numeration import (
     LengthBound,
     canonical_digit_set,
@@ -497,7 +496,7 @@ def test_domain_error_reports_status_error(capsys):
 
 
 def test_successive_calls_share_no_state(capsys):
-    # the parser is built once per process; each call still starts from the defaults
+    # each call starts from the defaults, whatever the calls before it read
     argv = ["prefix", "1+2i", "2+1i", "1", "--n-min", "3", "--budget", "64"]
     code, report = run_cli(capsys, *argv, "--depth", "1")
     assert report["inputs"]["depth"] == 1
@@ -664,7 +663,7 @@ def test_a_witness_past_the_default_digit_limit_prints_and_the_limit_is_restored
     assert (witness["m"], witness["n"], witness["certified"]) == (20026, 20026, True)
     assert len(witness["z"]) == 6999
     assert elapsed < 10  # 0.4 s on a 2-vCPU VM; the bound only catches a runaway
-    # an input literal keeps the interpreter's limit: argparse refuses it as a usage error
+    # an input literal keeps the interpreter's limit: the reader refuses it as a usage error
     with pytest.raises(SystemExit):
         main(["deptest", "1" * (before + 1), "2+1i"])
     assert sys.get_int_max_str_digits() == before
@@ -797,7 +796,7 @@ def test_a_message_naming_an_int_past_a_higher_limit_is_refused_by_name(capsys):
     ],
 )
 def test_a_malformed_count_or_bound_keeps_its_message(default_digit_limit, convert, text, message):
-    with pytest.raises(argparse.ArgumentTypeError) as exc:
+    with pytest.raises(InvalidInput) as exc:
         convert(text)
     assert str(exc.value) == message
 

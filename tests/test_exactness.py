@@ -3,9 +3,9 @@
 And each module keeps its private names: no module imports a _name from another,
 nor reads one as an attribute of another's objects.
 And the library imports light: no module imports re, and `import gaussbase` loads
-neither the regex engine nor the CLI's argparse and json.  A plain CLI command line
-loads neither argparse nor json, nor the re, enum and gettext they import, nor os:
-only a line the reader declines imports argparse, and only a DFA file json.  Neither
+neither the regex engine nor json.  No CLI command line loads argparse, and a plain
+one loads no json either, nor the re, enum and gettext they import, nor os: only a
+DFA file loads json.  Neither
 loads collections, functools or types, nor the keyword and reprlib they import:
 the records, memos and cached properties come from gaussbase._records.  Nor
 operator's and bisect's Python layers: operator's functions come from _operator.
@@ -195,16 +195,19 @@ def test_importing_the_library_leaves_the_regex_engine_and_the_cli_modules_unloa
     assert not loaded & RECORD_MODULES
 
 
-# main on each line, its report captured; then the exit codes and the loaded modules on stdout
+# main on each line, its report or help captured; then the exit codes and the loaded modules on stdout
 CLI_CHILD = (
     "import io, sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
     "from gaussbase.cli import main\n"
     "codes = []\n"
     "for line in sys.argv[2:]:\n"
-    "    sys.stdout = io.StringIO()\n"
-    "    codes.append(main(line.split('\\t')))\n"
-    "sys.stdout = sys.__stdout__\n"
+    "    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
+    "    try:\n"
+    "        codes.append(main(line.split('\\t')))\n"
+    "    except SystemExit as exc:  # help, or a usage error\n"
+    "        codes.append(exc.code)\n"
+    "sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__\n"
     "print(*codes)\n"
     "print(*sys.modules)\n"
 )
@@ -238,15 +241,25 @@ def test_plain_command_lines_load_neither_argparse_nor_json_nor_the_regex_engine
     assert not loaded & {"os", "stat", "posixpath"}
 
 
-def test_a_declined_line_and_a_dfa_file_still_load_argparse_and_json(tmp_path):
+def test_no_line_loads_argparse_and_only_a_dfa_file_loads_json(tmp_path):
+    # the other forms of an option, help and usage errors load no more than a plain line
+    codes, loaded = cli_child(
+        ("digits", "--base=2+1i"),
+        ("residuals", "-k4", "1+2i", "2+1i"),
+        ("witness", "-h"),
+        ("dfa", "make", "--help"),
+        ("-h",),
+        ("witness", "--m-m", "5", "1+2i", "2+1i", "1"),
+        ("deptest", "3+4i", "x"),
+    )
+    assert codes == [0, 0, 0, 0, 0, 1, 1]
+    assert not loaded & (ARGPARSE_AND_JSON | RECORD_MODULES | {"os", "stat", "posixpath"})
     dfa = str(tmp_path / "powers.json")
     codes, loaded = cli_child(
-        ("dfa", "make", "powers", "-b", "2+1i", "--dfa-out", dfa),
-        ("dfa", "run", dfa, "--word", "0-1i,0+1i,-1,0"),
-        ("digits", "--base=2+1i"),
+        ("dfa", "make", "powers", "-b", "2+1i", "--dfa-out", dfa), ("dfa", "run", dfa, "--word", "0-1i,0+1i,-1,0")
     )
-    assert codes == [0, 0, 0]
-    assert {"argparse", "json"} <= loaded
+    assert codes == [0, 0]
+    assert "json" in loaded and "argparse" not in loaded
 
 
 def test_the_cli_encodes_strings_with_jsons_own_function():

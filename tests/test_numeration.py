@@ -309,6 +309,13 @@ def test_within_bound_is_the_exact_predicate_for_every_k(b, m3, k, dx, dy):
     assert LengthBound(b, m3).within_bound(z, k) == (z.norm() * Fraction(n) ** m3 <= Fraction(n) ** k)
 
 
+@pytest.mark.parametrize("m3, k", [(2, -1), (-1, 2), (-1, -1)])
+def test_within_bound_on_a_zero_base_refuses_a_negative_exponent(m3, k):
+    """The predicate as written raises 0 to the power k or m3, which is undefined when negative."""
+    with pytest.raises(InvalidInput, match="zero base's bound raises 0 to a negative power"):
+        LengthBound(ZERO, m3).within_bound(ONE, k)
+
+
 # ---- base powers and recoding ----
 
 def test_power_digit_set_sizes(D):
