@@ -6,10 +6,11 @@ keeps a getter's value in the instance as functools.cached_property does,
 defaultdict is collections' own class, and SimpleNamespace is types'.
 Importing collections, functools and types, with the keyword, reprlib
 and operator they load, took 5.8 of the 11.8 ms of `import gaussbase`;
-the package still needs 1.2 ms of that, for _collections_abc, and with
-this module, and operator's functions read from _operator, the import
-takes 7.3 ms (-X importtime, -I -S, medians of 20 alternating runs,
-2 shared vCPUs, Python 3.11.7).  This module reads the same C objects from _collections and _functools,
+with this module, and operator's functions read from _operator, the
+import took 7.3 ms (-X importtime, -I -S, medians of 20 alternating
+runs, 2 shared vCPUs, Python 3.11.7).  The package loads no
+_collections_abc either: its abstract classes appear in string
+annotations only.  This module reads the same C objects from _collections and _functools,
 which the interpreter builds in.  _collections is required: collections
 itself takes defaultdict from it, so without it no fallback could load.
 Without _functools, the memo wrapper is functools' pure-Python one.

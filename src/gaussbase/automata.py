@@ -17,7 +17,6 @@ digit-set record.
 
 from __future__ import annotations
 
-from _collections_abc import Callable, Hashable, Iterable, Iterator
 from itertools import accumulate, chain, compress, count, islice, repeat, takewhile
 from math import isqrt
 
@@ -288,14 +287,13 @@ class LanguageOracle(record("LanguageOracle", "alphabet value_test candidates"))
     """Ground-truth membership for a set of Gaussian integers, as a word language.
 
     Fields: alphabet (DigitSet), value_test (Callable[[GaussInt], bool])
-    and candidates (Callable[[Callable[[int], bool], int],
-    Iterable[GaussInt] | None]).  Words with a zero leading digit are
-    invalid and never members; the empty word is a member exactly when the
-    set contains 0.  membership tests one word's decoded value with
-    value_test.  The harnesses walk the members instead:
-    candidates(within, limit) lists the elements v of the set with
-    within(norm(v)), a disc around 0, or gives None when there are more
-    than limit of them.
+    and candidates (Callable[[int, int], Iterable[GaussInt] | None]).
+    Words with a zero leading digit are invalid and never members; the
+    empty word is a member exactly when the set contains 0.  membership
+    tests one word's decoded value with value_test.  The harnesses walk
+    the members instead: candidates(max_norm, limit) lists the elements v
+    of the set with norm(v) <= max_norm, a disc around 0, or gives None
+    when there are more than limit of them.
     """
 
     __slots__ = ()
@@ -311,9 +309,9 @@ def powers_oracle(a: GaussInt, D: DigitSet) -> LanguageOracle:
     if a.norm() <= 1:
         raise InvalidInput(f"norm({a}) <= 1 cannot generate powers")
 
-    def candidates(within: Callable[[int], bool], limit: int) -> list[GaussInt] | None:
+    def candidates(max_norm: int, limit: int) -> list[GaussInt] | None:
         powers = accumulate(repeat(a), mul, initial=ONE)  # of increasing norm
-        out = list(islice(takewhile(lambda v: within(v.norm()), powers), limit + 1))
+        out = list(islice(takewhile(lambda v: v.norm() <= max_norm, powers), limit + 1))
         return out if len(out) <= limit else None
 
     return LanguageOracle(D, lambda v: is_power_of(v, a) is not None, candidates)
@@ -321,14 +319,10 @@ def powers_oracle(a: GaussInt, D: DigitSet) -> LanguageOracle:
 
 def integers_oracle(D: DigitSet) -> LanguageOracle:
     """Oracle for Z inside Z[i], written over D."""
-    from bisect import bisect_left  # only this oracle needs it, and importing it loads _bisect
 
-    def candidates(within: Callable[[int], bool], limit: int) -> Iterable[GaussInt] | None:
-        top = (limit + 1) // 2  # the 2x + 1 integers of modulus <= x exceed limit iff x >= top
-        if within(top * top):
-            return None
-        x = bisect_left(range(top), True, key=lambda x: not within(x * x)) - 1
-        return map(GaussInt, range(-x, x + 1))
+    def candidates(max_norm: int, limit: int) -> Iterable[GaussInt] | None:
+        x = isqrt(max_norm)  # the 2x + 1 integers of modulus <= x
+        return map(GaussInt, range(-x, x + 1)) if 2 * x < limit else None
 
     return LanguageOracle(D, lambda v: v.im == 0, candidates)
 
@@ -340,9 +334,8 @@ def _members(L: LanguageOracle, max_len: int, reserved: int = 0) -> Iterator[tup
     length.  A word of length <= max_len over base b of norm N has a value
     of modulus below Delta*|b|^max_len/(|b| - 1), with Delta^2 the largest
     digit norm and |b| >= isqrt(N); the candidates are the set's values
-    of norm x in that disc.  Bit lengths decide x*(isqrt(N) - 1)^2 <=
-    Delta^2*N^max_len while x is far from the bound, so N^max_len is
-    formed only when it is about the size of x.  Each candidate's word
+    of norm at most max_norm = Delta^2*N^max_len // (isqrt(N) - 1)^2, and
+    L.candidates(max_norm, limit) lists them.  Each candidate's word
     comes from the forced digit loop, run for at most max_len steps, and
     is ranked by its digits' (re, im) pairs in D.positions.
     A candidate costs max_len + 1 digit-steps, the loop's and one to index
@@ -351,29 +344,16 @@ def _members(L: LanguageOracle, max_len: int, reserved: int = 0) -> Iterator[tup
     nor any index, reaches 2^above, so each step costs above // 64 + 1
     units.  Before the first step, raises BudgetExceeded when reserved
     units plus those of the candidates exceed ENUMERATION_BUDGET, or the
-    candidates MEMBER_BUDGET.
+    candidates MEMBER_BUDGET: limit is the number of candidates the
+    budgets admit, and N^max_len is formed only once they admit one.
     """
     D = L.alphabet
     m = len(D.digits)  # the norm N of the base
-    scale, delta2 = (isqrt(m) - 1) ** 2, max(d.norm() for d in D.digits)
-    below = max_len * (m.bit_length() - 1)  # 2^below <= Delta^2*N^max_len < 2^above
-    above = delta2.bit_length() + max_len * m.bit_length()
-    bound = None  # Delta^2*N^max_len, formed on the first x that needs it
-
-    def within(x: int) -> bool:
-        nonlocal bound
-        bits = (x * scale).bit_length()
-        if bits <= below:
-            return True
-        if bits > above:
-            return False
-        if bound is None:
-            bound = delta2 * m**max_len
-        return x * scale <= bound
-
+    delta2 = max(d.norm() for d in D.digits)
+    above = delta2.bit_length() + max_len * m.bit_length()  # Delta^2*N^max_len < 2^above
     per_candidate = (max_len + 1) * (above // 64 + 1)
     limit = min(MEMBER_BUDGET, (ENUMERATION_BUDGET - reserved) // per_candidate)
-    values = L.candidates(within, limit) if limit >= 0 else None
+    values = L.candidates(delta2 * m**max_len // (isqrt(m) - 1) ** 2, limit) if limit >= 1 else None
     if values is None:
         raise BudgetExceeded(f"words of length <= {max_len} exceed the enumeration budget")
     index, re_im = D.positions, attrgetter("re", "im")

@@ -398,7 +398,6 @@ def cmd_verify(args) -> tuple[dict, str]:
         {
             "name": r.name,
             "passed": r.passed,
-            "seconds": round(r.seconds, 3),
             "budget_seconds": r.budget_seconds,
             "details": r.details,
             "failures": r.failures,

@@ -24,7 +24,6 @@ every returned witness re-checks from its stored fields alone.
 from __future__ import annotations
 
 import math
-from _collections_abc import Iterator
 
 from ._records import cached_property, record
 from .gaussint import ONE, UNITS, ZERO, GaussInt, InvalidInput

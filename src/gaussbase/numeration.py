@@ -35,7 +35,6 @@ from bit lengths.
 
 from __future__ import annotations
 
-from _collections_abc import Iterable, Iterator
 from itertools import filterfalse, product, repeat, starmap
 from math import isqrt
 
@@ -60,6 +59,16 @@ _RE_IM = attrgetter("re", "im")  # the (re, im) pair of a GaussInt, read in C
 
 class NonTermination(RuntimeError):
     """The greedy digit loop for one value exceeded encode's cap (invalid digit set)."""
+
+
+def _base_norm(base: GaussInt) -> int:
+    """norm(base); a base that is no GaussInt, or of norm below 5, raises InvalidInput naming it."""
+    if type(base) is not GaussInt:
+        raise InvalidInput(Message("base %r is not a GaussInt", base))
+    n = base.norm()
+    if n < 5:
+        raise InvalidInput(f"norm({base}) = {n} < 5")
+    return n
 
 
 class DigitSet(record("DigitSet", "base digits")):
@@ -88,9 +97,7 @@ class DigitSet(record("DigitSet", "base digits")):
     """
 
     def __new__(cls, base: GaussInt, digits: tuple[GaussInt, ...]) -> DigitSet:
-        n = base.norm()
-        if n < 5:
-            raise InvalidInput(f"norm({base}) = {n} < 5")
+        n = _base_norm(base)
         digits = tuple(digits)
         if not {*map(type, digits)} <= {GaussInt}:
             bad = next(d for d in digits if type(d) is not GaussInt)
@@ -157,7 +164,7 @@ class _Box:
     """
 
     def __init__(self, b: GaussInt) -> None:
-        self.b, self.n = b, b.norm()
+        self.b, self.n = b, _base_norm(b)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         (x, y), bre, bim, n = pair, self.b.re, self.b.im, self.n
@@ -220,9 +227,7 @@ def canonical_digit_set(b: GaussInt) -> DigitSet:
     norm above DIGIT_BUDGET gets a LargeCanonicalDigitSet, which does not
     list them.
     """
-    n = b.norm()
-    if n < 5:
-        raise InvalidInput(f"norm({b}) = {n} < 5")
+    n = _base_norm(b)
     if n > DIGIT_BUDGET:
         return LargeCanonicalDigitSet(b)
     r = isqrt(n)
@@ -401,21 +406,25 @@ class LengthBound(record("LengthBound", "base m3")):
     the word of z has length at most k; the underlying real constant
     |b|^(-m3) is never materialized.  within_bound decides it in ints for
     every k with one power: norm(z) <= norm(b)^(k - m3) when k >= m3, and
-    z = 0 otherwise, as norm(b)^(k - m3) < 1 then for norm(b) >= 2; a
-    negative k forms no float, so a huge base cannot overflow.  A record
-    built directly on a unit or zero base, which length_bound never builds,
-    is decided by the predicate as written.
+    z = 0 otherwise, as norm(b)^(k - m3) < 1 then for norm(b) >= 5; a
+    negative k forms no float, so a huge base cannot overflow.  Construction
+    refuses a base that is no GaussInt, or of norm below 5, as DigitSet
+    does, and _replace, copy and pickle build through the constructor.
     """
 
     __slots__ = ()
 
+    def __new__(cls, base: GaussInt, m3: int) -> LengthBound:
+        _base_norm(base)
+        return tuple.__new__(cls, (base, m3))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> LengthBound:
+        """The length bound of an iterable of the fields, validated; _replace builds through it."""
+        return cls(*fields)
+
     def within_bound(self, z: GaussInt, k: int) -> bool:
         n, e = self.base.norm(), k - self.m3
-        if n < 2:  # a unit or zero base, which length_bound never builds: the predicate as written
-            if not n and min(k, self.m3) < 0:
-                message = Message("a zero base's bound raises 0 to a negative power: k = %d, m3 = %d", k, self.m3)
-                raise InvalidInput(message)
-            return z.norm() * n**self.m3 <= n**k
         return z.norm() <= n**e if e >= 0 else not z
 
 

@@ -6,9 +6,11 @@ import time
 import tracemalloc
 from functools import cache, reduce
 from itertools import product as words_of
+from math import isqrt
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussbase import automata
@@ -325,6 +327,63 @@ def test_integers_oracle_membership():
     assert L.membership(encode(g(5), D5))
     assert L.membership(())
     assert not L.membership(encode(g(0, 1), D5))
+
+
+BASES_5_40 = [b for b in lattice_disc(40) if b.norm() >= 5]  # isqrt(norm) - 1 > 1 from norm 9 on
+
+
+def _asked(L, max_len):
+    """The (max_norm, limit) that _members passes L.candidates on a walk to max_len, and the answer as a list."""
+    asked = []
+
+    def candidates(max_norm, limit):
+        values = L.candidates(max_norm, limit)
+        asked.append((max_norm, limit, None if values is None else list(values)))
+        return asked[-1][2]
+
+    try:
+        list(automata._members(automata.LanguageOracle(L.alphabet, L.value_test, candidates), max_len))
+    except BudgetExceeded:
+        pass
+    return asked
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(BASES_5_40),
+    st.sampled_from([g(1, 1), g(0, 2), B, g(1, -2), g(3), g(2, 3)]),
+    st.integers(0, 12),
+    st.integers(1, 80),
+)
+@example(B, B, 2, 10)  # 11 integers of modulus <= 5 = isqrt(5^2), one past limit
+@example(B, B, 2, 11)  # and exactly limit
+@example(g(3), g(1, 1), 2, 3)
+@example(g(5, 3), g(3), 1, 80)
+def test_the_oracles_list_the_disc_of_the_norm_predicate(b, a, max_len, limit):
+    # the disc, written out: norm(v)*(isqrt(N) - 1)^2 <= Delta^2*N^L for base b of norm N,
+    # Delta^2 the largest digit norm; the walk asks for at most limit candidates
+    D, n = canonical_digit_set(b), b.norm()
+    scale, bound = (isqrt(n) - 1) ** 2, max(d.norm() for d in D.digits) * n**max_len
+
+    def inside(norm):
+        return norm * scale <= bound
+
+    with mock.patch.object(automata, "MEMBER_BUDGET", limit):
+        [(_, asked, powers)] = _asked(powers_oracle(a, D), max_len)
+        [(_, _, integers)] = _asked(integers_oracle(D), max_len)
+    assert asked == limit
+    disc, v = [], ONE
+    while inside(v.norm()):
+        disc.append(v)
+        v *= a
+    assert powers == (disc if len(disc) <= limit else None)
+    # the 2x + 1 integers of modulus <= x pass limit exactly when x = (limit + 1) // 2 is inside
+    top = (limit + 1) // 2
+    assert (integers is None) == inside(top * top)
+    if integers is not None:
+        x = len(integers) // 2
+        assert integers == list(map(GaussInt, range(-x, x + 1)))
+        assert inside(x * x) and not inside((x + 1) ** 2)
 
 
 # ---- residual signatures ----

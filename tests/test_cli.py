@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaussbase import cli, dependence
+from gaussbase import cli, dependence, verification
 from gaussbase.automata import dfa_to_json, minimize, powers_dfa
 from gaussbase.cli import EXIT_ERROR, EXIT_NOT_FOUND, EXIT_OK, main
 from gaussbase.dependence import group_witness, prefix_extension
@@ -799,6 +799,21 @@ def test_a_malformed_count_or_bound_keeps_its_message(default_digit_limit, conve
     with pytest.raises(InvalidInput) as exc:
         convert(text)
     assert str(exc.value) == message
+
+
+def test_verify_prints_the_same_bytes_on_every_run(capsys, monkeypatch):
+    # criteria 4-10 take milliseconds, and criterion 2, which times each base, runs on one base;
+    # the acceptance tests run all ten.  A budget is a gate, so the report carries no run times.
+    monkeypatch.setattr(verification, "ALL_CHECKS", (verification.check_uniqueness, *verification.ALL_CHECKS[3:]))
+    monkeypatch.setattr(verification, "SCAN_BASES", verification.SCAN_BASES[:1])
+    outs = []
+    for _ in range(2):
+        assert main(["verify"]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    criteria = json.loads(outs[0])["results"]["criteria"]
+    assert len(criteria) == 8 and all(c["passed"] and "seconds" not in c for c in criteria)
+    assert criteria[0]["details"] == {"words_checked": 3125} and criteria[0]["budget_seconds"] is None
 
 
 def test_importing_the_cli_leaves_verification_and_random_unloaded():

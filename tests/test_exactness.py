@@ -9,6 +9,7 @@ DFA file loads json.  Neither
 loads collections, functools or types, nor the keyword and reprlib they import:
 the records, memos and cached properties come from gaussbase._records.  Nor
 operator's and bisect's Python layers: operator's functions come from _operator.
+Nor _collections_abc: its abstract classes appear in string annotations only.
 And the CLI has one JSON writer: no module calls json's indenting encoder, whose
 pure-Python path cli._render replaces.
 And one owner lifts the int-to-str digit limit: only cli._text names
@@ -177,9 +178,9 @@ def test_the_guard_sees_each_kind_of_regex_import():
 
 
 # the modules the package's records, memos and cached properties once came from, and those they load,
-# and the Python layers of operator and bisect: the package reads operator's C functions, and only
-# integers_oracle imports bisect
-RECORD_MODULES = {"collections", "functools", "types", "keyword", "reprlib", "operator", "bisect"}
+# the Python layers of operator and bisect, and _collections_abc: the package reads operator's C
+# functions, only the verification suite imports bisect, and the abstract classes are string annotations
+RECORD_MODULES = {"collections", "functools", "types", "keyword", "reprlib", "operator", "bisect", "_collections_abc"}
 
 
 def test_importing_the_library_leaves_the_regex_engine_and_the_cli_modules_unloaded():
@@ -217,6 +218,7 @@ PLAIN_LINES = (
     ("prefix", "1+2i", "2+1i", "1", "--n-min", "3", "--budget", "256"),
     ("encode", "-b", "2+1i", "--", "-3+2i"),
     ("digits", "-b", "2+1i"),
+    ("pump", "-b", "2+1i", "--set", "integers", "--word", "1,0"),
 )
 # argparse and json, and the modules they import
 ARGPARSE_AND_JSON = {"re", "enum", "argparse", "json", "gettext"}

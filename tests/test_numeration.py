@@ -294,26 +294,29 @@ def test_length_bound_predicate(D):
 @example(g(10**200, 1), 1, -1, 0, 0)
 @example(g(10**200, 1), 1, -1, -1, 0)
 @example(B, 3, 1, -1, 0)
-@example(g(1), 2, 1, 0, 0)
-@example(g(1), 2, -1, 1, 0)
-@example(g(1), 2, 4, 1, 0)
-@example(ZERO, 2, 3, 1, 0)
-@example(ZERO, 0, 0, 0, 0)
 def test_within_bound_is_the_exact_predicate_for_every_k(b, m3, k, dx, dy):
     # z is b^(k - m3), of norm exactly n^(k - m3), or one of its neighbours; 1 and its
     # neighbours, 0 among them, when k < m3.  For k < 0 the predicate's n^k is a Fraction.
-    # The unit and zero bases of the examples, which length_bound never builds, keep
-    # their exponents where the predicate is defined.
     n = b.norm()
     z = b ** max(k - m3, 0) + g(dx, dy)
     assert LengthBound(b, m3).within_bound(z, k) == (z.norm() * Fraction(n) ** m3 <= Fraction(n) ** k)
 
 
-@pytest.mark.parametrize("m3, k", [(2, -1), (-1, 2), (-1, -1)])
-def test_within_bound_on_a_zero_base_refuses_a_negative_exponent(m3, k):
-    """The predicate as written raises 0 to the power k or m3, which is undefined when negative."""
-    with pytest.raises(InvalidInput, match="zero base's bound raises 0 to a negative power"):
-        LengthBound(ZERO, m3).within_bound(ONE, k)
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: LengthBound((2, 1), 2), r"base \(2, 1\) is not a GaussInt"),
+        (lambda: LengthBound(5, 2), "base 5 is not a GaussInt"),
+        (lambda: LengthBound(g(1), 2), r"norm\(1\) = 1 < 5"),
+        (lambda: length_bound(B)._replace(base=ZERO), r"norm\(0\) = 0 < 5"),
+        (lambda: length_bound(B)._replace(base=(2, 1)), r"base \(2, 1\) is not a GaussInt"),
+    ],
+)
+def test_a_length_bound_refuses_a_base_that_is_no_gaussint_of_norm_at_least_5(make, message):
+    """A length bound checks its base when built, _replace included, as a digit set does
+    (test_records), so within_bound never meets a unit or zero base."""
+    with pytest.raises(InvalidInput, match=message):
+        make()
 
 
 # ---- base powers and recoding ----

@@ -6,6 +6,7 @@ on which the benchmark's cache clearing relies.
 """
 
 import collections
+import collections.abc
 import copy
 import importlib
 import importlib.util
@@ -151,6 +152,8 @@ def test_digit_set_fields_and_tables():
         (B, ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)), r"digit \(0, 0\) is not a GaussInt"),
         (B, tuple(types.SimpleNamespace(re=k, im=0) for k in range(5)), r"digit namespace\(re=0, im=0\) is not a GaussInt"),
         (B, [1, 2], "digit 1 is not a GaussInt"),
+        ((2, 1), D5.digits, r"base \(2, 1\) is not a GaussInt"),
+        (ZERO, D5.digits, r"norm\(0\) = 0 < 5"),
     ],
 )
 def test_digit_set_rejects_every_malformed_input(base, digits, message):
@@ -204,6 +207,8 @@ def test_large_canonical_digit_sets_compare_and_hash():
     assert terminates_on_disc(L1)  # memoised, so it hashes the set
     with pytest.raises(BudgetExceeded, match="digit budget"):
         L1.digits
+    with pytest.raises(InvalidInput, match=r"base \(400, 1\) is not a GaussInt"):
+        L1._replace(base=(400, 1))
 
 
 @pytest.mark.parametrize("b", [B, g(3), g(-4, 7)])
@@ -284,8 +289,10 @@ def test_every_annotation_resolves():
     assert len(objects) > 150
     names = {f"{obj.__module__}.{obj.__qualname__}" for obj in objects}
     assert {"gaussbase.automata.Dfa.__new__", "gaussbase.numeration.length_bound", "gaussbase.cli.main"} <= names
+    # the abstract classes are annotations only, so no module imports them: they resolve from collections.abc
+    abc_names = {name: getattr(collections.abc, name) for name in ("Callable", "Hashable", "Iterable", "Iterator")}
     for obj in objects:
-        typing.get_type_hints(obj)  # a name missing from the module raises NameError
+        typing.get_type_hints(obj, localns=abc_names)  # any other name missing from the module raises NameError
 
 
 # every record class: (name, fields, defaults), as collections.namedtuple takes them
