@@ -20,17 +20,20 @@ line off one table, COMMANDS: a command's name (for a group, its
 subcommand's name next), then its flags, options and positionals in any
 order, and every token after one -- as a positional.  An option's value
 is the next token, or follows = (--m-max=64) or a one-letter flag (-k4);
-only such a value, a token after --, or a negative number (-3) may start
-with -.  The last of a repeated option counts; flags have no
-abbreviations.  A usage error prints the usage line and `PROG: error:
-MESSAGE` to stderr and exits 1.  The report is written to -o FILE before
-it is printed; a FILE that cannot be written makes it an error report.
+only such a value, a token after --, or a negative numeral (-3) may start
+with -: no command reads a float, so -1.5 reads as a flag.  The last of a
+repeated option counts; flags have no abbreviations.  A usage error
+prints the usage line and `PROG: error: MESSAGE` to stderr and exits 1.
+The report is written to -o FILE before it is printed; a FILE that
+cannot be written makes it an error report.
 
-One int-to-str digit limit reads and one writes.  Every literal, an
-argument or one a handler reads (a powers: set, a word, a DFA file's
-base, digits and ints), is read under the interpreter's own limit, and
-a part past it is refused by name: GaussInt.parse names a Gaussian
-integer literal, _int_literal an integer option or a DFA file's int.
+One numeral grammar, and one int-to-str digit limit reads and one
+writes.  Every integer read from text, an integer option's value, a
+bound's two parts, a DFA file's int or a Gaussian literal's part, is
+gaussint.numeral's ASCII [+-]?[0-9]+ (so 1_000, ' 5' and a non-ASCII
+digit are usage errors), read under the interpreter's own limit, and a
+part past it is refused by name: an integer literal, or a Gaussian
+integer literal with a part past the limit.
 _text renders a report's text, an error's message included, under a
 limit of at least OUTPUT_DIGITS, lifted for that render only: a report
 prints integers of up to OUTPUT_DIGITS decimal digits, or more when the
@@ -74,7 +77,7 @@ from .automata import (
     zero_pump_probe,
 )
 from .dependence import group_witness, mult_dependent, prefix_extension
-from .gaussint import BudgetExceeded, GaussInt, InvalidInput, past_digit_limit
+from .gaussint import BudgetExceeded, GaussInt, InvalidInput, numeral
 from .numeration import (
     canonical_digit_set,
     decode,
@@ -94,10 +97,10 @@ SCAN_BUDGET = 10**6  # candidate bases x (probe points + digit-set candidates) i
 
 # Python refuses to convert an int of more than 4300 digits to or from text by default
 # (sys.set_int_max_str_digits, the CVE-2020-10735 guard).  Every literal is read under that
-# limit (GaussInt.parse and _int_literal refuse a part past it by name); _text raises it to
-# at least OUTPUT_DIGITS while it renders a report's text, and nowhere else: str() of a
-# 50,000-digit int takes 40-55 ms (2 vCPUs, Python 3.11.7), and the cost grows quadratically
-# with the digit count.
+# limit (gaussint.numeral refuses a part past it by name); _text raises it to at least
+# OUTPUT_DIGITS while it renders a report's text, and nowhere else: str() of a 50,000-digit
+# int takes 40-55 ms (2 vCPUs, Python 3.11.7), and the cost grows quadratically with the
+# digit count.
 OUTPUT_DIGITS = 50_000
 
 
@@ -128,48 +131,25 @@ def _text(value, render=str) -> str:
 
 def _count(text: str) -> int:
     """Type of budgets, depths and lengths: a non-negative int."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise _refusal(f"expected a non-negative integer, got {text!r}", text)
+    value = numeral(text)
+    if value is None or value < 0:
+        raise InvalidInput(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _int(text: str) -> int:
     """Type of the ends of scan-bases' norm range: any int."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    raise _refusal(f"expected an integer, got {text!r}", text)
+    value = numeral(text)
+    if value is None:
+        raise InvalidInput(f"expected an integer, got {text!r}")
+    return value
 
 
 def _bound(text: str) -> tuple[int, int]:
-    try:
-        num, den = text.split("/", 1)
-        return int(num), int(den)
-    except ValueError:
-        pass
-    raise _refusal(f"bound must be NUM/DEN, got {text!r}", *(text.split("/", 1) if "/" in text else ()))
-
-
-def _int_literal(text: str) -> int:
-    """int(text) for a decimal numeral, which int() refuses only past the digit limit: refused by name."""
-    try:
-        return int(text)
-    except ValueError:
-        raise past_digit_limit("an integer literal", text) from None
-
-
-def _refusal(message: str, *parts: str) -> InvalidInput:
-    """The refusal of a value int() refused: InvalidInput(message), unless a part is a decimal
-    numeral, which int() refuses only past the digit limit: then _int_literal raises its own."""
-    for part in parts:
-        if part.isascii() and (part[1:] if part[:1] in "+-" else part).isdigit():
-            _int_literal(part)
-    return InvalidInput(message)
+    num, slash, den = text.partition("/")
+    if slash and None not in (bound := (numeral(num), numeral(den))):
+        return bound
+    raise InvalidInput(f"bound must be NUM/DEN, got {text!r}")
 
 
 def _echo(args, names: tuple[str, ...]) -> dict:
@@ -346,13 +326,7 @@ def _load_dfa(path: str):
 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # int() refused an int past the digit limit: read again, for _int_literal to name it
-        obj = json.loads(text, parse_int=_int_literal)
-    return dfa_from_json(obj)
+    return dfa_from_json(json.loads(text, parse_int=numeral))
 
 
 def cmd_dfa_make(args) -> tuple[dict, str]:
@@ -588,11 +562,11 @@ def _reader_table(prog: str, command: _Command) -> tuple:
 
 
 def _flag_like(text: str) -> bool:
-    """Whether text reads as a flag: it starts with - and is no negative number (argparse's ^-\\d+$|^-\\d*\\.\\d+$)."""
-    if text[:1] != "-":
+    """Whether text reads as a flag: it starts with - and is no numeral (-3 is a value, -1.5 a flag)."""
+    try:
+        return text[:1] == "-" and numeral(text) is None
+    except InvalidInput:  # a numeral past the digit limit is a value, which its argument's type refuses by name
         return False
-    whole, dot, fraction = text[1:].partition(".")
-    return not (whole.isdecimal() if not dot else (not whole or whole.isdecimal()) and fraction.isdecimal())
 
 
 def _value(spec: tuple, text: str):

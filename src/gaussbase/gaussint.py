@@ -5,8 +5,10 @@ Python ints, checked when a value is built; absolute values are never
 materialized (use norm(z) = |z|^2), and division is either exact or an
 error.  Beyond ring arithmetic it offers divisibility, exact division and
 power membership, and it defines the errors every layer raises for bad
-input and refused work.  Literals are checked with str methods rather
-than a regular expression, so importing the package never loads `re`.
+input and refused work.  Every integer the package reads from text, a
+Gaussian literal's part, a CLI count or bound, a DFA file's int, is read
+by numeral, which checks the shape with str methods rather than a
+regular expression, so importing the package never loads `re`.
 """
 
 from __future__ import annotations
@@ -49,9 +51,25 @@ class Message:
         return self.template % self.values
 
 
-def past_digit_limit(literal: str, text: str) -> InvalidInput:
-    """The refusal of a well-formed literal whose digits int() refused: the limit named, not int()'s advice."""
-    return InvalidInput(f"{literal} past {sys.get_int_max_str_digits()} digits, the interpreter's limit: {text!r}")
+def numeral(part: str, literal: str | None = None) -> int | None:
+    """The int of a decimal numeral, ASCII [+-]?[0-9]+, and None for any other text.
+
+    The one reader of integers from text: int() accepts more (spaces, "_",
+    non-ASCII digits), so the shape is checked first, and int() then fails
+    only past the interpreter's int-to-str digit limit
+    (sys.get_int_max_str_digits()).  Such a numeral raises InvalidInput
+    naming the limit, where int() would advise raising it, and naming the
+    part as an integer literal or, given the Gaussian literal it was cut
+    from, that literal.
+    """
+    if part.isascii() and (part[1:] if part[:1] in "+-" else part).isdigit():
+        try:
+            return int(part)
+        except ValueError:
+            name = "an integer literal" if literal is None else "a Gaussian integer literal with a part"
+            limit = sys.get_int_max_str_digits()
+            raise InvalidInput(f"{name} past {limit} digits, the interpreter's limit: {literal or part!r}") from None
+    return None
 
 
 class GaussInt:
@@ -81,32 +99,34 @@ class GaussInt:
     def parse(cls, text: str) -> "GaussInt":
         """Parse the literal grammar `a`, `a+bi`, `a-bi` (e.g. `5`, `-1+2i`, `0-1i`).
 
-        Each part is `[+-]?[0-9]+` in ASCII digits, and nothing else is
-        allowed: no whitespace, underscores or trailing newline.  Parts are
-        read under the interpreter's int-to-str digit limit
-        (sys.get_int_max_str_digits()), which this never raises: a
-        well-formed literal with a part past it raises InvalidInput naming
-        the limit, where int() would advise raising it.
+        Each part is a numeral, `[+-]?[0-9]+` in ASCII digits, and nothing
+        else is allowed: no whitespace, underscores or trailing newline.  A
+        malformed literal is refused as one whatever its length; a
+        well-formed one with a part past the interpreter's int-to-str digit
+        limit raises numeral's InvalidInput naming the limit and the literal.
         """
         if not isinstance(text, str):
             # re's wording, kept so the JSON loaders' report of a mistyped field reads as it did;
             # unlike re, bytes are refused too
             raise TypeError(f"expected string or bytes-like object, got {type(text).__name__!r}")
-        # The whole literal is checked before int() sees either part: int() accepts spaces, "_"
-        # and non-ASCII digits, so a ValueError from int() can only be the digit limit.
         real, imag = text, "+0"
         if text.endswith("i"):
             # the imaginary part starts at the one sign past the first character; with none,
-            # imag is empty, and any other sign fails the digit checks
+            # imag is empty, and any other sign fails numeral's shape check
             cut = text.find("+", 1)
             if cut < 0:
                 cut = text.find("-", 1)
             real, imag = text[:cut], text[cut:-1]
-        if text.isascii() and (real[1:] if real[:1] in "+-" else real).isdigit() and imag[1:].isdigit():
-            try:
-                return cls(int(real), int(imag))
-            except ValueError:
-                raise past_digit_limit("a Gaussian integer literal with a part", text) from None
+        # the imaginary part is read first, so a literal malformed there is refused as one whatever
+        # the length of its real part; one past the digit limit waits for the real part's shape
+        try:
+            im = numeral(imag, text)
+        except InvalidInput:
+            if numeral(real, text) is not None:
+                raise
+            im = None
+        if im is not None and (re := numeral(real, text)) is not None:
+            return cls(re, im)
         raise InvalidInput(f"not a Gaussian integer literal: {text!r}")
 
     def norm(self) -> int:

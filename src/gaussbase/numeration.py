@@ -536,10 +536,10 @@ def real_power_exponent(b: GaussInt) -> int | None:
     """Least j in 1..8 with b^j a positive rational integer, else None.
 
     A Gaussian integer whose argument is a rational multiple of pi has
-    argument a multiple of pi/4, so eight powers decide the question.
+    argument a multiple of pi/4, so eight powers decide the question.  A
+    base that is no GaussInt, or of norm below 5, raises InvalidInput naming it.
     """
-    if b.norm() < 5:
-        raise InvalidInput(f"norm({b}) = {b.norm()} < 5")
+    _base_norm(b)
     w = b
     for j in range(1, 9):
         if w.im == 0 and w.re > 0:

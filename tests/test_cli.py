@@ -703,6 +703,7 @@ def _dfa_file(tmp_path, field: str, part: str) -> str:
 LITERAL_SITES = {
     "base": lambda part, tmp: ["encode", "-b", part, "0"],
     "positional": lambda part, tmp: ["deptest", part, "2+1i"],
+    "negative_positional": lambda part, tmp: ["deptest", "-" + part, "2+1i"],  # a numeral, so no flag
     "m_max": lambda part, tmp: ["witness", "1+2i", "2+1i", "1", "--m-max", part],
     "norm_min": lambda part, tmp: ["scan-bases", "--norm-min", part],
     "norm_max": lambda part, tmp: ["scan-bases", "--norm-max", part],
@@ -793,12 +794,36 @@ def test_a_message_naming_an_int_past_a_higher_limit_is_refused_by_name(capsys):
         (cli._bound, "1:2", "bound must be NUM/DEN, got '1:2'"),
         (cli._bound, "1/x", "bound must be NUM/DEN, got '1/x'"),
         (cli._bound, "1" * 5000, f"bound must be NUM/DEN, got {'1' * 5000!r}"),  # no /, whatever its length
+        # the forms int() accepts and a numeral does not: "_", spaces, a newline, non-ASCII digits
+        (cli._count, "1_000", "expected a non-negative integer, got '1_000'"),
+        (cli._count, " 5", "expected a non-negative integer, got ' 5'"),
+        (cli._int, "5\n", "expected an integer, got '5\\n'"),
+        (cli._count, "٣", "expected a non-negative integer, got '٣'"),
+        (cli._bound, "1/ 3", "bound must be NUM/DEN, got '1/ 3'"),
     ],
 )
 def test_a_malformed_count_or_bound_keeps_its_message(default_digit_limit, convert, text, message):
     with pytest.raises(InvalidInput) as exc:
         convert(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["witness", "3+2i", "2+1i", "1", "--m-max", "1_0"], "argument --m-max: expected a non-negative integer, got '1_0'"),
+        (["scan-bases", "--norm-max", " 30"], "argument --norm-max: expected an integer, got ' 30'"),
+        (["witness", "3+2i", "2+1i", "1", "--bound", "1/١٠"], "argument --bound: bound must be NUM/DEN, got '1/١٠'"),
+    ],
+    ids=["count", "int", "bound"],
+)
+def test_an_integer_option_reads_a_numeral_only(capsys, argv, error):
+    """Each kind of integer option reads the grammar of a Gaussian literal's part; int()'s other forms are usage errors."""
+    with pytest.raises(SystemExit) as usage:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (usage.value.code, captured.out) == (EXIT_ERROR, "")
+    assert captured.err.endswith(f": error: {error}\n")
 
 
 def test_verify_prints_the_same_bytes_on_every_run(capsys, monkeypatch):

@@ -481,7 +481,7 @@ def test_one_command_parser_gives_the_same_help_and_errors(argv):
 @pytest.mark.parametrize(
     "argv", [[], ["-h"], ["--help"], ["bogus"], ["Deptest", "3+4i", "2+1i"], ["--pretty", "deptest", "3+4i", "2+1i"]]
 )
-def test_an_argv_without_a_leading_command_gets_the_full_parser(argv):
+def test_an_argv_without_a_leading_command_is_read_by_the_top_level(argv):
     """The top level reads such a line: its help, or a usage error that names the missing or unknown command."""
     assert _outcome(argv) == GOLDEN[" ".join(argv)]
 
@@ -587,9 +587,24 @@ SECOND_SEPARATORS = [["decode", "-b", "1+2i", "--", "--"], ["decode", "-b", "0",
 
 
 @pytest.mark.parametrize("argv", SECOND_SEPARATORS, ids=" ".join)
-def test_a_second_separator_is_refused_by_the_reader_and_by_argparse(argv):
-    """The reader leaves a second -- over, as argparse did."""
+def test_a_second_separator_is_left_over(argv):
+    """The reader leaves a second -- over, a usage error."""
     assert _outcome(argv) == GOLDEN[" ".join(argv)]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["deptest", "-1.5", "2+1i"], "gaussbase deptest: error: unrecognized arguments: -1.5"),
+        (["prefix", "1+2i", "2+1i", "1", "--budget", "-1.5"], "gaussbase prefix: error: argument --budget: expected one argument"),
+        (["deptest", "-٣", "2+1i"], "gaussbase deptest: error: unrecognized arguments: -٣"),
+    ],
+    ids=["positional", "option_value", "non_ascii_digit"],
+)
+def test_only_a_negative_numeral_may_start_with_a_dash(argv, error):
+    """A token starting with - is a value exactly when it is a numeral (DECLINED reads -3): no command
+    reads a float, so -1.5 reads as a flag, an unknown one or one where a value was expected, as does -٣."""
+    assert _outcome(argv) == error
 
 
 DECLINED = [

@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gaussbase.cli import EXIT_ERROR, main
@@ -19,6 +19,7 @@ from gaussbase.gaussint import (
     NotDivisible,
     exact_div,
     is_power_of,
+    numeral,
 )
 
 g = GaussInt
@@ -91,10 +92,12 @@ def test_a_long_literal_is_checked_before_it_is_converted(default_digit_limit, c
     # a malformed literal is refused as one whatever its length; a well-formed one past the
     # interpreter's int-to-str limit is refused by name, an InvalidInput and so still a ValueError,
     # without int()'s advice to raise the limit, which no option can
-    malformed, long = "1" * 5000 + "+xi", "1" * 5000
-    with pytest.raises(InvalidInput, match="not a Gaussian integer literal"):
-        GaussInt.parse(malformed)
-    refused = {malformed: f"not a Gaussian integer literal: {malformed!r}"}
+    # malformed in either part, the other part past the limit
+    malformed, long = ["1" * 5000 + "+xi", "x+" + "1" * 5000 + "i"], "1" * 5000
+    for text in malformed:
+        with pytest.raises(InvalidInput, match="not a Gaussian integer literal"):
+            GaussInt.parse(text)
+    refused = {text: f"not a Gaussian integer literal: {text!r}" for text in malformed}
     if hasattr(sys, "set_int_max_str_digits"):
         digits = sys.get_int_max_str_digits()
         refused[long] = f"a Gaussian integer literal with a part past {digits} digits, the interpreter's limit: {long!r}"
@@ -109,6 +112,22 @@ def test_a_long_literal_is_checked_before_it_is_converted(default_digit_limit, c
         assert captured.out == ""
         assert captured.err.endswith(f"error: argument value: {message}\n")
         assert "set_int_max_str_digits" not in captured.err
+
+
+_NUMERAL = re.compile(r"[+-]?[0-9]+")
+
+
+@given(st.from_regex(_NUMERAL, fullmatch=True) | st.text() | st.text(alphabet="+-0123456789_ \n\uff15\u0663\u00b2"))
+@example("1_000")
+@example(" 5")
+@example("5\n")
+@example("\u0663")
+@example("\u00b2")
+@example("+")
+@example("")
+def test_numeral_reads_exactly_an_ascii_sign_and_digits(text):
+    """numeral is int() on ASCII [+-]?[0-9]+, and None for any other text, where int() may accept it."""
+    assert numeral(text) == (int(text) if _NUMERAL.fullmatch(text) else None)
 
 
 @pytest.mark.parametrize(

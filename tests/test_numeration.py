@@ -310,6 +310,7 @@ def test_within_bound_is_the_exact_predicate_for_every_k(b, m3, k, dx, dy):
         (lambda: LengthBound(g(1), 2), r"norm\(1\) = 1 < 5"),
         (lambda: length_bound(B)._replace(base=ZERO), r"norm\(0\) = 0 < 5"),
         (lambda: length_bound(B)._replace(base=(2, 1)), r"base \(2, 1\) is not a GaussInt"),
+        (lambda: real_power_exponent((2, 1)), r"base \(2, 1\) is not a GaussInt"),  # checked as the records check it
     ],
 )
 def test_a_length_bound_refuses_a_base_that_is_no_gaussint_of_norm_at_least_5(make, message):

@@ -452,3 +452,45 @@ def test_records_and_memos_work_on_functools_pure_python_wrapper(tmp_path):
     child = subprocess.run(argv, capture_output=True, text=True, timeout=300, cwd=tmp_path)
     assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-3000:]
     assert " passed" in child.stdout and " failed" not in child.stdout
+
+
+# with the C modules named after the package path blocked, as on a Python built without them, checks that
+# the package took each public fallback, then prints a record, a memo's cache_info, a minimized DFA and
+# the reports of two command lines, one that writes a DFA file and one that reads it
+FALLBACK_CHILD = """
+import io, sys
+src, blocked = sys.argv[1], sys.argv[2:]
+sys.modules.update(dict.fromkeys(blocked))
+sys.path.insert(0, src)
+from gaussbase import _records, automata, cli, numeration
+from gaussbase.gaussint import GaussInt
+if blocked:
+    assert type(_records._lru_cache_wrapper).__name__ == "function", _records._lru_cache_wrapper
+    assert type(automata.add).__name__ == "function", automata.add
+    assert type(numeration.attrgetter.__init__).__name__ == "function", numeration.attrgetter
+    assert cli.encode_basestring_ascii.__name__ == "py_encode_basestring_ascii", cli.encode_basestring_ascii
+B = GaussInt(2, 1)
+print(numeration.length_bound(B))
+numeration.canonical_digit_set.cache_clear()
+numeration.canonical_digit_set(B), numeration.canonical_digit_set(B)
+print(numeration.canonical_digit_set.cache_info())
+print(automata.dfa_to_json(automata.minimize(automata.powers_dfa(B))))
+stdout, sys.stdout = sys.stdout, io.StringIO()
+codes = [cli.main(["dfa", "make", "powers", "-b", "2+1i", "--dfa-out", "powers.json"]), cli.main(["dfa", "min", "powers.json"])]
+report, sys.stdout = sys.stdout.getvalue(), stdout
+print(codes, report, open("powers.json", encoding="utf-8").read())
+"""
+
+
+def test_the_public_fallbacks_of_the_private_c_imports_give_the_same_bytes(tmp_path):
+    """Without _functools, _operator and _json, records, memos, minimize and the CLI print what they print with them.
+    _collections stays required (see _records)."""
+    src = str(Path(gaussbase.__file__).resolve().parents[1])
+    outputs = []
+    for blocked in ((), ("_functools", "_operator", "_json")):
+        argv = [sys.executable, "-I", "-S", "-c", FALLBACK_CHILD, src, *blocked]
+        child = subprocess.run(argv, capture_output=True, text=True, timeout=120, cwd=tmp_path)
+        assert child.returncode == 0, child.stderr[-3000:]
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+    assert "CacheInfo(hits=1, misses=1, maxsize=" in outputs[0] and "[0, 0]" in outputs[0]
