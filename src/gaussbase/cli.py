@@ -146,9 +146,21 @@ def _int(text: str) -> int:
 
 
 def _bound(text: str) -> tuple[int, int]:
+    """Type of deptest's --bound, NUM/DEN.
+
+    As in GaussInt.parse, a denominator past the digit limit waits for the
+    numerator's shape, so a malformed bound is refused as one whatever its
+    length, and a well-formed one keeps the digit limit's message.
+    """
     num, slash, den = text.partition("/")
-    if slash and None not in (bound := (numeral(num), numeral(den))):
-        return bound
+    try:
+        d = numeral(den)
+    except InvalidInput:
+        if numeral(num) is not None:
+            raise
+        d = None
+    if slash and d is not None and (n := numeral(num)) is not None:
+        return n, d
     raise InvalidInput(f"bound must be NUM/DEN, got {text!r}")
 
 

@@ -6,7 +6,10 @@ the digits.  This module builds the canonical digit set, encodes/decodes,
 certifies word-length bounds, links digit sets over a shared base, and
 recodes words between base b and base b^j.  encode gives up on a cycling
 loop after a cap that reads only the value and the base, so a digit set
-holds no length constant; length_bound computes m3 once per base.
+holds no length constant; length_bound computes m3 once per base.  The
+cap is never below CAP_SLACK steps, so it is formed only for a loop that
+reaches that many or a value long enough for blocks, never for the short
+words most callers encode.
 
 All geometry is integer-exact: half-open box tests use 2*Re(d*conj(b))
 against +-norm(b), and radii enter squared; canonical_digit_set solves
@@ -17,8 +20,11 @@ they return.  A digit set has one position table, positions, keyed on
 each digit's (re, im) int pair, which hashes in C where a GaussInt
 hashes through a Python-level __hash__: every layer looks a digit up by
 its pair, so no per-digit loop, nor the construction of a digit set,
-hashes a GaussInt.  The residue table is keyed by one int, so an encode
-step builds and hashes no tuple at all.  A digit set also keeps the
+hashes a GaussInt.  One routine, DigitSet._validated, checks every
+listed digit set and builds its tables; canonical_digit_set hands it the
+pairs of its own row walk, already in order, so the canonical digits are
+neither sorted nor read back.  The residue table is keyed by one int, so
+an encode step builds and hashes no tuple at all.  A digit set also keeps the
 constants of its two loops in two tuples, which digit_of, encode,
 decode and recode each read in one step, since on the short words that
 most callers pass the per-call set-up costs as much as the digits.  m3
@@ -51,7 +57,8 @@ EMPTY_WORD: Word = ()
 
 DIGIT_BUDGET = 10**5  # digits of the largest canonical digit set held in memory
 BLOCK_DIGITS = 100  # words of this many digits or more are encoded and decoded in blocks
-_BLOCK_STEPS = 2 * BLOCK_DIGITS + 272  # encode's cap for a value of about BLOCK_DIGITS digits
+CAP_SLACK = 272  # encode's cap is 2*ceil(log_N(norm(z) + 1)) + CAP_SLACK steps, so never below it
+_BLOCK_STEPS = 2 * BLOCK_DIGITS + CAP_SLACK  # encode's cap for a value of about BLOCK_DIGITS digits
 MEMO_SIZE = 64  # digit sets, length bounds and termination verdicts kept by the per-base memos
 
 _RE_IM = attrgetter("re", "im")  # the (re, im) pair of a GaussInt, read in C
@@ -89,21 +96,34 @@ class DigitSet(record("DigitSet", "base digits")):
     nothing of type, so a reader that looks up an element's pair also
     tests that it is a GaussInt.  The constants of its two loops sit in
     two tuples, each read in one step per call: _loop is the digit loop's
-    (N, Re conj(b), Im conj(b), residue table, N.bit_length() - 1), the
-    last encode's cap divisor, and _fold is the Horner fold's
-    (positions, b.re, b.im).  Equality and hash read the two fields only,
-    and every copy, pickle or _replace builds through the constructor, so
-    the tables and tuples always follow the fields.
+    (N, Re conj(b), Im conj(b), residue table, N.bit_length() - 1,
+    BLOCK_DIGITS * N.bit_length()), the last two encode's cap divisor and
+    the bit count from which a value takes the block path, and _fold is
+    the Horner fold's (positions, b.re, b.im).  Equality and hash read the
+    two fields only, and every copy, pickle or _replace builds through the
+    constructor, so the tables and tuples always follow the fields.
     """
 
     def __new__(cls, base: GaussInt, digits: tuple[GaussInt, ...]) -> DigitSet:
-        n = _base_norm(base)
-        digits = tuple(digits)
+        return cls._validated(base, _base_norm(base), tuple(digits))
+
+    @classmethod
+    def _validated(cls, base: GaussInt, n: int, digits: tuple, pairs: list | None = None) -> DigitSet:
+        """The digit set of base, n = norm(base), over the tuple digits, or InvalidInput.
+
+        The one routine that checks a listed digit set: each digit is a
+        GaussInt, 0 is one, none repeats, there are n of them, and no two
+        are congruent mod base; it builds both tables on the way.  Given
+        pairs, the digits come in (re, im) order with those (re, im) int
+        pairs, as canonical_digit_set's row walk makes them; without, the
+        digits are sorted and their pairs read here.
+        """
         if not {*map(type, digits)} <= {GaussInt}:
             bad = next(d for d in digits if type(d) is not GaussInt)
             raise InvalidInput(Message("digit %r is not a GaussInt", bad))
-        digits = tuple(sorted(digits, key=_RE_IM))
-        pairs = list(map(_RE_IM, digits))
+        if pairs is None:
+            digits = tuple(sorted(digits, key=_RE_IM))
+            pairs = list(map(_RE_IM, digits))
         positions = dict(zip(pairs, range(len(pairs))))
         if (0, 0) not in positions:
             raise InvalidInput("digit set must contain 0")
@@ -126,7 +146,8 @@ class DigitSet(record("DigitSet", "base digits")):
         """Keep the two tables, and the constants of the digit loop and of the Horner fold."""
         p, q = self.base.re, self.base.im
         self.positions = positions
-        self._loop, self._fold = (n, p, -q, table, n.bit_length() - 1), (positions, p, q)
+        bits = n.bit_length()
+        self._loop, self._fold = (n, p, -q, table, bits - 1, BLOCK_DIGITS * bits), (positions, p, q)
 
     @classmethod
     def _make(cls, fields: Iterable) -> DigitSet:
@@ -223,27 +244,29 @@ def canonical_digit_set(b: GaussInt) -> DigitSet:
 
     The square is walked row by row: for d = x + y*i, the two box tests
     (see _Box) are linear in y, so each row's digits are one interval of
-    y, solved exactly, and the digits come out in (re, im) order.  A base of
-    norm above DIGIT_BUDGET gets a LargeCanonicalDigitSet, which does not
-    list them.
+    y, solved exactly, and the digits come out in (re, im) order.  The walk
+    keeps their (re, im) int pairs, from which DigitSet._validated builds
+    the position and residue tables after its checks, with no sort and no
+    second read of the digits.  A base of norm above DIGIT_BUDGET gets a
+    LargeCanonicalDigitSet, which does not list them.
     """
     n = _base_norm(b)
     if n > DIGIT_BUDGET:
         return LargeCanonicalDigitSet(b)
     r = isqrt(n)
     p2, q2 = 2 * b.re, 2 * b.im
-    digits: list[GaussInt] = []
+    pairs: list[tuple[int, int]] = []
     for x in range(-r, r + 1):
         # -n <= 2*Re(d*conj(b)) < n and -n <= 2*Im(d*conj(b)) < n, each solved for y
         first, last = _narrow(q2, -n - x * p2, n - x * p2, -r, r)
         first, last = _narrow(p2, x * q2 - n, x * q2 + n, first, last)
-        digits.extend(map(GaussInt, repeat(x), range(first, last + 1)))
-    return DigitSet(b, tuple(digits))
+        pairs.extend(zip(repeat(x), range(first, last + 1)))
+    return DigitSet._validated(b, n, tuple(starmap(GaussInt, pairs)), pairs)
 
 
 def digit_of(z: GaussInt, D: DigitSet) -> GaussInt:
     """The unique d in D with b | (z - d)."""
-    n, bre, bim, table, _ = D._loop  # bre + bim*i is conj(b)
+    n, bre, bim, table, _, _ = D._loop  # bre + bim*i is conj(b)
     x, y = z.re, z.im
     t_re, t_im = x * bre - y * bim, x * bim + y * bre  # t = z*conj(b)
     return table[t_re % n * n + t_im % n][0]
@@ -257,30 +280,35 @@ def _block_length(n: int) -> int:
     return k
 
 
-def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
-    """The word of z if it has at most max_len digits, else None.
+def encode_within(z: GaussInt, D: DigitSet, max_len: int | None = None) -> Word | None:
+    """The word of z if it has at most max_len digits, else None; max_len None stands for encode's cap.
 
     Runs the forced digit loop for at most max_len steps, so the answer is
     exact for any complete residue system, whether or not its loop
-    terminates everywhere.  A value of BLOCK_DIGITS digits or more first
-    runs the loop a block of k = _block_length(N) steps at a time, when
-    max_len leaves room for more than 2*BLOCK_DIGITS + 272 steps, encode's
-    cap for a value of about that many digits: so a call with a short
-    value or a small max_len is told apart by one comparison.  A block
-    takes one big-int pass, w = q*c + r with c = b^k and q the rounded
-    quotient, so r is small.  As w - r is a multiple of b^k, the loop's
-    first k digits of w are its first k digits of r, and its state on w
-    after them is its state on r plus q: so a block runs the loop's step
-    k times on r, zeros included where r's word is shorter, and adds q.
-    Blocks stop once both parts of w have no more bits than N^k, or out
-    would pass max_len, and the loop goes on from the state they leave.
-    A block in which the state reaches 0 leaves zeros past the leading
-    digit, which are stripped.
+    terminates everywhere.  encode's cap is never below CAP_SLACK, so
+    without a max_len it is formed only when the loop reaches CAP_SLACK
+    steps or the value takes the block path: a short word costs no cap.
+    A value of BLOCK_DIGITS digits or more first runs the loop a block of
+    k = _block_length(N) steps at a time, when max_len leaves room for
+    more than 2*BLOCK_DIGITS + CAP_SLACK steps, encode's cap for a value
+    of about that many digits, as encode's cap for such a value always
+    does: so a call with a short value or a small max_len is told apart
+    by one comparison.  A block takes one big-int pass, w = q*c + r with
+    c = b^k and q the rounded quotient, so r is small.  As w - r is a
+    multiple of b^k, the loop's first k digits of w are its first k
+    digits of r, and its state on w after them is its state on r plus q:
+    so a block runs the loop's step k times on r, zeros included where
+    r's word is shorter, and adds q.  Blocks stop once both parts of w
+    have no more bits than N^k, or out would pass max_len, and the loop
+    goes on from the state they leave.  A block in which the state
+    reaches 0 leaves zeros past the leading digit, which are stripped.
     """
-    n, bre, bim, table, _ = D._loop  # bre + bim*i is conj(b)
+    n, bre, bim, table, _, long_bits = D._loop  # bre + bim*i is conj(b)
     out: list[GaussInt] = []
     x, y = z.re, z.im
-    if max_len > _BLOCK_STEPS and x.bit_length() + y.bit_length() >= BLOCK_DIGITS * n.bit_length():
+    if (max_len is None or max_len > _BLOCK_STEPS) and x.bit_length() + y.bit_length() >= long_bits:
+        if max_len is None:  # at least 2*101 + CAP_SLACK: norm(z) has 100*bits(N) - 1 bits or more
+            max_len = _encode_cap(z, D)
         k = _block_length(n)
         c = D.base**k
         c_re, c_im, nk = c.re, c.im, n**k
@@ -302,9 +330,13 @@ def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
             out.pop()
     # on plain ints: with t = w*conj(b), the next value (w - d)/b is
     # (t - d*conj(b))/N, an exact division
+    limit = CAP_SLACK if max_len is None else max_len
     while x or y:
-        if len(out) >= max_len:
-            return None
+        if len(out) >= limit:
+            if max_len is None:  # encode's cap, formed when the loop first reaches its least value
+                limit = max_len = _encode_cap(z, D)
+            if len(out) >= limit:
+                return None
         t_re = x * bre - y * bim
         t_im = x * bim + y * bre
         d, d_re, d_im = table[t_re % n * n + t_im % n]
@@ -312,6 +344,12 @@ def encode_within(z: GaussInt, D: DigitSet, max_len: int) -> Word | None:
         x, y = (t_re - d_re) // n, (t_im - d_im) // n
     out.reverse()
     return tuple(out)
+
+
+def _encode_cap(z: GaussInt, D: DigitSet) -> int:
+    """encode's cap on the steps of the digit loop for z over D (see encode)."""
+    x, y = z.re, z.im
+    return 2 * -(-(x * x + y * y + 1).bit_length() // D._loop[4]) + CAP_SLACK
 
 
 def encode(z: GaussInt, D: DigitSet) -> Word:
@@ -323,16 +361,16 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
     after 2*ceil(log_N(norm(z) + 1)) + 272 steps, N = norm(b), and raises
     NonTermination naming z.  The cap reads only z and the base: a word
     over the canonical digits has at most ceil(log_N(norm(z))) + m3
-    digits (see LengthBound), and the slack 272 = 4*64 + 16 covers
-    4*m3 + 16 for every m3 up to 64.  The log is bounded from bit lengths:
-    value < 2^bits(value) and N >= 2^(bits(N) - 1) give N^k >= value for
-    k = ceil(bits(value) / (bits(N) - 1)).
+    digits (see LengthBound), and the slack CAP_SLACK = 272 = 4*64 + 16
+    covers 4*m3 + 16 for every m3 up to 64.  The log is bounded from bit
+    lengths: value < 2^bits(value) and N >= 2^(bits(N) - 1) give
+    N^k >= value for k = ceil(bits(value) / (bits(N) - 1)).  As the cap
+    is never below CAP_SLACK, encode_within forms it only for a loop that
+    reaches that many steps or a value long enough for blocks.
     """
-    x, y = z.re, z.im
-    cap = 2 * -(-(x * x + y * y + 1).bit_length() // D._loop[4]) + 272
-    w = encode_within(z, D, cap)
+    w = encode_within(z, D)
     if w is None:
-        raise NonTermination(f"digit loop for {z} over base {D.base} exceeded {cap} iterations")
+        raise NonTermination(f"digit loop for {z} over base {D.base} exceeded {_encode_cap(z, D)} iterations")
     return w
 
 

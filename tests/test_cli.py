@@ -800,6 +800,15 @@ def test_a_message_naming_an_int_past_a_higher_limit_is_refused_by_name(capsys):
         (cli._int, "5\n", "expected an integer, got '5\\n'"),
         (cli._count, "٣", "expected a non-negative integer, got '٣'"),
         (cli._bound, "1/ 3", "bound must be NUM/DEN, got '1/ 3'"),
+        # both shapes are checked before either part is converted: a malformed bound is refused as one
+        # whatever the length of its other part, and a well-formed one keeps the digit limit's message
+        (cli._bound, "x/" + "1" * 5000, f"bound must be NUM/DEN, got {'x/' + '1' * 5000!r}"),
+        (cli._bound, "1" * 5000 + "/x", f"bound must be NUM/DEN, got {'1' * 5000 + '/x'!r}"),
+        (cli._bound, "1" * 5000 + "/", f"bound must be NUM/DEN, got {'1' * 5000 + '/'!r}"),
+        *(
+            (cli._bound, text, "an integer literal past 4300 digits, the interpreter's limit: " + repr(part))
+            for text, part in [("1/" + "1" * 5000, "1" * 5000), ("2" * 5000 + "/1", "2" * 5000), ("2" * 5000 + "/" + "1" * 5000, "2" * 5000)]
+        ),
     ],
 )
 def test_a_malformed_count_or_bound_keeps_its_message(default_digit_limit, convert, text, message):

@@ -538,12 +538,14 @@ huge_components = st.one_of(st.integers(-50, 50), st.integers(-(2**2000), 2**200
 @example(g(2, 1), g(2))  # norm(z) + 1 = 5 = norm(b)
 @example(g(2, 1), ZERO)
 def test_encode_cap_is_never_below_the_log_cap(b, z):
-    """encode's cap, bounded from bit lengths, is at least 4*M(3) + 2*ceil(log_N(norm(z)+1)) + 16."""
+    """encode's cap, bounded from bit lengths, is at least 4*M(3) + 2*ceil(log_N(norm(z)+1)) + 16.
+
+    The cap is read from the function encode forms it with, and names it when a trap set cycles
+    (test_a_lazy_cap_refuses_as_an_eager_one_does)."""
     D = canonical_digit_set(b)
     m3 = length_bound(b).m3
-    with mock.patch.object(numeration, "encode_within", wraps=numeration.encode_within) as capped:
-        assert decode(encode(z, D), D) == z
-    cap = capped.call_args_list[0].args[2]  # encode's call
+    assert decode(encode(z, D), D) == z
+    cap = numeration._encode_cap(z, D)
     k, power = 0, 1
     while power < z.norm() + 1:  # k = ceil(log_N(norm(z) + 1))
         power *= b.norm()
@@ -957,6 +959,57 @@ def test_the_block_path_equals_the_reference_at_the_max_len_edges(D, z, past):
     edges = range(len(word) - 3, len(word) + 4) if word is not None else ()
     for max_len in (numeration._BLOCK_STEPS + past, *edges, 10**4):
         assert encode_within(z, D, max_len) == cut(word, max_len)
+
+
+def eager_cap(z, D):
+    """encode's cap as encode formed it before every call: 2*ceil(bits(norm(z) + 1) / (bits(N) - 1)) + 272."""
+    return 2 * -(-(z.norm() + 1).bit_length() // (D.base.norm().bit_length() - 1)) + 272
+
+
+# digit 1 of 2+2i moved by 200*(2+2i): the word of 2^397*i has 273 digits, though it is too short for blocks
+SLOW = DigitSet(g(2, 2), tuple(d + g(200) * g(2, 2) if d == ONE else d for d in canonical_digit_set(g(2, 2)).digits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shifted_digit_sets() | st.sampled_from([ALT, TRAP, FAR, FAR_TRAP, SLOW]),
+    st.builds(g, st.integers(-300, 300), st.integers(-300, 300)) | long_values,
+)
+@example(TRAP, g(-1))  # cycles from the first step: the loop reaches 272 steps, then the cap, 274
+@example(TRAP, g(-(3**150)))  # 150 zeros, then -1 cycles: a cap of 590, and too short for blocks
+@example(TRAP, g(-(3**300)))  # the block path with a cap of 1174
+@example(TRAP, g(3**300))  # a word of 301 digits, so the loop passes 272 steps and ends
+@example(FAR, g(7**150, -(5**99)))
+@example(SLOW, g(0, 2**397))  # the loop passes 272 steps, forms the cap, 802, and ends at 273
+def test_a_lazy_cap_refuses_as_an_eager_one_does(D, z):
+    """Without a max_len, encode_within gives the word or None that encode's cap, formed up front, gives;
+    and encode raises NonTermination with the same cap in the same message."""
+    cap = eager_cap(z, D)
+    word = encode_within(z, D, cap)
+    assert numeration._encode_cap(z, D) == cap
+    assert encode_within(z, D) == word
+    refusal = (NonTermination, f"digit loop for {z} over base {D.base} exceeded {cap} iterations")
+    assert outcome(encode, z, D) == (refusal if word is None else word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bases())
+@example(g(3))  # real
+@example(g(-7))
+@example(g(0, 5))  # pure imaginary
+@example(g(0, -3))
+@example(g(2, 2))  # not primitive
+@example(g(6, -3))
+def test_the_one_pass_canonical_set_equals_the_validated_reference(b):
+    """canonical_digit_set builds its tables from its own row walk; DigitSet builds them from the
+    reference's digits, in any order.  Fields, tables and loop constants agree, in order too."""
+    D = canonical_digit_set(b)
+    R = DigitSet(b, reversed(reference_canonical_digits(b)))
+    assert type(D) is type(R) is DigitSet
+    assert tuple(D) == tuple(R) == (b, reference_canonical_digits(b))
+    assert list(D.positions.items()) == list(R.positions.items())
+    assert list(D._loop[3].items()) == list(R._loop[3].items())
+    assert D._loop == R._loop and D._fold == R._fold
 
 
 class Lookalike:
