@@ -52,7 +52,6 @@ _json's C encode_basestring_ascii, the function json.encoder binds.
 from __future__ import annotations
 
 import sys
-from math import isqrt
 
 try:  # the C function json.encoder binds, without importing json and the re it loads
     from _json import encode_basestring_ascii
@@ -79,9 +78,11 @@ from .automata import (
 from .dependence import group_witness, mult_dependent, prefix_extension
 from .gaussint import BudgetExceeded, GaussInt, InvalidInput, numeral
 from .numeration import (
+    SCAN_BUDGET,
     canonical_digit_set,
     decode,
     encode,
+    inscribed_square,
     lattice_disc,
     length_bound,
     real_power_exponent,
@@ -92,8 +93,6 @@ from .numeration import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_FOUND = 2
-
-SCAN_BUDGET = 10**6  # candidate bases x (probe points + digit-set candidates) in scan-bases
 
 # Python refuses to convert an int of more than 4300 digits to or from text by default
 # (sys.set_int_max_str_digits, the CVE-2020-10735 guard).  Every literal is read under that
@@ -208,17 +207,14 @@ def cmd_scan_bases(args) -> tuple[dict, str]:
         f" takes more than the scan budget of {SCAN_BUDGET} steps"
     )
 
-    def square(r2: int) -> int:
-        # the disc's inscribed square bounds its point count from below without walking it
-        return (2 * isqrt(r2 // 2) + 1) ** 2 if r2 >= 0 else 0
-
-    if square(args.norm_max) > SCAN_BUDGET:
+    # a disc's inscribed square bounds its point count from below without walking it
+    if inscribed_square(args.norm_max) > SCAN_BUDGET:
         raise refused
     bases = sum(1 for b in lattice_disc(args.norm_max) if b.norm() >= lo)
     if not bases:
         raise InvalidInput(f"no base of norm >= 5 in the norm range [{args.norm_min}, {args.norm_max}]")
     # a base encodes the probe disc and builds its digit set from about 4*norm candidates
-    if bases * (square(args.disc) + 4 * args.norm_max) > SCAN_BUDGET:
+    if bases * (inscribed_square(args.disc) + 4 * args.norm_max) > SCAN_BUDGET:
         raise refused
     probes = list(lattice_disc(args.disc))
     if bases * (len(probes) + 4 * args.norm_max) > SCAN_BUDGET:

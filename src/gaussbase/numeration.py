@@ -28,15 +28,21 @@ an encode step builds and hashes no tuple at all.  A digit set also keeps the
 constants of its two loops in two tuples, which digit_of, encode,
 decode and recode each read in one step, since on the short words that
 most callers pass the per-call set-up costs as much as the digits.  m3
-encodes only the points of its disc that are not digits themselves.  A long
+encodes only the points of its disc that are not digits themselves, and
+above norm 36 it is 1 with no walk: every nonzero point of norm at most
+9 is then a canonical digit, as 2*|Re(z*conj(b))| <= 6*sqrt(N) < N, so
+length_bound reads m3 off the base's norm.  within_bound decides
+norm(z)*N^m3 <= N^k on the parts of z and b, in ints.  A disc walk whose
+disc holds more than SCAN_BUDGET points is refused before it starts.  A long
 value or word (BLOCK_DIGITS digits or more) is encoded and decoded k
 digits at a time, with norm(b)^k < 2^60: one big-int step per block
 splits off or adds in a block.  Encode runs the digit loop's own k steps
 on the block's remainder, and recode folds each block for decode, both
 on ints of at most two machine words, so the cost is no longer a big-int
 operation per digit.  decode has no digit loop: a shorter word is one
-block of recode.  No float enters this module: logarithms are bounded
-from bit lengths.
+block of recode, and recode folds a word of at most j digits as one
+block, with the same digit check and no block count or list.  No float
+enters this module: logarithms are bounded from bit lengths.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ BLOCK_DIGITS = 100  # words of this many digits or more are encoded and decoded 
 CAP_SLACK = 272  # encode's cap is 2*ceil(log_N(norm(z) + 1)) + CAP_SLACK steps, so never below it
 _BLOCK_STEPS = 2 * BLOCK_DIGITS + CAP_SLACK  # encode's cap for a value of about BLOCK_DIGITS digits
 MEMO_SIZE = 64  # digit sets, length bounds and termination verdicts kept by the per-base memos
+# points of a disc max_length_in_disc walks, and scan-bases' bases x (probe points + digit-set candidates)
+SCAN_BUDGET = 10**6
 
 _RE_IM = attrgetter("re", "im")  # the (re, im) pair of a GaussInt, read in C
 
@@ -166,6 +174,15 @@ def _disc_pairs(r2: int) -> Iterator[tuple[int, int]]:
 def lattice_disc(r2: int) -> Iterator[GaussInt]:
     """All z in Z[i] with norm(z) <= r2, r2 given as a squared radius."""
     return starmap(GaussInt, _disc_pairs(r2))
+
+
+def inscribed_square(r2: int) -> int:
+    """The points of the square |re|, |im| <= isqrt(r2 // 2) inside the disc norm(z) <= r2.
+
+    A lower bound on the disc's point count, formed without walking it:
+    x^2 + y^2 <= 2*(r2 // 2) <= r2 on the square.
+    """
+    return (2 * isqrt(r2 // 2) + 1) ** 2 if r2 >= 0 else 0
 
 
 class _Box:
@@ -427,8 +444,12 @@ def max_length_in_disc(r2: int, D: DigitSet) -> int:
     has a word of at least one digit, and the disc holds one once r2 >= 1.
     Over the canonical digits of a base of norm n above 36, every point
     of norm at most 9 is a digit, as 2*|Re(z*conj(b))| <= 6*sqrt(n) < n,
-    and none is encoded.
+    and none is encoded.  A disc whose inscribed square alone holds more
+    than SCAN_BUDGET points raises BudgetExceeded before the walk.
     """
+    if inscribed_square(r2) > SCAN_BUDGET:
+        message = "the disc norm(z) <= %d holds more than the scan budget of %d points"
+        raise BudgetExceeded(Message(message, r2, SCAN_BUDGET))
     longest = 1 if r2 >= 1 else 0
     for pair in filterfalse(D.positions.__contains__, _disc_pairs(r2)):
         longest = max(longest, len(encode(GaussInt(*pair), D)))
@@ -443,11 +464,12 @@ class LengthBound(record("LengthBound", "base m3")):
     it.  The predicate norm(z) * norm(b)^m3 <= norm(b)^k guarantees that
     the word of z has length at most k; the underlying real constant
     |b|^(-m3) is never materialized.  within_bound decides it in ints for
-    every k with one power: norm(z) <= norm(b)^(k - m3) when k >= m3, and
-    z = 0 otherwise, as norm(b)^(k - m3) < 1 then for norm(b) >= 5; a
-    negative k forms no float, so a huge base cannot overflow.  Construction
-    refuses a base that is no GaussInt, or of norm below 5, as DigitSet
-    does, and _replace, copy and pickle build through the constructor.
+    every k with one power, both norms formed from the parts:
+    norm(z) <= norm(b)^(k - m3) when k >= m3, and z = 0 otherwise, as
+    norm(b)^(k - m3) < 1 then for norm(b) >= 5; a negative k forms no
+    float, so a huge base cannot overflow.  Construction refuses a base
+    that is no GaussInt, or of norm below 5, as DigitSet does, and
+    _replace, copy and pickle build through the constructor.
     """
 
     __slots__ = ()
@@ -462,14 +484,24 @@ class LengthBound(record("LengthBound", "base m3")):
         return cls(*fields)
 
     def within_bound(self, z: GaussInt, k: int) -> bool:
-        n, e = self.base.norm(), k - self.m3
-        return z.norm() <= n**e if e >= 0 else not z
+        b, e, x, y = self.base, k - self.m3, z.re, z.im
+        if e < 0:
+            return not (x or y)
+        p, q = b.re, b.im
+        return x * x + y * y <= (p * p + q * q) ** e
 
 
 @memo(MEMO_SIZE)
 def length_bound(b: GaussInt) -> LengthBound:
-    """The certified LengthBound for the canonical digit set of b, m3 computed once per base."""
-    return LengthBound(base=b, m3=max_length_in_disc(9, canonical_digit_set(b)))
+    """The certified LengthBound for the canonical digit set of b, m3 computed once per base.
+
+    Above norm 36 every nonzero point of the disc norm(z) <= 9 is a
+    canonical digit (see max_length_in_disc), so m3 = 1 with no walk;
+    the norm is read off the base, so a base past DIGIT_BUDGET lists no
+    digit.  Below that the disc is walked.
+    """
+    n = _base_norm(b)
+    return LengthBound(base=b, m3=1 if n > 36 else max_length_in_disc(9, canonical_digit_set(b)))
 
 
 def power_digit_set(D: DigitSet, j: int) -> DigitSet:
@@ -493,15 +525,24 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     digits; the decoded value is unchanged.  One pass on ints: the first
     block starts its count at the number of leading zeros a pad to a
     multiple of j would add, and digits are checked in word order (see
-    _not_a_digit), for decode too.
+    _not_a_digit), for decode too.  A word of at most j digits, as decode
+    passes, is one block: the same check and fold, with no count and no
+    list of blocks.
     """
     if j < 1:
         raise InvalidInput("power exponent must be >= 1")
     index, p, q = D._fold
-    out: list[GaussInt] = []
     x = y = 0
-    filled = (-len(w)) % j
     try:
+        if len(w) <= j:  # one block, as decode passes
+            for d in w:
+                d_re, d_im = pair = d.re, d.im
+                if pair not in index or not isinstance(d, GaussInt):
+                    raise _not_a_digit(w, D)
+                x, y = x * p - y * q + d_re, x * q + y * p + d_im
+            return (GaussInt(x, y),) if x or y else ()
+        out: list[GaussInt] = []
+        filled = (-len(w)) % j
         for d in w:
             d_re, d_im = pair = d.re, d.im
             if pair not in index or not isinstance(d, GaussInt):

@@ -1087,3 +1087,125 @@ def test_digit_set_construction_and_the_per_digit_loops_hash_no_gauss_int(monkey
             assert decode(w, S) == z == horner(recode(w, S, 2), S.base**2)
     with pytest.raises(InvalidInput, match=r"^\(1, 0\) is not a digit of base 3\+2i$"):
         decode((ONE, (1, 0)), D)
+
+
+# ---- the one-block recode, m3 off the norm, within_bound in ints, and the disc budget ----
+
+def general_recode(w, D, j):
+    """recode's general block loop on its own: a count of the digits in the current block and a
+    list of the blocks, every digit checked in word order through _not_a_digit."""
+    index, p, q = D._fold
+    out = []
+    x = y = 0
+    filled = (-len(w)) % j
+    try:
+        for d in w:
+            d_re, d_im = pair = d.re, d.im
+            if pair not in index or not isinstance(d, GaussInt):
+                raise numeration._not_a_digit(w, D)
+            x, y = x * p - y * q + d_re, x * q + y * p + d_im
+            filled += 1
+            if filled == j:
+                if x or y or out:
+                    out.append(GaussInt(x, y))
+                x = y = filled = 0
+    except (AttributeError, TypeError):
+        raise numeration._not_a_digit(w, D) from None
+    return tuple(out)
+
+
+def strays(D, d):
+    """Elements that are no digit of D, each built from the digit d: d + b (never a canonical
+    digit), d's bare (re, im) tuple, a Lookalike of d, an int, which has no re, and a Lookalike
+    whose re is unhashable."""
+    return [d + D.base, (d.re, d.im), Lookalike(d), 7, odd_parts([1])]
+
+
+@st.composite
+def short_words(draw):
+    """(D, w, j): a canonical, shifted, large or alternative digit set, a word of up to 6 of its
+    digits, often with leading zeros, and a j of at least the word's length."""
+    D = draw(
+        st.one_of(
+            st.one_of(bases(400), st.sampled_from(LARGE_BASES)).map(canonical_digit_set),
+            shifted_digit_sets(),
+            st.sampled_from([ALT, FAR]),
+        )
+    )
+    values = st.builds(g, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+    digit = st.just(ZERO) | values.map(lambda z: digit_of(z, D))
+    w = tuple(draw(st.lists(digit, max_size=6)))
+    return D, w, max(len(w), 1) + draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_words())
+@example((canonical_digit_set(B), (), 1))
+@example((canonical_digit_set(B), (ZERO, ZERO), 2))  # all zeros: no digit
+@example((canonical_digit_set(B), (ZERO, ONE), 2))
+@example((ALT, (g(4), g(3), g(2)), 3))
+@example((canonical_digit_set(LARGE_BASES[0]), (ONE, ZERO, ONE), 5))
+def test_a_word_of_at_most_j_digits_recodes_as_the_general_loop_does(case):
+    """The one-block branch against the general loop: the same block, and the same error text with
+    a stray at each position, or a second stray after the first."""
+    D, w, j = case
+    assert outcome(recode, w, D, j) == outcome(general_recode, w, D, j) == outcome(reference_recode, w, D, j)
+    assert decode(w, D) == reference_decode(w, D)
+    for pos in range(len(w)):
+        for bad in strays(D, w[pos]):
+            for bent in (w[:pos] + (bad,) + w[pos + 1 :], w[:pos] + (bad, odd_parts(None)) + w[pos + 2 :]):
+                want = outcome(general_recode, bent, D, j)
+                assert want == (InvalidInput, f"{bad} is not a digit of base {D.base}")
+                assert outcome(recode, bent, D, j) == want
+                assert outcome(decode, bent, D) == want
+
+
+def test_m3_off_the_norm_is_the_disc_walk_for_every_base_of_norm_37_to_400():
+    bases_37_to_400 = [b for b in lattice_disc(400) if b.norm() > 36]
+    assert len(bases_37_to_400) > 1000
+    for b in bases_37_to_400:
+        assert length_bound(b).m3 == max_length_in_disc(9, canonical_digit_set(b)) == 1
+
+
+def test_m3_of_a_base_past_the_digit_budget_is_1_with_no_digit_listed_and_no_walk():
+    b = LARGE_BASES[0]
+    length_bound.cache_clear()
+
+    def no_walk(*args):
+        raise AssertionError("length_bound walked a disc or built a digit set above norm 36")
+
+    with mock.patch.object(numeration, "max_length_in_disc", no_walk), mock.patch.object(
+        numeration, "canonical_digit_set", no_walk
+    ):
+        assert length_bound(b) == LengthBound(b, 1)
+    D = canonical_digit_set(b)
+    assert max_length_in_disc(9, D) == 1
+    with pytest.raises(BudgetExceeded, match="digit budget"):
+        D.digits
+
+
+@pytest.mark.parametrize("b", [B, g(0, 11), g(2 ** (10**6), 1), g(-(2 ** (10**6 - 1)), 2 ** (10**6 - 1))])
+@pytest.mark.parametrize("m3", [1, 2, 3])
+def test_within_bound_below_m3_admits_only_zero_as_the_raw_predicate_does(b, m3):
+    """For k < m3 the raw predicate norm(z)*N^m3 <= N^k holds for z = 0 alone, N^k a Fraction when k < 0;
+    the base of 10^6 bits forms no float and no power of its norm."""
+    n = b.norm()
+    lb = LengthBound(b, m3)
+    for k in range(-2, m3):
+        for z in (ZERO, ONE, g(0, -1), g(3, 4), b):
+            assert lb.within_bound(z, k) == (z.norm() * Fraction(n) ** m3 <= Fraction(n) ** k) == (not z)
+    assert lb.within_bound(b**2, m3 + 2) and not lb.within_bound(b**2 + b**2, m3 + 2)
+
+
+def test_the_disc_budget_admits_r2_499999_and_refuses_500000_before_the_walk():
+    assert numeration.inscribed_square(499999) == 999**2 <= numeration.SCAN_BUDGET
+    assert numeration.inscribed_square(500000) == 1001**2 > numeration.SCAN_BUDGET
+    assert numeration.inscribed_square(-1) == 0 and numeration.inscribed_square(0) == 1
+    for r2 in range(-3, 401):  # a lower bound on the disc's points
+        assert numeration.inscribed_square(r2) <= len(reference_disc(r2))
+    D = canonical_digit_set(B)
+    for r2 in (500000, 10**6, 10**400):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=r"holds more than the scan budget of 1000000 points$"):
+            max_length_in_disc(r2, D)
+        assert time.perf_counter() - start < 1
