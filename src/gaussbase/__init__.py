@@ -39,6 +39,7 @@ from .gaussint import (
     DivisionByZero,
     GaussInt,
     InvalidInput,
+    NonTermination,
     NotDivisible,
     divides,
     exact_div,
@@ -48,7 +49,6 @@ from .numeration import (
     DigitSet,
     LengthBound,
     LinkCertificate,
-    NonTermination,
     Word,
     canonical_digit_set,
     check_linked,

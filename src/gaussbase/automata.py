@@ -26,7 +26,7 @@ except ImportError:
     from operator import add, and_, attrgetter, floordiv, gt, itemgetter, mod, mul, ne, or_
 
 from ._records import defaultdict, record
-from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, Message, is_power_of
+from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, is_power_of
 from .numeration import DigitSet, Word, canonical_digit_set, decode, encode_within
 
 ENUMERATION_BUDGET = 10**8
@@ -63,7 +63,7 @@ class Dfa(record("Dfa", "alphabet initial transitions accepting")):
         if n == 0:
             raise InvalidInput("a DFA needs at least one state")
         if self.initial not in range(n):
-            raise InvalidInput(f"initial state {self.initial} out of range")
+            raise InvalidInput("initial state %s out of range", self.initial)
         width = len(self.alphabet.digits)
         states = set(range(n))
         if set(map(len, rows)) != {width} or not states.issuperset(chain.from_iterable(rows)):
@@ -72,7 +72,7 @@ class Dfa(record("Dfa", "alphabet initial transitions accepting")):
                     raise InvalidInput("transition row width differs from alphabet size")
                 for t in row:
                     if t not in states:
-                        raise InvalidInput(f"transition target {t} out of range")
+                        raise InvalidInput("transition target %s out of range", t)
         if not self.accepting <= states:
             raise InvalidInput("accepting states out of range")
 
@@ -111,7 +111,7 @@ def run(dfa: Dfa, w: Word) -> bool:
     for d in w:
         i = positions.get((d.re, d.im)) if isinstance(d, GaussInt) else None
         if i is None:
-            raise InvalidInput(f"{d} is not in the DFA alphabet")
+            raise InvalidInput("%s is not in the DFA alphabet", d)
         state = dfa.transitions[state][i]
     return state in dfa.accepting
 
@@ -162,7 +162,7 @@ _KEEP: dict[str, Callable[[bool, bool], bool]] = {"and": and_, "or": or_, "diff"
 def product(d1: Dfa, d2: Dfa, mode: str) -> Dfa:
     """Product DFA for the boolean combination of two languages; mode is "and", "or" or "diff"."""
     if mode not in _KEEP:
-        raise InvalidInput(f"unknown product mode {mode!r}")
+        raise InvalidInput("unknown product mode %r", mode)
     states1, states2, rows = _pairs(d1, d2)
     kept = map(_KEEP[mode], map(d1.accepting.__contains__, states1), map(d2.accepting.__contains__, states2))
     return _derived(d1.alphabet, 0, tuple(rows), frozenset(compress(count(), kept)))
@@ -277,7 +277,7 @@ def integers_dfa(b: GaussInt | int) -> Dfa:
     if isinstance(b, int):
         b = GaussInt(b, 0)
     if b.im != 0 or b.re < 3 or b.re % 2 == 0:
-        raise InvalidInput(f"{b} is not a real odd integer >= 3")
+        raise InvalidInput("%s is not a real odd integer >= 3", b)
     D = canonical_digit_set(b)
     real = {d for d in D.digits if d.im == 0}
     return _three_state(D, real - {ZERO}, real, frozenset({0, 1}))
@@ -307,7 +307,7 @@ class LanguageOracle(record("LanguageOracle", "alphabet value_test candidates"))
 def powers_oracle(a: GaussInt, D: DigitSet) -> LanguageOracle:
     """Oracle for {a^n : n >= 0} written over D."""
     if a.norm() <= 1:
-        raise InvalidInput(f"norm({a}) <= 1 cannot generate powers")
+        raise InvalidInput("norm(%s) <= 1 cannot generate powers", a)
 
     def candidates(max_norm: int, limit: int) -> list[GaussInt] | None:
         powers = accumulate(repeat(a), mul, initial=ONE)  # of increasing norm
@@ -355,7 +355,7 @@ def _members(L: LanguageOracle, max_len: int, reserved: int = 0) -> Iterator[tup
     limit = min(MEMBER_BUDGET, (ENUMERATION_BUDGET - reserved) // per_candidate)
     values = L.candidates(delta2 * m**max_len // (isqrt(m) - 1) ** 2, limit) if limit >= 1 else None
     if values is None:
-        raise BudgetExceeded(f"words of length <= {max_len} exceed the enumeration budget")
+        raise BudgetExceeded("words of length <= %s exceed the enumeration budget", max_len)
     index, re_im = D.positions, attrgetter("re", "im")
 
     def rank(w: Word) -> int:  # a digit's position from its (re, im) pair, which hashes in C
@@ -424,7 +424,7 @@ def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
         splits = range(max(0, n - k), min(e, n) + 1)
         held += len(splits) * (i.bit_length() // 64 + 1)  # each split's two parts hold about i's words
         if held > MEMBER_BUDGET:
-            raise BudgetExceeded(f"signatures of depths {k} and {e} hold more words than the member budget")
+            raise BudgetExceeded("signatures of depths %s and %s hold more words than the member budget", k, e)
         for s in splits:
             width = m**s
             u, v = divmod(i, width)
@@ -467,7 +467,7 @@ def zero_pump_probe(
     steps = (reps + 1) * n * n + 2 * n * k * s1 + k * k * s2  # sum of (n + j*k)^2, j = 0..reps
     if steps > ENUMERATION_BUDGET:
         raise BudgetExceeded(
-            Message("decoding %d pumped words takes %d digit-steps, past the enumeration budget", reps + 1, steps)
+            "decoding %d pumped words takes %d digit-steps, past the enumeration budget", reps + 1, steps
         )
     head, tail = w[:1], w[1:]
     return tuple(
@@ -531,13 +531,13 @@ def digit_set_to_json(D: DigitSet) -> dict:
 def _json_field(obj: dict, key: str, convert: Callable):
     """convert(obj[key]); a non-object, a missing field or a mistyped one raises InvalidInput."""
     if not isinstance(obj, dict):
-        raise InvalidInput(f"expected a JSON object, got {type(obj).__name__}")
+        raise InvalidInput("expected a JSON object, got %s", type(obj).__name__)
     if key not in obj:
-        raise InvalidInput(f"missing field {key!r}")
+        raise InvalidInput("missing field %r", key)
     try:
         return convert(obj[key])
     except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed field {key!r}: {exc}") from exc
+        raise InvalidInput("malformed field %r: %s", key, exc) from exc
 
 
 def _json_list(value) -> list:

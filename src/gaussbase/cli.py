@@ -1,8 +1,8 @@
 """Command-line front end: JSON reports over the library operations.
 
 Every command prints a report {command, inputs, results, status}; output
-is JSON by default with an optional --pretty rendering.  Exit codes: 0
-ok, 2 not found (exhausted searches), 1 error.
+is JSON, or with --pretty a human-readable rendering.  Exit codes: 0 ok,
+2 not found (exhausted searches), 1 error.
 
 A report's JSON text, on stdout and in the -o file, is exactly
 json.dumps(report, indent=2, sort_keys=True), and a --dfa-out file is
@@ -30,15 +30,16 @@ cannot be written makes it an error report.
 One numeral grammar, and one int-to-str digit limit reads and one
 writes.  Every integer read from text, an integer option's value, a
 bound's two parts, a DFA file's int or a Gaussian literal's part, is
-gaussint.numeral's ASCII [+-]?[0-9]+ (so 1_000, ' 5' and a non-ASCII
-digit are usage errors), read under the interpreter's own limit, and a
-part past it is refused by name: an integer literal, or a Gaussian
-integer literal with a part past the limit.
-_text renders a report's text, an error's message included, under a
-limit of at least OUTPUT_DIGITS, lifted for that render only: a report
-prints integers of up to OUTPUT_DIGITS decimal digits, or more when the
-interpreter's own limit is higher, and past that it is an error report
-that names the limit.
+gaussint.is_numeral's ASCII [+-]?[0-9]+ (so 1_000, ' 5' and a non-ASCII
+digit are usage errors), converted by gaussint.numerals under the
+interpreter's own limit once every part has that shape, and a part past
+it is refused by name: an integer literal, or a Gaussian integer literal
+with a part past the limit.  _text renders a report's text under a limit
+of at least OUTPUT_DIGITS, lifted for that render only, and a library
+error's message too, which formats the values it names only when read:
+a report prints integers of up to OUTPUT_DIGITS decimal digits, or more
+when the interpreter's own limit is higher, and past that it is an error
+report that names the limit.
 
 No line imports argparse, nor json but for a DFA file or a float, nor
 the re, enum and gettext they load, which took 8 of the 16 ms of
@@ -76,7 +77,7 @@ from .automata import (
     zero_pump_probe,
 )
 from .dependence import group_witness, mult_dependent, prefix_extension
-from .gaussint import BudgetExceeded, GaussInt, InvalidInput, numeral
+from .gaussint import BudgetExceeded, GaussInt, InvalidInput, is_numeral, numeral, numerals
 from .numeration import (
     SCAN_BUDGET,
     canonical_digit_set,
@@ -96,7 +97,7 @@ EXIT_NOT_FOUND = 2
 
 # Python refuses to convert an int of more than 4300 digits to or from text by default
 # (sys.set_int_max_str_digits, the CVE-2020-10735 guard).  Every literal is read under that
-# limit (gaussint.numeral refuses a part past it by name); _text raises it to at least
+# limit (gaussint.numerals refuses a part past it by name); _text raises it to at least
 # OUTPUT_DIGITS while it renders a report's text, and nowhere else: str() of a 50,000-digit
 # int takes 40-55 ms (2 vCPUs, Python 3.11.7), and the cost grows quadratically with the
 # digit count.
@@ -145,22 +146,12 @@ def _int(text: str) -> int:
 
 
 def _bound(text: str) -> tuple[int, int]:
-    """Type of deptest's --bound, NUM/DEN.
-
-    As in GaussInt.parse, a denominator past the digit limit waits for the
-    numerator's shape, so a malformed bound is refused as one whatever its
-    length, and a well-formed one keeps the digit limit's message.
-    """
-    num, slash, den = text.partition("/")
-    try:
-        d = numeral(den)
-    except InvalidInput:
-        if numeral(num) is not None:
-            raise
-        d = None
-    if slash and d is not None and (n := numeral(num)) is not None:
-        return n, d
-    raise InvalidInput(f"bound must be NUM/DEN, got {text!r}")
+    """Type of witness's --bound, NUM/DEN: both numerals (without a /, DEN is empty), read by numerals."""
+    num, _, den = text.partition("/")
+    bound = numerals((num, den))
+    if bound is None:
+        raise InvalidInput(f"bound must be NUM/DEN, got {text!r}")
+    return tuple(bound)
 
 
 def _echo(args, names: tuple[str, ...]) -> dict:
@@ -445,15 +436,13 @@ def _render_pretty(obj, indent: int = 0) -> list[str]:
                 lines.extend(_render_pretty(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_render(value)}")
-    elif isinstance(obj, list):
+    else:
         for value in obj:
             if isinstance(value, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_pretty(value, indent + 1))
             else:
                 lines.append(f"{pad}- {_render(value)}")
-    else:
-        lines.append(f"{pad}{_render(obj)}")
     return lines
 
 
@@ -485,9 +474,8 @@ _BASE = _arg("-b", "--base", type=GaussInt.parse, required=True)
 _A, _B, _U = (_arg(name, type=GaussInt.parse) for name in "abu")
 _FILE = _arg("file")
 _SET = _arg("--set", required=True, help="powers:GAUSS or integers")
-# every command's output flags; the store_true flags exclude each other
+# every command's output flags
 _OUTPUT = (
-    _arg("--json", action="store_true", default=False, help="JSON report (default)"),
     _arg("--pretty", action="store_true", default=False, help="human-readable rendering"),
     _arg("-o", "--out", metavar="FILE", help="also write the JSON report to FILE"),
 )
@@ -570,11 +558,11 @@ def _reader_table(prog: str, command: _Command) -> tuple:
 
 
 def _flag_like(text: str) -> bool:
-    """Whether text reads as a flag: it starts with - and is no numeral (-3 is a value, -1.5 a flag)."""
-    try:
-        return text[:1] == "-" and numeral(text) is None
-    except InvalidInput:  # a numeral past the digit limit is a value, which its argument's type refuses by name
-        return False
+    """Whether text reads as a flag: it starts with - and is no numeral (-3 is a value, -1.5 a flag).
+
+    A numeral past the digit limit is a value, which its argument's type refuses by name.
+    """
+    return text[:1] == "-" and not is_numeral(text)
 
 
 def _value(spec: tuple, text: str):
@@ -600,14 +588,13 @@ def _shown(spec: tuple, flags: tuple[str, ...]) -> str:
 
 
 def _usage(prog: str, command: _Command) -> str:
-    """prog's usage line: -h, the options, with the store_true flags in one bracket, then the positionals."""
+    """prog's usage line: -h, the options, then the positionals."""
     if command.subcommands:
         return f"usage: {prog} [-h] {_shown(_reader_table(prog, command), ('command',))} ..."
     specs = sorted((*_OUTPUT, *command.args), key=lambda spec: spec[1][0][0] != "-")  # options first
-    exclusive = " | ".join(flags[0] for _, flags, options in specs if "action" in options)
-    shown = [(_shown(spec, spec[1][:1]), spec[2]) for spec in specs if "action" not in spec[2]]
+    shown = [(_shown(spec, spec[1][:1]), spec[2]) for spec in specs]
     parts = [text if options.get("required") else f"[{text}]" for text, options in shown]
-    return f"usage: {prog} [-h] [{exclusive}] {' '.join(parts)}"
+    return f"usage: {prog} [-h] {' '.join(parts)}"
 
 
 def _exit_with_help(prog: str, command: _Command):
@@ -634,7 +621,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
             name = _value(choice, argv[0])
             command, argv, prog = choice[2]["choices"][name], argv[1:], f"{prog} {name}"
         options, positionals, defaults, required = _reader_table(prog, command)
-        held, extras, chosen, tokens = [], [], None, iter(argv)
+        held, extras, tokens = [], [], iter(argv)
         for token in tokens:
             if token == "--":
                 after = list(tokens)
@@ -656,10 +643,8 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
             dest, flags, opts = spec
             if opts.get("action") == "help":
                 _exit_with_help(prog, command)
-            if "action" in opts:  # a store_true output flag; they exclude each other
-                if chosen not in (None, flags[0]):
-                    raise InvalidInput(f"argument {flags[0]}: not allowed with argument {chosen}")
-                values[dest], chosen = True, flags[0]
+            if "action" in opts:  # --pretty, a flag without value
+                values[dest] = True
             elif (value is None and _flag_like(value := next(tokens, "-"))) or value == "--":  # -- is never a value
                 raise InvalidInput(f"argument {'/'.join(flags)}: expected one argument")
             else:
@@ -696,7 +681,7 @@ def _respond(args) -> int:
         # rendered inside the try: an int past the int-to-str digit limit is refused by name
         text = _text(report, _render)
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
-        try:  # a library Message names its ints only now, under the report's limit
+        try:  # a library error formats the values its message names only now, under the report's limit
             message = _text(exc)
         except BudgetExceeded as refused:
             message = str(refused)

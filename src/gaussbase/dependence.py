@@ -405,7 +405,7 @@ def prefix_extension(
     if a.norm() < 5 or b.norm() < 5:
         raise InvalidInput("prefix extension needs norms >= 5")
     if mult_dependent(a, b).dependent:
-        raise InvalidInput(f"{a} and {b} are multiplicatively dependent")
+        raise InvalidInput("%s and %s are multiplicatively dependent", a, b)
     tail = b.norm() ** length_bound(b).m3
     for m, n, z in _approximations(a, b, u, n_min, budget, 1, tail):
         witness = PrefixWitness(a=a, b=b, u=u, m=m, n=n, z=z)

@@ -5,10 +5,20 @@ Python ints, checked when a value is built; absolute values are never
 materialized (use norm(z) = |z|^2), and division is either exact or an
 error.  Beyond ring arithmetic it offers divisibility, exact division and
 power membership, and it defines the errors every layer raises for bad
-input and refused work.  Every integer the package reads from text, a
-Gaussian literal's part, a CLI count or bound, a DFA file's int, is read
-by numeral, which checks the shape with str methods rather than a
-regular expression, so importing the package never loads `re`.
+input, refused work and a digit loop that does not end.
+
+Each side of the int-to-str digit limit (sys.get_int_max_str_digits())
+is stated here once.  Reading: every integer the package reads from
+text, a Gaussian literal's part, a CLI count or bound, a DFA file's int,
+goes through numerals, which checks the shape of every part with
+is_numeral, str methods rather than a regular expression (so importing
+the package never loads `re`), before it converts any, so a malformed
+text is refused as one whatever its length.  Writing: InvalidInput,
+BudgetExceeded and NonTermination keep a message's template and values
+apart, as their args, and format args[0] % args[1:] each time the
+message is read, so raising one never converts an int to text: a value
+past the limit is rendered where the message is read, as the CLI reads
+it under its report's limit.
 """
 
 from __future__ import annotations
@@ -24,52 +34,66 @@ class DivisionByZero(ZeroDivisionError):
     """Division by the zero Gaussian integer."""
 
 
+def _formatted(self) -> str:
+    """The __str__ of the package's errors: args[0] % args[1:], and a message without values as it is.
+
+    A message without values may quote text with a % of its own, such as
+    the CLI's usage errors, so it is never formatted.
+    """
+    return self.args[0] % self.args[1:] if len(self.args) > 1 else Exception.__str__(self)
+
+
 class InvalidInput(ValueError):
     """An argument is malformed or outside the domain of the operation given it."""
+
+    __str__ = _formatted
 
 
 class BudgetExceeded(RuntimeError):
     """Requested work exceeds a fixed budget such as ENUMERATION_BUDGET."""
 
+    __str__ = _formatted
 
-class Message:
-    """An error's message, template % values, formatted each time it is read.
 
-    A message that names an int computed from the inputs, such as a
-    base's norm, can pass the int-to-str digit limit that the inputs were
-    read under; formatted late, it is rendered where the CLI renders its
-    report, under the report's limit.
+class NonTermination(RuntimeError):
+    """The greedy digit loop for one value exceeded encode's cap (invalid digit set)."""
+
+    __str__ = _formatted
+
+
+def is_numeral(text: str) -> bool:
+    """Whether text is a decimal numeral, ASCII [+-]?[0-9]+: int() accepts more (spaces, "_", non-ASCII digits)."""
+    return text.isascii() and (text.isdigit() or text[1:].isdigit() and text[0] in "+-")
+
+
+def numerals(parts: tuple[str, ...], literal: str | None = None) -> list[int] | None:
+    """The ints of parts when every part is a numeral, and None when any is not.
+
+    Every shape is checked before any part is converted, and int() then
+    fails only past the interpreter's digit limit: the first part past it
+    raises InvalidInput naming the limit, where int() would advise raising
+    it, and naming the part as an integer literal or, given the Gaussian
+    literal the parts were cut from, that literal.  The parts are few, so
+    a loop calls int() on each: map(int, ...) costs more per part.
     """
+    for part in parts:
+        if not is_numeral(part):
+            return None
+    values = []
+    try:
+        for part in parts:
+            values.append(int(part))
+    except ValueError:
+        name = "an integer literal" if literal is None else "a Gaussian integer literal with a part"
+        limit = sys.get_int_max_str_digits()
+        raise InvalidInput("%s past %d digits, the interpreter's limit: %r", name, limit, literal or part) from None
+    return values
 
-    __slots__ = ("template", "values")
 
-    def __init__(self, template: str, *values) -> None:
-        self.template = template
-        self.values = values
-
-    def __str__(self) -> str:
-        return self.template % self.values
-
-
-def numeral(part: str, literal: str | None = None) -> int | None:
-    """The int of a decimal numeral, ASCII [+-]?[0-9]+, and None for any other text.
-
-    The one reader of integers from text: int() accepts more (spaces, "_",
-    non-ASCII digits), so the shape is checked first, and int() then fails
-    only past the interpreter's int-to-str digit limit
-    (sys.get_int_max_str_digits()).  Such a numeral raises InvalidInput
-    naming the limit, where int() would advise raising it, and naming the
-    part as an integer literal or, given the Gaussian literal it was cut
-    from, that literal.
-    """
-    if part.isascii() and (part[1:] if part[:1] in "+-" else part).isdigit():
-        try:
-            return int(part)
-        except ValueError:
-            name = "an integer literal" if literal is None else "a Gaussian integer literal with a part"
-            limit = sys.get_int_max_str_digits()
-            raise InvalidInput(f"{name} past {limit} digits, the interpreter's limit: {literal or part!r}") from None
-    return None
+def numeral(text: str) -> int | None:
+    """The int of a numeral, and None for any other text; one past the digit limit raises (see numerals)."""
+    value = numerals((text,))
+    return None if value is None else value[0]
 
 
 class GaussInt:
@@ -89,9 +113,7 @@ class GaussInt:
     def __init__(self, re: int = 0, im: int = 0) -> None:
         if not (isinstance(re, int) and isinstance(im, int)):
             name, part = ("imaginary", im) if isinstance(re, int) else ("real", re)
-            raise InvalidInput(
-                f"{name} component {part!r} of GaussInt({re!r}, {im!r}) is not an integer"
-            )
+            raise InvalidInput("%s component %r of GaussInt(%r, %r) is not an integer", name, part, re, im)
         self.re = re
         self.im = im
 
@@ -103,7 +125,7 @@ class GaussInt:
         else is allowed: no whitespace, underscores or trailing newline.  A
         malformed literal is refused as one whatever its length; a
         well-formed one with a part past the interpreter's int-to-str digit
-        limit raises numeral's InvalidInput naming the limit and the literal.
+        limit raises numerals' InvalidInput naming the limit and the literal.
         """
         if not isinstance(text, str):
             # re's wording, kept so the JSON loaders' report of a mistyped field reads as it did;
@@ -112,22 +134,15 @@ class GaussInt:
         real, imag = text, "+0"
         if text.endswith("i"):
             # the imaginary part starts at the one sign past the first character; with none,
-            # imag is empty, and any other sign fails numeral's shape check
+            # imag is empty, and any other sign fails is_numeral
             cut = text.find("+", 1)
             if cut < 0:
                 cut = text.find("-", 1)
             real, imag = text[:cut], text[cut:-1]
-        # the imaginary part is read first, so a literal malformed there is refused as one whatever
-        # the length of its real part; one past the digit limit waits for the real part's shape
-        try:
-            im = numeral(imag, text)
-        except InvalidInput:
-            if numeral(real, text) is not None:
-                raise
-            im = None
-        if im is not None and (re := numeral(real, text)) is not None:
-            return cls(re, im)
-        raise InvalidInput(f"not a Gaussian integer literal: {text!r}")
+        parts = numerals((real, imag), text)
+        if parts is None:
+            raise InvalidInput("not a Gaussian integer literal: %r", text)
+        return cls(*parts)
 
     def norm(self) -> int:
         """|z|^2 = re^2 + im^2, always a nonnegative int."""
@@ -230,7 +245,7 @@ def is_power_of(z: GaussInt, a: GaussInt) -> int | None:
     """The n with a^n = z, if any (n = 0 for z = 1); None otherwise."""
     na = a.norm()
     if na <= 1:
-        raise InvalidInput(f"norm({a}) <= 1 cannot generate powers")
+        raise InvalidInput("norm(%s) <= 1 cannot generate powers", a)
     if not z:
         return None
     # norm(a)^n = norm(z) is necessary, so most non-powers are rejected here

@@ -56,7 +56,7 @@ except ImportError:
     from operator import attrgetter
 
 from ._records import memo, record
-from .gaussint import ZERO, BudgetExceeded, GaussInt, InvalidInput, Message, exact_div
+from .gaussint import ZERO, BudgetExceeded, GaussInt, InvalidInput, NonTermination, exact_div
 
 Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
@@ -72,17 +72,13 @@ SCAN_BUDGET = 10**6
 _RE_IM = attrgetter("re", "im")  # the (re, im) pair of a GaussInt, read in C
 
 
-class NonTermination(RuntimeError):
-    """The greedy digit loop for one value exceeded encode's cap (invalid digit set)."""
-
-
 def _base_norm(base: GaussInt) -> int:
     """norm(base); a base that is no GaussInt, or of norm below 5, raises InvalidInput naming it."""
     if type(base) is not GaussInt:
-        raise InvalidInput(Message("base %r is not a GaussInt", base))
+        raise InvalidInput("base %r is not a GaussInt", base)
     n = base.norm()
     if n < 5:
-        raise InvalidInput(f"norm({base}) = {n} < 5")
+        raise InvalidInput("norm(%s) = %d < 5", base, n)
     return n
 
 
@@ -128,7 +124,7 @@ class DigitSet(record("DigitSet", "base digits")):
         """
         if not {*map(type, digits)} <= {GaussInt}:
             bad = next(d for d in digits if type(d) is not GaussInt)
-            raise InvalidInput(Message("digit %r is not a GaussInt", bad))
+            raise InvalidInput("digit %r is not a GaussInt", bad)
         if pairs is None:
             digits = tuple(sorted(digits, key=_RE_IM))
             pairs = list(map(_RE_IM, digits))
@@ -138,7 +134,7 @@ class DigitSet(record("DigitSet", "base digits")):
         if len(positions) != len(digits):
             raise InvalidInput("duplicate digits")
         if len(digits) != n:
-            raise InvalidInput(Message("%d digits for base %s of norm %d", len(digits), base, n))
+            raise InvalidInput("%d digits for base %s of norm %d", len(digits), base, n)
         p, q = base.re, base.im
         by_residue = {}
         for d, (x, y) in zip(digits, pairs):  # t = d*conj(b) on ints
@@ -191,14 +187,11 @@ class _Box:
     `(x, y) in box` is the member test of the pair of d = x + y*i, the
     box inequality: d/b rounds to 0 exactly when -N <= 2*t < N for both
     parts of t = d*conj(b), N = norm(b); a pair whose parts are not
-    both ints is no member.  A LargeCanonicalDigitSet's
-    positions is the box, and no reader asks it for an index: a DFA's
-    alphabet and a ranked word need the listed digits.  box[key] is the
-    residue-table entry: the one-int key t.re % N * N + t.im % N of
-    t = w*conj(b) splits by divmod(key, N) into the residue pair, which
-    lifts to the t_d in [-N/2, N/2)^2 congruent to t, and the digit is
-    d = t_d*b/N, an exact division because t_d = d*conj(b).  N is
-    computed once, with the box.
+    both ints is no member.  box[key] is the residue-table entry: the
+    one-int key t.re % N * N + t.im % N of t = w*conj(b) splits by
+    divmod(key, N) into the residue pair, which lifts to the t_d in
+    [-N/2, N/2)^2 congruent to t, and the digit is d = t_d*b/N, an exact
+    division because t_d = d*conj(b).  N is computed once, with the box.
     """
 
     def __init__(self, b: GaussInt) -> None:
@@ -216,14 +209,32 @@ class _Box:
         return GaussInt((t_re * bre - t_im * bim) // n, (t_re * bim + t_im * bre) // n), t_re, t_im
 
 
+class _BoxPositions(_Box):
+    """A LargeCanonicalDigitSet's positions: the box's member test, and no digit's index.
+
+    No reader needs the index of an unlisted digit: a DFA's alphabet and a
+    ranked word need the listed digits, so the lookup raises
+    BudgetExceeded, as asking for the digits themselves does.
+    """
+
+    def __getitem__(self, pair: tuple[int, int]) -> int:
+        raise _past_digit_budget(self.b)
+
+
+def _past_digit_budget(b: GaussInt) -> BudgetExceeded:
+    """The refusal of the digits of a base of norm above DIGIT_BUDGET, or of a digit's index among them."""
+    return BudgetExceeded("base %s of norm %d has more digits than the digit budget of %d", b, b.norm(), DIGIT_BUDGET)
+
+
 class LargeCanonicalDigitSet(DigitSet):
     """The canonical digit set of a base of norm above DIGIT_BUDGET, never listed.
 
     It is the tuple (base, None), so it equals the set of the same base
-    only.  Its positions and its residue table are one _Box, box
-    arithmetic on one pair or residue key, so encode, decode, recode,
-    digit_of and length_bound work as for any digit set; positions is the
-    member test alone, and asking for the digits themselves raises
+    only.  Its positions and its residue table are box arithmetic on one
+    pair or residue key (_BoxPositions and _Box), so encode, decode,
+    recode, digit_of and length_bound work as for any digit set;
+    positions is the member test alone, and asking for the digits
+    themselves, or for a digit's index in positions, raises
     BudgetExceeded.  Its _loop and _fold hold the box where a listed set
     holds its tables, and the N the box computed.  The digits argument is ignored,
     so that cls(*fields) rebuilds one, as _replace, copy and pickle do.
@@ -232,15 +243,12 @@ class LargeCanonicalDigitSet(DigitSet):
     def __new__(cls, base: GaussInt, digits: None = None) -> LargeCanonicalDigitSet:
         self = tuple.__new__(cls, (base, None))
         box = _Box(base)
-        self._keep(box, box, box.n)
+        self._keep(_BoxPositions(base), box, box.n)
         return self
 
     @property
     def digits(self) -> tuple[GaussInt, ...]:
-        b = self.base
-        raise BudgetExceeded(
-            Message("base %s of norm %d has more digits than the digit budget of %d", b, b.norm(), DIGIT_BUDGET)
-        )
+        raise _past_digit_budget(self.base)
 
 
 def _narrow(c: int, low: int, high: int, first: int, last: int) -> tuple[int, int]:
@@ -387,7 +395,7 @@ def encode(z: GaussInt, D: DigitSet) -> Word:
     """
     w = encode_within(z, D)
     if w is None:
-        raise NonTermination(f"digit loop for {z} over base {D.base} exceeded {_encode_cap(z, D)} iterations")
+        raise NonTermination("digit loop for %s over base %s exceeded %d iterations", z, D.base, _encode_cap(z, D))
     return w
 
 
@@ -424,7 +432,7 @@ def _not_a_digit(w: Word, D: DigitSet) -> InvalidInput:
     index = D.positions
     for d in w:
         if not (isinstance(d, GaussInt) and (d.re, d.im) in index):
-            return InvalidInput(f"{d} is not a digit of base {D.base}")
+            return InvalidInput("%s is not a digit of base %s", d, D.base)
     raise AssertionError("no element of the word is refused")
 
 
@@ -448,8 +456,7 @@ def max_length_in_disc(r2: int, D: DigitSet) -> int:
     than SCAN_BUDGET points raises BudgetExceeded before the walk.
     """
     if inscribed_square(r2) > SCAN_BUDGET:
-        message = "the disc norm(z) <= %d holds more than the scan budget of %d points"
-        raise BudgetExceeded(Message(message, r2, SCAN_BUDGET))
+        raise BudgetExceeded("the disc norm(z) <= %d holds more than the scan budget of %d points", r2, SCAN_BUDGET)
     longest = 1 if r2 >= 1 else 0
     for pair in filterfalse(D.positions.__contains__, _disc_pairs(r2)):
         longest = max(longest, len(encode(GaussInt(*pair), D)))
@@ -513,7 +520,7 @@ def power_digit_set(D: DigitSet, j: int) -> DigitSet:
     if j < 1:
         raise InvalidInput("power exponent must be >= 1")
     if j > DIGIT_BUDGET.bit_length() or D.base.norm() ** j > DIGIT_BUDGET:
-        raise BudgetExceeded(f"base ({D.base})^{j} has more digits than the digit budget")
+        raise BudgetExceeded("base (%s)^%s has more digits than the digit budget", D.base, j)
     return DigitSet(D.base**j, tuple(decode(w, D) for w in product(D.digits, repeat=j)))
 
 
@@ -597,10 +604,10 @@ def check_linked(D: DigitSet, D2: DigitSet) -> LinkCertificate | None:
     pair, by explicit membership rather than the triangle inequality.
     """
     if D.base != D2.base:
-        raise InvalidInput(f"bases differ: {D.base} vs {D2.base}")
+        raise InvalidInput("bases differ: %s vs %s", D.base, D2.base)
     for S in (D, D2):
         if not terminates_on_disc(S):
-            raise NonTermination(f"digit set over {S.base} fails the termination probe")
+            raise NonTermination("digit set over %s fails the termination probe", S.base)
     envelope = _envelope(D, D2)
     members = frozenset(envelope)
     for d in D.digits:

@@ -245,6 +245,11 @@ def test_alphabet_mismatch():
         product(powers_dfa(B), powers_dfa(g(3)), "and")
 
 
+def test_product_refuses_an_unknown_mode():
+    with pytest.raises(InvalidInput, match="^unknown product mode 'xor'$"):
+        product(powers_dfa(B), powers_dfa(B), "xor")
+
+
 def test_equivalence_names_its_own_alphabet_mismatch():
     with pytest.raises(InvalidInput, match="equivalence needs a shared alphabet"):
         equivalent(powers_dfa(B), powers_dfa(g(3)))
@@ -394,6 +399,8 @@ def test_residuals_depth_zero_is_one_class():
     assert report.class_count == 1
     assert report.representatives == ((0, 0),)
     assert word_of(L.alphabet, (0, 0)) == ()
+    with pytest.raises(InvalidInput, match="^depths must be nonnegative$"):
+        residual_signatures(L, -1, 0)
 
 
 def test_residuals_control_stays_small():

@@ -196,6 +196,7 @@ def test_residuals_deep_prefixes_answer_fast(capsys):
         ["scan-bases", "--norm-max", "3200"],
         ["scan-bases", "--norm-max", "5", "--disc", "1000000000000"],
         ["scan-bases", "--norm-max", "1000", "--disc", "0"],
+        ["scan-bases", "--norm-max", "5", "--disc", "39784"],  # its square's 80,089 points pass; its 124,985 do not
         ["digits", "-b", "100000"],
         ["residuals", "1+2i", "2+1i", "-k", "9000", "-e", "3"],
         ["residuals", "1+2i", "2+1i", "-k", "1500", "-e", "1500"],
@@ -208,6 +209,7 @@ def test_residuals_deep_prefixes_answer_fast(capsys):
         "scan_disc_just_over",
         "scan_probe_disc",
         "scan_digit_sets",
+        "scan_probe_count",
         "digits_huge_base",
         "residuals_deep",
         "residuals_deep_and_wide",

@@ -17,6 +17,10 @@ sys.set_int_max_str_digits, so every literal is read under the interpreter's lim
 And the verification suite checks digit sets without the library's digit lookups:
 verification.py reads no .positions and no digit_of (the private-attribute guard
 covers _loop and _fold), so its residue check does not lean on the code it verifies.
+And each side of the digit limit is stated once: no library error is raised with an
+f-string, % or .format message, so one that names a value past the limit is raised
+and reads in full where the limit is lifted; and the only int() conversion of text is
+gaussint.numerals', besides the float truncation in dependence._nominees.
 """
 
 import ast
@@ -27,6 +31,22 @@ from pathlib import Path
 import pytest
 
 import gaussbase
+from gaussbase import (
+    BudgetExceeded,
+    Dfa,
+    DigitSet,
+    GaussInt,
+    InvalidInput,
+    NonTermination,
+    canonical_digit_set,
+    decode,
+    encode,
+    powers_dfa,
+    powers_oracle,
+    recode,
+    residual_signatures,
+    run,
+)
 
 PACKAGE = Path(gaussbase.__file__).parent
 EXACT_MODULES = ("gaussint.py", "numeration.py", "automata.py")
@@ -380,4 +400,119 @@ def test_the_guard_sees_each_kind_of_digit_lookup_read():
         (3, "digit_of"),
         (5, "digit_of"),
         (6, "positions"),
+    ]
+
+
+PACKAGE_ERRORS = ("InvalidInput", "BudgetExceeded", "NonTermination")
+LIBRARY_MODULES = ("gaussint.py", "numeration.py", "automata.py", "dependence.py")
+
+
+def eager_messages(tree):
+    """Line of every InvalidInput, BudgetExceeded or NonTermination call whose message is an f-string, a % or a
+    .format call, which format the values they name when the error is raised."""
+    for node in ast.walk(tree):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+        if name in PACKAGE_ERRORS and node.args:
+            message = node.args[0]
+            if (
+                isinstance(message, ast.JoinedStr)
+                or (isinstance(message, ast.BinOp) and isinstance(message.op, ast.Mod))
+                or (isinstance(message, ast.Call) and getattr(message.func, "attr", None) == "format")
+            ):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
+def test_library_errors_format_the_values_they_name_only_when_read(name):
+    assert list(eager_messages(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))) == []
+
+
+def test_the_guard_sees_each_kind_of_eager_message():
+    source = (
+        'raise InvalidInput(f"norm({a}) <= 1 cannot generate powers")\n'
+        'raise BudgetExceeded("%d digit-steps" % steps)\n'
+        'raise gaussint.NonTermination("digit loop for {}".format(z))\n'
+        'raise InvalidInput("norm(%s) <= 1 cannot generate powers", a)\n'
+        'raise TypeError(f"expected a list, got {name}")\n'
+        "return InvalidInput(\n    f'{d} is not a digit'\n)\n"
+        "raise BudgetExceeded(message, r2)\n"
+    )
+    assert list(eager_messages(ast.parse(source))) == [1, 2, 3, 6]
+
+
+def _trap() -> DigitSet:
+    """The base-3 digit set with -1 replaced by its residue-mate 2, on which -1's digit loop cycles."""
+    base = GaussInt(3)
+    return DigitSet(base, tuple(GaussInt(2) if d == GaussInt(-1) else d for d in canonical_digit_set(base).digits))
+
+
+HUGE = 10**5000
+D21 = canonical_digit_set(GaussInt(2, 1))
+# library calls whose message names a value past the digit limit, and the end of that message
+CALLS_PAST_THE_LIMIT = {
+    "decode": (lambda: decode((GaussInt(HUGE),), D21), InvalidInput, " is not a digit of base 2+1i"),
+    "recode": (lambda: recode((GaussInt(HUGE),), D21, 2), InvalidInput, " is not a digit of base 2+1i"),
+    "run": (lambda: run(powers_dfa(GaussInt(2, 1)), (GaussInt(HUGE),)), InvalidInput, " is not in the DFA alphabet"),
+    "dfa": (lambda: Dfa(D21, HUGE, ((0,) * 5,), ()), InvalidInput, "0 out of range"),
+    "gauss_int": (lambda: GaussInt(HUGE, 2.5), InvalidInput, "0, 2.5) is not an integer"),
+    "residual_signatures": (
+        lambda: residual_signatures(powers_oracle(GaussInt(1, 2), D21), HUGE, 0),
+        BudgetExceeded,
+        "0 exceed the enumeration budget",
+    ),
+    "encode": (lambda: encode(GaussInt(-HUGE), _trap()), NonTermination, "0 over base 3 exceeded 22420 iterations"),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("call, error, ending", CALLS_PAST_THE_LIMIT.values(), ids=CALLS_PAST_THE_LIMIT)
+def test_a_library_error_naming_a_value_past_the_digit_limit_reads_in_full(default_digit_limit, call, error, ending):
+    """The package's error is raised, not the interpreter's digit-limit ValueError, and its message reads in full
+    once the limit is lifted."""
+    with pytest.raises(error) as exc:
+        call()
+    sys.set_int_max_str_digits(0)
+    message = str(exc.value)
+    assert str(HUGE) in message and message.endswith(ending)
+
+
+def _is_int(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
+def int_conversions(tree, function=None):
+    """(enclosing function, source) of every call of int, and of every call but isinstance that takes int as an
+    argument, such as map(int, parts)."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        if isinstance(node, ast.Call):
+            arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+            if _is_int(node.func) or (getattr(node.func, "id", None) != "isinstance" and any(map(_is_int, arguments))):
+                yield function, ast.unparse(node)
+        yield from int_conversions(node, inner)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_numeral_routine_converts_text_to_int(path):
+    """Every int the package reads from text comes from gaussint.numerals; the one other int() call
+    truncates a float, the witness walk's rotation, in dependence._nominees."""
+    conversions = list(int_conversions(ast.parse(path.read_text(encoding="utf-8"))))
+    if path.name == "gaussint.py":
+        assert conversions and {function for function, _ in conversions} == {"numerals"}
+    else:
+        assert conversions == ([("_nominees", "int(alpha)")] if path.name == "dependence.py" else [])
+
+
+def test_the_guard_sees_each_kind_of_int_conversion():
+    source = (
+        "def read(text):\n    return int(text)\n"
+        "values = tuple(map(int, parts))\n"
+        "data = json.loads(text, parse_int=int)\n"
+        "ok = isinstance(x, int) and type(x) is int\n"
+        "def render(value):\n    return int.__repr__(value), {int}\n"
+    )
+    assert list(int_conversions(ast.parse(source))) == [
+        ("read", "int(text)"),
+        (None, "map(int, parts)"),
+        (None, "json.loads(text, parse_int=int)"),
     ]

@@ -13,10 +13,13 @@ from gaussbase.cli import EXIT_ERROR, main
 from gaussbase.gaussint import (
     ONE,
     ZERO,
+    BudgetExceeded,
     DivisionByZero,
     GaussInt,
     InvalidInput,
+    NonTermination,
     NotDivisible,
+    divides,
     exact_div,
     is_power_of,
     numeral,
@@ -93,17 +96,21 @@ def test_a_long_literal_is_checked_before_it_is_converted(default_digit_limit, c
     # interpreter's int-to-str limit is refused by name, an InvalidInput and so still a ValueError,
     # without int()'s advice to raise the limit, which no option can
     # malformed in either part, the other part past the limit
-    malformed, long = ["1" * 5000 + "+xi", "x+" + "1" * 5000 + "i"], "1" * 5000
+    # a part past the limit: the real part, or the imaginary part alone
+    malformed, longs = ["1" * 5000 + "+xi", "x+" + "1" * 5000 + "i"], ["1" * 5000, "1+" + "1" * 5000 + "i"]
     for text in malformed:
         with pytest.raises(InvalidInput, match="not a Gaussian integer literal"):
             GaussInt.parse(text)
     refused = {text: f"not a Gaussian integer literal: {text!r}" for text in malformed}
     if hasattr(sys, "set_int_max_str_digits"):
         digits = sys.get_int_max_str_digits()
-        refused[long] = f"a Gaussian integer literal with a part past {digits} digits, the interpreter's limit: {long!r}"
-        with pytest.raises(ValueError) as exc:
-            GaussInt.parse(long)
-        assert type(exc.value) is InvalidInput and str(exc.value) == refused[long]
+        for long in longs:
+            refused[long] = (
+                f"a Gaussian integer literal with a part past {digits} digits, the interpreter's limit: {long!r}"
+            )
+            with pytest.raises(ValueError) as exc:
+                GaussInt.parse(long)
+            assert type(exc.value) is InvalidInput and str(exc.value) == refused[long]
     for text, message in refused.items():
         with pytest.raises(SystemExit) as usage:
             main(["encode", "-b", "2+1i", "--", text])
@@ -163,7 +170,27 @@ def test_basic_products():
     with pytest.raises(TypeError):
         g(3, 4) - 3
     with pytest.raises(TypeError):
+        g(3, 4) * 3
+    with pytest.raises(TypeError):
         1 + g(0, 1)
+    with pytest.raises(InvalidInput, match=r"^negative exponents leave Z\[i\]$"):
+        g(2, 1) ** -1
+
+
+def test_zero_divides_only_zero():
+    assert divides(ZERO, ZERO)
+    assert not divides(ZERO, g(3, 4))
+
+
+# ---- the package's errors ----
+
+@pytest.mark.parametrize("error", [InvalidInput, BudgetExceeded, NonTermination])
+def test_an_error_formats_its_values_when_read_and_a_message_without_values_as_it_is(error):
+    exc = error("%s is not a digit of base %s", g(7), g(2, 1))
+    assert exc.args == ("%s is not a digit of base %s", g(7), g(2, 1))
+    assert str(exc) == "7 is not a digit of base 2+1i"
+    # a message without values may quote text with a % of its own
+    assert str(error("not a Gaussian integer literal: '%d'")) == "not a Gaussian integer literal: '%d'"
 
 
 # ---- components are ints, checked at construction ----

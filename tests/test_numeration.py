@@ -196,6 +196,8 @@ def test_encode_non_terminating_set_raises():
     with pytest.raises(NonTermination, match=r"^digit loop for -1 over base 3 exceeded \d+ iterations$"):
         encode(g(-1), trap)
     assert not terminates_on_disc(trap)
+    with pytest.raises(NonTermination, match="^digit set over 3 fails the termination probe$"):
+        check_linked(trap, canonical_digit_set(base))
     assert encode_within(g(-1), trap, 50) is None  # the loop cycles, so no word at all
     # the cap reads only the value and the base, so values whose loop ends still encode
     assert encode(ZERO, trap) == ()
@@ -325,6 +327,8 @@ def test_a_length_bound_refuses_a_base_that_is_no_gaussint_of_norm_at_least_5(ma
 def test_power_digit_set_sizes(D):
     assert power_digit_set(D, 1) == D
     assert len(power_digit_set(D, 2).digits) == 25
+    with pytest.raises(InvalidInput, match="^power exponent must be >= 1$"):
+        power_digit_set(D, 0)
 
 
 @pytest.mark.parametrize("j", [8, 10**12])
@@ -338,6 +342,8 @@ def test_power_digit_set_past_the_digit_budget_is_refused_at_once(D, j):
 def test_recode_examples(D):
     assert recode((), D, 3) == ()
     assert recode((g(1), g(0, -1)), D, 2) == (g(2),)
+    with pytest.raises(InvalidInput, match="^power exponent must be >= 1$"):
+        recode((g(1),), D, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -498,6 +504,16 @@ def test_a_base_past_the_digit_budget_still_encodes_and_decodes():
         decode((g(501), g(0)), D)
     with pytest.raises(BudgetExceeded, match="digit budget"):
         D.digits
+
+
+def test_the_index_of_a_digit_past_the_digit_budget_is_refused_as_the_digits_are():
+    """positions is the member test of an unlisted set; a digit's index in it is refused, as .digits is."""
+    D = canonical_digit_set(g(400, 1))
+    assert (0, 0) in D.positions and (400, 1) not in D.positions
+    refusal = r"^base 400\+1i of norm 160001 has more digits than the digit budget of 100000$"
+    for ask in (lambda: D.positions[0, 0], lambda: D.digits):
+        with pytest.raises(BudgetExceeded, match=refusal):
+            ask()
 
 
 def test_digit_map_never_hashes_the_digit_set(monkeypatch):

@@ -147,3 +147,10 @@ def test_criterion_3_fails_where_the_walk_over_every_k_does(z, extra):
     assert result.details["per_base"] == {str(b): {"m3": 3, "max_at_nk": maxima}}
     recursion = [f"recursion broken for {b}: M(n^{k})={m} > {k + 2}" for k, m in enumerate(maxima, 1) if m > k + 2]
     assert [f for f in result.failures if f.startswith("recursion broken")] == recursion
+
+
+def test_a_check_past_its_runtime_budget_fails_and_its_summary_line_names_the_budget():
+    c = verification.CheckResult("0 budget", budget_seconds=0.0).finish()
+    runtime = f"runtime {c.seconds:.2f}s exceeded 0s"
+    assert not c.passed and c.failures == [runtime]
+    assert c.summary_line() == f"FAIL  0 budget  ({c.seconds:.2f}s)  [{runtime}]"
