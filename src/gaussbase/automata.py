@@ -26,7 +26,7 @@ except ImportError:
     from operator import add, and_, attrgetter, floordiv, gt, itemgetter, mod, mul, ne, or_
 
 from ._records import defaultdict, record
-from .gaussint import ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, is_power_of
+from .gaussint import LEAST_BASE_NORM, ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, is_power_of, norm_at_least
 from .numeration import DigitSet, Word, canonical_digit_set, decode, encode_within
 
 ENUMERATION_BUDGET = 10**8
@@ -272,10 +272,13 @@ def integers_dfa(b: GaussInt | int) -> Dfa:
     """Accepts exactly the valid words with real digits only, for a real odd base.
 
     Over such a base those are precisely the representations of Z
-    (including the empty word for 0).
+    (including the empty word for 0).  An int b is read as the real base
+    b; the base is checked as every base is, by norm_at_least, before the
+    real-odd test.
     """
     if isinstance(b, int):
         b = GaussInt(b, 0)
+    norm_at_least(b, LEAST_BASE_NORM, "base")
     if b.im != 0 or b.re < 3 or b.re % 2 == 0:
         raise InvalidInput("%s is not a real odd integer >= 3", b)
     D = canonical_digit_set(b)
@@ -306,8 +309,7 @@ class LanguageOracle(record("LanguageOracle", "alphabet value_test candidates"))
 
 def powers_oracle(a: GaussInt, D: DigitSet) -> LanguageOracle:
     """Oracle for {a^n : n >= 0} written over D."""
-    if a.norm() <= 1:
-        raise InvalidInput("norm(%s) <= 1 cannot generate powers", a)
+    norm_at_least(a, 2, "generator")
 
     def candidates(max_norm: int, limit: int) -> list[GaussInt] | None:
         powers = accumulate(repeat(a), mul, initial=ONE)  # of increasing norm

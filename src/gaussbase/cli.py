@@ -77,7 +77,7 @@ from .automata import (
     zero_pump_probe,
 )
 from .dependence import group_witness, mult_dependent, prefix_extension
-from .gaussint import BudgetExceeded, GaussInt, InvalidInput, is_numeral, numeral, numerals
+from .gaussint import LEAST_BASE_NORM, BudgetExceeded, GaussInt, InvalidInput, formatted, is_numeral, numeral, numerals
 from .numeration import (
     SCAN_BUDGET,
     canonical_digit_set,
@@ -192,7 +192,7 @@ def cmd_decode(args) -> tuple[dict, str]:
 
 
 def cmd_scan_bases(args) -> tuple[dict, str]:
-    lo = max(5, args.norm_min)
+    lo = max(LEAST_BASE_NORM, args.norm_min)
     refused = BudgetExceeded(
         f"scanning the bases of norm <= {args.norm_max} over the probe disc norm <= {args.disc}"
         f" takes more than the scan budget of {SCAN_BUDGET} steps"
@@ -203,7 +203,7 @@ def cmd_scan_bases(args) -> tuple[dict, str]:
         raise refused
     bases = sum(1 for b in lattice_disc(args.norm_max) if b.norm() >= lo)
     if not bases:
-        raise InvalidInput(f"no base of norm >= 5 in the norm range [{args.norm_min}, {args.norm_max}]")
+        raise InvalidInput(f"no base of norm >= {LEAST_BASE_NORM} in the norm range [{args.norm_min}, {args.norm_max}]")
     # a base encodes the probe disc and builds its digit set from about 4*norm candidates
     if bases * (inscribed_square(args.disc) + 4 * args.norm_max) > SCAN_BUDGET:
         raise refused
@@ -491,7 +491,7 @@ _TOP = _Command("gaussbase", "Numeration systems for the Gaussian integers in a 
         _BASE, _arg("word", help="comma-separated digits, empty string for the empty word"),
     ), inputs=("base", "word")),
     _Command("scan-bases", "digit/roundtrip/length checks over a norm range", cmd_scan_bases, (
-        _arg("--norm-min", type=_int, default=5),
+        _arg("--norm-min", type=_int, default=LEAST_BASE_NORM),
         _arg("--norm-max", type=_int, default=30),
         _arg("--disc", type=_count, default=100, help="squared radius of the probe disc"),
         _arg("--k-max", type=_count, default=8),
@@ -682,7 +682,7 @@ def _respond(args) -> int:
         text = _text(report, _render)
     except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         try:  # a library error formats the values its message names only now, under the report's limit
-            message = _text(exc)
+            message = _text(exc, formatted)
         except BudgetExceeded as refused:
             message = str(refused)
         report = _report(command, inputs, {}, "error", message or type(exc).__name__)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from ._records import cached_property, record
-from .gaussint import ONE, UNITS, ZERO, GaussInt, InvalidInput
+from .gaussint import LEAST_BASE_NORM, ONE, UNITS, ZERO, GaussInt, InvalidInput, norm_at_least
 from .numeration import Word, canonical_digit_set, decode, encode, length_bound
 
 
@@ -55,9 +55,7 @@ def mult_dependent(a: GaussInt, b: GaussInt) -> DependenceVerdict:
     the least norm relation, and the unit's order t (1, 2 or 4) gives the
     minimal pair (t*|xa|, t*|xb|).  Nothing is raised to a power.
     """
-    na, nb = a.norm(), b.norm()
-    if na <= 1 or nb <= 1:
-        raise InvalidInput("dependence needs norms > 1")
+    na, nb = norm_at_least(a, 2, "generator"), norm_at_least(b, 2, "generator")
     x, y = (a.re, a.im, na, 1, 0), (b.re, b.im, nb, 0, 1)  # (re, im, norm, xa, xb) of a^xa * b^xb
     while x[2] != 1:
         if x[2] < y[2]:
@@ -322,6 +320,13 @@ def _approximations(
             yield m, n, z
 
 
+def _ints(names: tuple[str, ...], values: tuple) -> None:
+    """Refuse the first value that is not an int, a bool included, naming its argument."""
+    for name, value in zip(names, values):
+        if type(value) is not int:
+            raise InvalidInput("%s %r is not an int", name, value)
+
+
 def group_witness(
     a: GaussInt,
     b: GaussInt,
@@ -335,10 +340,13 @@ def group_witness(
     For each m only the few n with norm(b)^n near norm(a^m)/norm(u) can
     qualify; floats nominate and prune those, and the survivors are checked
     exactly.  None is a normal outcome: existence is guaranteed only in
-    the limit, with no effective bound.
+    the limit, with no effective bound.  err_num, err_den and m_max are
+    ints, so the inequality is decided on the rational the caller meant.
     """
-    if a.norm() <= 1 or b.norm() <= 1 or not u:
-        raise InvalidInput("witness search needs norms > 1 and a nonzero target")
+    norm_at_least(a, 2, "generator")
+    norm_at_least(b, 2, "generator")
+    norm_at_least(u, 1, "target")
+    _ints(("err_num", "err_den", "m_max"), (err_num, err_den, m_max))
     if err_num < 0 or err_den <= 0:
         raise InvalidInput("error bound must be a nonnegative rational")
     for m, n, _ in _approximations(a, b, u, 0, m_max, err_num, err_den):
@@ -399,11 +407,12 @@ def prefix_extension(
     its identity and the word of z before it is returned, and keeps that
     verdict as certified; the word of a^m follows from them (see
     PrefixWitness).  None means the search budget (max m) was exhausted.
+    a and b have norm >= 5, the paper's hypothesis, and n_min and budget are ints.
     """
-    if not u:
-        raise InvalidInput("prefix extension needs a nonzero target")
-    if a.norm() < 5 or b.norm() < 5:
-        raise InvalidInput("prefix extension needs norms >= 5")
+    norm_at_least(u, 1, "target")
+    norm_at_least(a, LEAST_BASE_NORM, "generator")
+    norm_at_least(b, LEAST_BASE_NORM, "base")
+    _ints(("n_min", "budget"), (n_min, budget))
     if mult_dependent(a, b).dependent:
         raise InvalidInput("%s and %s are multiplicatively dependent", a, b)
     tail = b.norm() ** length_bound(b).m3

@@ -7,6 +7,13 @@ error.  Beyond ring arithmetic it offers divisibility, exact division and
 power membership, and it defines the errors every layer raises for bad
 input, refused work and a digit loop that does not end.
 
+The paper's hypotheses are checked here once: norm_at_least is the one
+routine that refuses a base (norm at least LEAST_BASE_NORM, 5, as the
+paper asks |a|, |b| >= sqrt(5)), a generator (norm at least 2) or a
+target (nonzero) that is no GaussInt or too small, naming its role or
+the least norm, for every layer.  Per-value arguments, such as the value
+encode writes or the operands of divides, carry no norm rule.
+
 Each side of the int-to-str digit limit (sys.get_int_max_str_digits())
 is stated here once.  Reading: every integer the package reads from
 text, a Gaussian literal's part, a CLI count or bound, a DFA file's int,
@@ -18,12 +25,16 @@ BudgetExceeded and NonTermination keep a message's template and values
 apart, as their args, and format args[0] % args[1:] each time the
 message is read, so raising one never converts an int to text: a value
 past the limit is rendered where the message is read, as the CLI reads
-it under its report's limit.
+it under its report's limit through formatted.  Reading one never
+raises: str() under a limit that a value is past gives the template and
+a note of the limit.
 """
 
 from __future__ import annotations
 
 import sys
+
+LEAST_BASE_NORM = 5  # the paper's |b| >= sqrt(5): every base's norm is at least this
 
 
 class NotDivisible(ArithmeticError):
@@ -34,31 +45,39 @@ class DivisionByZero(ZeroDivisionError):
     """Division by the zero Gaussian integer."""
 
 
-def _formatted(self) -> str:
-    """The __str__ of the package's errors: args[0] % args[1:], and a message without values as it is.
+class _Error(Exception):
+    """The base of InvalidInput, BudgetExceeded and NonTermination: their message is formatted when read."""
 
-    A message without values may quote text with a % of its own, such as
-    the CLI's usage errors, so it is never formatted.
+    def __str__(self) -> str:
+        """formatted(self); past the int-to-str digit limit, the template and a note, and no value as text."""
+        try:
+            return formatted(self)
+        except ValueError:
+            return f"{self.args[0]} (a value is past the interpreter's int-to-str digit limit)"
+
+
+def formatted(error: BaseException) -> str:
+    """The message of error, formatted now under the int-to-str digit limit in force, so a value past it raises.
+
+    A package error's message is args[0] % args[1:], and a message without
+    values is as it is: it may quote text with a % of its own, such as the
+    CLI's usage errors.  Any other error's message is str(error).
     """
-    return self.args[0] % self.args[1:] if len(self.args) > 1 else Exception.__str__(self)
+    if not isinstance(error, _Error):
+        return str(error)
+    return error.args[0] % error.args[1:] if len(error.args) > 1 else Exception.__str__(error)
 
 
-class InvalidInput(ValueError):
+class InvalidInput(_Error, ValueError):
     """An argument is malformed or outside the domain of the operation given it."""
 
-    __str__ = _formatted
 
-
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(_Error, RuntimeError):
     """Requested work exceeds a fixed budget such as ENUMERATION_BUDGET."""
 
-    __str__ = _formatted
 
-
-class NonTermination(RuntimeError):
+class NonTermination(_Error, RuntimeError):
     """The greedy digit loop for one value exceeded encode's cap (invalid digit set)."""
-
-    __str__ = _formatted
 
 
 def is_numeral(text: str) -> bool:
@@ -241,11 +260,20 @@ def exact_div(z: GaussInt, w: GaussInt) -> GaussInt:
     return GaussInt(q_re, q_im)
 
 
+def norm_at_least(z: GaussInt, least: int, role: str) -> int:
+    """norm(z) for a base, generator or target z; one that is no GaussInt, or of norm below least, raises
+    InvalidInput naming its role or the least norm."""
+    if type(z) is not GaussInt:
+        raise InvalidInput("%s %r is not a GaussInt", role, z)
+    n = z.re * z.re + z.im * z.im
+    if n < least:
+        raise InvalidInput("norm(%s) = %d < %d", z, n, least)
+    return n
+
+
 def is_power_of(z: GaussInt, a: GaussInt) -> int | None:
-    """The n with a^n = z, if any (n = 0 for z = 1); None otherwise."""
-    na = a.norm()
-    if na <= 1:
-        raise InvalidInput("norm(%s) <= 1 cannot generate powers", a)
+    """The n with a^n = z, if any (n = 0 for z = 1); None otherwise.  The generator a has norm >= 2 (norm_at_least)."""
+    na = norm_at_least(a, 2, "generator")
     if not z:
         return None
     # norm(a)^n = norm(z) is necessary, so most non-powers are rejected here

@@ -1,8 +1,9 @@
 """Digit sets and base-b representations of the Gaussian integers.
 
-A digit set for a base b (norm(b) >= 5) is a complete residue system
-containing 0; every Gaussian integer then has a unique msd-first word over
-the digits.  This module builds the canonical digit set, encodes/decodes,
+A digit set for a base b (norm(b) >= 5, checked by gaussint.norm_at_least
+wherever a base enters) is a complete residue system containing 0;
+every Gaussian integer then has a unique msd-first word over the
+digits.  This module builds the canonical digit set, encodes/decodes,
 certifies word-length bounds, links digit sets over a shared base, and
 recodes words between base b and base b^j.  encode gives up on a cycling
 loop after a cap that reads only the value and the base, so a digit set
@@ -41,8 +42,9 @@ on the block's remainder, and recode folds each block for decode, both
 on ints of at most two machine words, so the cost is no longer a big-int
 operation per digit.  decode has no digit loop: a shorter word is one
 block of recode, and recode folds a word of at most j digits as one
-block, with the same digit check and no block count or list.  No float
-enters this module: logarithms are bounded from bit lengths.
+block, with the same digit check and no block count or list.  An
+exponent j of recode or power_digit_set that is not an int is refused.
+No float enters this module: logarithms are bounded from bit lengths.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ except ImportError:
     from operator import attrgetter
 
 from ._records import memo, record
-from .gaussint import ZERO, BudgetExceeded, GaussInt, InvalidInput, NonTermination, exact_div
+from .gaussint import (
+    LEAST_BASE_NORM, ZERO, BudgetExceeded, GaussInt, InvalidInput, NonTermination, exact_div, norm_at_least
+)
 
 Word = tuple[GaussInt, ...]
 EMPTY_WORD: Word = ()
@@ -70,16 +74,6 @@ MEMO_SIZE = 64  # digit sets, length bounds and termination verdicts kept by the
 SCAN_BUDGET = 10**6
 
 _RE_IM = attrgetter("re", "im")  # the (re, im) pair of a GaussInt, read in C
-
-
-def _base_norm(base: GaussInt) -> int:
-    """norm(base); a base that is no GaussInt, or of norm below 5, raises InvalidInput naming it."""
-    if type(base) is not GaussInt:
-        raise InvalidInput("base %r is not a GaussInt", base)
-    n = base.norm()
-    if n < 5:
-        raise InvalidInput("norm(%s) = %d < 5", base, n)
-    return n
 
 
 class DigitSet(record("DigitSet", "base digits")):
@@ -109,7 +103,7 @@ class DigitSet(record("DigitSet", "base digits")):
     """
 
     def __new__(cls, base: GaussInt, digits: tuple[GaussInt, ...]) -> DigitSet:
-        return cls._validated(base, _base_norm(base), tuple(digits))
+        return cls._validated(base, norm_at_least(base, LEAST_BASE_NORM, "base"), tuple(digits))
 
     @classmethod
     def _validated(cls, base: GaussInt, n: int, digits: tuple, pairs: list | None = None) -> DigitSet:
@@ -195,7 +189,7 @@ class _Box:
     """
 
     def __init__(self, b: GaussInt) -> None:
-        self.b, self.n = b, _base_norm(b)
+        self.b, self.n = b, norm_at_least(b, LEAST_BASE_NORM, "base")
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         (x, y), bre, bim, n = pair, self.b.re, self.b.im, self.n
@@ -275,7 +269,7 @@ def canonical_digit_set(b: GaussInt) -> DigitSet:
     second read of the digits.  A base of norm above DIGIT_BUDGET gets a
     LargeCanonicalDigitSet, which does not list them.
     """
-    n = _base_norm(b)
+    n = norm_at_least(b, LEAST_BASE_NORM, "base")
     if n > DIGIT_BUDGET:
         return LargeCanonicalDigitSet(b)
     r = isqrt(n)
@@ -482,7 +476,7 @@ class LengthBound(record("LengthBound", "base m3")):
     __slots__ = ()
 
     def __new__(cls, base: GaussInt, m3: int) -> LengthBound:
-        _base_norm(base)
+        norm_at_least(base, LEAST_BASE_NORM, "base")
         return tuple.__new__(cls, (base, m3))
 
     @classmethod
@@ -507,7 +501,7 @@ def length_bound(b: GaussInt) -> LengthBound:
     the norm is read off the base, so a base past DIGIT_BUDGET lists no
     digit.  Below that the disc is walked.
     """
-    n = _base_norm(b)
+    n = norm_at_least(b, LEAST_BASE_NORM, "base")
     return LengthBound(base=b, m3=1 if n > 36 else max_length_in_disc(9, canonical_digit_set(b)))
 
 
@@ -517,6 +511,8 @@ def power_digit_set(D: DigitSet, j: int) -> DigitSet:
     Raises BudgetExceeded when its norm(b)^j digits are more than DIGIT_BUDGET;
     as norm(b) >= 5, every j past the budget's bit length is.
     """
+    if type(j) is not int:
+        raise InvalidInput("power exponent %r is not an int", j)
     if j < 1:
         raise InvalidInput("power exponent must be >= 1")
     if j > DIGIT_BUDGET.bit_length() or D.base.norm() ** j > DIGIT_BUDGET:
@@ -536,6 +532,8 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     passes, is one block: the same check and fold, with no count and no
     list of blocks.
     """
+    if type(j) is not int:
+        raise InvalidInput("power exponent %r is not an int", j)
     if j < 1:
         raise InvalidInput("power exponent must be >= 1")
     index, p, q = D._fold
@@ -625,7 +623,7 @@ def real_power_exponent(b: GaussInt) -> int | None:
     argument a multiple of pi/4, so eight powers decide the question.  A
     base that is no GaussInt, or of norm below 5, raises InvalidInput naming it.
     """
-    _base_norm(b)
+    norm_at_least(b, LEAST_BASE_NORM, "base")
     w = b
     for j in range(1, 9):
         if w.im == 0 and w.re > 0:

@@ -113,7 +113,8 @@ def test_integers_dfa_base3():
 
 @pytest.mark.parametrize("base", [4, 2, g(2, 1), g(-3, 0)])
 def test_integers_dfa_rejects_bad_bases(base):
-    with pytest.raises(InvalidInput, match="is not a real odd integer >= 3"):
+    """A base of norm below 5 is refused as every base is; any other that is not real, odd and >= 3 by its own test."""
+    with pytest.raises(InvalidInput, match=r"^norm\(2\) = 4 < 5$" if base == 2 else "is not a real odd integer >= 3"):
         integers_dfa(base)
 
 

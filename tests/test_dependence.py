@@ -58,9 +58,9 @@ def test_dependent_examples():
 
 
 def test_unit_inputs_rejected():
-    with pytest.raises(InvalidInput, match="dependence needs norms > 1"):
+    with pytest.raises(InvalidInput, match=r"^norm\(1\) = 1 < 2$"):
         mult_dependent(ONE, B)
-    with pytest.raises(InvalidInput, match="dependence needs norms > 1"):
+    with pytest.raises(InvalidInput, match=r"^norm\(0\+1i\) = 1 < 2$"):
         mult_dependent(B, g(0, 1))
 
 
@@ -340,12 +340,31 @@ def test_group_witness_not_found_is_none():
 
 
 def test_group_witness_input_validation():
-    with pytest.raises(InvalidInput, match="witness search needs norms > 1 and a nonzero target"):
+    with pytest.raises(InvalidInput, match=r"^norm\(1\) = 1 < 2$"):
         group_witness(ONE, B, ONE, 1, 4, 8)
-    with pytest.raises(InvalidInput, match="witness search needs norms > 1 and a nonzero target"):
+    with pytest.raises(InvalidInput, match=r"^norm\(0\) = 0 < 1$"):
         group_witness(A, B, ZERO, 1, 4, 8)
     with pytest.raises(InvalidInput, match="error bound must be a nonnegative rational"):
         group_witness(A, B, ONE, 1, 0, 8)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: group_witness(A, B, ONE, 0.04, 1, m_max=64), "err_num"),
+        (lambda: group_witness(A, B, ONE, True, 1), "err_num"),
+        (lambda: group_witness(A, B, ONE, 1, 4.0), "err_den"),
+        (lambda: group_witness(A, B, ONE, 1, 4, m_max=2.5), "m_max"),
+        (lambda: group_witness(A, B, ONE, 1, 4, m_max=None), "m_max"),
+        (lambda: prefix_extension(A, B, ONE, n_min=1.0), "n_min"),
+        (lambda: prefix_extension(A, B, ONE, budget=2.5), "budget"),
+        (lambda: prefix_extension(A, B, ONE, budget=False), "budget"),
+    ],
+)
+def test_witness_searches_refuse_bounds_and_budgets_that_are_not_ints(call, name):
+    """The bound is a rational of ints, so no inequality is decided against a float product."""
+    with pytest.raises(InvalidInput, match=f"^{name} .* is not an int$"):
+        call()
 
 
 def test_group_witness_self_certifies():
@@ -394,9 +413,9 @@ def test_prefix_witness_respects_n_min():
 def test_prefix_extension_validation():
     with pytest.raises(InvalidInput, match=r"3\+4i and 2\+1i are multiplicatively dependent"):
         prefix_extension(g(3, 4), B, ONE, 0, 16)
-    with pytest.raises(InvalidInput, match="prefix extension needs a nonzero target"):
+    with pytest.raises(InvalidInput, match=r"^norm\(0\) = 0 < 1$"):
         prefix_extension(A, B, ZERO, 0, 16)
-    with pytest.raises(InvalidInput, match="prefix extension needs norms >= 5"):
+    with pytest.raises(InvalidInput, match=r"^norm\(1\+1i\) = 2 < 5$"):
         prefix_extension(g(1, 1), B, ONE, 0, 16)
 
 

@@ -21,6 +21,11 @@ And each side of the digit limit is stated once: no library error is raised with
 f-string, % or .format message, so one that names a value past the limit is raised
 and reads in full where the limit is lifted; and the only int() conversion of text is
 gaussint.numerals', besides the float truncation in dependence._nominees.
+Such an error always prints: under the limit, str() gives its template and a note.
+And the paper's hypotheses are checked in one place: only gaussint.norm_at_least
+refuses a base, generator or target for its type or norm, and every call that takes
+one refuses a value that is no GaussInt, naming its role, and one below its least
+norm, naming that norm.
 """
 
 import ast
@@ -37,16 +42,26 @@ from gaussbase import (
     DigitSet,
     GaussInt,
     InvalidInput,
+    LengthBound,
     NonTermination,
     canonical_digit_set,
     decode,
     encode,
+    group_witness,
+    integers_dfa,
+    is_power_of,
+    length_bound,
+    mult_dependent,
     powers_dfa,
     powers_oracle,
+    prefix_extension,
+    real_power_exponent,
     recode,
     residual_signatures,
     run,
 )
+from gaussbase.gaussint import LEAST_BASE_NORM, formatted
+from gaussbase.numeration import LargeCanonicalDigitSet
 
 PACKAGE = Path(gaussbase.__file__).parent
 EXACT_MODULES = ("gaussint.py", "numeration.py", "automata.py")
@@ -515,4 +530,145 @@ def test_the_guard_sees_each_kind_of_int_conversion():
         ("read", "int(text)"),
         (None, "map(int, parts)"),
         (None, "json.loads(text, parse_int=int)"),
+    ]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("call, error, ending", CALLS_PAST_THE_LIMIT.values(), ids=CALLS_PAST_THE_LIMIT)
+def test_a_library_error_naming_a_value_past_the_digit_limit_always_prints(default_digit_limit, call, error, ending):
+    """Under the limit, str() gives the template and a note, and the strict formatted() raises the limit's
+    ValueError, which the CLI reads under its report's limit."""
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == f"{exc.value.args[0]} (a value is past the interpreter's int-to-str digit limit)"
+    with pytest.raises(ValueError):
+        formatted(exc.value)
+
+
+# the paper's hypotheses, |a|, |b| >= sqrt(5), as the library states them: one call of one value for each
+# Gaussian parameter that is checked, with its role and least norm
+A12, B21, U1 = GaussInt(1, 2), GaussInt(2, 1), GaussInt(1)
+HYPOTHESES = {
+    "DigitSet": (lambda z: DigitSet(z, D21.digits), "base", 5),
+    "LargeCanonicalDigitSet": (LargeCanonicalDigitSet, "base", 5),
+    "canonical_digit_set": (canonical_digit_set, "base", 5),
+    "LengthBound": (lambda z: LengthBound(z, 1), "base", 5),
+    "length_bound": (length_bound, "base", 5),
+    "real_power_exponent": (real_power_exponent, "base", 5),
+    "integers_dfa": (integers_dfa, "base", 5),
+    "is_power_of": (lambda z: is_power_of(B21, z), "generator", 2),
+    "powers_oracle": (lambda z: powers_oracle(z, D21), "generator", 2),
+    "mult_dependent.a": (lambda z: mult_dependent(z, B21), "generator", 2),
+    "mult_dependent.b": (lambda z: mult_dependent(A12, z), "generator", 2),
+    "group_witness.a": (lambda z: group_witness(z, B21, U1, 1, 4, 8), "generator", 2),
+    "group_witness.b": (lambda z: group_witness(A12, z, U1, 1, 4, 8), "generator", 2),
+    "group_witness.u": (lambda z: group_witness(A12, B21, z, 1, 4, 8), "target", 1),
+    "prefix_extension.a": (lambda z: prefix_extension(z, B21, U1, 0, 8), "generator", 5),
+    "prefix_extension.b": (lambda z: prefix_extension(A12, z, U1, 0, 8), "base", 5),
+    "prefix_extension.u": (lambda z: prefix_extension(A12, B21, z, 0, 8), "target", 1),
+}
+NOT_GAUSSIAN = {"tuple": (2, 1), "int": 5, "float": 2.5, "none": None}
+TOO_SMALL = {"zero": GaussInt(0), "unit": GaussInt(0, 1), "norm2": GaussInt(1, 1), "norm4": GaussInt(2)}
+REFUSALS = {
+    f"{call_id}-{value_id}": (call, value, f"{role} {value!r} is not a GaussInt")
+    for call_id, (call, role, _) in HYPOTHESES.items()
+    for value_id, value in NOT_GAUSSIAN.items()
+    if not (call_id == "integers_dfa" and value_id == "int")  # an int is a real base there: integers_dfa(5) is one
+} | {
+    f"{call_id}-{value_id}": (call, z, f"norm({z}) = {z.norm()} < {least}")
+    for call_id, (call, _, least) in HYPOTHESES.items()
+    for value_id, z in TOO_SMALL.items()
+    if z.norm() < least
+}
+
+
+@pytest.mark.parametrize("call, value, message", REFUSALS.values(), ids=REFUSALS)
+def test_a_base_generator_or_target_off_the_hypotheses_is_refused_by_name(call, value, message):
+    with pytest.raises(InvalidInput) as exc:
+        call(value)
+    assert str(exc.value) == message
+
+
+def test_the_hypotheses_hold_at_their_least_norms():
+    assert integers_dfa(5).alphabet.base == GaussInt(5)
+    assert is_power_of(GaussInt(-4), GaussInt(1, 1)) == 4 and mult_dependent(GaussInt(1, 1), GaussInt(0, 2)).dependent
+    assert group_witness(A12, GaussInt(1, 1), GaussInt(0, 1), 1, 4, 8) is not None
+    assert DigitSet(B21, D21.digits) == D21 and LengthBound(B21, 1).base.norm() == LEAST_BASE_NORM
+
+
+def parameter_checks(tree, function=None, params=(), norms=()):
+    """(enclosing function, line) of every if whose body raises or returns InvalidInput and whose test names
+    GaussInt (a type check), reads a norm (a .norm() call, or a name the function binds to one) or tests a
+    parameter annotated GaussInt itself, by its truth or a comparison, rather than its parts .re and .im."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            gaussian = {a.arg for a in arguments if a.annotation and "GaussInt" in ast.unparse(a.annotation)}
+            bound = {
+                target.id
+                for assign in ast.walk(node)
+                if isinstance(assign, ast.Assign) and any(map(_is_norm_call, ast.walk(assign.value)))
+                for target in ast.walk(assign.targets[0])
+                if isinstance(target, ast.Name)
+            }
+            yield from parameter_checks(node, node.name, gaussian, bound)
+            continue
+        if isinstance(node, ast.If) and any(map(_refuses, node.body)) and _checks(node.test, params, norms):
+            yield function, node.lineno
+        yield from parameter_checks(node, function, params, norms)
+
+
+def _is_norm_call(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "norm"
+
+
+def _refuses(statement) -> bool:
+    """Whether statement raises or returns an InvalidInput it builds."""
+    if not isinstance(statement, (ast.Raise, ast.Return)):
+        return False
+    value = statement.exc if isinstance(statement, ast.Raise) else statement.value
+    return getattr(getattr(value, "func", None), "id", None) == "InvalidInput"
+
+
+def _checks(test, params, norms) -> bool:
+    """Whether test names GaussInt or reads a norm, or tests a GaussInt parameter itself: as the whole test, or
+    as an operand of not, and, or, or a comparison."""
+    if any(_is_norm_call(node) or getattr(node, "id", None) in {"GaussInt", *norms} for node in ast.walk(test)):
+        return True
+    operators = [node for node in ast.walk(test) if isinstance(node, (ast.UnaryOp, ast.BoolOp, ast.Compare))]
+    operands = [test, *(child for node in operators for child in ast.iter_child_nodes(node))]
+    return any(getattr(node, "id", None) in params for node in operands)
+
+
+# element checks: a listed digit set's digits and a word's digits are values, not parameters of the hypotheses
+ELEMENT_CHECKS = {"numeration.py": {"_validated", "_not_a_digit"}}
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
+def test_only_the_one_routine_refuses_a_base_generator_or_target(name):
+    checks = {function for function, _ in parameter_checks(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))}
+    assert checks == ({"norm_at_least"} if name == "gaussint.py" else ELEMENT_CHECKS.get(name, set()))
+
+
+def test_the_guard_sees_each_kind_of_parameter_check():
+    source = (
+        "def search(a: GaussInt, b: 'GaussInt | int', u: GaussInt, k: int):\n"
+        "    na = a.norm()\n"
+        "    if na <= 1:\n        raise InvalidInput('dependence needs norms > 1')\n"
+        "    if b.norm() < 5:\n        raise InvalidInput('norm(%s) < 5', b)\n"
+        "    if not u:\n        raise InvalidInput('a nonzero target')\n"
+        "    if type(b) is not GaussInt:\n        raise InvalidInput('not a GaussInt')\n"
+        "    if not isinstance(k, int) or k < 1:\n        raise InvalidInput('k must be an int')\n"
+        "    if b.im != 0 or b.re < 3 or mult_dependent(a, b).dependent:\n        raise InvalidInput('not real')\n"
+        "    if not u:\n        raise BudgetExceeded('not InvalidInput')\n"
+        "def _bad(w):\n"
+        "    for d in w:\n"
+        "        if not isinstance(d, GaussInt):\n            return InvalidInput('%s is not a digit', d)\n"
+    )
+    assert list(parameter_checks(ast.parse(source))) == [
+        ("search", 3),
+        ("search", 5),
+        ("search", 7),
+        ("search", 9),
+        ("_bad", 19),
     ]

@@ -331,6 +331,16 @@ def test_power_digit_set_sizes(D):
         power_digit_set(D, 0)
 
 
+@pytest.mark.parametrize("j", [1.5, 2.0, True, "2", None])
+def test_an_exponent_that_is_not_an_int_is_refused(D, j):
+    """A float exponent once recoded a six-digit word to () and made power_digit_set raise a bare TypeError."""
+    w = encode(g(37, -11), D)
+    assert len(w) == 6
+    for call in (lambda: recode(w, D, j), lambda: recode(w[:1], D, j), lambda: power_digit_set(D, j)):
+        with pytest.raises(InvalidInput, match=r"^power exponent .* is not an int$"):
+            call()
+
+
 @pytest.mark.parametrize("j", [8, 10**12])
 def test_power_digit_set_past_the_digit_budget_is_refused_at_once(D, j):
     start = time.perf_counter()
