@@ -37,9 +37,11 @@ def record(name: str, fields: str, defaults: tuple = ()) -> type:
     record's own parameters and defaults, so construction costs what a
     namedtuple's does.  The class has namedtuple's _fields,
     _field_defaults, _make, _replace, _asdict, __repr__, __getnewargs__
-    and __match_args__; _replace builds through _make, so a subclass that
-    validates in _make validates a replaced record too.  The names are the
-    package's own literals: one that is no identifier fails to compile.
+    and __match_args__.  _make checks the number of fields, then builds
+    through the class's own constructor, and _replace builds through
+    _make, so a subclass that validates in __new__ validates a record made
+    or replaced that way too.  The names are the package's own literals:
+    one that is no identifier fails to compile.
     The class's module is this one; the package subclasses each record in
     its own module, and pickle finds an instance by the subclass.
     """
@@ -54,10 +56,10 @@ def record(name: str, fields: str, defaults: tuple = ()) -> type:
 
     @classmethod
     def _make(cls, iterable):
-        result = tuple_new(cls, iterable)
-        if len(result) != size:
-            raise TypeError(f"Expected {size} arguments, got {len(result)}")
-        return result
+        fields = tuple(iterable)
+        if len(fields) != size:
+            raise TypeError(f"Expected {size} arguments, got {len(fields)}")
+        return cls(*fields)
 
     def _replace(self, /, **changes):
         result = self._make(map(changes.pop, field_names, self))

@@ -26,7 +26,9 @@ except ImportError:
     from operator import add, and_, attrgetter, floordiv, gt, itemgetter, mod, mul, ne, or_
 
 from ._records import defaultdict, record
-from .gaussint import LEAST_BASE_NORM, ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, is_power_of, norm_at_least
+from .gaussint import (
+    LEAST_BASE_NORM, ONE, ZERO, BudgetExceeded, GaussInt, InvalidInput, int_at_least, is_power_of, norm_at_least
+)
 from .numeration import DigitSet, Word, canonical_digit_set, decode, encode_within
 
 ENUMERATION_BUDGET = 10**8
@@ -75,11 +77,6 @@ class Dfa(record("Dfa", "alphabet initial transitions accepting")):
                         raise InvalidInput("transition target %s out of range", t)
         if not self.accepting <= states:
             raise InvalidInput("accepting states out of range")
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> Dfa:
-        """The DFA of an iterable of the fields, validated; _replace builds through it."""
-        return cls(*fields)
 
     @property
     def state_count(self) -> int:
@@ -417,8 +414,8 @@ def residual_signatures(L: LanguageOracle, k: int, e: int) -> ResidualReport:
     budget; the split integers are charged to MEMBER_BUDGET, i's 64-bit
     words per split, before a member's splits are made.
     """
-    if k < 0 or e < 0:
-        raise InvalidInput("depths must be nonnegative")
+    int_at_least(k, 0, "k")
+    int_at_least(e, 0, "e")
     m = len(L.alphabet.digits)
     signatures: dict[tuple[int, int], list[int]] = {}
     held = 0
@@ -463,8 +460,8 @@ def zero_pump_probe(
         raise InvalidInput("pumping needs a nonempty word")
     if w[0] == ZERO:
         raise InvalidInput("pumping needs a nonzero leading digit")
-    if k < 1:
-        raise InvalidInput("pump block size must be >= 1")
+    int_at_least(k, 1, "k")
+    int_at_least(reps, 0, "reps")
     n, s1, s2 = len(w), reps * (reps + 1) // 2, reps * (reps + 1) * (2 * reps + 1) // 6
     steps = (reps + 1) * n * n + 2 * n * k * s1 + k * k * s2  # sum of (n + j*k)^2, j = 0..reps
     if steps > ENUMERATION_BUDGET:
@@ -508,6 +505,7 @@ def dfa_oracle_disagreement(d: Dfa, L: LanguageOracle, max_len: int) -> Word | N
     """
     if d.alphabet != L.alphabet:
         raise InvalidInput("DFA and oracle alphabets differ")
+    int_at_least(max_len, 0, "max_len")
     cells = d.state_count * (max_len + 1)
     levels: dict[int, list[int]] = {}
     for n, i in sorted(_members(L, max_len, cells + max_len + 1)):

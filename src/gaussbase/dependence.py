@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from ._records import cached_property, record
-from .gaussint import LEAST_BASE_NORM, ONE, UNITS, ZERO, GaussInt, InvalidInput, norm_at_least
+from .gaussint import LEAST_BASE_NORM, ONE, UNITS, ZERO, GaussInt, InvalidInput, int_at_least, norm_at_least
 from .numeration import Word, canonical_digit_set, decode, encode, length_bound
 
 
@@ -320,13 +320,6 @@ def _approximations(
             yield m, n, z
 
 
-def _ints(names: tuple[str, ...], values: tuple) -> None:
-    """Refuse the first value that is not an int, a bool included, naming its argument."""
-    for name, value in zip(names, values):
-        if type(value) is not int:
-            raise InvalidInput("%s %r is not an int", name, value)
-
-
 def group_witness(
     a: GaussInt,
     b: GaussInt,
@@ -341,14 +334,15 @@ def group_witness(
     qualify; floats nominate and prune those, and the survivors are checked
     exactly.  None is a normal outcome: existence is guaranteed only in
     the limit, with no effective bound.  err_num, err_den and m_max are
-    ints, so the inequality is decided on the rational the caller meant.
+    ints (at least 0, 1 and 0, checked by int_at_least), so the inequality
+    is decided on the rational the caller meant.
     """
     norm_at_least(a, 2, "generator")
     norm_at_least(b, 2, "generator")
     norm_at_least(u, 1, "target")
-    _ints(("err_num", "err_den", "m_max"), (err_num, err_den, m_max))
-    if err_num < 0 or err_den <= 0:
-        raise InvalidInput("error bound must be a nonnegative rational")
+    int_at_least(err_num, 0, "err_num")
+    int_at_least(err_den, 1, "err_den")
+    int_at_least(m_max, 0, "m_max")
     for m, n, _ in _approximations(a, b, u, 0, m_max, err_num, err_den):
         return GroupWitness(a=a, b=b, u=u, m=m, n=n, err_num=err_num, err_den=err_den)
     return None
@@ -407,12 +401,13 @@ def prefix_extension(
     its identity and the word of z before it is returned, and keeps that
     verdict as certified; the word of a^m follows from them (see
     PrefixWitness).  None means the search budget (max m) was exhausted.
-    a and b have norm >= 5, the paper's hypothesis, and n_min and budget are ints.
+    a and b have norm >= 5, the paper's hypothesis, and n_min and budget are ints >= 0.
     """
     norm_at_least(u, 1, "target")
     norm_at_least(a, LEAST_BASE_NORM, "generator")
     norm_at_least(b, LEAST_BASE_NORM, "base")
-    _ints(("n_min", "budget"), (n_min, budget))
+    int_at_least(n_min, 0, "n_min")
+    int_at_least(budget, 0, "budget")
     if mult_dependent(a, b).dependent:
         raise InvalidInput("%s and %s are multiplicatively dependent", a, b)
     tail = b.norm() ** length_bound(b).m3

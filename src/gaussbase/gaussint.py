@@ -7,12 +7,17 @@ error.  Beyond ring arithmetic it offers divisibility, exact division and
 power membership, and it defines the errors every layer raises for bad
 input, refused work and a digit loop that does not end.
 
-The paper's hypotheses are checked here once: norm_at_least is the one
-routine that refuses a base (norm at least LEAST_BASE_NORM, 5, as the
-paper asks |a|, |b| >= sqrt(5)), a generator (norm at least 2) or a
-target (nonzero) that is no GaussInt or too small, naming its role or
-the least norm, for every layer.  Per-value arguments, such as the value
-encode writes or the operands of divides, carry no norm rule.
+The paper's hypotheses, and the counts that size its finite harnesses,
+are checked here once.  norm_at_least is the one routine that refuses a
+base (norm at least LEAST_BASE_NORM, 5, as the paper asks |a|, |b| >=
+sqrt(5)), a generator (norm at least 2) or a target (nonzero) that is no
+GaussInt or too small; int_at_least is the one routine that refuses a
+count (a depth, a length, an exponent, a bound's part or a budget) that
+is no int, a bool included, or below its least value.  Each names its
+role in both refusals, for every layer: `base (2, 1) is not a GaussInt`,
+`base norm(2) = 4 < 5`, `k 1.5 is not an int`, `k = 0 < 1`.  Per-value
+arguments, such as the value encode writes, the operands of divides or
+the k of within_bound, carry no such rule.
 
 Each side of the int-to-str digit limit (sys.get_int_max_str_digits())
 is stated here once.  Reading: every integer the package reads from
@@ -118,10 +123,10 @@ def numeral(text: str) -> int | None:
 class GaussInt:
     """A Gaussian integer re + im*i.
 
-    Both components are ints, checked at construction, so every operation
-    stays exact.  Values are immutable by convention and hashable.  The
-    operators take only GaussInt operands, and a GaussInt equals only a
-    GaussInt: GaussInt(3) != 3.
+    Both components are ints, not bools, checked at construction, so every
+    operation stays exact.  Values are immutable by convention and
+    hashable.  The operators take only GaussInt operands, and a GaussInt
+    equals only a GaussInt: GaussInt(3) != 3.
     """
 
     __slots__ = ("re", "im")
@@ -130,8 +135,8 @@ class GaussInt:
     im: int
 
     def __init__(self, re: int = 0, im: int = 0) -> None:
-        if not (isinstance(re, int) and isinstance(im, int)):
-            name, part = ("imaginary", im) if isinstance(re, int) else ("real", re)
+        if not (type(re) is int and type(im) is int):
+            name, part = ("imaginary", im) if type(re) is int else ("real", re)
             raise InvalidInput("%s component %r of GaussInt(%r, %r) is not an integer", name, part, re, im)
         self.re = re
         self.im = im
@@ -262,13 +267,23 @@ def exact_div(z: GaussInt, w: GaussInt) -> GaussInt:
 
 def norm_at_least(z: GaussInt, least: int, role: str) -> int:
     """norm(z) for a base, generator or target z; one that is no GaussInt, or of norm below least, raises
-    InvalidInput naming its role or the least norm."""
+    InvalidInput naming its role: `base (2, 1) is not a GaussInt`, `base norm(2) = 4 < 5`."""
     if type(z) is not GaussInt:
         raise InvalidInput("%s %r is not a GaussInt", role, z)
     n = z.re * z.re + z.im * z.im
     if n < least:
-        raise InvalidInput("norm(%s) = %d < %d", z, n, least)
+        raise InvalidInput("%s norm(%s) = %d < %d", role, z, n, least)
     return n
+
+
+def int_at_least(value: int, least: int, role: str) -> int:
+    """value for a count, such as a depth, a length or a budget; one whose type is not exactly int (a bool
+    included), or below least, raises InvalidInput naming its role: `k 1.5 is not an int`, `k = 0 < 1`."""
+    if type(value) is not int:
+        raise InvalidInput("%s %r is not an int", role, value)
+    if value < least:
+        raise InvalidInput("%s = %d < %d", role, value, least)
+    return value
 
 
 def is_power_of(z: GaussInt, a: GaussInt) -> int | None:

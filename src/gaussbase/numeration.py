@@ -43,7 +43,8 @@ on ints of at most two machine words, so the cost is no longer a big-int
 operation per digit.  decode has no digit loop: a shorter word is one
 block of recode, and recode folds a word of at most j digits as one
 block, with the same digit check and no block count or list.  An
-exponent j of recode or power_digit_set that is not an int is refused.
+exponent j of recode or power_digit_set, and a LengthBound's m3, are
+counts, checked by gaussint.int_at_least.
 No float enters this module: logarithms are bounded from bit lengths.
 """
 
@@ -59,7 +60,8 @@ except ImportError:
 
 from ._records import memo, record
 from .gaussint import (
-    LEAST_BASE_NORM, ZERO, BudgetExceeded, GaussInt, InvalidInput, NonTermination, exact_div, norm_at_least
+    LEAST_BASE_NORM, ZERO, BudgetExceeded, GaussInt, InvalidInput, NonTermination, exact_div, int_at_least,
+    norm_at_least
 )
 
 Word = tuple[GaussInt, ...]
@@ -146,11 +148,6 @@ class DigitSet(record("DigitSet", "base digits")):
         self.positions = positions
         bits = n.bit_length()
         self._loop, self._fold = (n, p, -q, table, bits - 1, BLOCK_DIGITS * bits), (positions, p, q)
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> DigitSet:
-        """The digit set of an iterable of the fields, validated; _replace builds through it."""
-        return cls(*fields)
 
 
 def _disc_pairs(r2: int) -> Iterator[tuple[int, int]]:
@@ -469,20 +466,16 @@ class LengthBound(record("LengthBound", "base m3")):
     norm(z) <= norm(b)^(k - m3) when k >= m3, and z = 0 otherwise, as
     norm(b)^(k - m3) < 1 then for norm(b) >= 5; a negative k forms no
     float, so a huge base cannot overflow.  Construction refuses a base
-    that is no GaussInt, or of norm below 5, as DigitSet does, and
-    _replace, copy and pickle build through the constructor.
+    that is no GaussInt, or of norm below 5, as DigitSet does, and an m3
+    that is no int or negative; _replace, copy and pickle build through
+    the constructor.
     """
 
     __slots__ = ()
 
     def __new__(cls, base: GaussInt, m3: int) -> LengthBound:
         norm_at_least(base, LEAST_BASE_NORM, "base")
-        return tuple.__new__(cls, (base, m3))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> LengthBound:
-        """The length bound of an iterable of the fields, validated; _replace builds through it."""
-        return cls(*fields)
+        return tuple.__new__(cls, (base, int_at_least(m3, 0, "m3")))
 
     def within_bound(self, z: GaussInt, k: int) -> bool:
         b, e, x, y = self.base, k - self.m3, z.re, z.im
@@ -511,10 +504,7 @@ def power_digit_set(D: DigitSet, j: int) -> DigitSet:
     Raises BudgetExceeded when its norm(b)^j digits are more than DIGIT_BUDGET;
     as norm(b) >= 5, every j past the budget's bit length is.
     """
-    if type(j) is not int:
-        raise InvalidInput("power exponent %r is not an int", j)
-    if j < 1:
-        raise InvalidInput("power exponent must be >= 1")
+    int_at_least(j, 1, "power exponent")
     if j > DIGIT_BUDGET.bit_length() or D.base.norm() ** j > DIGIT_BUDGET:
         raise BudgetExceeded("base (%s)^%s has more digits than the digit budget", D.base, j)
     return DigitSet(D.base**j, tuple(decode(w, D) for w in product(D.digits, repeat=j)))
@@ -530,12 +520,11 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     multiple of j would add, and digits are checked in word order (see
     _not_a_digit), for decode too.  A word of at most j digits, as decode
     passes, is one block: the same check and fold, with no count and no
-    list of blocks.
+    list of blocks.  A j that is no int, or below 1, is refused by
+    int_at_least; the test is inline, as recode is the hot caller.
     """
-    if type(j) is not int:
-        raise InvalidInput("power exponent %r is not an int", j)
-    if j < 1:
-        raise InvalidInput("power exponent must be >= 1")
+    if type(j) is not int or j < 1:
+        int_at_least(j, 1, "power exponent")
     index, p, q = D._fold
     x = y = 0
     try:

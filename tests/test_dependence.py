@@ -58,9 +58,9 @@ def test_dependent_examples():
 
 
 def test_unit_inputs_rejected():
-    with pytest.raises(InvalidInput, match=r"^norm\(1\) = 1 < 2$"):
+    with pytest.raises(InvalidInput, match=r"^generator norm\(1\) = 1 < 2$"):
         mult_dependent(ONE, B)
-    with pytest.raises(InvalidInput, match=r"^norm\(0\+1i\) = 1 < 2$"):
+    with pytest.raises(InvalidInput, match=r"^generator norm\(0\+1i\) = 1 < 2$"):
         mult_dependent(B, g(0, 1))
 
 
@@ -340,11 +340,11 @@ def test_group_witness_not_found_is_none():
 
 
 def test_group_witness_input_validation():
-    with pytest.raises(InvalidInput, match=r"^norm\(1\) = 1 < 2$"):
+    with pytest.raises(InvalidInput, match=r"^generator norm\(1\) = 1 < 2$"):
         group_witness(ONE, B, ONE, 1, 4, 8)
-    with pytest.raises(InvalidInput, match=r"^norm\(0\) = 0 < 1$"):
+    with pytest.raises(InvalidInput, match=r"^target norm\(0\) = 0 < 1$"):
         group_witness(A, B, ZERO, 1, 4, 8)
-    with pytest.raises(InvalidInput, match="error bound must be a nonnegative rational"):
+    with pytest.raises(InvalidInput, match="^err_den = 0 < 1$"):
         group_witness(A, B, ONE, 1, 0, 8)
 
 
@@ -413,9 +413,9 @@ def test_prefix_witness_respects_n_min():
 def test_prefix_extension_validation():
     with pytest.raises(InvalidInput, match=r"3\+4i and 2\+1i are multiplicatively dependent"):
         prefix_extension(g(3, 4), B, ONE, 0, 16)
-    with pytest.raises(InvalidInput, match=r"^norm\(0\) = 0 < 1$"):
+    with pytest.raises(InvalidInput, match=r"^target norm\(0\) = 0 < 1$"):
         prefix_extension(A, B, ZERO, 0, 16)
-    with pytest.raises(InvalidInput, match=r"^norm\(1\+1i\) = 2 < 5$"):
+    with pytest.raises(InvalidInput, match=r"^generator norm\(1\+1i\) = 2 < 5$"):
         prefix_extension(g(1, 1), B, ONE, 0, 16)
 
 

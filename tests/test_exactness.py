@@ -24,8 +24,10 @@ gaussint.numerals', besides the float truncation in dependence._nominees.
 Such an error always prints: under the limit, str() gives its template and a note.
 And the paper's hypotheses are checked in one place: only gaussint.norm_at_least
 refuses a base, generator or target for its type or norm, and every call that takes
-one refuses a value that is no GaussInt, naming its role, and one below its least
-norm, naming that norm.
+one refuses a value that is no GaussInt, and one below its least norm, naming its
+role.  So are the counts that size the harnesses: only gaussint.int_at_least refuses
+an int parameter, and every call that takes a count refuses a float, a bool, None
+and one below its least value, naming its role.
 """
 
 import ast
@@ -46,12 +48,14 @@ from gaussbase import (
     NonTermination,
     canonical_digit_set,
     decode,
+    dfa_oracle_disagreement,
     encode,
     group_witness,
     integers_dfa,
     is_power_of,
     length_bound,
     mult_dependent,
+    power_digit_set,
     powers_dfa,
     powers_oracle,
     prefix_extension,
@@ -59,6 +63,7 @@ from gaussbase import (
     recode,
     residual_signatures,
     run,
+    zero_pump_probe,
 )
 from gaussbase.gaussint import LEAST_BASE_NORM, formatted
 from gaussbase.numeration import LargeCanonicalDigitSet
@@ -575,8 +580,8 @@ REFUSALS = {
     for value_id, value in NOT_GAUSSIAN.items()
     if not (call_id == "integers_dfa" and value_id == "int")  # an int is a real base there: integers_dfa(5) is one
 } | {
-    f"{call_id}-{value_id}": (call, z, f"norm({z}) = {z.norm()} < {least}")
-    for call_id, (call, _, least) in HYPOTHESES.items()
+    f"{call_id}-{value_id}": (call, z, f"{role} norm({z}) = {z.norm()} < {least}")
+    for call_id, (call, role, least) in HYPOTHESES.items()
     for value_id, z in TOO_SMALL.items()
     if z.norm() < least
 }
@@ -596,14 +601,66 @@ def test_the_hypotheses_hold_at_their_least_norms():
     assert DigitSet(B21, D21.digits) == D21 and LengthBound(B21, 1).base.norm() == LEAST_BASE_NORM
 
 
+# the counts that size the finite harnesses: one call for each count parameter, with its role and least value
+L21, W21 = powers_oracle(A12, D21), encode(GaussInt(7, 3), D21)
+COUNTS = {
+    "recode.j": (lambda j: recode(W21, D21, j), "power exponent", 1),
+    "power_digit_set.j": (lambda j: power_digit_set(D21, j), "power exponent", 1),
+    "residual_signatures.k": (lambda k: residual_signatures(L21, k, 1), "k", 0),
+    "residual_signatures.e": (lambda e: residual_signatures(L21, 1, e), "e", 0),
+    "zero_pump_probe.k": (lambda k: zero_pump_probe(L21, W21, k, 2), "k", 1),
+    "zero_pump_probe.reps": (lambda reps: zero_pump_probe(L21, W21, 1, reps), "reps", 0),
+    "dfa_oracle_disagreement.max_len": (lambda n: dfa_oracle_disagreement(powers_dfa(B21), L21, n), "max_len", 0),
+    "LengthBound.m3": (lambda m3: LengthBound(B21, m3), "m3", 0),
+    "group_witness.err_num": (lambda num: group_witness(A12, B21, U1, num, 4, 8), "err_num", 0),
+    "group_witness.err_den": (lambda den: group_witness(A12, B21, U1, 1, den, 8), "err_den", 1),
+    "group_witness.m_max": (lambda m_max: group_witness(A12, B21, U1, 1, 4, m_max), "m_max", 0),
+    "prefix_extension.n_min": (lambda n_min: prefix_extension(A12, B21, U1, n_min, 8), "n_min", 0),
+    "prefix_extension.budget": (lambda budget: prefix_extension(A12, B21, U1, 0, budget), "budget", 0),
+}
+COUNT_REFUSALS = {
+    f"{call_id}-{value_id}": (call, value, f"{role} {value!r} is not an int")
+    for call_id, (call, role, least) in COUNTS.items()
+    for value_id, value in {"float": float(least), "bool": bool(least), "none": None}.items()
+} | {
+    f"{call_id}-below": (call, least - 1, f"{role} = {least - 1} < {least}")
+    for call_id, (call, role, least) in COUNTS.items()
+}
+
+
+@pytest.mark.parametrize("call, value, message", COUNT_REFUSALS.values(), ids=COUNT_REFUSALS)
+def test_a_count_that_is_no_int_or_below_its_least_is_refused_by_name(call, value, message):
+    """A float or a bool equal to a valid count is refused too: a bool is no count, and a float would be used
+    where an exact int is meant."""
+    with pytest.raises(InvalidInput) as exc:
+        call(value)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, least", [(call, least) for call, _, least in COUNTS.values()], ids=COUNTS)
+def test_every_count_is_taken_at_its_least_value(call, least):
+    call(least)
+
+
+def test_a_negative_length_or_repetition_count_is_refused_before_any_work():
+    """dfa_oracle_disagreement(d, L, -1) divided by a zero charge per candidate, a bare ZeroDivisionError, and
+    zero_pump_probe(L, w, 1, -1) returned ()."""
+    with pytest.raises(InvalidInput, match=r"^max_len = -1 < 0$"):
+        dfa_oracle_disagreement(powers_dfa(B21), L21, -1)
+    with pytest.raises(InvalidInput, match=r"^reps = -1 < 0$"):
+        zero_pump_probe(L21, W21, 1, -1)
+
+
 def parameter_checks(tree, function=None, params=(), norms=()):
     """(enclosing function, line) of every if whose body raises or returns InvalidInput and whose test names
     GaussInt (a type check), reads a norm (a .norm() call, or a name the function binds to one) or tests a
-    parameter annotated GaussInt itself, by its truth or a comparison, rather than its parts .re and .im."""
+    parameter annotated GaussInt or int itself, by its truth, a comparison or its type, rather than its parts
+    .re and .im."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             arguments = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
-            gaussian = {a.arg for a in arguments if a.annotation and "GaussInt" in ast.unparse(a.annotation)}
+            notes = {a.arg: ast.unparse(a.annotation) for a in arguments if a.annotation}
+            checked = {name for name, note in notes.items() if "GaussInt" in note or note == "int"}
             bound = {
                 target.id
                 for assign in ast.walk(node)
@@ -611,7 +668,7 @@ def parameter_checks(tree, function=None, params=(), norms=()):
                 for target in ast.walk(assign.targets[0])
                 if isinstance(target, ast.Name)
             }
-            yield from parameter_checks(node, node.name, gaussian, bound)
+            yield from parameter_checks(node, node.name, checked, bound)
             continue
         if isinstance(node, ast.If) and any(map(_refuses, node.body)) and _checks(node.test, params, norms):
             yield function, node.lineno
@@ -631,23 +688,31 @@ def _refuses(statement) -> bool:
 
 
 def _checks(test, params, norms) -> bool:
-    """Whether test names GaussInt or reads a norm, or tests a GaussInt parameter itself: as the whole test, or
-    as an operand of not, and, or, or a comparison."""
+    """Whether test names GaussInt or reads a norm, or tests a GaussInt or int parameter itself: as the whole
+    test, as an operand of not, and, or, or a comparison, or as what type() or isinstance() reads."""
     if any(_is_norm_call(node) or getattr(node, "id", None) in {"GaussInt", *norms} for node in ast.walk(test)):
         return True
     operators = [node for node in ast.walk(test) if isinstance(node, (ast.UnaryOp, ast.BoolOp, ast.Compare))]
-    operands = [test, *(child for node in operators for child in ast.iter_child_nodes(node))]
+    typed = [
+        node.args[0]
+        for node in ast.walk(test)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in {"type", "isinstance"} and node.args
+    ]
+    operands = [test, *(child for node in operators for child in ast.iter_child_nodes(node)), *typed]
     return any(getattr(node, "id", None) in params for node in operands)
 
 
-# element checks: a listed digit set's digits and a word's digits are values, not parameters of the hypotheses
-ELEMENT_CHECKS = {"numeration.py": {"_validated", "_not_a_digit"}}
+# element checks: a listed digit set's digits and a word's digits are values, not parameters of the hypotheses, and
+# a GaussInt's components and the exponent of its ** are operands of the arithmetic, not counts that size a harness
+ELEMENT_CHECKS = {"numeration.py": {"_validated", "_not_a_digit"}, "gaussint.py": {"__init__", "__pow__"}}
+ROUTINES = {"norm_at_least", "int_at_least"}
 
 
 @pytest.mark.parametrize("name", LIBRARY_MODULES)
 def test_only_the_one_routine_refuses_a_base_generator_or_target(name):
+    """And only int_at_least refuses a count: recode's inline test of j calls it, and builds no refusal."""
     checks = {function for function, _ in parameter_checks(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))}
-    assert checks == ({"norm_at_least"} if name == "gaussint.py" else ELEMENT_CHECKS.get(name, set()))
+    assert checks == ELEMENT_CHECKS.get(name, set()) | (ROUTINES if name == "gaussint.py" else set())
 
 
 def test_the_guard_sees_each_kind_of_parameter_check():
@@ -664,11 +729,21 @@ def test_the_guard_sees_each_kind_of_parameter_check():
         "def _bad(w):\n"
         "    for d in w:\n"
         "        if not isinstance(d, GaussInt):\n            return InvalidInput('%s is not a digit', d)\n"
+        "def probe(w, j: int, reps: int, cap: 'int | None'):\n"
+        "    if type(j) is not int or j < 1:\n        int_at_least(j, 1, 'power exponent')\n"
+        "    if type(reps) is not int:\n        raise InvalidInput('%s %r is not an int', 'reps', reps)\n"
+        "    if reps < 0:\n        raise InvalidInput('reps must be nonnegative')\n"
+        "    if not w or cap is not None and cap < 0:\n        raise InvalidInput('a nonempty word')\n"
+        "    for value in (j, reps):\n"
+        "        if value > 10:\n            raise InvalidInput('too large')\n"
     )
     assert list(parameter_checks(ast.parse(source))) == [
         ("search", 3),
         ("search", 5),
         ("search", 7),
         ("search", 9),
+        ("search", 11),
         ("_bad", 19),
+        ("probe", 24),
+        ("probe", 26),
     ]

@@ -196,7 +196,7 @@ def test_an_error_formats_its_values_when_read_and_a_message_without_values_as_i
 # ---- components are ints, checked at construction ----
 
 @pytest.mark.parametrize(
-    "bad", [2.5, 3.0, "1", None, Fraction(1, 2), Fraction(4, 1), Decimal(2)], ids=repr
+    "bad", [2.5, 3.0, "1", None, Fraction(1, 2), Fraction(4, 1), Decimal(2), True, False], ids=repr
 )
 def test_construction_rejects_non_int_components(bad):
     with pytest.raises(InvalidInput, match="real component"):
@@ -290,9 +290,9 @@ def test_is_power_of_examples():
     assert is_power_of(g(3, 4), g(2, 1)) == 2
     assert is_power_of(g(2, 2), g(2, 1)) is None
     assert is_power_of(ZERO, g(2, 1)) is None
-    with pytest.raises(InvalidInput, match=r"^norm\(0\+1i\) = 1 < 2$"):
+    with pytest.raises(InvalidInput, match=r"^generator norm\(0\+1i\) = 1 < 2$"):
         is_power_of(g(5), g(0, 1))
-    with pytest.raises(InvalidInput, match=r"^norm\(0\) = 0 < 2$"):
+    with pytest.raises(InvalidInput, match=r"^generator norm\(0\) = 0 < 2$"):
         is_power_of(g(5), ZERO)
 
 

@@ -67,7 +67,7 @@ def test_base3_digits_are_the_square():
 
 @pytest.mark.parametrize("base", [g(2), g(-2), g(1, 1), g(1, -1), g(0, 2)])
 def test_small_bases_rejected(base):
-    with pytest.raises(InvalidInput, match=r"\) = \d < 5"):
+    with pytest.raises(InvalidInput, match=r"^base norm\(.*\) = \d < 5$"):
         canonical_digit_set(base)
 
 
@@ -327,7 +327,7 @@ def test_a_length_bound_refuses_a_base_that_is_no_gaussint_of_norm_at_least_5(ma
 def test_power_digit_set_sizes(D):
     assert power_digit_set(D, 1) == D
     assert len(power_digit_set(D, 2).digits) == 25
-    with pytest.raises(InvalidInput, match="^power exponent must be >= 1$"):
+    with pytest.raises(InvalidInput, match="^power exponent = 0 < 1$"):
         power_digit_set(D, 0)
 
 
@@ -352,7 +352,7 @@ def test_power_digit_set_past_the_digit_budget_is_refused_at_once(D, j):
 def test_recode_examples(D):
     assert recode((), D, 3) == ()
     assert recode((g(1), g(0, -1)), D, 2) == (g(2),)
-    with pytest.raises(InvalidInput, match="^power exponent must be >= 1$"):
+    with pytest.raises(InvalidInput, match="^power exponent = 0 < 1$"):
         recode((g(1),), D, 0)
 
 
@@ -427,7 +427,7 @@ def test_real_power_exponent(base, expected):
 
 
 def test_real_power_exponent_small_base():
-    with pytest.raises(InvalidInput, match=r"norm\(2\) = 4 < 5"):
+    with pytest.raises(InvalidInput, match=r"^base norm\(2\) = 4 < 5$"):
         real_power_exponent(g(2))
 
 
