@@ -26,7 +26,9 @@ from __future__ import annotations
 import math
 
 from ._records import cached_property, record
-from .gaussint import LEAST_BASE_NORM, ONE, UNITS, ZERO, GaussInt, InvalidInput, int_at_least, norm_at_least
+from .gaussint import (
+    LEAST_BASE_NORM, ONE, UNITS, ZERO, BudgetExceeded, GaussInt, InvalidInput, int_at_least, norm_at_least
+)
 from .numeration import Word, canonical_digit_set, decode, encode, length_bound
 
 
@@ -221,6 +223,12 @@ def _nominees(
     A window of half a turn or more, and w >= 1, visit every m.  Every
     walk starts at an m at or below the least m whose n_star + 1 reaches
     n_min, as no m before it has an n to try.
+
+    m_max is below FLOAT_LIMIT = 2^1024 - 2^970, as the public searches
+    check: m_max * tol_per_m is the one step that converts m_max to a
+    float, and float() refuses every int from FLOAT_LIMIT on with an
+    OverflowError.  Below it every float step is finite or, for a product
+    past the largest float, inf: then w >= 1 and every m passes.
     """
     log_a, arg_a = _log_polar(a)
     log_b, arg_b = _log_polar(b)
@@ -287,6 +295,19 @@ def _nominees(
             yield m, n
 
 
+# the least int that float() refuses: the largest float is 2^1024 - 2^971, and an int halfway between it and
+# 2^1024 rounds to the even 2^1024, past the range (see _nominees)
+FLOAT_LIMIT = 2**1024 - 2**970
+
+
+def _exponent_budget(value: int, role: str) -> None:
+    """Check value, the largest m a search walks: a count (int_at_least, least 0) below FLOAT_LIMIT; one at or
+    above it raises BudgetExceeded naming its role and the limit, before any float is formed."""
+    int_at_least(value, 0, role)
+    if value >= FLOAT_LIMIT:
+        raise BudgetExceeded("%s must be below 2^1024 - 2^970, the least int that converts to no float", role)
+
+
 # z -> (z.re + _ROOT*z.im) % _PRIME maps Z[i] onto the integers mod the prime
 # 2^64 - 59, a ring homomorphism as _ROOT^2 = -1 there
 _PRIME = 2**64 - 59
@@ -335,14 +356,15 @@ def group_witness(
     exactly.  None is a normal outcome: existence is guaranteed only in
     the limit, with no effective bound.  err_num, err_den and m_max are
     ints (at least 0, 1 and 0, checked by int_at_least), so the inequality
-    is decided on the rational the caller meant.
+    is decided on the rational the caller meant, and m_max is below
+    FLOAT_LIMIT = 2^1024 - 2^970, where the floats overflow (BudgetExceeded).
     """
     norm_at_least(a, 2, "generator")
     norm_at_least(b, 2, "generator")
     norm_at_least(u, 1, "target")
     int_at_least(err_num, 0, "err_num")
     int_at_least(err_den, 1, "err_den")
-    int_at_least(m_max, 0, "m_max")
+    _exponent_budget(m_max, "m_max")
     for m, n, _ in _approximations(a, b, u, 0, m_max, err_num, err_den):
         return GroupWitness(a=a, b=b, u=u, m=m, n=n, err_num=err_num, err_den=err_den)
     return None
@@ -401,13 +423,14 @@ def prefix_extension(
     its identity and the word of z before it is returned, and keeps that
     verdict as certified; the word of a^m follows from them (see
     PrefixWitness).  None means the search budget (max m) was exhausted.
-    a and b have norm >= 5, the paper's hypothesis, and n_min and budget are ints >= 0.
+    a and b have norm >= 5, the paper's hypothesis, and n_min and budget are ints >= 0,
+    budget below FLOAT_LIMIT = 2^1024 - 2^970, where the floats overflow (BudgetExceeded).
     """
     norm_at_least(u, 1, "target")
     norm_at_least(a, LEAST_BASE_NORM, "generator")
     norm_at_least(b, LEAST_BASE_NORM, "base")
     int_at_least(n_min, 0, "n_min")
-    int_at_least(budget, 0, "budget")
+    _exponent_budget(budget, "budget")
     if mult_dependent(a, b).dependent:
         raise InvalidInput("%s and %s are multiplicatively dependent", a, b)
     tail = b.norm() ** length_bound(b).m3

@@ -1,10 +1,11 @@
 """Exact arithmetic on Gaussian integers.
 
 Everything here stays inside Z[i]: components are arbitrary-precision
-Python ints, checked when a value is built; absolute values are never
-materialized (use norm(z) = |z|^2), and division is either exact or an
-error.  Beyond ring arithmetic it offers divisibility, exact division and
-power membership, and it defines the errors every layer raises for bad
+Python ints, checked when a value is built (numeration's recode and decode
+alone build theirs unchecked, from ints they fold); absolute values are
+never materialized (use norm(z) = |z|^2), and division is either exact or
+an error.  Beyond ring arithmetic it offers divisibility, exact division
+and power membership, and it defines the errors every layer raises for bad
 input, refused work and a digit loop that does not end.
 
 The paper's hypotheses, and the counts that size its finite harnesses,
@@ -16,8 +17,10 @@ count (a depth, a length, an exponent, a bound's part or a budget) that
 is no int, a bool included, or below its least value.  Each names its
 role in both refusals, for every layer: `base (2, 1) is not a GaussInt`,
 `base norm(2) = 4 < 5`, `k 1.5 is not an int`, `k = 0 < 1`.  Per-value
-arguments, such as the value encode writes, the operands of divides or
-the k of within_bound, carry no such rule.
+arguments, such as the value encode writes or the operands of divides,
+carry no such rule; the k of within_bound, the max_len of encode_within
+and the r2 of max_length_in_disc take every int, and int_at_least
+refuses only one that is no int.
 
 Each side of the int-to-str digit limit (sys.get_int_max_str_digits())
 is stated here once.  Reading: every integer the package reads from
@@ -124,9 +127,12 @@ class GaussInt:
     """A Gaussian integer re + im*i.
 
     Both components are ints, not bools, checked at construction, so every
-    operation stays exact.  Values are immutable by convention and
-    hashable.  The operators take only GaussInt operands, and a GaussInt
-    equals only a GaussInt: GaussInt(3) != 3.
+    operation stays exact.  numeration's recode and decode build their
+    blocks and values with object.__new__ and the two slots, skipping the
+    check, as each part is an int folded from ints; every other build
+    checks.  Values are immutable by convention and hashable.  The
+    operators take only GaussInt operands, and a GaussInt equals only a
+    GaussInt: GaussInt(3) != 3.
     """
 
     __slots__ = ("re", "im")

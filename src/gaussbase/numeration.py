@@ -17,15 +17,20 @@ against +-norm(b), and radii enter squared; canonical_digit_set solves
 the two box tests for each row of the square instead of testing every
 point.  The per-digit loops (the digit map, encode, recode and the
 residue table) run on plain ints and build a GaussInt only for a value
-they return.  A digit set has one position table, positions, keyed on
-each digit's (re, im) int pair, which hashes in C where a GaussInt
-hashes through a Python-level __hash__: every layer looks a digit up by
-its pair, so no per-digit loop, nor the construction of a digit set,
-hashes a GaussInt.  One routine, DigitSet._validated, checks every
-listed digit set and builds its tables; canonical_digit_set hands it the
-pairs of its own row walk, already in order, so the canonical digits are
-neither sorted nor read back.  The residue table is keyed by one int, so
-an encode step builds and hashes no tuple at all.  A digit set also keeps the
+they return; recode builds its blocks, and decode its value, with no
+component test, through object.__new__ and the two slots, as they are
+ints folded from ints.  A digit set has one position table, positions,
+keyed on each digit's (re, im) int pair, which hashes in C where a
+GaussInt hashes through a Python-level __hash__: every layer looks a
+digit up by its pair, so no per-digit loop, nor the construction of a
+digit set, hashes a GaussInt; recode, the hottest loop, first asks
+whether an element is one of the digit set's own digit objects, by its
+id, as the words encode writes are made of them.  One routine,
+DigitSet._validated, checks every listed digit set and builds its
+tables; canonical_digit_set hands it the pairs of its own row walk,
+already in order, so the canonical digits are neither sorted nor read
+back.  The residue table is keyed by one int, so an encode step builds
+and hashes no tuple at all.  A digit set also keeps the
 constants of its two loops in two tuples, which digit_of, encode,
 decode and recode each read in one step, since on the short words that
 most callers pass the per-call set-up costs as much as the digits.  m3
@@ -58,7 +63,7 @@ try:  # operator's C attrgetter, without the Python layer of operator
 except ImportError:
     from operator import attrgetter
 
-from ._records import memo, record
+from ._records import cached_property, memo, record
 from .gaussint import (
     LEAST_BASE_NORM, ZERO, BudgetExceeded, GaussInt, InvalidInput, NonTermination, exact_div, int_at_least,
     norm_at_least
@@ -76,6 +81,7 @@ MEMO_SIZE = 64  # digit sets, length bounds and termination verdicts kept by the
 SCAN_BUDGET = 10**6
 
 _RE_IM = attrgetter("re", "im")  # the (re, im) pair of a GaussInt, read in C
+_new = GaussInt.__new__  # object.__new__: a GaussInt built with no __init__, so with no component test
 
 
 class DigitSet(record("DigitSet", "base digits")):
@@ -99,9 +105,22 @@ class DigitSet(record("DigitSet", "base digits")):
     (N, Re conj(b), Im conj(b), residue table, N.bit_length() - 1,
     BLOCK_DIGITS * N.bit_length()), the last two encode's cap divisor and
     the bit count from which a value takes the block path, and _fold is
-    the Horner fold's (positions, b.re, b.im).  Equality and hash read the
-    two fields only, and every copy, pickle or _replace builds through the
-    constructor, so the tables and tuples always follow the fields.
+    the Horner fold's (positions, b.re, b.im).  _own is the frozenset of
+    the ids of the digit objects themselves, those the residue table hands
+    encode, formed on recode's first read, so a digit set over which no
+    word is read, such as a Dfa's alphabet, never forms it; it is empty
+    for a LargeCanonicalDigitSet, whose digits are built per lookup, and
+    sits outside _fold, so equal digit sets of different objects have
+    equal _fold.  The zero digit is gaussint's shared ZERO, so a word
+    padded or pumped with ZERO is made of own digits too.  recode takes
+    an element whose id is in _own as a digit with no further test.  That
+    is sound as the digit set holds its digits, so no other live object
+    has one of their ids, and as a GaussInt is immutable by convention,
+    which positions assumes too.  Equality and hash read the two fields
+    only, and every copy, pickle or _replace builds through the
+    constructor (__reduce__ hands copy and pickle cls(*fields), with no
+    state), so the tables, the tuples and _own always follow the fields
+    and the digit objects of the set that holds them.
     """
 
     def __new__(cls, base: GaussInt, digits: tuple[GaussInt, ...]) -> DigitSet:
@@ -113,7 +132,8 @@ class DigitSet(record("DigitSet", "base digits")):
 
         The one routine that checks a listed digit set: each digit is a
         GaussInt, 0 is one, none repeats, there are n of them, and no two
-        are congruent mod base; it builds both tables on the way.  Given
+        are congruent mod base; it builds both tables on the way, with
+        gaussint's ZERO as the zero digit.  Given
         pairs, the digits come in (re, im) order with those (re, im) int
         pairs, as canonical_digit_set's row walk makes them; without, the
         digits are sorted and their pairs read here.
@@ -131,6 +151,8 @@ class DigitSet(record("DigitSet", "base digits")):
             raise InvalidInput("duplicate digits")
         if len(digits) != n:
             raise InvalidInput("%d digits for base %s of norm %d", len(digits), base, n)
+        if digits[at := positions[0, 0]] is not ZERO:  # the shared ZERO is the zero digit (see the class)
+            digits = (*digits[:at], ZERO, *digits[at + 1 :])
         p, q = base.re, base.im
         by_residue = {}
         for d, (x, y) in zip(digits, pairs):  # t = d*conj(b) on ints
@@ -148,6 +170,15 @@ class DigitSet(record("DigitSet", "base digits")):
         self.positions = positions
         bits = n.bit_length()
         self._loop, self._fold = (n, p, -q, table, bits - 1, BLOCK_DIGITS * bits), (positions, p, q)
+
+    @cached_property
+    def _own(self) -> frozenset[int]:
+        """The ids of the digit objects, formed on recode's first read (see the class)."""
+        return frozenset(map(id, self.digits))
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        """Copy and pickle as cls(*fields), so a clone forms its own tables and _own and carries none over."""
+        return type(self), tuple(self)
 
 
 def _disc_pairs(r2: int) -> Iterator[tuple[int, int]]:
@@ -230,6 +261,8 @@ class LargeCanonicalDigitSet(DigitSet):
     holds its tables, and the N the box computed.  The digits argument is ignored,
     so that cls(*fields) rebuilds one, as _replace, copy and pickle do.
     """
+
+    _own = frozenset()  # its digits are built per lookup, so none is its own
 
     def __new__(cls, base: GaussInt, digits: None = None) -> LargeCanonicalDigitSet:
         self = tuple.__new__(cls, (base, None))
@@ -318,7 +351,11 @@ def encode_within(z: GaussInt, D: DigitSet, max_len: int | None = None) -> Word 
     have no more bits than N^k, or out would pass max_len, and the loop
     goes on from the state they leave.  A block in which the state
     reaches 0 leaves zeros past the leading digit, which are stripped.
+    A max_len that is neither None nor an int is refused by int_at_least;
+    every int is taken, and a negative one leaves no room for a digit.
     """
+    if max_len is not None and type(max_len) is not int:  # every int is a length: only the type can fail
+        int_at_least(max_len, 0, "max_len")
     n, bre, bim, table, _, long_bits = D._loop  # bre + bim*i is conj(b)
     out: list[GaussInt] = []
     x, y = z.re, z.im
@@ -397,7 +434,8 @@ def decode(w: Word, D: DigitSet) -> GaussInt:
     A word of fewer than BLOCK_DIGITS digits, or over a base with
     k = _block_length(N) below 2, is one block, its value recode's one
     digit (none for 0).  Any other word is folded k digits at a time: one
-    big-int step X*b^k + block per block of recode(w, D, k).
+    big-int step X*b^k + block per block of recode(w, D, k), and the
+    value, ints folded from ints, is built with no component test.
     """
     if len(w) < BLOCK_DIGITS or (k := _block_length(D._loop[0])) < 2:
         return (recode(w, D, len(w) or 1) or (ZERO,))[0]
@@ -405,13 +443,16 @@ def decode(w: Word, D: DigitSet) -> GaussInt:
     x = y = 0
     for block in recode(w, D, k):
         x, y = x * c.re - y * c.im + block.re, x * c.im + y * c.re + block.im
-    return GaussInt(x, y)
+    z = _new(GaussInt)
+    z.re, z.im = x, y
+    return z
 
 
 def _not_a_digit(w: Word, D: DigitSet) -> InvalidInput:
     """The error for the first element of w, in word order, that is not a digit of D.
 
-    recode tests a digit, for decode too, by looking up its (re, im) pair in
+    recode takes one of D's own digit objects by its id, and tests any other
+    element, for decode too, by looking up its (re, im) pair in
     D.positions, which hashes in C, and by its type: the pair key says
     nothing of type, and an element that is no GaussInt, such as a bare
     (re, im) tuple, is no digit either, whatever its re and im.  Once a
@@ -444,8 +485,12 @@ def max_length_in_disc(r2: int, D: DigitSet) -> int:
     Over the canonical digits of a base of norm n above 36, every point
     of norm at most 9 is a digit, as 2*|Re(z*conj(b))| <= 6*sqrt(n) < n,
     and none is encoded.  A disc whose inscribed square alone holds more
-    than SCAN_BUDGET points raises BudgetExceeded before the walk.
+    than SCAN_BUDGET points raises BudgetExceeded before the walk.  An r2
+    that is no int is refused by int_at_least; a negative r2 is an empty
+    disc.
     """
+    if type(r2) is not int:  # every int is a squared radius: only the type can fail
+        int_at_least(r2, 0, "r2")
     if inscribed_square(r2) > SCAN_BUDGET:
         raise BudgetExceeded("the disc norm(z) <= %d holds more than the scan budget of %d points", r2, SCAN_BUDGET)
     longest = 1 if r2 >= 1 else 0
@@ -462,13 +507,16 @@ class LengthBound(record("LengthBound", "base m3")):
     it.  The predicate norm(z) * norm(b)^m3 <= norm(b)^k guarantees that
     the word of z has length at most k; the underlying real constant
     |b|^(-m3) is never materialized.  within_bound decides it in ints for
-    every k with one power, both norms formed from the parts:
+    every k with at most one power, both norms formed from the parts:
     norm(z) <= norm(b)^(k - m3) when k >= m3, and z = 0 otherwise, as
     norm(b)^(k - m3) < 1 then for norm(b) >= 5; a negative k forms no
-    float, so a huge base cannot overflow.  Construction refuses a base
-    that is no GaussInt, or of norm below 5, as DigitSet does, and an m3
-    that is no int or negative; _replace, copy and pickle build through
-    the constructor.
+    float, so a huge base cannot overflow.  An e = k - m3 above 64 and
+    past the bit length of norm(z) answers True with no power, as
+    norm(b)^e > 2^e > norm(z) for norm(b) >= 5, so a huge k costs no more
+    than a small one.  Every int is a k, and one that is no int is refused
+    by int_at_least.  Construction refuses a base that is no GaussInt, or
+    of norm below 5, as DigitSet does, and an m3 that is no int or
+    negative; _replace, copy and pickle build through the constructor.
     """
 
     __slots__ = ()
@@ -478,11 +526,16 @@ class LengthBound(record("LengthBound", "base m3")):
         return tuple.__new__(cls, (base, int_at_least(m3, 0, "m3")))
 
     def within_bound(self, z: GaussInt, k: int) -> bool:
-        b, e, x, y = self.base, k - self.m3, z.re, z.im
+        if type(k) is not int:  # every int is a length: only the type can fail
+            int_at_least(k, 0, "k")
+        b, m3 = self  # one unpack, cheaper than two field reads on this hot call
+        e, x, y = k - m3, z.re, z.im
         if e < 0:
             return not (x or y)
-        p, q = b.re, b.im
-        return x * x + y * y <= (p * p + q * q) ** e
+        p, q, n = b.re, b.im, x * x + y * y
+        if e > 64 and e > n.bit_length():  # a power of at most 64 factors costs less than this test
+            return True
+        return n <= (p * p + q * q) ** e
 
 
 @memo(MEMO_SIZE)
@@ -518,34 +571,44 @@ def recode(w: Word, D: DigitSet, j: int) -> Word:
     digits; the decoded value is unchanged.  One pass on ints: the first
     block starts its count at the number of leading zeros a pad to a
     multiple of j would add, and digits are checked in word order (see
-    _not_a_digit), for decode too.  A word of at most j digits, as decode
-    passes, is one block: the same check and fold, with no count and no
-    list of blocks.  A j that is no int, or below 1, is refused by
+    _not_a_digit), for decode too: an element whose id is in D._own is
+    one of D's digit objects, as encode's words are made of, and passes
+    with no further test, and any other passes on its (re, im) pair and
+    its type, so a refusal and its text are as without the identity test.
+    Each block is built with no component test, as its parts are ints
+    folded from a digit set's int parts.  A word of at most j digits, as
+    decode passes, is one block: the same check and fold, with no count
+    and no list of blocks.  A j that is no int, or below 1, is refused by
     int_at_least; the test is inline, as recode is the hot caller.
     """
     if type(j) is not int or j < 1:
         int_at_least(j, 1, "power exponent")
     index, p, q = D._fold
+    own = D._own
     x = y = 0
     try:
         if len(w) <= j:  # one block, as decode passes
             for d in w:
-                d_re, d_im = pair = d.re, d.im
-                if pair not in index or not isinstance(d, GaussInt):
+                if id(d) not in own and ((d.re, d.im) not in index or not isinstance(d, GaussInt)):
                     raise _not_a_digit(w, D)
-                x, y = x * p - y * q + d_re, x * q + y * p + d_im
-            return (GaussInt(x, y),) if x or y else ()
+                x, y = x * p - y * q + d.re, x * q + y * p + d.im
+            if not (x or y):
+                return ()
+            z = _new(GaussInt)
+            z.re, z.im = x, y
+            return (z,)
         out: list[GaussInt] = []
         filled = (-len(w)) % j
         for d in w:
-            d_re, d_im = pair = d.re, d.im
-            if pair not in index or not isinstance(d, GaussInt):
+            if id(d) not in own and ((d.re, d.im) not in index or not isinstance(d, GaussInt)):
                 raise _not_a_digit(w, D)
-            x, y = x * p - y * q + d_re, x * q + y * p + d_im
+            x, y = x * p - y * q + d.re, x * q + y * p + d.im
             filled += 1
             if filled == j:
                 if x or y or out:
-                    out.append(GaussInt(x, y))
+                    z = _new(GaussInt)
+                    z.re, z.im = x, y
+                    out.append(z)
                 x = y = filled = 0
     except (AttributeError, TypeError):  # an element with no re or im, or parts no lookup takes
         raise _not_a_digit(w, D) from None

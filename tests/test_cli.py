@@ -89,6 +89,16 @@ def test_witness_not_found_exits_2(capsys):
     assert report["status"] == "not_found"
 
 
+def test_an_m_max_past_the_float_range_ends_in_an_error_report_naming_it(capsys):
+    """400 ones is past 2^1024 - 2^970, the least int that converts to no float: the search reported a bare
+    "int too large to convert to float"; 10^20, written out, is searched as given."""
+    code, report = run_cli(capsys, "witness", "--bound", "1/25", "--m-max", "1" * 400, "--", "1+2i", "2+1i", "1")
+    assert code == EXIT_ERROR and report["status"] == "error"
+    assert report["message"] == "m_max must be below 2^1024 - 2^970, the least int that converts to no float"
+    code, report = run_cli(capsys, "witness", "--bound", "1/25", "--m-max", str(10**20), "--", "1+2i", "2+1i", "1")
+    assert code == EXIT_OK and (report["results"]["m"], report["results"]["n"]) == (10, 10)
+
+
 def test_prefix_witness_json_fields(capsys):
     code, report = run_cli(
         capsys, "prefix", "1+2i", "2+1i", "1", "--n-min", "3", "--budget", "64"

@@ -25,7 +25,7 @@ from gaussbase.dependence import (
     mult_dependent,
     prefix_extension,
 )
-from gaussbase.gaussint import ONE, UNITS, ZERO, GaussInt, InvalidInput
+from gaussbase.gaussint import ONE, UNITS, ZERO, BudgetExceeded, GaussInt, InvalidInput
 from gaussbase.numeration import (
     canonical_digit_set,
     decode,
@@ -365,6 +365,30 @@ def test_witness_searches_refuse_bounds_and_budgets_that_are_not_ints(call, name
     """The bound is a rational of ints, so no inequality is decided against a float product."""
     with pytest.raises(InvalidInput, match=f"^{name} .* is not an int$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "search, name",
+    [(lambda m: group_witness(A, B, ONE, 1, 25, m), "m_max"), (lambda m: prefix_extension(A, B, ONE, 3, m), "budget")],
+)
+def test_an_exponent_budget_past_the_float_range_is_refused_before_any_float(monkeypatch, search, name):
+    """_nominees converts m_max to a float, which from FLOAT_LIMIT on raised a bare OverflowError; every smaller
+    budget is searched as given and finds the witness a budget of 64 finds."""
+    limit = dependence.FLOAT_LIMIT
+    assert float(limit - 1) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        float(limit)
+    found = search(64)
+    assert found is not None and search(10**20) == search(limit - 1) == found
+
+    def no_float_work(*args):
+        raise AssertionError("a refused budget reached _nominees")
+
+    monkeypatch.setattr(dependence, "_nominees", no_float_work)
+    for value in (limit, limit + 1, 10**400):
+        with pytest.raises(BudgetExceeded) as exc:
+            search(value)
+        assert str(exc.value) == f"{name} must be below 2^1024 - 2^970, the least int that converts to no float"
 
 
 def test_group_witness_self_certifies():

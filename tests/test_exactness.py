@@ -66,7 +66,7 @@ from gaussbase import (
     zero_pump_probe,
 )
 from gaussbase.gaussint import LEAST_BASE_NORM, formatted
-from gaussbase.numeration import LargeCanonicalDigitSet
+from gaussbase.numeration import LargeCanonicalDigitSet, encode_within, max_length_in_disc
 
 PACKAGE = Path(gaussbase.__file__).parent
 EXACT_MODULES = ("gaussint.py", "numeration.py", "automata.py")
@@ -625,6 +625,19 @@ COUNT_REFUSALS = {
 } | {
     f"{call_id}-below": (call, least - 1, f"{role} = {least - 1} < {least}")
     for call_id, (call, role, least) in COUNTS.items()
+}
+# per-value counts, which take every int, negative ones too: only a value that is no int is refused, and a
+# max_len of None stands for encode's cap
+VALUE_COUNTS = {
+    "within_bound.k": (lambda k: length_bound(B21).within_bound(GaussInt(3), k), "k"),
+    "encode_within.max_len": (lambda n: encode_within(GaussInt(37, -11), D21, n), "max_len"),
+    "max_length_in_disc.r2": (lambda r2: max_length_in_disc(r2, D21), "r2"),
+}
+COUNT_REFUSALS |= {
+    f"{call_id}-{value_id}": (call, value, f"{role} {value!r} is not an int")
+    for call_id, (call, role) in VALUE_COUNTS.items()
+    for value_id, value in {"float": 2.5, "bool": True, "none": None}.items()
+    if not (role == "max_len" and value is None)
 }
 
 

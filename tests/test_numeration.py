@@ -1235,3 +1235,91 @@ def test_the_disc_budget_admits_r2_499999_and_refuses_500000_before_the_walk():
         with pytest.raises(BudgetExceeded, match=r"holds more than the scan budget of 1000000 points$"):
             max_length_in_disc(r2, D)
         assert time.perf_counter() - start < 1
+
+
+# ---- per-value counts, within_bound by bit length, and recode's own-digit path ----
+
+def test_a_per_value_count_takes_every_int_as_before():
+    """k, max_len and r2 are refused only for their type (test_exactness): a negative one keeps its answer."""
+    D, lb = canonical_digit_set(B), length_bound(B)
+    z = g(37, -11)
+    for k in range(-3, 0):
+        assert lb.within_bound(ZERO, k) and not lb.within_bound(z, k)
+        assert encode_within(z, D, k) is None and encode_within(ZERO, D, k) == ()
+        assert max_length_in_disc(k, D) == 0
+    assert encode_within(z, D, None) == encode(z, D)
+
+
+def test_within_bound_of_a_huge_k_forms_no_power():
+    """norm(b)^(k - m3) for k = 10^7 took 6.5 s: past the bit length of norm(z) the answer is True."""
+    lb = length_bound(B)
+    start = time.perf_counter()
+    assert lb.within_bound(g(3), 10**7) and lb.within_bound(g(3**1000, 1), 10**6)
+    assert time.perf_counter() - start < 1
+    # norm(b^70) = 5^70 has 163 bits, so e = 69 and e = 70 take the power, which decides the edge exactly
+    assert lb.within_bound(B**70, lb.m3 + 70) and not lb.within_bound(B**70, lb.m3 + 69)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([B, g(-4, 7), g(0, 11), g(3, 3)]),
+    st.integers(0, 6),
+    st.builds(g, st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30)),
+    st.integers(-2, 3),
+)
+@example(B, 3, g(3), 1)  # norm 9 of 4 bits: e = 65 takes the bit-length answer, e = 64 the power
+@example(B, 3, g(3), 0)
+@example(B, 0, g(2**40), 1)  # norm 2^80 of 81 bits: e = 82 takes the bit-length answer, e = 81 the power
+@example(B, 0, g(2**40), 0)
+@example(B, 0, ZERO, 1)
+def test_within_bound_by_bit_length_is_the_exact_predicate(b, m3, z, offset):
+    """k puts e = k - m3 at the larger of 64 and the bit length of norm(z), plus offset, around the edge past
+    which no power is formed."""
+    n = b.norm()
+    k = m3 + max(z.norm().bit_length(), 64) + offset
+    assert LengthBound(b, m3).within_bound(z, k) == (z.norm() * Fraction(n) ** m3 <= Fraction(n) ** k)
+
+
+@st.composite
+def own_digit_words(draw):
+    """(D, w, j): a canonical, shifted or large digit set, a word of the digit objects digit_of returns, which
+    are D's own for a listed set, at times with leading zeros or repeated to BLOCK_DIGITS digits or more for
+    decode's blocks, and j in 1..4."""
+    D = draw(st.one_of(st.one_of(bases(400), st.sampled_from(LARGE_BASES)).map(canonical_digit_set), shifted_digit_sets()))
+    values = st.builds(g, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+    w = tuple(draw(st.lists(values.map(lambda z: digit_of(z, D)), max_size=12)))
+    if w and draw(st.booleans()):
+        w *= -(-BLOCK_DIGITS // len(w))
+    return D, w, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(own_digit_words())
+@example((canonical_digit_set(B), encode(g(7**200, 3), canonical_digit_set(B)), 4))
+@example((ALT, tuple(ALT.digits[k] for k in (4, 0, 2)), 2))
+def test_own_digits_recode_and_decode_as_fresh_equal_gauss_ints_do(case):
+    """D's own digit objects pass recode's test by identity; fresh equal GaussInts, and every digit of a large
+    set, take the (re, im) pair path.  Both give the same blocks and value, and refuse a word with a non-digit,
+    a bare (re, im) tuple or a Lookalike at the same place with the same InvalidInput."""
+    D, w, j = case
+    fresh = tuple(g(d.re, d.im) for d in w)
+    assert all(id(d) not in D._own for d in fresh)
+    assert all(id(d) in D._own for d in w) or isinstance(D, LargeCanonicalDigitSet)
+    assert recode(w, D, j) == recode(fresh, D, j) == reference_recode(fresh, D, j)
+    assert decode(w, D) == decode(fresh, D) == reference_decode(fresh, D)
+    for pos in {0, len(w) // 2, len(w) - 1} if w else ():
+        d = w[pos]
+        for bad in (d + D.base, (d.re, d.im), Lookalike(d)):  # d + b is congruent to d, so no digit
+            want = (InvalidInput, f"{bad} is not a digit of base {D.base}")
+            for word in (w, fresh):
+                bent = word[:pos] + (bad,) + word[pos + 1 :]
+                assert outcome(recode, bent, D, j) == outcome(decode, bent, D) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(own_digit_words())
+def test_every_gauss_int_recode_and_decode_return_has_int_components(case):
+    """The blocks and the value are built with no component test, from ints folded from ints."""
+    D, w, j = case
+    for z in (*recode(w, D, j), decode(w, D)):
+        assert type(z) is GaussInt and type(z.re) is int and type(z.im) is int

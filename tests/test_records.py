@@ -13,6 +13,7 @@ import importlib.util
 import inspect
 import pkgutil
 import pickle
+import re
 import subprocess
 import sys
 import types
@@ -247,6 +248,25 @@ def test_records_copy_and_pickle_through_the_constructor():
     moved = LargeCanonicalDigitSet(g(400, 1))._replace(base=g(1000, 1))
     assert moved == canonical_digit_set(g(1000, 1))
     assert_same_words(moved, LargeCanonicalDigitSet(g(1000, 1)))
+
+
+def test_a_clone_of_a_digit_set_holds_the_ids_of_its_own_digits():
+    """_own holds object ids, so no copy or pickle carries it over: a clone carrying the original's ids would
+    take, once the original's digits are freed, whatever object comes to sit at one of their addresses as a
+    digit.  Each clone forms _own from its own digits, and the zero digit of every listed set is ZERO."""
+    originals = (DigitSet(B, tuple(reversed(D5.digits))), canonical_digit_set(g(3)), LargeCanonicalDigitSet(g(400, 1)))
+    for D in originals:
+        decode(encode(g(37, -11), D), D)  # forms D._own
+        for clone in (copy.copy(D), copy.deepcopy(D), pickle.loads(pickle.dumps(D)), D._replace(base=D.base)):
+            assert "_own" not in vars(clone)
+            assert recode(encode(g(37, -11), clone), clone, 2) == recode(encode(g(37, -11), D), D, 2)
+            expected = frozenset() if type(D) is LargeCanonicalDigitSet else frozenset(map(id, clone.digits))
+            assert clone._own == expected
+            if type(D) is not LargeCanonicalDigitSet:
+                assert clone.digits[clone.positions[0, 0]] is ZERO and id(ZERO) in clone._own
+            bad = ONE + D.base  # congruent to the digit 1, so no digit
+            with pytest.raises(InvalidInput, match=f"^{re.escape(f'{bad} is not a digit of base {D.base}')}$"):
+                decode((ONE, bad), clone)
 
 
 def test_each_dfa_subcommand_has_its_own_handler():
